@@ -19,18 +19,18 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import __version__
-from .curves import ImplicitCurve, curve_catalog, parametric_catalog, residual
+from .curves import ImplicitCurve, residual
 from .linalg import ExactMatrix, det_bareiss, det_ratio_last_column, lu_exact
 from .models import (
     MODEL_OPS,
     ModelId,
-    n_asm,
     n_vsasm,
     n_vsasm_refined,
     one_point_profile,
     raz_strog_check,
 )
 from .oracle import (
+    BudgetExceededError,
     count_nilp,
     count_nilp_by_exit,
     enumerate_asm,
@@ -41,34 +41,8 @@ from .oracle import (
 )
 from .tangent import TangentLine, analytic_saddle, envelope, finite_n_saddle, tangent_family
 
-USAGE_ERROR = 2
-
-
 def fraction_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the pipeline commands."""
-
-    command: str
-    model: str
-    tolerance: float | None = None
-    grid_count: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.tolerance is not None and not self.tolerance > 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
-        if self.command == "envelope" and (self.grid_count is None or self.grid_count < 8):
-            raise ValueError(f"envelope runs need a grid of at least 8 points, got {self.grid_count}")
-
-
-def _run_config(args, parser, **kwargs) -> RunConfig:
-    try:
-        return RunConfig(command=args.command, model=args.model, **kwargs)
-    except ValueError as exc:
-        parser.error(str(exc))
 
 
 @dataclass
@@ -107,7 +81,8 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """True when there are checks and all of them pass; no checks fail."""
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     def to_json(self) -> str:
         payload = {
@@ -119,13 +94,6 @@ class Report:
             "artifacts": self.artifacts,
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _model_from_name(name: str) -> ModelId:
-    for m in ModelId:
-        if m.value == name:
-            return m
-    raise SystemExit(USAGE_ERROR)
 
 
 def _write(path: Path, content: str) -> None:
@@ -227,21 +195,22 @@ def emit_svg(
 # ---------------------------------------------------------------------------
 
 
-def _require_k(args, model: ModelId, parser: argparse.ArgumentParser) -> int | None:
-    ops = MODEL_OPS.get(model)
-    if ops is not None and ops.needs_k:
-        if args.k is None:
-            parser.error(f"model {model.value} requires --k")
-        return args.k
-    return None
+def _sized_model(args, parser: argparse.ArgumentParser) -> tuple[ModelId, int | None]:
+    """The model named by --model and its k, after checking --n and --k."""
+    model = ModelId(args.model)
+    ops = MODEL_OPS[model]
+    try:
+        ops.check_size(args.n, args.k)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return model, args.k if ops.needs_k else None
 
 
 def cmd_verify(args, parser) -> Report:
-    model = _model_from_name(args.model)
+    model, k = _sized_model(args, parser)
     rep = Report("verify", model.value, {"n": args.n, "k": args.k})
-    if model is ModelId.VSASM:
-        if args.n % 2 == 0:
-            parser.error("vsasm sizes are odd")
+    ops = MODEL_OPS[model]
+    if not ops.has_paths:
         size = args.n
         if size <= 7:
             matrices, hist = enumerate_vsasm(size)
@@ -263,12 +232,7 @@ def cmd_verify(args, parser) -> Report:
             sum(n_vsasm_refined(size, ell) for ell in range(1, size + 1)),
         )
         return rep
-    k = _require_k(args, model, parser)
-    ops = MODEL_OPS[model]
-    try:
-        matrix = ops.matrix(args.n, k)
-    except ValueError:
-        parser.error(f"invalid size n={args.n}, k={args.k} for {model.value}")
+    matrix = ops.matrix(args.n, k)
     det = det_bareiss(matrix)
     rep.add("bareiss det equals closed partition", fraction_str(Fraction(ops.partition(args.n, k))), fraction_str(det))
     lu = lu_exact(matrix)
@@ -283,7 +247,7 @@ def cmd_verify(args, parser) -> Report:
     mismatches = []
     linv_last = l_inv.row(l_inv.rows - 1)
     u_nn = lu.U[lu.U.rows - 1, lu.U.cols - 1]
-    for ell in model_exit_range(model, args.n, k):
+    for ell in ops.exits(args.n, k):
         closed = ops.one_point(args.n, k, ell)
         b = ops.b_column(args.n, k, ell)
         ratio = det_bareiss(matrix.with_column(matrix.cols - 1, b)) / det
@@ -295,8 +259,7 @@ def cmd_verify(args, parser) -> Report:
 
 
 def cmd_onepoint(args, parser) -> Report:
-    model = _model_from_name(args.model)
-    k = _require_k(args, model, parser)
+    model, k = _sized_model(args, parser)
     rep = Report("onepoint", model.value, {"n": args.n, "k": args.k})
     try:
         profile = one_point_profile(model, args.n, k, exact_max=args.exact_max)
@@ -306,8 +269,9 @@ def cmd_onepoint(args, parser) -> Report:
     rows += [f"{ell},{fraction_str(profile[ell])}" for ell in profile.ells]
     bounded = all(0 <= v <= 1 for v in profile.values)
     rep.add("profile values within [0, 1]", True, bounded)
-    if model in MODEL_OPS:
-        ref = MODEL_OPS[model].reference_ell(args.n, k)
+    reference_ell = MODEL_OPS[model].reference_ell
+    if reference_ell is not None:
+        ref = reference_ell(args.n, k)
         rep.add("reference exit has weight 1", "1/1", fraction_str(profile[ref]))
     if args.out:
         _write(Path(args.out), "\n".join(rows) + "\n")
@@ -316,10 +280,9 @@ def cmd_onepoint(args, parser) -> Report:
 
 
 def cmd_oracle(args, parser) -> Report:
-    model = _model_from_name(args.model)
-    if model is ModelId.VSASM:
-        if args.n % 2 == 0:
-            parser.error("vsasm sizes are odd")
+    model, k = _sized_model(args, parser)
+    ops = MODEL_OPS[model]
+    if not ops.has_paths:
         size = args.n
         rep = Report("oracle", model.value, {"size": size})
         matrices, hist = enumerate_vsasm(size)
@@ -334,9 +297,7 @@ def cmd_oracle(args, parser) -> Report:
             _write(Path(args.dump), payload + "\n")
             rep.artifacts.append(args.dump)
         return rep
-    k = _require_k(args, model, parser)
     rep = Report("oracle", model.value, {"n": args.n, "k": args.k})
-    ops = MODEL_OPS[model]
     spec = model_path_spec(model, args.n, k)
     det = det_bareiss(ops.matrix(args.n, k))
     count = count_nilp(spec)
@@ -345,7 +306,7 @@ def cmd_oracle(args, parser) -> Report:
         ell: model_exit_point(model, args.n, ell, k) for ell in model_exit_range(model, args.n, k)
     }
     masses = count_nilp_by_exit(spec, list(exits.values()))
-    ref_mass = masses[exits[MODEL_OPS[model].reference_ell(args.n, k)]]
+    ref_mass = masses[exits[ops.reference_ell(args.n, k)]]
     mismatch = [
         ell
         for ell, pt in exits.items()
@@ -355,15 +316,27 @@ def cmd_oracle(args, parser) -> Report:
     return rep
 
 
-def _grid(zmin: float, zmax: float, count: int, spacing: str) -> list[float]:
-    if spacing == "log":
-        return [zmin * (zmax / zmin) ** (i / (count - 1)) for i in range(count)]
-    return [zmin + (zmax - zmin) * i / (count - 1) for i in range(count)]
+def _tangents(args, parser) -> tuple[list[TangentLine], list[tuple[float, float]]]:
+    """The tangent family over the --z-min/--z-max grid and its envelope points."""
+    zmin, zmax, count = args.z_min, args.z_max, args.count
+    if count < 8:
+        parser.error(f"tangent grids need at least 8 points, got {count}")
+    if not zmin < zmax or (args.spacing == "log" and not zmin > 0):
+        parser.error(f"need z_min < z_max, and z_min > 0 for log spacing; got {zmin}, {zmax}")
+    if args.spacing == "log":
+        grid = [zmin * (zmax / zmin) ** (i / (count - 1)) for i in range(count)]
+    else:
+        grid = [zmin + (zmax - zmin) * i / (count - 1) for i in range(count)]
+    try:
+        lines = tangent_family(ModelId(args.model), grid, args.x_model)
+        points, _conds = envelope(lines)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return lines, points
 
 
 def cmd_saddle(args, parser) -> Report:
-    model = _model_from_name(args.model)
-    _run_config(args, parser, tolerance=args.tol)
+    model = ModelId(args.model)
     rep = Report(
         "saddle",
         model.value,
@@ -380,8 +353,7 @@ def cmd_saddle(args, parser) -> Report:
 
 
 def cmd_envelope(args, parser) -> Report:
-    model = _model_from_name(args.model)
-    _run_config(args, parser, tolerance=args.tol, grid_count=args.count)
+    model = ModelId(args.model)
     rep = Report(
         "envelope",
         model.value,
@@ -394,20 +366,14 @@ def cmd_envelope(args, parser) -> Report:
             "tolerance": args.tol,
         },
     )
-    grid = _grid(args.z_min, args.z_max, args.count, args.spacing)
-    try:
-        x = args.x_model if model in (ModelId.DYCK_HALF_HEX, ModelId.RED_HALF_HEX) else None
-        lines = tangent_family(model, grid, x)
-    except ValueError as exc:
-        parser.error(str(exc))
-    points, _conds = envelope(lines)
-    curve = curve_catalog(args.x_model)[model]
+    lines, points = _tangents(args, parser)
+    curve = MODEL_OPS[model].limit_curve(args.x_model)
     residuals = [residual(curve, p) for p in points]
     rep.add("max envelope residual within tolerance", 0.0, max(residuals), args.tol)
     if args.out_prefix:
         csv_rows = ["z,xi_star,slope,intercept,env_x,env_y,residual"]
         for ln, pt, res in zip(lines[1:-1], points, residuals):
-            xi = analytic_saddle(model, ln.z, x)
+            xi = analytic_saddle(model, ln.z, args.x_model)
             csv_rows.append(
                 f"{ln.z:.12g},{xi:.12g},{ln.slope:.12g},{ln.intercept:.12g},"
                 f"{pt[0]:.12g},{pt[1]:.12g},{res:.12g}"
@@ -422,14 +388,14 @@ def cmd_envelope(args, parser) -> Report:
 
 
 def cmd_curve(args, parser) -> Report:
-    model = _model_from_name(args.model)
-    _run_config(args, parser, tolerance=args.tol)
+    model = ModelId(args.model)
     rep = Report("curve", model.value, {"samples": args.samples, "x_model": args.x_model})
-    catalog = parametric_catalog()
-    if model not in catalog:
+    par = MODEL_OPS[model].parametric
+    if par is None:
         parser.error(f"no parametric form for {model.value}; available: "
-                     + ", ".join(sorted(m.value for m in catalog)))
-    par = catalog[model]
+                     + ", ".join(sorted(m.value for m, ops in MODEL_OPS.items() if ops.parametric)))
+    if args.samples < 2:
+        parser.error(f"--samples must be at least 2, got {args.samples}")
     t0, t1 = par.t_range
     rows = ["t,x,y,residual"]
     worst = 0.0
@@ -447,24 +413,25 @@ def cmd_curve(args, parser) -> Report:
 
 
 def cmd_plot(args, parser) -> Report:
-    model = _model_from_name(args.model)
+    model = ModelId(args.model)
     rep = Report(
         "plot",
         model.value,
         {"z_min": args.z_min, "z_max": args.z_max, "count": args.count, "x_model": args.x_model},
     )
-    grid = _grid(args.z_min, args.z_max, args.count, args.spacing)
-    x = args.x_model if model in (ModelId.DYCK_HALF_HEX, ModelId.RED_HALF_HEX) else None
-    try:
-        lines = tangent_family(model, grid, x)
-    except ValueError as exc:
-        parser.error(str(exc))
-    points, _ = envelope(lines)
-    curve = curve_catalog(args.x_model)[model]
+    lines, points = _tangents(args, parser)
+    curve = MODEL_OPS[model].limit_curve(args.x_model)
     _write(Path(args.out), emit_svg(lines, points, curve))
     rep.artifacts.append(args.out)
     rep.add("figure written", True, Path(args.out).exists())
     return rep
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -498,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--x-model", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=0.01)
+    p.add_argument("--tol", type=_positive, default=0.01)
 
     p = sub.add_parser("envelope", help="tangent family, envelope, and residuals")
     add_common(p, with_n=False)
@@ -507,14 +474,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--spacing", choices=["linear", "log"], default="linear")
     p.add_argument("--x-model", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", type=_positive, default=1e-3)
     p.add_argument("--out-prefix", default=None)
 
     p = sub.add_parser("curve", help="parametric curve samples and residuals")
     add_common(p, with_n=False)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--x-model", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_positive, default=1e-12)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("plot", help="SVG figure of tangents, envelope, and curve")
@@ -542,7 +509,10 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    report = _COMMANDS[args.command](args, parser)
+    try:
+        report = _COMMANDS[args.command](args, parser)
+    except BudgetExceededError as exc:  # input too large to enumerate
+        parser.error(str(exc))
     text = report.to_json()
     sys.stdout.write(text)
     if getattr(args, "json_out", None):

@@ -1,4 +1,4 @@
-"""Exact combinatorial scalars and a signed log-magnitude number type.
+"""Exact combinatorial scalars.
 
 All counting functions return Python ints (arbitrary precision); ratios are
 ``fractions.Fraction`` in lowest terms.  Binomials follow the Pascal-triangle
@@ -8,10 +8,8 @@ use the same index-free ranges as the closed formulas it implements.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lgamma
+from math import comb
 
 __all__ = [
     "binomial",
@@ -20,30 +18,12 @@ __all__ = [
     "ballot",
     "falling_factorial",
     "inverse_binomial_sum",
-    "LogValue",
-    "log_binomial",
-    "CancellationError",
-    "negative_upper_index_hits",
 ]
-
-# Counts calls of binomial() with a negative upper index.  The closed formulas
-# implemented downstream never evaluate one; a nonzero counter means some
-# summation range is wrong and should be investigated.
-_negative_upper_hits = 0
-
-
-def negative_upper_index_hits() -> int:
-    """Number of binomial() calls seen so far with n < 0."""
-    return _negative_upper_hits
 
 
 def binomial(n: int, k: int) -> int:
     """C(n, k) with the vanishing convention outside 0 <= k <= n."""
-    global _negative_upper_hits
-    if n < 0:
-        _negative_upper_hits += 1
-        return 0
-    if k < 0 or k > n:
+    if not 0 <= k <= n:
         return 0
     return comb(n, k)
 
@@ -96,94 +76,3 @@ def inverse_binomial_sum(n: int, a: int) -> Fraction:
     for m in range(n + 1):
         total += Fraction((-1) ** m * a, m + a) * comb(n, m)
     return total
-
-
-class CancellationError(ArithmeticError):
-    """Raised when opposite-sign LogValues cancel beyond recoverable precision."""
-
-
-@dataclass(frozen=True)
-class LogValue:
-    """A real number stored as (sign, log|value|).
-
-    sign 0 encodes exact zero; log_mag is ignored in that case.  Addition of
-    opposite signs aborts on catastrophic cancellation instead of returning
-    garbage, which is what an alternating sum evaluated at large scale would
-    otherwise silently produce.
-    """
-
-    log_mag: float
-    sign: int
-
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or 1, got {self.sign}")
-
-    @staticmethod
-    def zero() -> "LogValue":
-        return LogValue(float("-inf"), 0)
-
-    @staticmethod
-    def from_exact(value: int | Fraction) -> "LogValue":
-        if value == 0:
-            return LogValue.zero()
-        sign = 1 if value > 0 else -1
-        f = Fraction(value)
-        # math.log of a huge Fraction overflows float; go through num/den.
-        mag = _log_abs_int(f.numerator) - _log_abs_int(f.denominator)
-        return LogValue(mag, sign)
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        if self.sign == 0 or other.sign == 0:
-            return LogValue.zero()
-        return LogValue(self.log_mag + other.log_mag, self.sign * other.sign)
-
-    def __truediv__(self, other: "LogValue") -> "LogValue":
-        if other.sign == 0:
-            raise ZeroDivisionError("LogValue division by zero")
-        if self.sign == 0:
-            return LogValue.zero()
-        return LogValue(self.log_mag - other.log_mag, self.sign * other.sign)
-
-    def __add__(self, other: "LogValue") -> "LogValue":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        hi, lo = (self, other) if self.log_mag >= other.log_mag else (other, self)
-        delta = lo.log_mag - hi.log_mag  # <= 0
-        if self.sign == other.sign:
-            return LogValue(hi.log_mag + math.log1p(math.exp(delta)), hi.sign)
-        if delta > -1e-12:
-            raise CancellationError(
-                f"catastrophic cancellation: magnitudes {self.log_mag} and "
-                f"{other.log_mag} with opposite signs"
-            )
-        return LogValue(hi.log_mag + math.log1p(-math.exp(delta)), hi.sign)
-
-    def __neg__(self) -> "LogValue":
-        return LogValue(self.log_mag, -self.sign)
-
-    def to_float(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_mag)
-
-
-def _log_abs_int(n: int) -> float:
-    n = abs(n)
-    if n == 0:
-        raise ValueError("log of zero")
-    if n.bit_length() <= 512:
-        return math.log(n)
-    # Split off the high bits to stay within float range.
-    shift = n.bit_length() - 512
-    return math.log(n >> shift) + shift * math.log(2)
-
-
-def log_binomial(n: float, k: float) -> LogValue:
-    """log C(n, k) via log-gamma, for real n >= k >= 0."""
-    if not (n >= k >= 0):
-        raise ValueError(f"requires n >= k >= 0, got n={n}, k={k}")
-    mag = lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
-    return LogValue(mag, 1)

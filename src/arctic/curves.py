@@ -1,28 +1,32 @@
-"""Closed-form limit curves, residuals, and boundary tangency data.
+"""Closed-form limit curves, their parametric forms, and residuals.
 
 Every curve is a bivariate polynomial of total degree <= 2 together with the
 (x, y) window on which the model derivation is valid.  Residuals are
 gradient-normalized so one tolerance means the same geometric distance across
-curves with very different coefficient scales.
+curves with very different coefficient scales.  Which model has which curve
+is recorded in the model registry (:data:`arctic.models.MODEL_OPS`); nothing
+here depends on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
-
-from .models import ModelId
 
 __all__ = [
     "ImplicitCurve",
     "ParametricCurve",
-    "curve_catalog",
-    "parametric_catalog",
     "residual",
+    "circle",
+    "ellipse",
+    "parabola",
+    "vsasm_curve",
     "vsasm_parametric",
     "aztec_parametric",
-    "tangency_points",
+    "CIRCLE_ARC",
+    "VSASM_ARC",
 ]
 
 
@@ -74,7 +78,12 @@ def residual(curve: ImplicitCurve, point: tuple[float, float]) -> float:
     return abs(curve.value(x, y)) / max(math.hypot(gx, gy), 1.0)
 
 
-def _circle() -> ImplicitCurve:
+# Curves are immutable, so each constructor hands out one shared instance per
+# argument: models that share a limit curve get the same object.
+
+
+@lru_cache(maxsize=None)
+def circle() -> ImplicitCurve:
     # x^2 + (y - 1)^2 = 1/2, inscribed in the scaled diamond |x| + |y-1| = 1.
     return ImplicitCurve(
         "circle",
@@ -83,7 +92,8 @@ def _circle() -> ImplicitCurve:
     )
 
 
-def _ellipse(x_model: float) -> ImplicitCurve:
+@lru_cache(maxsize=None)
+def ellipse(x_model: float) -> ImplicitCurve:
     # x_model^2 v^2 - 4 (1 + x_model) u (2 x_model - u) = 0 in the (u, v) frame.
     if x_model <= 0:
         raise ValueError(f"x_model must be > 0, got {x_model}")
@@ -98,7 +108,8 @@ def _ellipse(x_model: float) -> ImplicitCurve:
     )
 
 
-def _parabola() -> ImplicitCurve:
+@lru_cache(maxsize=None)
+def parabola() -> ImplicitCurve:
     return ImplicitCurve(
         "parabola",
         (((1, 0), -8.0), ((2, 0), 4.0), ((0, 1), 8.0), ((1, 1), -4.0), ((0, 2), 1.0)),
@@ -106,7 +117,8 @@ def _parabola() -> ImplicitCurve:
     )
 
 
-def _vsasm_curve() -> ImplicitCurve:
+@lru_cache(maxsize=None)
+def vsasm_curve() -> ImplicitCurve:
     # 4(1-x) - 4(1-x)^2 + 4y - 4y^2 + 4(1-x)y - 1 = 0, expanded in x and y.
     return ImplicitCurve(
         "vsasm",
@@ -120,20 +132,6 @@ def _vsasm_curve() -> ImplicitCurve:
         ),
         ((0.5, 1.0), (0.0, 0.5)),
     )
-
-
-def curve_catalog(x_model: float = 1.0) -> dict[ModelId, ImplicitCurve]:
-    """The limit curve of every model; x_model binds the half-hexagon width."""
-    ellipse = _ellipse(x_model)
-    parabola = _parabola()
-    return {
-        ModelId.AZTEC: _circle(),
-        ModelId.DYCK_HALF_HEX: ellipse,
-        ModelId.RED_HALF_HEX: ellipse,
-        ModelId.STAIRCASE: parabola,
-        ModelId.STAIRCASE_ALT: parabola,
-        ModelId.VSASM: _vsasm_curve(),
-    }
 
 
 def vsasm_parametric(t: float) -> tuple[float, float]:
@@ -152,26 +150,5 @@ def aztec_parametric(z: float) -> tuple[float, float]:
     return 0.5 - (z - 1.0) * (2.0 * z - 1.0) / d, 1.5 + (z - 1.0) / d
 
 
-def parametric_catalog() -> dict[ModelId, ParametricCurve]:
-    return {
-        ModelId.AZTEC: ParametricCurve("circle-arc", (1.0 + 1e-9, 64.0), aztec_parametric, _circle()),
-        ModelId.VSASM: ParametricCurve("vsasm-arc", (0.0, 1.0), vsasm_parametric, _vsasm_curve()),
-    }
-
-
-def tangency_points(model: ModelId, x_model: float = 1.0) -> list[tuple[float, float]]:
-    """Boundary contact points of each limit curve, in derivation order."""
-    if model is ModelId.AZTEC:
-        return [(0.5, 1.5), (-0.5, 1.5), (0.5, 0.5), (-0.5, 0.5)]
-    if model is ModelId.DYCK_HALF_HEX:
-        x = x_model
-        v = 4 * (1 + x) / (2 + x)
-        return [(2 * x / (2 + x), v), (2 * x * (1 + x) / (2 + x), v)]
-    if model is ModelId.RED_HALF_HEX:
-        x = x_model
-        return [(2 * x * (1 + x) / (2 + x), 4 * (1 + x) / (2 + x)), (2 * x, 0.0)]
-    if model in (ModelId.STAIRCASE, ModelId.STAIRCASE_ALT):
-        return [(0.0, 0.0), (2.0, 0.0)]
-    if model is ModelId.VSASM:
-        return [(0.5, 0.0), (1.0, 0.5)]
-    raise ValueError(f"unknown model {model}")
+CIRCLE_ARC = ParametricCurve("circle-arc", (1.0 + 1e-9, 64.0), aztec_parametric, circle())
+VSASM_ARC = ParametricCurve("vsasm-arc", (0.0, 1.0), vsasm_parametric, vsasm_curve())

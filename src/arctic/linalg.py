@@ -145,12 +145,13 @@ class LUPair:
         return out
 
 
-def _bareiss_pivots(m: ExactMatrix) -> list[Fraction]:
+def _bareiss_pivots(m: ExactMatrix, swaps: bool = True) -> list[Fraction]:
     """Bareiss elimination; pivot k equals the order-(k+1) leading minor.
 
     Row swaps (needed only when a leading minor vanishes) flip the sign of all
     subsequent pivots, so the returned minors are exact for the swapped matrix;
-    det (the last pivot) is corrected for the swap parity.
+    det (the last pivot) is corrected for the swap parity.  With ``swaps``
+    false a vanishing leading minor raises instead.
     """
     if not m.is_square:
         raise ValueError(f"determinant of non-square {m.rows}x{m.cols} matrix")
@@ -161,6 +162,8 @@ def _bareiss_pivots(m: ExactMatrix) -> list[Fraction]:
     pivots: list[Fraction] = []
     for k in range(n):
         if a[k][k] == 0:
+            if not swaps:
+                raise SingularMinorError(k)
             pivot_row = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
             if pivot_row is None:
                 # Entire lower column zero: determinant is zero.
@@ -189,22 +192,7 @@ def leading_principal_minors(m: ExactMatrix) -> list[Fraction]:
     Only valid when no row swap is needed (all leading minors nonzero), which
     holds for every model matrix in this package; a required swap raises.
     """
-    if not m.is_square:
-        raise ValueError("minors of non-square matrix")
-    n = m.rows
-    a = m.to_lists()
-    prev = Fraction(1)
-    out: list[Fraction] = []
-    for k in range(n):
-        if a[k][k] == 0:
-            raise SingularMinorError(k)
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) / prev
-        prev = pivot
-        out.append(pivot)
-    return out
+    return _bareiss_pivots(m, swaps=False)
 
 
 def lu_exact(m: ExactMatrix) -> LUPair:

@@ -1,11 +1,11 @@
-"""The concrete lattice-path models and their exact closed forms.
+"""The concrete lattice-path models, their closed forms, and the model registry.
 
 Five non-interacting path families (large Schroeder paths for the diamond
 tiling, Dyck paths and their red-path reformulation for the half-hexagon, and
 the two staircase formulations) plus the osculating-path model counted by
 vertically symmetric alternating sign matrices.
 
-Each path model packages, in one place:
+Each path model provides:
 
 * the single-path weight ``*_entry`` that fills its counting matrix,
 * the closed-form L / U / L^-1 factors where they are known,
@@ -14,10 +14,24 @@ Each path model packages, in one place:
 * the positive-sum one-point function ``*_one_point``,
 * the escape weight counting continuations to the distant target.
 
+Every model, the osculating one included, also has log-space versions of the
+last two and its large-n limits: analytic saddle, action, tangent geometry
+and limit curve.  :data:`MODEL_OPS` holds all of it, one :class:`Model`
+record per model; the scan, envelope and command-line layers look a model up
+there and never branch on which model it is.  Adding a model means adding
+its functions and its record here, plus its lattice geometry in
+:mod:`arctic.oracle`, the independent reference.
+
 Conventions.  Out-of-range binomials vanish (see :mod:`arctic.combinat`), so
 every summation below uses the same index-free range as the closed formula it
 implements.  One-point functions are normalized by the partition function at
 the model's reference exit, hence lie in [0, 1].
+
+Note on the staircase model: its saddle relation is z(xi) = 2(1-xi)^2/(2-xi).
+The factor 2 matters; dropping it (an easy slip when eliminating the inner
+entropy maximum) yields a family whose envelope misses the parabola by ~5e-2,
+while this form lands on it to rounding error and matches the finite-n argmax
+and the alternative formulation's saddle xi = 2 - z/2 on overlapping arcs.
 """
 
 from __future__ import annotations
@@ -26,25 +40,31 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .combinat import ballot, binomial, catalan, trinomial
+from .curves import (
+    CIRCLE_ARC,
+    VSASM_ARC,
+    ImplicitCurve,
+    ParametricCurve,
+    circle,
+    ellipse,
+    parabola,
+    vsasm_curve,
+)
 from .linalg import ExactMatrix
 
 __all__ = [
     "ModelId",
-    "AztecParams",
-    "DyckParams",
-    "StaircaseParams",
-    "VsasmParams",
+    "Model",
+    "MODEL_OPS",
     "OnePointProfile",
     "ClosedLU",
-    "ModelOps",
-    "MODEL_OPS",
     "aztec_entry",
     "aztec_matrix",
     "aztec_closed_lu",
@@ -83,11 +103,17 @@ __all__ = [
     "vsasm_generating",
     "raz_strog_check",
     "vsasm_escape",
+    "r_asm",
     "one_point_profile",
     "log_one_point_profile",
     "log_escape_profile",
+    "curve_catalog",
+    "parametric_catalog",
+    "tangency_points",
     "EXACT_PROFILE_MAX",
 ]
+
+Point = tuple[float, float]
 
 
 class ModelId(Enum):
@@ -99,98 +125,182 @@ class ModelId(Enum):
     VSASM = "vsasm"
 
 
+@dataclass(frozen=True)
+class Model:
+    """Everything the pipeline knows about one model.
+
+    ``n`` is the primary size (the matrix size for the osculating model) and
+    ``k`` the secondary size of the half-hexagon models (``needs_k``), whose
+    scaled width ``x = k/n`` their large-n limits take; other models ignore
+    ``k`` and ``x``.  ``target`` is the distant endpoint (the corner abscissa
+    for the diamond, the sliding offset p for the half-hexagon and staircase
+    models, the extension width for the osculating model), ``z`` its scaled
+    value and ``xi`` a scaled exit.
+
+    Exact values ``one_point(n, k, ell)`` and ``escape(n, k, target, ell)``
+    have log-space profiles over all exits, ``log_profile(n, k)`` and
+    ``log_escape(n, target, k)``.  ``scan(n, z, x)`` gives the (size, target,
+    k) of a finite-n scan.  The large-n limits are ``saddle(z, x)`` for z in
+    ``z_range``, ``action(z, xi, x) -> (s0, s1)``, ``geometry(xi, z, x) ->
+    (exit point, target point)``, ``limit_curve(x)``, ``tangency(x)`` and
+    ``parametric``.  The Gessel-Viennot fields (``matrix`` to
+    ``reference_ell``) are None for the osculating model.
+    """
+
+    model: ModelId
+    ell_max: Callable[[int, int | None], int]
+    one_point: Callable[[int, int | None, int], Fraction]
+    escape: Callable[[int, int | None, int, int], int]
+    log_profile: Callable[[int, int | None], np.ndarray]
+    log_escape: Callable[[int, int, int | None], np.ndarray]
+    scan: Callable[[int, float, float | None], tuple[int, int, int | None]]
+    z_range: tuple[float, float]
+    saddle: Callable[[float, float | None], float]
+    action: Callable[[float, float, float | None], tuple[float, float]]
+    geometry: Callable[[float, float, float | None], tuple[Point, Point]]
+    limit_curve: Callable[[float], ImplicitCurve]
+    tangency: Callable[[float], list[Point]]
+    parametric: ParametricCurve | None = None
+    needs_k: bool = False
+    ell_start: int = 0
+    matrix: Callable[[int, int | None], ExactMatrix] | None = None
+    closed_l_inv: Callable[[int, int | None], ExactMatrix] | None = None
+    b_column: Callable[[int, int | None, int], list[int]] | None = None
+    partition: Callable[[int, int | None], int] | None = None
+    reference_ell: Callable[[int, int | None], int] | None = None
+    n_min: int = 0
+    k_min: int = 1
+    odd_n: bool = False
+
+    @property
+    def has_paths(self) -> bool:
+        """Whether the model is a Gessel-Viennot path family.
+
+        Read from ``partition``: tracers may wrap ``matrix``,
+        ``closed_l_inv``, ``b_column`` and ``one_point``, never ``partition``.
+        """
+        return self.partition is not None
+
+    def exits(self, n: int, k: int | None) -> range:
+        return range(self.ell_start, self.ell_max(n, k) + 1)
+
+    def check_size(self, n: int, k: int | None) -> None:
+        """Raise ValueError unless the exact formulas accept sizes (n, k)."""
+        name = self.model.value
+        if self.needs_k and k is None:
+            raise ValueError(f"model {name} needs the k parameter")
+        if n < self.n_min or (self.odd_n and n % 2 == 0):
+            odd = " and odd" if self.odd_n else ""
+            raise ValueError(f"model {name} needs n >= {self.n_min}{odd}, got {n}")
+        if self.needs_k and k < self.k_min:
+            raise ValueError(f"model {name} needs k >= {self.k_min}, got {k}")
+
+
 # ---------------------------------------------------------------------------
-# Parameter records
+# Shared numerics: log-space sums and large-n exponents
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class AztecParams:
-    """Diamond tiling of order n with target abscissa k > n, exit index ell."""
-
-    n: int
-    k: int
-    ell: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.k <= self.n:
-            raise ValueError(f"k must exceed n, got k={self.k}, n={self.n}")
-        if not 0 <= self.ell <= self.n:
-            raise ValueError(f"ell={self.ell} outside [0, {self.n}]")
-
-    @property
-    def z(self) -> float:
-        return self.k / self.n
+_log_factorials = np.zeros(1)
 
 
-@dataclass(frozen=True)
-class DyckParams:
-    """n+1 Dyck paths with horizontal offset k >= 1, target offset p >= 1."""
-
-    n: int
-    k: int
-    ell: int
-    p: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0 or self.k < 1 or self.p < 1:
-            raise ValueError(f"invalid (n, k, p) = ({self.n}, {self.k}, {self.p})")
-        if not 0 <= self.ell <= self.n + self.k:
-            raise ValueError(f"ell={self.ell} outside [0, {self.n + self.k}]")
-
-    @property
-    def x(self) -> float:
-        return self.k / self.n
-
-    @property
-    def y(self) -> float:
-        return self.p / self.n
+def _log_factorial(m: np.ndarray) -> np.ndarray:
+    """log(m!) for integer-valued m >= 0, read from a growing math.lgamma table."""
+    global _log_factorials
+    m = np.asarray(m, dtype=np.intp)
+    have = len(_log_factorials)
+    top = int(m.max(initial=0))
+    if top >= have:
+        more = [math.lgamma(i + 1.0) for i in range(have, max(top + 1, 2 * have))]
+        _log_factorials = np.concatenate([_log_factorials, more])
+    return _log_factorials[m]
 
 
-@dataclass(frozen=True)
-class StaircaseParams:
-    """Square-lattice staircase model of order n with sliding endpoint p >= n."""
-
-    n: int
-    p: int
-    ell: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.p < self.n:
-            raise ValueError(f"invalid (n, p) = ({self.n}, {self.p})")
-        if not 0 <= self.ell <= 2 * self.n:
-            raise ValueError(f"ell={self.ell} outside [0, {2 * self.n}]")
-
-    @property
-    def z(self) -> float:
-        return self.p / self.n
-
-    @property
-    def xi(self) -> float:
-        return self.ell / self.n
+def _log_comb(n: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Vectorized log C(n, k) for integer arguments, -inf outside 0 <= k <= n."""
+    n = np.asarray(n, dtype=float)
+    k = np.asarray(k, dtype=float)
+    valid = (k >= 0) & (k <= n)
+    n_safe = np.where(valid, n, 1.0)
+    k_safe = np.where(valid, k, 0.0)
+    out = _log_factorial(n_safe) - _log_factorial(k_safe) - _log_factorial(n_safe - k_safe)
+    return np.where(valid, out, -np.inf)
 
 
-@dataclass(frozen=True)
-class VsasmParams:
-    """Odd matrix size 2n+1, first-column 1 in row ell, extension width k."""
+def _cumulative_logsumexp(v: np.ndarray) -> np.ndarray:
+    out = np.empty_like(v)
+    acc = -np.inf
+    for i, x in enumerate(v):
+        if x == -np.inf:
+            out[i] = acc
+            continue
+        if acc == -np.inf:
+            acc = x
+        else:
+            hi, lo = (acc, x) if acc >= x else (x, acc)
+            acc = hi + math.log1p(math.exp(lo - hi))
+        out[i] = acc
+    return out
 
-    size: int
-    ell: int
-    k: int
 
-    def __post_init__(self) -> None:
-        if self.size < 3 or self.size % 2 == 0:
-            raise ValueError(f"size must be odd and >= 3, got {self.size}")
-        if not 1 <= self.ell <= self.size:
-            raise ValueError(f"ell={self.ell} outside [1, {self.size}]")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+def _logsumexp_rows(m: np.ndarray) -> np.ndarray:
+    """logsumexp along axis 1, tolerating all -inf rows."""
+    mx = np.max(m, axis=1)
+    safe = np.where(np.isfinite(mx), mx, 0.0)
+    s = np.sum(np.exp(m - safe[:, None]), axis=1, where=np.isfinite(m), out=np.zeros(len(m)))
+    with np.errstate(divide="ignore"):
+        return np.where(np.isfinite(mx), safe + np.log(s), -np.inf)
 
-    @property
-    def z(self) -> float:
-        return self.k / self.size
+
+def _log_pascal_prefix(n: int) -> np.ndarray:
+    """log sum_{j <= m} C(n, j) for m = 0..n."""
+    p = np.arange(n + 1)
+    return _cumulative_logsumexp(_log_comb(np.full(n + 1, n), p))
+
+
+def _log_monotone_escape(target: int, ell: np.ndarray) -> np.ndarray:
+    """log C(target + ell - 1, ell): the single-path escape of both half-hexagon forms."""
+    return _log_comb(target + ell - 1, ell)
+
+
+def _bisect(f: Callable[[float], float], lo: float, hi: float, iters: int = 200) -> float:
+    flo = f(lo)
+    if flo == 0:
+        return lo
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if flo * f(mid) <= 0:
+            hi = mid
+        else:
+            lo = mid
+            flo = f(lo)
+    return 0.5 * (lo + hi)
+
+
+def _xlogx(v: float) -> float:
+    return 0.0 if v <= 0 else v * math.log(v)
+
+
+def _entropy(a: float) -> float:
+    return -_xlogx(a) - _xlogx(1 - a)
+
+
+def _binom_exponent(a: float, b: float) -> float:
+    """Scaled exponent of C(a n, b n): a log a - b log b - (a-b) log(a-b)."""
+    if b < -1e-15 or b > a + 1e-15:
+        return -math.inf
+    b = min(max(b, 0.0), a)
+    return _xlogx(a) - _xlogx(b) - _xlogx(a - b)
+
+
+def _ternary_max(f: Callable[[float], float], lo: float, hi: float) -> float:
+    for _ in range(200):
+        m1 = lo + (hi - lo) / 3
+        m2 = hi - (hi - lo) / 3
+        if f(m1) < f(m2):
+            lo = m1
+        else:
+            hi = m2
+    return f(0.5 * (lo + hi))
 
 
 @dataclass(frozen=True)
@@ -251,6 +361,58 @@ def aztec_escape(ell: int, k: int, n: int) -> int:
         return aztec_entry(i, j) if i >= 0 and j >= 0 else 0
 
     return entry0(n - ell, k - n - 1) + entry0(n - ell - 1, k - n - 1)
+
+
+def _log_schroeder_column(m_max: int, j: int) -> np.ndarray:
+    """log of the path weights A(m, j) for m = 0..m_max, by row logsumexp."""
+    if j < 0:
+        return np.full(m_max + 1, -np.inf)
+    m = np.arange(m_max + 1)
+    out = np.empty(m_max + 1)
+    p_max = min(m_max, j)
+    p = np.arange(p_max + 1)
+    for lo in range(0, m_max + 1, 512):
+        hi = min(lo + 512, m_max + 1)
+        mm = m[lo:hi][:, None]
+        pp = p[None, :]
+        valid = (pp <= mm) & (pp <= j)
+        terms = np.where(
+            valid,
+            _log_factorial(np.maximum(mm + j - pp, 0))
+            - _log_factorial(pp)
+            - _log_factorial(np.maximum(mm - pp, 0))
+            - _log_factorial(np.maximum(j - pp, 0)),
+            -np.inf,
+        )
+        out[lo:hi] = _logsumexp_rows(terms)
+    return out
+
+
+def _aztec_log_escape(n: int, target: int, k: int | None) -> np.ndarray:
+    if target <= n:
+        raise ValueError(f"target k={target} must exceed n={n}")
+    col = _log_schroeder_column(n, target - n - 1)
+    ell = np.arange(n + 1)
+    a = col[n - ell]
+    b = np.where(n - ell - 1 >= 0, col[np.clip(n - ell - 1, 0, n)], -np.inf)
+    hi = np.maximum(a, b)
+    lo = np.minimum(a, b)
+    return np.where(np.isfinite(lo), hi + np.log1p(np.exp(lo - hi)), hi)
+
+
+def _aztec_action(z: float, xi: float, x: float | None) -> tuple[float, float]:
+    if not 0 <= xi <= 1 or z <= 1:
+        raise ValueError(f"need 0 <= xi <= 1 < z, got xi={xi}, z={z}")
+    s1 = _entropy(min(xi, 0.5)) - math.log(2)
+    disc = (z - xi) ** 2 - 2 * (1 - xi) * (z - 1)
+    theta = ((z - xi) - math.sqrt(max(disc, 0.0))) / 2
+    s0 = (
+        _xlogx(z - xi - theta)
+        - _xlogx(theta)
+        - _xlogx(1 - xi - theta)
+        - _xlogx(z - 1 - theta)
+    )
+    return s0, s1
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +494,42 @@ def dyck_escape(p: int, ell: int) -> int:
     if p < 1 or ell < 0:
         raise ValueError(f"requires p >= 1 and ell >= 0, got ({p}, {ell})")
     return comb(p + ell - 1, ell)
+
+
+def _dyck_log_profile(n: int, k: int) -> np.ndarray:
+    ells = np.arange(n + k + 1)
+    s = np.arange(n + 1)
+    out = np.empty(n + k + 1)
+    norm = _log_comb(np.full(n + k + 1, 2 * n + 2 * k), n + ells)
+    for lo in range(0, n + k + 1, 512):
+        hi = min(lo + 512, n + k + 1)
+        blk = ells[lo:hi][:, None]
+        terms = _log_comb(blk + n + 1, 2 * n + 1 - 2 * s[None, :]) + _log_comb(
+            2 * n + k - s[None, :], blk + n
+        )
+        out[lo:hi] = _logsumexp_rows(terms)
+    return out - norm
+
+
+def _dyck_cubic(x: float, y: float, xi: float) -> float:
+    return (y + xi) * (1 + xi) * (1 + x - xi) - xi * (2 * x + 1 - xi) * (xi - 1)
+
+
+def _dyck_action(z: float, xi: float, x: float | None) -> tuple[float, float]:
+    if x is None or not 0 <= xi <= 1 + x:
+        raise ValueError(f"need x and 0 <= xi <= 1 + x, got xi={xi}, x={x}")
+    lo, hi = max(0.0, (1 - xi) / 2), min(1.0, 1 + x - xi)
+    s1 = _ternary_max(
+        lambda s: _binom_exponent(1 + xi, 2 - 2 * s) + _binom_exponent(2 + x - s, 1 + xi),
+        lo,
+        hi,
+    ) - _binom_exponent(2 + 2 * x, 1 + xi)
+    return _binom_exponent(z + xi, xi), s1
+
+
+def _dyck_tangency(x: float) -> list[Point]:
+    v = 4 * (1 + x) / (2 + x)
+    return [(2 * x / (2 + x), v), (2 * x * (1 + x) / (2 + x), v)]
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +621,31 @@ def red_one_point(n: int, k: int, ell: int) -> Fraction:
     return Fraction(2 * total, comb(2 * n + 2 * k, 2 * n + 3))
 
 
+def _red_log_profile(n: int, k: int) -> np.ndarray:
+    s = np.arange(n + 2)
+    terms = _log_comb(np.full(n + 2, k + n - 1) - s, np.full(n + 2, k - 2)) + _log_comb(
+        np.full(n + 2, k + n) + s, np.full(n + 2, k - 2)
+    )
+    suffix = _cumulative_logsumexp(terms[::-1])[::-1]
+    norm = float(_log_comb(np.array(2 * n + 2 * k), np.array(2 * n + 3)))
+    return suffix + math.log(2) - norm
+
+
+def _red_y(x: float, xi: float) -> float:
+    return 2 * x * xi * xi / ((1 - xi) * (1 + x + xi))
+
+
+def _red_action(z: float, xi: float, x: float | None) -> tuple[float, float]:
+    if x is None or not 0 <= xi <= 1:
+        raise ValueError(f"need x and 0 <= xi <= 1, got xi={xi}, x={x}")
+    s1 = _ternary_max(
+        lambda s: _binom_exponent(1 + x - s, x) + _binom_exponent(1 + x + s, x),
+        xi,
+        1.0,
+    ) - _binom_exponent(2 + 2 * x, 2.0)
+    return _binom_exponent(z + xi, xi), s1
+
+
 # ---------------------------------------------------------------------------
 # Staircase model, both formulations
 # ---------------------------------------------------------------------------
@@ -499,6 +722,39 @@ def staircase_alt_escape(n: int, p: int, ell: int) -> int:
     return binomial(2 * n - ell - 1, p - n - 1)
 
 
+def _staircase_log_profile(n: int, k: int | None) -> np.ndarray:
+    csum = _log_pascal_prefix(n)
+    ell = np.arange(2 * n + 1)
+    return csum[np.minimum(n, 2 * n - ell)] - n * math.log(2)
+
+
+def _staircase_alt_log_profile(n: int, k: int | None) -> np.ndarray:
+    csum = _log_pascal_prefix(n)
+    ell = np.arange(2 * n + 1)
+    m = ell - n
+    out = np.where(m >= 0, csum[np.clip(m, 0, n)], -np.inf)
+    return out - n * math.log(2)
+
+
+def _staircase_xi(z: float) -> float:
+    # Positive root of 2 xi^2 + (z-4) xi + 2 - 2z = 0, in (3/2, 2).
+    return (4.0 - z + math.sqrt(z * z + 8.0 * z)) / 4.0
+
+
+def _staircase_action(z: float, xi: float, x: float | None) -> tuple[float, float]:
+    if not 0 <= xi <= 2 or z <= 1:
+        raise ValueError(f"need 0 <= xi <= 2 and z > 1, got xi={xi}, z={z}")
+    s1 = _entropy(min(2 - xi, 0.5)) - math.log(2)
+    return _binom_exponent(z - 1 + xi, xi), s1
+
+
+def _staircase_alt_action(z: float, xi: float, x: float | None) -> tuple[float, float]:
+    if not 0 <= xi <= 2 or z <= 1:
+        raise ValueError(f"need 0 <= xi <= 2 and z > 1, got xi={xi}, z={z}")
+    s1 = -math.inf if xi < 1 else _entropy(min(xi - 1, 0.5)) - math.log(2)
+    return _binom_exponent(2 - xi, z - 1), s1
+
+
 # ---------------------------------------------------------------------------
 # Alternating sign matrix counting
 # ---------------------------------------------------------------------------
@@ -525,6 +781,7 @@ def n_asm_refined(n: int, ell: int) -> int:
     return out.numerator
 
 
+@lru_cache(maxsize=None)
 def n_vsasm(size: int) -> int:
     """Number of vertically symmetric ASMs of odd size 2n + 1."""
     if size < 1 or size % 2 == 0:
@@ -612,8 +869,187 @@ def vsasm_escape(ell: int, k: int, size: int) -> int:
     )
 
 
+def _vsasm_log_profile(n: int, k: int | None) -> np.ndarray:
+    size = n
+    ell = np.arange(1, size + 1)
+    return (
+        _log_comb(size + ell - 2, np.full(size, size - 1))
+        + _log_comb(2 * size - 1 - ell, np.full(size, size - 1))
+        - float(_log_comb(np.array(3 * size - 2), np.array(size - 1)))
+    )
+
+
+def _vsasm_log_escape(n: int, target: int, k: int | None) -> np.ndarray:
+    size = n
+    ell = np.arange(1, size + 1)
+    return _log_comb(target - 1 + size - ell, size - ell)
+
+
+def r_asm(t: float) -> float:
+    """Limit slope function of the refined ASM generating series on [0, 1].
+
+    Algebraically (sqrt(t^2 - t + 1) - 1)/(t - 1); evaluated in the
+    conjugate form t / (1 + sqrt(t^2 - t + 1)), which is exact at the
+    removable t = 1 singularity.
+    """
+    if not 0 <= t <= 1:
+        raise ValueError(f"t={t} outside [0, 1]")
+    return t / (1.0 + math.sqrt(t * t - t + 1.0))
+
+
+def _vsasm_saddle(z: float, x: float | None) -> float:
+    # xi = r(t) with t = (1 - xi)/(1 - xi + z); strictly increasing in t.
+    t = _bisect(lambda tt: r_asm(tt) - 1.0 + tt * z / (1.0 - tt), 1e-15, 1 - 1e-15)
+    return r_asm(t)
+
+
+def _vsasm_action(z: float, xi: float, x: float | None) -> tuple[float, float]:
+    if not 0 <= xi <= 1 or z <= 0:
+        raise ValueError(f"need 0 <= xi <= 1 and z > 0, got xi={xi}, z={z}")
+    s1 = (
+        _binom_exponent(1 + xi, 1.0)
+        + _binom_exponent(2 - xi, 1.0)
+        - _binom_exponent(3.0, 1.0)
+    )
+    return _binom_exponent(z + 1 - xi, 1 - xi), s1
+
+
 # ---------------------------------------------------------------------------
-# One-point profiles (exact and log-space)
+# The registry
+# ---------------------------------------------------------------------------
+
+MODEL_OPS: dict[ModelId, Model] = {
+    ModelId.AZTEC: Model(
+        model=ModelId.AZTEC,
+        ell_max=lambda n, k: n,
+        one_point=lambda n, k, ell: aztec_one_point(n, ell),
+        escape=lambda n, k, target, ell: aztec_escape(ell, target, n),
+        log_profile=lambda n, k: _log_pascal_prefix(n) - n * math.log(2),
+        log_escape=_aztec_log_escape,
+        scan=lambda n, z, x: (n, max(round(z * n), n + 1), None),
+        z_range=(1.0, math.inf),
+        saddle=lambda z, x: 1.0 / (2.0 * z),
+        action=_aztec_action,
+        geometry=lambda xi, z, x: ((xi, 2 - xi), (z, z)),
+        limit_curve=lambda x: circle(),
+        tangency=lambda x: [(0.5, 1.5), (-0.5, 1.5), (0.5, 0.5), (-0.5, 0.5)],
+        parametric=CIRCLE_ARC,
+        matrix=lambda n, k: aztec_matrix(n),
+        closed_l_inv=lambda n, k: aztec_closed_lu(n).L_inv,
+        b_column=lambda n, k, ell: aztec_b_column(n, ell),
+        partition=lambda n, k: 2 ** (n * (n + 1) // 2),
+        reference_ell=lambda n, k: n,
+    ),
+    ModelId.DYCK_HALF_HEX: Model(
+        model=ModelId.DYCK_HALF_HEX,
+        ell_max=lambda n, k: n + k,
+        one_point=lambda n, k, ell: dyck_one_point(n, k, ell),
+        escape=lambda n, k, target, ell: dyck_escape(target, ell),
+        log_profile=_dyck_log_profile,
+        log_escape=lambda n, target, k: _log_monotone_escape(target, np.arange(n + k + 1)),
+        scan=lambda n, z, x: (n, max(round(z * n), 1), round(x * n)),
+        z_range=(0.0, math.inf),
+        saddle=lambda z, x: _bisect(lambda xi: _dyck_cubic(x, z, xi), (2 + 3 * x) / (2 + x),
+                                    1 + x - 1e-15),
+        action=_dyck_action,
+        geometry=lambda xi, z, x: ((2 * x + 1 - xi, 1 + xi), (2 * x + 1 + z, 1 + z)),
+        limit_curve=ellipse,
+        tangency=_dyck_tangency,
+        needs_k=True,
+        matrix=lambda n, k: dyck_matrix(n, k),
+        closed_l_inv=lambda n, k: dyck_closed_L(n, k)[1],
+        b_column=lambda n, k, ell: dyck_b_column(n, k, ell),
+        partition=lambda n, k: dyck_partition(n, k),
+        reference_ell=lambda n, k: 0,
+    ),
+    ModelId.RED_HALF_HEX: Model(
+        model=ModelId.RED_HALF_HEX,
+        ell_max=lambda n, k: n + 1,
+        one_point=lambda n, k, ell: red_one_point(n, k, ell),
+        escape=lambda n, k, target, ell: dyck_escape(target, ell),
+        log_profile=_red_log_profile,
+        log_escape=lambda n, target, k: _log_monotone_escape(target, np.arange(n + 2)),
+        scan=lambda n, z, x: (n, max(round(z * n), 1), round(x * n)),
+        z_range=(0.0, math.inf),
+        saddle=lambda z, x: _bisect(lambda xi: _red_y(x, xi) - z, 1e-15, 1 - 1e-15),
+        action=_red_action,
+        geometry=lambda xi, z, x: ((2 * x, 2 * xi), (2 * x + z, -z)),
+        limit_curve=ellipse,
+        tangency=lambda x: [(2 * x * (1 + x) / (2 + x), 4 * (1 + x) / (2 + x)), (2 * x, 0.0)],
+        needs_k=True,
+        matrix=lambda n, k: red_matrix(n, k),
+        closed_l_inv=lambda n, k: red_closed_L(n, k)[1],
+        b_column=lambda n, k, ell: red_b_column(n, k, ell),
+        partition=lambda n, k: red_partition(n, k),
+        reference_ell=lambda n, k: 0,
+        k_min=2,  # the positive one-point sum needs k >= 2
+    ),
+    ModelId.STAIRCASE: Model(
+        model=ModelId.STAIRCASE,
+        ell_max=lambda n, k: 2 * n,
+        one_point=lambda n, k, ell: staircase_one_point(n, ell),
+        escape=lambda n, k, target, ell: staircase_escape(n, target, ell),
+        log_profile=_staircase_log_profile,
+        log_escape=lambda n, target, k: _log_comb(target - n - 1 + np.arange(2 * n + 1),
+                                                  np.arange(2 * n + 1)),
+        scan=lambda n, z, x: (n, max(round(z * n), n + 1), None),
+        z_range=(1.0, math.inf),
+        saddle=lambda z, x: _staircase_xi(z),
+        action=_staircase_action,
+        geometry=lambda xi, z, x: ((xi, 1.0), (0.0, z)),
+        limit_curve=lambda x: parabola(),
+        tangency=lambda x: [(0.0, 0.0), (2.0, 0.0)],
+        matrix=lambda n, k: staircase_matrix(n),
+        closed_l_inv=lambda n, k: pascal_closed_lu(n).L_inv,
+        b_column=lambda n, k, ell: staircase_b_column(n, ell),
+        partition=lambda n, k: 2 ** (n * (n + 1) // 2),
+        reference_ell=lambda n, k: 0,
+    ),
+    ModelId.STAIRCASE_ALT: Model(
+        model=ModelId.STAIRCASE_ALT,
+        ell_max=lambda n, k: 2 * n,
+        one_point=lambda n, k, ell: staircase_alt_one_point(n, ell),
+        escape=lambda n, k, target, ell: staircase_alt_escape(n, target, ell),
+        log_profile=_staircase_alt_log_profile,
+        log_escape=lambda n, target, k: _log_comb(2 * n - np.arange(2 * n + 1) - 1,
+                                                  np.full(2 * n + 1, target - n - 1)),
+        scan=lambda n, z, x: (n, max(round(z * n), n + 1), None),
+        z_range=(1.0, 2.0),
+        saddle=lambda z, x: 2.0 - z / 2.0,
+        action=_staircase_alt_action,
+        geometry=lambda xi, z, x: ((xi, 1.0), (2.0, z)),
+        limit_curve=lambda x: parabola(),
+        tangency=lambda x: [(0.0, 0.0), (2.0, 0.0)],
+        matrix=lambda n, k: staircase_alt_matrix(n),
+        closed_l_inv=lambda n, k: pascal_closed_lu(n).L_inv,
+        b_column=lambda n, k, ell: staircase_alt_b_column(n, ell),
+        partition=lambda n, k: 2 ** (n * (n + 1) // 2),
+        reference_ell=lambda n, k: 2 * n,
+    ),
+    ModelId.VSASM: Model(
+        model=ModelId.VSASM,
+        ell_max=lambda n, k: n,
+        one_point=lambda n, k, ell: Fraction(n_vsasm_refined(n, ell), n_vsasm(n)),
+        escape=lambda n, k, target, ell: vsasm_escape(ell, target, n),
+        log_profile=_vsasm_log_profile,
+        log_escape=_vsasm_log_escape,
+        scan=lambda n, z, x: (n | 1, max(round(z * (n | 1)), 1), None),  # odd size n or n+1
+        z_range=(0.0, math.inf),
+        saddle=_vsasm_saddle,
+        action=_vsasm_action,
+        geometry=lambda xi, z, x: ((1.0, xi), (1 + z, 1.0)),
+        limit_curve=lambda x: vsasm_curve(),
+        tangency=lambda x: [(0.5, 0.0), (1.0, 0.5)],
+        parametric=VSASM_ARC,
+        ell_start=1,
+        n_min=3,
+        odd_n=True,
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# Profiles and catalogs over the registry
 # ---------------------------------------------------------------------------
 
 EXACT_PROFILE_MAX = 512
@@ -637,83 +1073,6 @@ class OnePointProfile:
         return range(self.ell_start, self.ell_start + len(self.values))
 
 
-@dataclass(frozen=True)
-class ModelOps:
-    """Uniform handle on one Gessel-Viennot model for tests and the CLI.
-
-    ``k`` is the secondary size parameter; models without one ignore it.
-    """
-
-    model: ModelId
-    needs_k: bool
-    matrix: Callable[[int, int | None], ExactMatrix]
-    b_column: Callable[[int, int | None, int], list[int]]
-    one_point: Callable[[int, int | None, int], Fraction]
-    partition: Callable[[int, int | None], int]
-    ell_max: Callable[[int, int | None], int]
-    reference_ell: Callable[[int, int | None], int]
-    closed_l_inv: Callable[[int, int | None], ExactMatrix]
-
-
-MODEL_OPS: dict[ModelId, ModelOps] = {
-    ModelId.AZTEC: ModelOps(
-        model=ModelId.AZTEC,
-        needs_k=False,
-        matrix=lambda n, k: aztec_matrix(n),
-        b_column=lambda n, k, ell: aztec_b_column(n, ell),
-        one_point=lambda n, k, ell: aztec_one_point(n, ell),
-        partition=lambda n, k: 2 ** (n * (n + 1) // 2),
-        ell_max=lambda n, k: n,
-        reference_ell=lambda n, k: n,
-        closed_l_inv=lambda n, k: aztec_closed_lu(n).L_inv,
-    ),
-    ModelId.DYCK_HALF_HEX: ModelOps(
-        model=ModelId.DYCK_HALF_HEX,
-        needs_k=True,
-        matrix=lambda n, k: dyck_matrix(n, k),
-        b_column=lambda n, k, ell: dyck_b_column(n, k, ell),
-        one_point=lambda n, k, ell: dyck_one_point(n, k, ell),
-        partition=lambda n, k: dyck_partition(n, k),
-        ell_max=lambda n, k: n + k,
-        reference_ell=lambda n, k: 0,
-        closed_l_inv=lambda n, k: dyck_closed_L(n, k)[1],
-    ),
-    ModelId.RED_HALF_HEX: ModelOps(
-        model=ModelId.RED_HALF_HEX,
-        needs_k=True,
-        matrix=lambda n, k: red_matrix(n, k),
-        b_column=lambda n, k, ell: red_b_column(n, k, ell),
-        one_point=lambda n, k, ell: red_one_point(n, k, ell),
-        partition=lambda n, k: red_partition(n, k),
-        ell_max=lambda n, k: n + 1,
-        reference_ell=lambda n, k: 0,
-        closed_l_inv=lambda n, k: red_closed_L(n, k)[1],
-    ),
-    ModelId.STAIRCASE: ModelOps(
-        model=ModelId.STAIRCASE,
-        needs_k=False,
-        matrix=lambda n, k: staircase_matrix(n),
-        b_column=lambda n, k, ell: staircase_b_column(n, ell),
-        one_point=lambda n, k, ell: staircase_one_point(n, ell),
-        partition=lambda n, k: 2 ** (n * (n + 1) // 2),
-        ell_max=lambda n, k: 2 * n,
-        reference_ell=lambda n, k: 0,
-        closed_l_inv=lambda n, k: pascal_closed_lu(n).L_inv,
-    ),
-    ModelId.STAIRCASE_ALT: ModelOps(
-        model=ModelId.STAIRCASE_ALT,
-        needs_k=False,
-        matrix=lambda n, k: staircase_alt_matrix(n),
-        b_column=lambda n, k, ell: staircase_alt_b_column(n, ell),
-        one_point=lambda n, k, ell: staircase_alt_one_point(n, ell),
-        partition=lambda n, k: 2 ** (n * (n + 1) // 2),
-        ell_max=lambda n, k: 2 * n,
-        reference_ell=lambda n, k: 2 * n,
-        closed_l_inv=lambda n, k: pascal_closed_lu(n).L_inv,
-    ),
-}
-
-
 def one_point_profile(
     model: ModelId, n: int, k: int | None = None, exact_max: int = EXACT_PROFILE_MAX
 ) -> OnePointProfile:
@@ -725,52 +1084,11 @@ def one_point_profile(
     """
     if n > exact_max:
         raise ValueError(f"n={n} exceeds exact profile crossover {exact_max}")
-    if model is ModelId.VSASM:
-        size = n
-        total = n_vsasm(size)
-        vals = tuple(Fraction(n_vsasm_refined(size, ell), total) for ell in range(1, size + 1))
-        return OnePointProfile(model, size, None, 1, vals)
     ops = MODEL_OPS[model]
-    if ops.needs_k and k is None:
-        raise ValueError(f"model {model.value} needs the k parameter")
-    vals = tuple(ops.one_point(n, k, ell) for ell in range(ops.ell_max(n, k) + 1))
-    return OnePointProfile(model, n, k if ops.needs_k else None, 0, vals)
-
-
-def _log_comb(n: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Vectorized log C(n, k) with -inf outside 0 <= k <= n."""
-    n = np.asarray(n, dtype=float)
-    k = np.asarray(k, dtype=float)
-    valid = (k >= 0) & (k <= n)
-    n_safe = np.where(valid, n, 1.0)
-    k_safe = np.where(valid, k, 0.0)
-    out = gammaln(n_safe + 1) - gammaln(k_safe + 1) - gammaln(n_safe - k_safe + 1)
-    return np.where(valid, out, -np.inf)
-
-
-def _cumulative_logsumexp(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    acc = -np.inf
-    for i, x in enumerate(v):
-        if x == -np.inf:
-            out[i] = acc
-            continue
-        if acc == -np.inf:
-            acc = x
-        else:
-            hi, lo = (acc, x) if acc >= x else (x, acc)
-            acc = hi + math.log1p(math.exp(lo - hi))
-        out[i] = acc
-    return out
-
-
-def _logsumexp_rows(m: np.ndarray) -> np.ndarray:
-    """logsumexp along axis 1, tolerating all -inf rows."""
-    mx = np.max(m, axis=1)
-    safe = np.where(np.isfinite(mx), mx, 0.0)
-    s = np.sum(np.exp(m - safe[:, None]), axis=1, where=np.isfinite(m), out=np.zeros(len(m)))
-    with np.errstate(divide="ignore"):
-        return np.where(np.isfinite(mx), safe + np.log(s), -np.inf)
+    ops.check_size(n, k)
+    k = k if ops.needs_k else None
+    vals = tuple(ops.one_point(n, k, ell) for ell in ops.exits(n, k))
+    return OnePointProfile(model, n, k, ops.ell_start, vals)
 
 
 def log_one_point_profile(model: ModelId, n: int, k: int | None = None) -> np.ndarray:
@@ -786,7 +1104,9 @@ def log_one_point_profile(model: ModelId, n: int, k: int | None = None) -> np.nd
     cached = _profile_cache.get((model, n, k))
     if cached is not None:
         return cached
-    out = _log_one_point_profile_impl(model, n, k)
+    ops = MODEL_OPS[model]
+    ops.check_size(n, k)
+    out = ops.log_profile(n, k)
     out.setflags(write=False)
     _profile_cache[(model, n, k)] = out
     return out
@@ -795,116 +1115,25 @@ def log_one_point_profile(model: ModelId, n: int, k: int | None = None) -> np.nd
 _profile_cache: dict[tuple[ModelId, int, int | None], np.ndarray] = {}
 
 
-def _log_one_point_profile_impl(model: ModelId, n: int, k: int | None) -> np.ndarray:
-    if model is ModelId.AZTEC:
-        p = np.arange(n + 1)
-        return _cumulative_logsumexp(_log_comb(np.full(n + 1, n), p)) - n * math.log(2)
-    if model is ModelId.STAIRCASE:
-        p = np.arange(n + 1)
-        csum = _cumulative_logsumexp(_log_comb(np.full(n + 1, n), p))
-        ell = np.arange(2 * n + 1)
-        return csum[np.minimum(n, 2 * n - ell)] - n * math.log(2)
-    if model is ModelId.STAIRCASE_ALT:
-        p = np.arange(n + 1)
-        csum = _cumulative_logsumexp(_log_comb(np.full(n + 1, n), p))
-        ell = np.arange(2 * n + 1)
-        m = ell - n
-        out = np.where(m >= 0, csum[np.clip(m, 0, n)], -np.inf)
-        return out - n * math.log(2)
-    if model is ModelId.DYCK_HALF_HEX:
-        if k is None:
-            raise ValueError("dyck profile needs k")
-        ells = np.arange(n + k + 1)
-        s = np.arange(n + 1)
-        out = np.empty(n + k + 1)
-        norm = _log_comb(np.full(n + k + 1, 2 * n + 2 * k), n + ells)
-        for lo in range(0, n + k + 1, 512):
-            hi = min(lo + 512, n + k + 1)
-            blk = ells[lo:hi][:, None]
-            terms = _log_comb(blk + n + 1, 2 * n + 1 - 2 * s[None, :]) + _log_comb(
-                2 * n + k - s[None, :], blk + n
-            )
-            out[lo:hi] = _logsumexp_rows(terms)
-        return out - norm
-    if model is ModelId.RED_HALF_HEX:
-        if k is None:
-            raise ValueError("red profile needs k")
-        s = np.arange(n + 2)
-        terms = _log_comb(np.full(n + 2, k + n - 1) - s, np.full(n + 2, k - 2)) + _log_comb(
-            np.full(n + 2, k + n) + s, np.full(n + 2, k - 2)
-        )
-        suffix = _cumulative_logsumexp(terms[::-1])[::-1]
-        norm = float(_log_comb(np.array(2 * n + 2 * k), np.array(2 * n + 3)))
-        return suffix + math.log(2) - norm
-    if model is ModelId.VSASM:
-        size = n
-        ell = np.arange(1, size + 1)
-        return (
-            _log_comb(size + ell - 2, np.full(size, size - 1))
-            + _log_comb(2 * size - 1 - ell, np.full(size, size - 1))
-            - float(_log_comb(np.array(3 * size - 2), np.array(size - 1)))
-        )
-    raise ValueError(f"unknown model {model}")
-
-
-def _log_schroeder_column(m_max: int, j: int) -> np.ndarray:
-    """log of the path weights A(m, j) for m = 0..m_max, by row logsumexp."""
-    if j < 0:
-        return np.full(m_max + 1, -np.inf)
-    m = np.arange(m_max + 1)
-    out = np.empty(m_max + 1)
-    p_max = min(m_max, j)
-    p = np.arange(p_max + 1)
-    for lo in range(0, m_max + 1, 512):
-        hi = min(lo + 512, m_max + 1)
-        mm = m[lo:hi][:, None]
-        pp = p[None, :]
-        valid = (pp <= mm) & (pp <= j)
-        terms = np.where(
-            valid,
-            gammaln(np.maximum(mm + j - pp, 0) + 1)
-            - gammaln(pp + 1)
-            - gammaln(np.maximum(mm - pp, 0) + 1)
-            - gammaln(np.maximum(j - pp, 0) + 1),
-            -np.inf,
-        )
-        out[lo:hi] = _logsumexp_rows(terms)
-    return out
-
-
 def log_escape_profile(model: ModelId, n: int, target: int, k: int | None = None) -> np.ndarray:
     """log of the escape weight Y over the same exit range as the profile.
 
-    ``target`` is the model's distant-endpoint parameter: the corner abscissa
-    for the diamond, the sliding offset p for the half-hexagon and staircase
-    models, and the extension width for the osculating model.
+    ``target`` is the model's distant-endpoint parameter (see :class:`Model`).
     """
-    if model is ModelId.AZTEC:
-        if target <= n:
-            raise ValueError(f"target k={target} must exceed n={n}")
-        col = _log_schroeder_column(n, target - n - 1)
-        ell = np.arange(n + 1)
-        a = col[n - ell]
-        b = np.where(n - ell - 1 >= 0, col[np.clip(n - ell - 1, 0, n)], -np.inf)
-        hi = np.maximum(a, b)
-        lo = np.minimum(a, b)
-        return np.where(np.isfinite(lo), hi + np.log1p(np.exp(lo - hi)), hi)
-    if model is ModelId.DYCK_HALF_HEX:
-        if k is None:
-            raise ValueError("dyck escape needs k")
-        ell = np.arange(n + k + 1)
-        return _log_comb(target + ell - 1, ell)
-    if model is ModelId.RED_HALF_HEX:
-        ell = np.arange(n + 2)
-        return _log_comb(target + ell - 1, ell)
-    if model is ModelId.STAIRCASE:
-        ell = np.arange(2 * n + 1)
-        return _log_comb(target - n - 1 + ell, ell)
-    if model is ModelId.STAIRCASE_ALT:
-        ell = np.arange(2 * n + 1)
-        return _log_comb(2 * n - ell - 1, np.full(2 * n + 1, target - n - 1))
-    if model is ModelId.VSASM:
-        size = n
-        ell = np.arange(1, size + 1)
-        return _log_comb(target - 1 + size - ell, size - ell)
-    raise ValueError(f"unknown model {model}")
+    ops = MODEL_OPS[model]
+    ops.check_size(n, k)
+    return ops.log_escape(n, target, k)
+
+
+def curve_catalog(x_model: float = 1.0) -> dict[ModelId, ImplicitCurve]:
+    """The limit curve of every model; x_model binds the half-hexagon width."""
+    return {model: ops.limit_curve(x_model) for model, ops in MODEL_OPS.items()}
+
+
+def parametric_catalog() -> dict[ModelId, ParametricCurve]:
+    return {model: ops.parametric for model, ops in MODEL_OPS.items() if ops.parametric}
+
+
+def tangency_points(model: ModelId, x_model: float = 1.0) -> list[Point]:
+    """Boundary contact points of each limit curve, in derivation order."""
+    return MODEL_OPS[model].tangency(x_model)

@@ -9,16 +9,14 @@ The only shared vocabulary is the geometry of each model (steps, start and
 end points), rebuilt here from scratch.
 
 Budgets are explicit: an enumeration that would exceed its state budget
-refuses loudly instead of truncating.  The default budget can be overridden
-with the ``ARCTIC_ORACLE_BUDGET`` environment variable.
+refuses loudly instead of truncating.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .models import ModelId
 
@@ -34,7 +32,7 @@ __all__ = [
     "model_path_spec",
     "model_exit_point",
     "model_exit_range",
-    "default_budget",
+    "DEFAULT_BUDGET",
 ]
 
 Point = tuple[int, int]
@@ -51,9 +49,7 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-def default_budget() -> int:
-    raw = os.environ.get("ARCTIC_ORACLE_BUDGET")
-    return int(raw) if raw else 10**8
+DEFAULT_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -107,7 +103,7 @@ def _feasibility(steps: tuple[Step, ...], progress: Step):
     return feasible
 
 
-def count_nilp(spec: PathFamilySpec, budget: int | None = None) -> int:
+def count_nilp(spec: PathFamilySpec, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of vertex-disjoint path families matching the spec.
 
     All paths advance simultaneously through sweep levels of the progress
@@ -120,7 +116,6 @@ def count_nilp(spec: PathFamilySpec, budget: int | None = None) -> int:
     ``budget`` caps the total number of (state, move-combination) pairs the
     sweep may examine.
     """
-    budget = default_budget() if budget is None else budget
     w = spec.progress
     feasible = _feasibility(spec.steps, spec.progress)
     npaths = len(spec.starts)
@@ -194,7 +189,7 @@ def count_nilp(spec: PathFamilySpec, budget: int | None = None) -> int:
 
 
 def count_nilp_by_exit(
-    spec: PathFamilySpec, exits: Sequence[Point], budget: int | None = None
+    spec: PathFamilySpec, exits: Sequence[Point], budget: int = DEFAULT_BUDGET
 ) -> dict[Point, int]:
     """Counts with the distinguished (last) endpoint moved to each exit."""
     out: dict[Point, int] = {}
@@ -214,73 +209,79 @@ def count_nilp_by_exit(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Geometry:
+    """How one model is drawn: steps, endpoints, and where the last path exits."""
+
+    steps: tuple[Step, ...]
+    starts: Callable[[int, int], Iterable[Point]]  # (n, k) -> start of each path
+    ends: Callable[[int, int], Iterable[Point]]
+    exit_point: Callable[[int, int, int], Point]  # (n, k, ell)
+    exit_range: Callable[[int, int], range]
+    constraint: str = "none"
+
+
+_GEOMETRY: dict[ModelId, _Geometry] = {
+    ModelId.AZTEC: _Geometry(
+        steps=((1, 1), (1, -1), (2, 0)),
+        starts=lambda n, k: ((-i, i) for i in range(n + 1)),
+        ends=lambda n, k: ((j, j) for j in range(n + 1)),
+        exit_point=lambda n, k, ell: (ell, 2 * n - ell),
+        exit_range=lambda n, k: range(n + 1),
+    ),
+    ModelId.DYCK_HALF_HEX: _Geometry(
+        steps=((1, 1), (1, -1)),
+        starts=lambda n, k: ((-2 * i, 0) for i in range(n + 1)),
+        ends=lambda n, k: ((2 * k + 2 * j, 0) for j in range(n + 1)),
+        exit_point=lambda n, k, ell: (2 * k + n - ell, n + ell),
+        exit_range=lambda n, k: range(n + k + 1),
+        constraint="upper-half",
+    ),
+    ModelId.RED_HALF_HEX: _Geometry(
+        steps=((0, -2), (1, -1)),
+        starts=lambda n, k: ((i, i + 2 * n + 2) for i in range(k)),
+        ends=lambda n, k: ((2 * j, 0) for j in range(k)),
+        exit_point=lambda n, k, ell: (2 * k - 2, 2 * ell),
+        exit_range=lambda n, k: range(n + 2),
+    ),
+    ModelId.STAIRCASE: _Geometry(
+        steps=((-1, 0), (0, 1)),
+        starts=lambda n, k: ((2 * i, 0) for i in range(n + 1)),
+        ends=lambda n, k: ((0, j) for j in range(n + 1)),
+        exit_point=lambda n, k, ell: (ell, n),
+        exit_range=lambda n, k: range(2 * n + 1),
+    ),
+    # Row i of the counting matrix is the start (2(n-i), 0): the leftmost
+    # start must reach the topmost end for the family to be non-crossing.
+    ModelId.STAIRCASE_ALT: _Geometry(
+        steps=((1, 0), (1, 1)),
+        starts=lambda n, k: ((2 * (n - i), 0) for i in range(n + 1)),
+        ends=lambda n, k: ((2 * n, j) for j in range(n + 1)),
+        exit_point=lambda n, k, ell: (ell, n),
+        exit_range=lambda n, k: range(2 * n + 1),
+    ),
+}
+
+
+def _geometry(model: ModelId) -> _Geometry:
+    if model not in _GEOMETRY:
+        raise ValueError(f"no path-family geometry for model {model}")
+    return _GEOMETRY[model]
+
+
 def model_path_spec(model: ModelId, n: int, k: int | None = None) -> PathFamilySpec:
     """Steps and endpoints of each model, as drawn on the lattice."""
-    if model is ModelId.AZTEC:
-        return PathFamilySpec(
-            steps=((1, 1), (1, -1), (2, 0)),
-            starts=tuple((-i, i) for i in range(n + 1)),
-            ends=tuple((j, j) for j in range(n + 1)),
-        )
-    if model is ModelId.DYCK_HALF_HEX:
-        if k is None:
-            raise ValueError("dyck spec needs k")
-        return PathFamilySpec(
-            steps=((1, 1), (1, -1)),
-            starts=tuple((-2 * i, 0) for i in range(n + 1)),
-            ends=tuple((2 * k + 2 * j, 0) for j in range(n + 1)),
-            constraint="upper-half",
-        )
-    if model is ModelId.RED_HALF_HEX:
-        if k is None:
-            raise ValueError("red spec needs k")
-        return PathFamilySpec(
-            steps=((0, -2), (1, -1)),
-            starts=tuple((i, i + 2 * n + 2) for i in range(k)),
-            ends=tuple((2 * j, 0) for j in range(k)),
-        )
-    if model is ModelId.STAIRCASE:
-        return PathFamilySpec(
-            steps=((-1, 0), (0, 1)),
-            starts=tuple((2 * i, 0) for i in range(n + 1)),
-            ends=tuple((0, j) for j in range(n + 1)),
-        )
-    if model is ModelId.STAIRCASE_ALT:
-        # Row i of the counting matrix is the start (2(n-i), 0): the leftmost
-        # start must reach the topmost end for the family to be non-crossing.
-        return PathFamilySpec(
-            steps=((1, 0), (1, 1)),
-            starts=tuple((2 * (n - i), 0) for i in range(n + 1)),
-            ends=tuple((2 * n, j) for j in range(n + 1)),
-        )
-    raise ValueError(f"no path-family geometry for model {model}")
+    g = _geometry(model)
+    return PathFamilySpec(g.steps, tuple(g.starts(n, k)), tuple(g.ends(n, k)), g.constraint)
 
 
 def model_exit_point(model: ModelId, n: int, ell: int, k: int | None = None) -> Point:
     """Boundary point where the distinguished path leaves the domain."""
-    if model is ModelId.AZTEC:
-        return (ell, 2 * n - ell)
-    if model is ModelId.DYCK_HALF_HEX:
-        return (2 * k + n - ell, n + ell)
-    if model is ModelId.RED_HALF_HEX:
-        return (2 * k - 2, 2 * ell)
-    if model is ModelId.STAIRCASE:
-        return (ell, n)
-    if model is ModelId.STAIRCASE_ALT:
-        return (ell, n)
-    raise ValueError(f"no exit geometry for model {model}")
+    return _geometry(model).exit_point(n, k, ell)
 
 
 def model_exit_range(model: ModelId, n: int, k: int | None = None) -> range:
-    if model is ModelId.AZTEC:
-        return range(n + 1)
-    if model is ModelId.DYCK_HALF_HEX:
-        return range(n + k + 1)
-    if model is ModelId.RED_HALF_HEX:
-        return range(n + 2)
-    if model in (ModelId.STAIRCASE, ModelId.STAIRCASE_ALT):
-        return range(2 * n + 1)
-    raise ValueError(f"no exit geometry for model {model}")
+    return _geometry(model).exit_range(n, k)
 
 
 # ---------------------------------------------------------------------------

@@ -8,22 +8,20 @@ determinant expansions, whose terms cancel at Stirling scale).  The analytic
 saddles are the closed-form large-n limits; the family of lines joining the
 saddle exit to the moving target envelopes the limit curve.
 
-Note on the staircase model: its saddle relation is z(xi) = 2(1-xi)^2/(2-xi).
-The factor 2 matters; dropping it (an easy slip when eliminating the inner
-entropy maximum) yields a family whose envelope misses the parabola by ~5e-2,
-while this form lands on it to rounding error and matches the finite-n argmax
-and the alternative formulation's saddle xi = 2 - z/2 on overlapping arcs.
+Everything model-specific (profiles, saddles, actions, scan sizes, geometry)
+is read from the model registry :data:`arctic.models.MODEL_OPS`; this module
+holds only the machinery shared by all models.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .models import ModelId, log_escape_profile, log_one_point_profile
+from .models import MODEL_OPS, Model, ModelId, log_escape_profile, log_one_point_profile, r_asm
 
 __all__ = [
     "SaddleResult",
@@ -33,7 +31,7 @@ __all__ = [
     "finite_n_saddle",
     "analytic_saddle",
     "action_components",
-    "admissible_parameter_range",
+    "scaled_geometry",
     "tangent_family",
     "envelope",
     "free_path_midpoint",
@@ -93,43 +91,12 @@ class EnvelopeError(ValueError):
     pass
 
 
-def r_asm(t: float) -> float:
-    """Limit slope function of the refined ASM generating series on [0, 1].
-
-    Algebraically (sqrt(t^2 - t + 1) - 1)/(t - 1); evaluated in the
-    conjugate form t / (1 + sqrt(t^2 - t + 1)), which is exact at the
-    removable t = 1 singularity.
-    """
-    if not 0 <= t <= 1:
-        raise ValueError(f"t={t} outside [0, 1]")
-    return t / (1.0 + math.sqrt(t * t - t + 1.0))
-
-
-def _staircase_xi(z: float) -> float:
-    # Positive root of 2 xi^2 + (z-4) xi + 2 - 2z = 0, in (3/2, 2).
-    return (4.0 - z + math.sqrt(z * z + 8.0 * z)) / 4.0
-
-
-def _dyck_cubic(x: float, y: float, xi: float) -> float:
-    return (y + xi) * (1 + xi) * (1 + x - xi) - xi * (2 * x + 1 - xi) * (xi - 1)
-
-
-def _bisect(f: Callable[[float], float], lo: float, hi: float, iters: int = 200) -> float:
-    flo = f(lo)
-    if flo == 0:
-        return lo
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if flo * f(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-            flo = f(lo)
-    return 0.5 * (lo + hi)
-
-
-def _red_y(x: float, xi: float) -> float:
-    return 2 * x * xi * xi / ((1 - xi) * (1 + x + xi))
+def _record(model: ModelId, x: float | None) -> Model:
+    """The model's registry record, once its width x is known to be usable."""
+    ops = MODEL_OPS[model]
+    if ops.needs_k and (x is None or x <= 0):
+        raise ValueError(f"{model.value} requires x > 0, got x={x}")
+    return ops
 
 
 def analytic_saddle(model: ModelId, z: float, x: float | None = None) -> float:
@@ -138,61 +105,11 @@ def analytic_saddle(model: ModelId, z: float, x: float | None = None) -> float:
     ``z`` is the scaled target parameter; the half-hexagon models also need
     the scaled width ``x`` and read ``z`` as the scaled target offset y.
     """
-    if model is ModelId.AZTEC:
-        if z <= 1:
-            raise ValueError(f"aztec requires z > 1, got {z}")
-        return 1.0 / (2.0 * z)
-    if model is ModelId.STAIRCASE:
-        if z <= 1:
-            raise ValueError(f"staircase requires z > 1, got {z}")
-        return _staircase_xi(z)
-    if model is ModelId.STAIRCASE_ALT:
-        if not 1 < z <= 2:
-            raise ValueError(f"staircase-alt requires 1 < z <= 2, got {z}")
-        return 2.0 - z / 2.0
-    if model is ModelId.DYCK_HALF_HEX:
-        if x is None or x <= 0 or z <= 0:
-            raise ValueError(f"dyck requires x > 0 and y > 0, got x={x}, y={z}")
-        lo = (2 + 3 * x) / (2 + x)
-        return _bisect(lambda xi: _dyck_cubic(x, z, xi), lo, 1 + x - 1e-15)
-    if model is ModelId.RED_HALF_HEX:
-        if x is None or x <= 0 or z <= 0:
-            raise ValueError(f"red requires x > 0 and y > 0, got x={x}, y={z}")
-        return _bisect(lambda xi: _red_y(x, xi) - z, 1e-15, 1 - 1e-15)
-    if model is ModelId.VSASM:
-        if z <= 0:
-            raise ValueError(f"vsasm requires z > 0, got {z}")
-        # xi = r(t) with t = (1 - xi)/(1 - xi + z); strictly increasing in t.
-        t = _bisect(lambda tt: r_asm(tt) - 1.0 + tt * z / (1.0 - tt), 1e-15, 1 - 1e-15)
-        return r_asm(t)
-    raise ValueError(f"unknown model {model}")
-
-
-def _xlogx(v: float) -> float:
-    return 0.0 if v <= 0 else v * math.log(v)
-
-
-def _entropy(a: float) -> float:
-    return -_xlogx(a) - _xlogx(1 - a)
-
-
-def _binom_exponent(a: float, b: float) -> float:
-    """Scaled exponent of C(a n, b n): a log a - b log b - (a-b) log(a-b)."""
-    if b < -1e-15 or b > a + 1e-15:
-        return -math.inf
-    b = min(max(b, 0.0), a)
-    return _xlogx(a) - _xlogx(b) - _xlogx(a - b)
-
-
-def _ternary_max(f: Callable[[float], float], lo: float, hi: float) -> float:
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if f(m1) < f(m2):
-            lo = m1
-        else:
-            hi = m2
-    return f(0.5 * (lo + hi))
+    ops = _record(model, x)
+    lo, hi = ops.z_range
+    if not lo < z <= hi:
+        raise ValueError(f"{model.value} requires {lo:g} < z <= {hi:g}, got z={z}")
+    return ops.saddle(z, x)
 
 
 def action_components(model: ModelId, z: float, xi: float, x: float | None = None) -> ActionValue:
@@ -203,90 +120,7 @@ def action_components(model: ModelId, z: float, xi: float, x: float | None = Non
     here, exactly as the leading Laplace evaluation prescribes; saturated
     cases land on the boundary of the inner interval automatically.
     """
-    if model is ModelId.AZTEC:
-        if not 0 <= xi <= 1 or z <= 1:
-            raise ValueError(f"need 0 <= xi <= 1 < z, got xi={xi}, z={z}")
-        s1 = _entropy(min(xi, 0.5)) - math.log(2)
-        disc = (z - xi) ** 2 - 2 * (1 - xi) * (z - 1)
-        theta = ((z - xi) - math.sqrt(max(disc, 0.0))) / 2
-        s0 = (
-            _xlogx(z - xi - theta)
-            - _xlogx(theta)
-            - _xlogx(1 - xi - theta)
-            - _xlogx(z - 1 - theta)
-        )
-        return ActionValue(s0, s1)
-    if model is ModelId.DYCK_HALF_HEX:
-        if x is None or not 0 <= xi <= 1 + x:
-            raise ValueError(f"need x and 0 <= xi <= 1 + x, got xi={xi}, x={x}")
-        lo, hi = max(0.0, (1 - xi) / 2), min(1.0, 1 + x - xi)
-        s1 = _ternary_max(
-            lambda s: _binom_exponent(1 + xi, 2 - 2 * s) + _binom_exponent(2 + x - s, 1 + xi),
-            lo,
-            hi,
-        ) - _binom_exponent(2 + 2 * x, 1 + xi)
-        return ActionValue(_binom_exponent(z + xi, xi), s1)
-    if model is ModelId.RED_HALF_HEX:
-        if x is None or not 0 <= xi <= 1:
-            raise ValueError(f"need x and 0 <= xi <= 1, got xi={xi}, x={x}")
-        s1 = _ternary_max(
-            lambda s: _binom_exponent(1 + x - s, x) + _binom_exponent(1 + x + s, x),
-            xi,
-            1.0,
-        ) - _binom_exponent(2 + 2 * x, 2.0)
-        return ActionValue(_binom_exponent(z + xi, xi), s1)
-    if model is ModelId.STAIRCASE:
-        if not 0 <= xi <= 2 or z <= 1:
-            raise ValueError(f"need 0 <= xi <= 2 and z > 1, got xi={xi}, z={z}")
-        s1 = _entropy(min(2 - xi, 0.5)) - math.log(2)
-        return ActionValue(_binom_exponent(z - 1 + xi, xi), s1)
-    if model is ModelId.STAIRCASE_ALT:
-        if not 0 <= xi <= 2 or z <= 1:
-            raise ValueError(f"need 0 <= xi <= 2 and z > 1, got xi={xi}, z={z}")
-        s1 = -math.inf if xi < 1 else _entropy(min(xi - 1, 0.5)) - math.log(2)
-        return ActionValue(_binom_exponent(2 - xi, z - 1), s1)
-    if model is ModelId.VSASM:
-        if not 0 <= xi <= 1 or z <= 0:
-            raise ValueError(f"need 0 <= xi <= 1 and z > 0, got xi={xi}, z={z}")
-        s1 = (
-            _binom_exponent(1 + xi, 1.0)
-            + _binom_exponent(2 - xi, 1.0)
-            - _binom_exponent(3.0, 1.0)
-        )
-        return ActionValue(_binom_exponent(z + 1 - xi, 1 - xi), s1)
-    raise ValueError(f"unknown model {model}")
-
-
-def admissible_parameter_range(model: ModelId) -> tuple[float, float]:
-    """Open parameter interval on which the analytic saddle is interior."""
-    return {
-        ModelId.AZTEC: (1.0, math.inf),
-        ModelId.DYCK_HALF_HEX: (0.0, math.inf),
-        ModelId.RED_HALF_HEX: (0.0, math.inf),
-        ModelId.STAIRCASE: (1.0, math.inf),
-        ModelId.STAIRCASE_ALT: (1.0, 2.0),
-        ModelId.VSASM: (0.0, math.inf),
-    }[model]
-
-
-def _scan_sizes(model: ModelId, n: int, z: float, x: float | None) -> tuple[int, int, int | None]:
-    """(profile size, integer target, secondary k) for a finite-n scan."""
-    if model is ModelId.AZTEC:
-        return n, max(round(z * n), n + 1), None
-    if model is ModelId.DYCK_HALF_HEX:
-        if x is None:
-            raise ValueError("dyck scan needs x")
-        return n, max(round(z * n), 1), round(x * n)
-    if model is ModelId.RED_HALF_HEX:
-        if x is None:
-            raise ValueError("red scan needs x")
-        return n, max(round(z * n), 1), round(x * n)
-    if model in (ModelId.STAIRCASE, ModelId.STAIRCASE_ALT):
-        return n, max(round(z * n), n + 1), None
-    if model is ModelId.VSASM:
-        size = n if n % 2 == 1 else n + 1
-        return size, max(round(z * size), 1), None
-    raise ValueError(f"unknown model {model}")
+    return ActionValue(*MODEL_OPS[model].action(z, xi, x))
 
 
 def finite_n_saddle(model: ModelId, n: int, z: float, x: float | None = None) -> SaddleResult:
@@ -299,10 +133,11 @@ def finite_n_saddle(model: ModelId, n: int, z: float, x: float | None = None) ->
     """
     if n < 64:
         raise ValueError(f"finite-n scan needs n >= 64, got {n}")
-    lo, hi = admissible_parameter_range(model)
+    ops = _record(model, x)
+    lo, hi = ops.z_range
     if not lo < z < hi + 1e-12:
         raise ValueError(f"z={z} outside admissible range ({lo}, {hi}) for {model.value}")
-    size, target, k = _scan_sizes(model, n, z, x)
+    size, target, k = ops.scan(n, z, x)
     log_h = log_one_point_profile(model, size, k)
     log_y = log_escape_profile(model, size, target, k)
     total = log_h + log_y
@@ -311,10 +146,9 @@ def finite_n_saddle(model: ModelId, n: int, z: float, x: float | None = None) ->
     best = int(np.argmax(total))
     top = total[best]
     plateau = int(np.sum(np.abs(total - top) <= 1e-12 * max(1.0, abs(top))))
-    ell_start = 1 if model is ModelId.VSASM else 0
     return SaddleResult(
         z=z,
-        xi_hat=(best + ell_start) / size,
+        xi_hat=(best + ops.ell_start) / size,
         log_mass=float(top),
         n_used=size,
         plateau=plateau,
@@ -343,19 +177,7 @@ def scaled_geometry(
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Scaled (exit point, target point) for parameter z."""
     xi = analytic_saddle(model, z, x)
-    if model is ModelId.AZTEC:
-        return (xi, 2 - xi), (z, z)
-    if model is ModelId.DYCK_HALF_HEX:
-        return (2 * x + 1 - xi, 1 + xi), (2 * x + 1 + z, 1 + z)
-    if model is ModelId.RED_HALF_HEX:
-        return (2 * x, 2 * xi), (2 * x + z, -z)
-    if model is ModelId.STAIRCASE:
-        return (xi, 1.0), (0.0, z)
-    if model is ModelId.STAIRCASE_ALT:
-        return (xi, 1.0), (2.0, z)
-    if model is ModelId.VSASM:
-        return (1.0, xi), (1 + z, 1.0)
-    raise ValueError(f"unknown model {model}")
+    return MODEL_OPS[model].geometry(xi, z, x)
 
 
 def tangent_family(
@@ -429,14 +251,15 @@ def free_path_midpoint(
     if total <= 0:
         raise ValueError(f"endpoint {endpoint} not ahead of the origin")
 
-    def counts_from(origin: tuple[int, int], top: int) -> dict[tuple[int, int], int]:
+    def counts_from(
+        origin: tuple[int, int], top: int, step_weights: dict[tuple[int, int], int]
+    ) -> dict[int, dict[tuple[int, int], int]]:
         """Weighted path counts from origin to every point within 'top' progress."""
-        frontier = {origin: 1}
-        by_level: dict[int, dict[tuple[int, int], int]] = {0: dict(frontier)}
+        by_level: dict[int, dict[tuple[int, int], int]] = {0: {origin: 1}}
         for level in range(1, top + 1):
             nxt: dict[tuple[int, int], int] = {}
-            for (sx, sy), wgt in weights.items():
-                adv = progress[0] * sx + progress[1] * sy
+            for (sx, sy), wgt in step_weights.items():
+                adv = abs(progress[0] * sx + progress[1] * sy)
                 src = by_level.get(level - adv)
                 if not src:
                     continue
@@ -447,24 +270,10 @@ def free_path_midpoint(
         return by_level
 
     half = total // 2
-    fwd = counts_from((0, 0), half)
+    mid = counts_from((0, 0), half, weights)[half]
     # Backward counts: paths m -> endpoint equal reversed-step paths endpoint -> m.
     rev_weights = {(-sx, -sy): w for (sx, sy), w in weights.items()}
-    back_frontier: dict[int, dict[tuple[int, int], int]] = {0: {endpoint: 1}}
-    for level in range(1, total - half + 1):
-        nxt: dict[tuple[int, int], int] = {}
-        for (sx, sy), wgt in rev_weights.items():
-            adv = -(progress[0] * sx + progress[1] * sy)
-            src = back_frontier.get(level - adv)
-            if not src:
-                continue
-            for (px, py), c in src.items():
-                key = (px + sx, py + sy)
-                nxt[key] = nxt.get(key, 0) + c * wgt
-        back_frontier[level] = nxt
-
-    mid = fwd[half]
-    far = back_frontier[total - half]
+    far = counts_from(endpoint, total - half, rev_weights)[total - half]
     best = None
     best_pt = None
     for pt, c in sorted(mid.items()):

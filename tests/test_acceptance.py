@@ -16,12 +16,13 @@ from pathlib import Path
 
 import arctic
 from arctic.combinat import binomial, falling_factorial, inverse_binomial_sum
-from arctic.curves import curve_catalog, residual, tangency_points, vsasm_parametric
+from arctic.curves import residual, vsasm_parametric
 from arctic.linalg import det_bareiss, leading_principal_minors, lu_exact
 from arctic.models import (
     MODEL_OPS,
     ModelId,
     aztec_matrix,
+    curve_catalog,
     dyck_matrix,
     dyck_partition,
     n_asm,
@@ -32,6 +33,7 @@ from arctic.models import (
     red_partition,
     staircase_alt_matrix,
     staircase_matrix,
+    tangency_points,
 )
 from arctic.oracle import (
     count_nilp,

@@ -1,14 +1,17 @@
 """Command-line behavior: reports, artifacts, exit codes, determinism."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from arctic.cli import emit_svg, main
-from arctic.curves import curve_catalog
-from arctic.models import ModelId
+import arctic
+from arctic.cli import Report, emit_svg, main
+from arctic.models import ModelId, curve_catalog
 from arctic.tangent import tangent_family
 
 
@@ -109,6 +112,42 @@ def test_envelope_rejects_small_grid(capsys):
     with pytest.raises(SystemExit) as err:
         main(["envelope", "--model", "aztec", "--z-min", "1.1", "--z-max", "2", "--count", "5"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--model", "red", "--n", "3", "--k", "1"],
+        ["oracle", "--model", "red", "--n", "3", "--k", "1"],
+        ["verify", "--model", "vsasm", "--n", "1"],
+        ["oracle", "--model", "vsasm", "--n", "9"],
+        ["envelope", "--model", "aztec", "--z-min", "3", "--z-max", "2"],
+        ["envelope", "--model", "aztec", "--z-min", "0", "--z-max", "3", "--spacing", "log"],
+        ["envelope", "--model", "aztec", "--z-min", "1.1", "--z-max", "1e300", "--spacing", "log"],
+        ["saddle", "--model", "aztec", "--n", "512", "--z", "2.0", "--tol", "0"],
+        ["curve", "--model", "vsasm", "--samples", "1"],
+        ["curve", "--model", "vsasm", "--samples", "0"],
+    ],
+)
+def test_invalid_inputs_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_report_without_checks_fails():
+    rep = Report("curve", "vsasm", {})
+    assert not rep.passed
+    rep.add("one check", 1, 1)
+    assert rep.passed
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    package_root = str(Path(arctic.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": package_root}
+    code = "import sys, arctic.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_curve_command_and_failure_exit(tmp_path, capsys):

@@ -4,16 +4,8 @@ import math
 
 import pytest
 
-from arctic.curves import (
-    ImplicitCurve,
-    aztec_parametric,
-    curve_catalog,
-    parametric_catalog,
-    residual,
-    tangency_points,
-    vsasm_parametric,
-)
-from arctic.models import ModelId
+from arctic.curves import ImplicitCurve, aztec_parametric, residual, vsasm_parametric
+from arctic.models import ModelId, curve_catalog, parametric_catalog, tangency_points
 
 
 def test_catalog_values_on_known_points():

@@ -1,10 +1,13 @@
 """Model closed forms against enumeration oracles and determinant ratios."""
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from arctic import models as md
 from arctic.combinat import binomial, falling_factorial
@@ -293,6 +296,54 @@ def test_dyck_profile_bounded_with_unit_head():
     assert all(profile[ell] == 1 for ell in range(0, 6))
 
 
+def _log_exact(value) -> float:
+    value = Fraction(value)
+    if value == 0:
+        return -math.inf
+    return math.log(value.numerator) - math.log(value.denominator)
+
+
+def _assert_log_close(logs, exact, what):
+    assert len(logs) == len(exact), what
+    for ell, (got, want) in enumerate(zip(logs, exact)):
+        want = _log_exact(want)
+        if want == -math.inf:
+            assert got == -math.inf, (what, ell)
+        else:
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (what, ell, got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=st.sampled_from(list(md.MODEL_OPS)),
+    n=st.integers(0, 20),
+    k=st.integers(1, 20),
+    offsets=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+)
+def test_log_profiles_match_exact_values(model, n, k, offsets):
+    """The log-space profiles behind every saddle scan agree with the exact layer."""
+    ops = md.MODEL_OPS[model]
+    try:
+        ops.check_size(n, k)
+    except ValueError:
+        assume(False)
+    k = k if ops.needs_k else None
+    if model is ModelId.VSASM:
+        # The scan's profile is the plain ASM ratio (see log_one_point_profile).
+        exact = [Fraction(md.n_asm_refined(n, ell), md.n_asm(n)) for ell in ops.exits(n, k)]
+    else:
+        exact = [ops.one_point(n, k, ell) for ell in ops.exits(n, k)]
+    _assert_log_close(md.log_one_point_profile(model, n, k), exact, (model, n, k))
+    # Small targets and targets beyond n; each model rejects those outside its range.
+    for target in sorted(set(offsets) | {n + d for d in offsets}):
+        try:
+            exact = [ops.escape(n, k, target, ell) for ell in ops.exits(n, k)]
+        except ValueError:
+            continue
+        logs = md.log_escape_profile(model, n, target, k)
+        _assert_log_close(logs, exact, (model, n, k, target))
+
+
 def test_profile_crossover_guard():
     with pytest.raises(ValueError):
         md.one_point_profile(ModelId.AZTEC, 1000)
@@ -435,31 +486,3 @@ def test_vsasm_profile_is_refined_distribution():
     assert sum(profile.values) == 1
     assert profile[1] == 0 and profile[7] == 0
     assert all(0 <= v <= 1 for v in profile.values)
-
-
-# ---------------------------------------------------------------------------
-# Parameter records
-# ---------------------------------------------------------------------------
-
-
-def test_param_validation():
-    md.AztecParams(n=4, k=9, ell=2)
-    with pytest.raises(ValueError):
-        md.AztecParams(n=4, k=4, ell=0)
-    with pytest.raises(ValueError):
-        md.AztecParams(n=4, k=9, ell=5)
-    md.DyckParams(n=3, k=2, ell=5, p=4)
-    with pytest.raises(ValueError):
-        md.DyckParams(n=3, k=2, ell=6, p=4)
-    md.StaircaseParams(n=3, p=5, ell=6)
-    with pytest.raises(ValueError):
-        md.StaircaseParams(n=3, p=2, ell=0)
-    md.VsasmParams(size=7, ell=3, k=2)
-    with pytest.raises(ValueError):
-        md.VsasmParams(size=6, ell=3, k=2)
-    with pytest.raises(ValueError):
-        md.VsasmParams(size=7, ell=0, k=2)
-
-
-def test_aztec_scaled_target():
-    assert md.AztecParams(n=4, k=10, ell=0).z == 2.5

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from arctic.curves import curve_catalog, residual
-from arctic.models import ModelId
+from arctic.curves import residual
+from arctic.models import ModelId, curve_catalog
 from arctic.tangent import (
     EnvelopeError,
     TangentLine,
