@@ -33,7 +33,6 @@ from .oracle import (
     BudgetExceededError,
     count_nilp,
     count_nilp_by_exit,
-    enumerate_asm,
     enumerate_vsasm,
     model_exit_point,
     model_exit_range,
@@ -262,7 +261,7 @@ def cmd_onepoint(args, parser) -> Report:
     model, k = _sized_model(args, parser)
     rep = Report("onepoint", model.value, {"n": args.n, "k": args.k})
     try:
-        profile = one_point_profile(model, args.n, k, exact_max=args.exact_max)
+        profile = one_point_profile(model, args.n, k)
     except ValueError as exc:
         parser.error(str(exc))
     rows = ["ell,value"]
@@ -282,6 +281,8 @@ def cmd_onepoint(args, parser) -> Report:
 def cmd_oracle(args, parser) -> Report:
     model, k = _sized_model(args, parser)
     ops = MODEL_OPS[model]
+    if args.dump and ops.has_paths:
+        parser.error(f"--dump lists enumerated objects; the path model {model.value} has none")
     if not ops.has_paths:
         size = args.n
         rep = Report("oracle", model.value, {"size": size})
@@ -455,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("onepoint", help="exact one-point profile as CSV")
     add_common(p)
     p.add_argument("--out", default=None)
-    p.add_argument("--exact-max", type=int, default=512)
 
     p = sub.add_parser("oracle", help="brute-force counts against determinants")
     add_common(p)
@@ -511,12 +511,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report = _COMMANDS[args.command](args, parser)
+        text = report.to_json()
+        if getattr(args, "json_out", None):
+            _write(Path(args.json_out), text)
     except BudgetExceededError as exc:  # input too large to enumerate
         parser.error(str(exc))
-    text = report.to_json()
+    except OSError as exc:  # an artifact path that cannot be written
+        parser.error(str(exc))
     sys.stdout.write(text)
-    if getattr(args, "json_out", None):
-        _write(Path(args.json_out), text)
     return 0 if report.passed else 1
 
 

@@ -1,9 +1,11 @@
-"""Dense exact-rational matrices, fraction-free determinants and exact LU.
+"""Dense exact matrices, fraction-free determinants and exact LU.
 
-Everything here is exact: entries are ``fractions.Fraction`` and no operation
-introduces rounding.  Determinants are deliberately available through two
-independent routes (Bareiss elimination and the product of LU pivots) so the
-two can be cross-checked; a disagreement is treated as a test failure, never a
+Everything here is exact: entries are ``int`` or ``fractions.Fraction`` and no
+operation introduces rounding.  Integer matrices stay integer; a ``Fraction``
+appears only where a true ratio is formed (LU pivots, last-column ratios).
+Determinants are deliberately available through two independent routes
+(Bareiss elimination and the product of LU pivots) so the two can be
+cross-checked; a disagreement is treated as a test failure, never a
 warning.
 """
 
@@ -37,12 +39,12 @@ class SingularMinorError(ValueError):
 
 
 class ExactMatrix:
-    """Immutable dense matrix of exact rationals, 0-indexed, row-major."""
+    """Immutable dense matrix of ints and Fractions, 0-indexed, row-major."""
 
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Scalar]):
-        data = tuple(Fraction(e) for e in entries)
+        data = tuple(e if isinstance(e, (int, Fraction)) else Fraction(e) for e in entries)
         if rows < 1 or cols < 1:
             raise ValueError(f"matrix dimensions must be >= 1, got {rows}x{cols}")
         if len(data) != rows * cols:
@@ -67,19 +69,19 @@ class ExactMatrix:
     def identity(n: int) -> "ExactMatrix":
         return ExactMatrix.from_function(n, n, lambda i, j: 1 if i == j else 0)
 
-    def __getitem__(self, idx: tuple[int, int]) -> Fraction:
+    def __getitem__(self, idx: tuple[int, int]) -> Scalar:
         i, j = idx
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"({i}, {j}) out of range for {self.rows}x{self.cols}")
         return self._data[i * self.cols + j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
+    def row(self, i: int) -> tuple[Scalar, ...]:
         return self._data[i * self.cols:(i + 1) * self.cols]
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
+    def column(self, j: int) -> tuple[Scalar, ...]:
         return tuple(self._data[i * self.cols + j] for i in range(self.rows))
 
-    def to_lists(self) -> list[list[Fraction]]:
+    def to_lists(self) -> list[list[Scalar]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     @property
@@ -98,9 +100,8 @@ class ExactMatrix:
     def with_column(self, j: int, values: Sequence[Scalar]) -> "ExactMatrix":
         if len(values) != self.rows:
             raise ValueError(f"column length {len(values)} != {self.rows}")
-        vals = [Fraction(v) for v in values]
         return ExactMatrix.from_function(
-            self.rows, self.cols, lambda r, c: vals[r] if c == j else self[r, c]
+            self.rows, self.cols, lambda r, c: values[r] if c == j else self[r, c]
         )
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -135,7 +136,7 @@ class LUPair:
     def reconstruct(self) -> ExactMatrix:
         return self.L @ self.U
 
-    def u_diagonal(self) -> tuple[Fraction, ...]:
+    def u_diagonal(self) -> tuple[Scalar, ...]:
         return tuple(self.U[i, i] for i in range(self.U.rows))
 
     def determinant(self) -> Fraction:
@@ -145,21 +146,25 @@ class LUPair:
         return out
 
 
-def _bareiss_pivots(m: ExactMatrix, swaps: bool = True) -> list[Fraction]:
+def _bareiss_pivots(m: ExactMatrix, swaps: bool = True) -> list[int]:
     """Bareiss elimination; pivot k equals the order-(k+1) leading minor.
 
-    Row swaps (needed only when a leading minor vanishes) flip the sign of all
-    subsequent pivots, so the returned minors are exact for the swapped matrix;
-    det (the last pivot) is corrected for the swap parity.  With ``swaps``
-    false a vanishing leading minor raises instead.
+    Every intermediate entry is a minor of the integer matrix ``m``, so each
+    division is exact and runs as ``//`` in ``int``; a non-``int`` entry raises
+    TypeError.  Row swaps (needed only when a leading minor vanishes) flip the
+    sign of all subsequent pivots, so the returned minors are exact for the
+    swapped matrix; det (the last pivot) is corrected for the swap parity.
+    With ``swaps`` false a vanishing leading minor raises instead.
     """
     if not m.is_square:
         raise ValueError(f"determinant of non-square {m.rows}x{m.cols} matrix")
     n = m.rows
     a = m.to_lists()
+    if not all(isinstance(e, int) for row in a for e in row):
+        raise TypeError("Bareiss elimination needs int entries")
     sign = 1
-    prev = Fraction(1)
-    pivots: list[Fraction] = []
+    prev = 1
+    pivots: list[int] = []
     for k in range(n):
         if a[k][k] == 0:
             if not swaps:
@@ -167,26 +172,29 @@ def _bareiss_pivots(m: ExactMatrix, swaps: bool = True) -> list[Fraction]:
             pivot_row = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
             if pivot_row is None:
                 # Entire lower column zero: determinant is zero.
-                pivots.extend([Fraction(0)] * (n - k))
+                pivots.extend([0] * (n - k))
                 return pivots
             a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
         pivot = a[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
         prev = pivot
         pivots.append(sign * pivot)
     return pivots
 
 
 def det_bareiss(m: ExactMatrix) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    return _bareiss_pivots(m)[-1]
+    """Exact determinant of an integer matrix by fraction-free (Bareiss) elimination.
+
+    Returned as a Fraction so that quotients of determinants stay exact.
+    """
+    return Fraction(_bareiss_pivots(m)[-1])
 
 
-def leading_principal_minors(m: ExactMatrix) -> list[Fraction]:
+def leading_principal_minors(m: ExactMatrix) -> list[int]:
     """Determinants of all leading principal submatrices, in one elimination.
 
     Only valid when no row swap is needed (all leading minors nonzero), which
@@ -204,8 +212,8 @@ def lu_exact(m: ExactMatrix) -> LUPair:
     if not m.is_square:
         raise ValueError(f"LU of non-square {m.rows}x{m.cols} matrix")
     n = m.rows
-    u = [[Fraction(0)] * n for _ in range(n)]
-    low = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    u = [[0] * n for _ in range(n)]
+    low = [[int(i == j) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i, n):
             u[i][j] = m[i, j] - sum(low[i][k] * u[k][j] for k in range(i))
@@ -213,14 +221,14 @@ def lu_exact(m: ExactMatrix) -> LUPair:
             raise SingularMinorError(i)
         for r in range(i + 1, n):
             num = m[r, i] - sum(low[r][k] * u[k][i] for k in range(i))
-            low[r][i] = num / u[i][i]
+            low[r][i] = Fraction(num, u[i][i])
     return LUPair(ExactMatrix.from_rows(low), ExactMatrix.from_rows(u))
 
 
 def unit_lower_inverse(low: ExactMatrix) -> ExactMatrix:
     """Inverse of a unit lower triangular matrix by forward substitution."""
     n = low.rows
-    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    inv = [[int(i == j) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i):
             inv[i][j] = -sum(low[i, k] * inv[k][j] for k in range(j, i))
@@ -239,11 +247,9 @@ def det_ratio_last_column(
     """
     if len(l_inv_last_row) != len(b):
         raise ValueError(f"length mismatch {len(l_inv_last_row)} vs {len(b)}")
-    u_nn = Fraction(u_nn)
     if u_nn == 0:
         raise ZeroDivisionError("U_{n,n} is zero")
-    acc = sum((Fraction(li) * Fraction(bi) for li, bi in zip(l_inv_last_row, b)), Fraction(0))
-    return acc / u_nn
+    return Fraction(sum(li * bi for li, bi in zip(l_inv_last_row, b)), u_nn)
 
 
 def gf_convolve_truncated(fa: ExactMatrix, fb: ExactMatrix, size: int) -> ExactMatrix:

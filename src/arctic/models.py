@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Callable
 
 import numpy as np
@@ -226,22 +226,6 @@ def _log_comb(n: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.where(valid, out, -np.inf)
 
 
-def _cumulative_logsumexp(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    acc = -np.inf
-    for i, x in enumerate(v):
-        if x == -np.inf:
-            out[i] = acc
-            continue
-        if acc == -np.inf:
-            acc = x
-        else:
-            hi, lo = (acc, x) if acc >= x else (x, acc)
-            acc = hi + math.log1p(math.exp(lo - hi))
-        out[i] = acc
-    return out
-
-
 def _logsumexp_rows(m: np.ndarray) -> np.ndarray:
     """logsumexp along axis 1, tolerating all -inf rows."""
     mx = np.max(m, axis=1)
@@ -254,7 +238,7 @@ def _logsumexp_rows(m: np.ndarray) -> np.ndarray:
 def _log_pascal_prefix(n: int) -> np.ndarray:
     """log sum_{j <= m} C(n, j) for m = 0..n."""
     p = np.arange(n + 1)
-    return _cumulative_logsumexp(_log_comb(np.full(n + 1, n), p))
+    return np.logaddexp.accumulate(_log_comb(np.full(n + 1, n), p))
 
 
 def _log_monotone_escape(target: int, ell: np.ndarray) -> np.ndarray:
@@ -303,6 +287,19 @@ def _ternary_max(f: Callable[[float], float], lo: float, hi: float) -> float:
     return f(0.5 * (lo + hi))
 
 
+def _exact_int(num: int | Fraction, den: int = 1) -> int:
+    """The quotient num / den of a count formula; ArithmeticError unless it is an integer."""
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError("count formula gave a non-integer quotient")
+    return q
+
+
+def _pascal_prefix(n: int, m: int) -> Fraction:
+    """2^-n sum_{j <= m} C(n, j): the one-point function of the Pascal-row models."""
+    return Fraction(sum(comb(n, j) for j in range(min(m, n) + 1)), 2**n)
+
+
 @dataclass(frozen=True)
 class ClosedLU:
     """Closed-form factors; U or L_inv may be absent for some models."""
@@ -329,11 +326,10 @@ def aztec_matrix(n: int) -> ExactMatrix:
 
 
 def aztec_closed_lu(n: int) -> ClosedLU:
-    """L = C(i,j), U = 2^i C(j,i), L^-1 = (-1)^(i+j) C(i,j)."""
-    L = ExactMatrix.from_function(n + 1, n + 1, lambda i, j: binomial(i, j))
+    """The Pascal L and L^-1 of :func:`pascal_closed_lu` with U = 2^i C(j,i)."""
+    pascal = pascal_closed_lu(n)
     U = ExactMatrix.from_function(n + 1, n + 1, lambda i, j: 2**i * binomial(j, i))
-    Linv = ExactMatrix.from_function(n + 1, n + 1, lambda i, j: (-1) ** (i + j) * binomial(i, j))
-    return ClosedLU(L, U, Linv)
+    return ClosedLU(pascal.L, U, pascal.L_inv)
 
 
 def aztec_b_column(n: int, ell: int) -> list[int]:
@@ -347,7 +343,7 @@ def aztec_one_point(n: int, ell: int) -> Fraction:
     """H(n, ell) = 2^-n sum_{p<=ell} C(n, p)."""
     if not 0 <= ell <= n:
         raise ValueError(f"ell={ell} outside [0, {n}]")
-    return Fraction(sum(comb(n, p) for p in range(ell + 1)), 2**n)
+    return _pascal_prefix(n, ell)
 
 
 def aztec_escape(ell: int, k: int, n: int) -> int:
@@ -463,12 +459,7 @@ def dyck_u_diagonal(n: int, k: int) -> list[Fraction]:
 
 
 def dyck_partition(n: int, k: int) -> int:
-    prod = Fraction(1)
-    for d in dyck_u_diagonal(n, k):
-        prod *= d
-    if prod.denominator != 1:
-        raise AssertionError(f"dyck partition product not integral: {prod}")
-    return prod.numerator
+    return _exact_int(prod(dyck_u_diagonal(n, k)))
 
 
 def dyck_b_column(n: int, k: int, ell: int) -> list[int]:
@@ -587,12 +578,7 @@ def red_u_diagonal(n: int, k: int) -> list[Fraction]:
 def red_partition(n: int, k: int) -> int:
     if n < 0 or k < 1:
         raise ValueError(f"requires n >= 0 and k >= 1, got ({n}, {k})")
-    prod = Fraction(1)
-    for d in red_u_diagonal(n, k):
-        prod *= d
-    if prod.denominator != 1:
-        raise AssertionError(f"red partition product not integral: {prod}")
-    return prod.numerator
+    return _exact_int(prod(red_u_diagonal(n, k)))
 
 
 def red_b_column(n: int, k: int, ell: int) -> list[int]:
@@ -626,7 +612,7 @@ def _red_log_profile(n: int, k: int) -> np.ndarray:
     terms = _log_comb(np.full(n + 2, k + n - 1) - s, np.full(n + 2, k - 2)) + _log_comb(
         np.full(n + 2, k + n) + s, np.full(n + 2, k - 2)
     )
-    suffix = _cumulative_logsumexp(terms[::-1])[::-1]
+    suffix = np.logaddexp.accumulate(terms[::-1])[::-1]
     norm = float(_log_comb(np.array(2 * n + 2 * k), np.array(2 * n + 3)))
     return suffix + math.log(2) - norm
 
@@ -696,16 +682,14 @@ def staircase_one_point(n: int, ell: int) -> Fraction:
     """H(n; ell) = 2^-n sum_{j <= min(n, 2n-ell)} C(n, j)."""
     if not 0 <= ell <= 2 * n:
         raise ValueError(f"ell={ell} outside [0, {2 * n}]")
-    m = min(n, 2 * n - ell)
-    return Fraction(sum(comb(n, j) for j in range(m + 1)), 2**n)
+    return _pascal_prefix(n, min(n, 2 * n - ell))
 
 
 def staircase_alt_one_point(n: int, ell: int) -> Fraction:
     """H_2(n; ell) = 2^-n sum_{j <= ell-n} C(n, j); zero for ell < n."""
     if not 0 <= ell <= 2 * n:
         raise ValueError(f"ell={ell} outside [0, {2 * n}]")
-    m = min(ell - n, n)
-    return Fraction(sum(comb(n, j) for j in range(m + 1)), 2**n)
+    return _pascal_prefix(n, ell - n)
 
 
 def staircase_escape(n: int, p: int, ell: int) -> int:
@@ -764,21 +748,16 @@ def n_asm(n: int) -> int:
     """Number of alternating sign matrices of size n."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    out = Fraction(1)
-    for i in range(n):
-        out *= Fraction(factorial(3 * i + 1), factorial(n + i))
-    assert out.denominator == 1
-    return out.numerator
+    return _exact_int(prod(factorial(3 * i + 1) for i in range(n)),
+                      prod(factorial(n + i) for i in range(n)))
 
 
 def n_asm_refined(n: int, ell: int) -> int:
     """ASMs of size n whose unique first-row 1 sits in column ell."""
     if not 1 <= ell <= n:
         raise ValueError(f"ell={ell} outside [1, {n}]")
-    ratio = Fraction(comb(n + ell - 2, n - 1) * comb(2 * n - 1 - ell, n - 1), comb(3 * n - 2, n - 1))
-    out = ratio * n_asm(n)
-    assert out.denominator == 1
-    return out.numerator
+    num = comb(n + ell - 2, n - 1) * comb(2 * n - 1 - ell, n - 1) * n_asm(n)
+    return _exact_int(num, comb(3 * n - 2, n - 1))
 
 
 @lru_cache(maxsize=None)
@@ -787,14 +766,9 @@ def n_vsasm(size: int) -> int:
     if size < 1 or size % 2 == 0:
         raise ValueError(f"size must be odd and >= 1, got {size}")
     n = (size - 1) // 2
-    out = Fraction(1, 2**n)
-    for i in range(1, n + 1):
-        out *= Fraction(
-            factorial(6 * i - 2) * factorial(2 * i - 1),
-            factorial(4 * i - 1) * factorial(4 * i - 2),
-        )
-    assert out.denominator == 1
-    return out.numerator
+    num = prod(factorial(6 * i - 2) * factorial(2 * i - 1) for i in range(1, n + 1))
+    den = prod(factorial(4 * i - 1) * factorial(4 * i - 2) for i in range(1, n + 1))
+    return _exact_int(num, 2**n * den)
 
 
 def n_vsasm_refined(size: int, ell: int) -> int:
@@ -808,16 +782,13 @@ def n_vsasm_refined(size: int, ell: int) -> int:
     if not 1 <= ell <= size:
         raise ValueError(f"ell={ell} outside [1, {size}]")
     n = (size - 1) // 2
-    acc = 0
-    for i in range(1, ell):
-        term = Fraction(
-            factorial(2 * n + i - 2) * factorial(4 * n - i - 1),
-            factorial(i - 1) * factorial(2 * n - i),
-        )
-        acc += (-1) ** (ell + i - 1) * term
-    out = Fraction(n_vsasm(2 * n - 1), factorial(4 * n - 2)) * acc
-    assert out.denominator == 1, f"refined count not integral: {out}"
-    return out.numerator
+    # Each term is an integer: (2n+i-2)!/(i-1)! times (4n-i-1)!/(2n-i)!.
+    acc = sum(
+        (-1) ** (ell + i - 1) * factorial(2 * n + i - 2) * factorial(4 * n - i - 1)
+        // (factorial(i - 1) * factorial(2 * n - i))
+        for i in range(1, ell)
+    )
+    return _exact_int(n_vsasm(2 * n - 1) * acc, factorial(4 * n - 2))
 
 
 def vsasm_generating(size: int, t: Fraction | int) -> Fraction:
@@ -935,7 +906,7 @@ MODEL_OPS: dict[ModelId, Model] = {
         tangency=lambda x: [(0.5, 1.5), (-0.5, 1.5), (0.5, 0.5), (-0.5, 0.5)],
         parametric=CIRCLE_ARC,
         matrix=lambda n, k: aztec_matrix(n),
-        closed_l_inv=lambda n, k: aztec_closed_lu(n).L_inv,
+        closed_l_inv=lambda n, k: pascal_closed_lu(n).L_inv,
         b_column=lambda n, k, ell: aztec_b_column(n, ell),
         partition=lambda n, k: 2 ** (n * (n + 1) // 2),
         reference_ell=lambda n, k: n,

@@ -127,6 +127,10 @@ def test_envelope_rejects_small_grid(capsys):
         ["saddle", "--model", "aztec", "--n", "512", "--z", "2.0", "--tol", "0"],
         ["curve", "--model", "vsasm", "--samples", "1"],
         ["curve", "--model", "vsasm", "--samples", "0"],
+        ["plot", "--model", "aztec", "--z-min", "1.5", "--z-max", "4", "--out", "."],
+        ["onepoint", "--model", "aztec", "--n", "4", "--out", "."],
+        ["verify", "--model", "aztec", "--n", "2", "--json-out", "."],
+        ["oracle", "--model", "aztec", "--n", "2", "--dump", "d.ndjson"],
     ],
 )
 def test_invalid_inputs_exit_2(argv, capsys):

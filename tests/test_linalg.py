@@ -1,9 +1,13 @@
 """Exact matrix layer: Bareiss vs LU cross-validation and the LU machinery."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arctic.combinat import catalan
 from arctic.linalg import (
@@ -93,6 +97,45 @@ def test_leading_principal_minors_match_per_size_dets():
     minors = leading_principal_minors(m)
     for size in range(1, 7):
         assert minors[size - 1] == det_bareiss(m.truncate(size))
+
+
+def _leibniz_det(rows):
+    """Permutation-sum determinant, independent of any elimination."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+# Sparse integer matrices: zero leading minors force row swaps and zero dets.
+_sparse_square = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-4, 4).filter(bool) | st.just(0), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_sparse_square)
+def test_bareiss_matches_leibniz(rows):
+    m = ExactMatrix.from_rows(rows)
+    assert det_bareiss(m) == _leibniz_det(rows)
+    dets = [_leibniz_det([r[:size] for r in rows[:size]]) for size in range(1, len(rows) + 1)]
+    if all(dets):
+        assert leading_principal_minors(m) == dets
+    else:
+        with pytest.raises(SingularMinorError) as err:
+            leading_principal_minors(m)
+        assert err.value.index == dets.index(0)
+
+
+def test_bareiss_rejects_non_integer_entries():
+    with pytest.raises(TypeError):
+        det_bareiss(ExactMatrix.from_rows([[1, Fraction(1, 2)], [3, 4]]))
 
 
 def test_lu_identity():

@@ -130,6 +130,15 @@ def test_dyck_closed_l_gives_upper_triangle():
             assert L @ u == md.dyck_matrix(n, k)
 
 
+def test_integer_quotient_raises_on_remainder():
+    assert md._exact_int(12, 4) == 3
+    assert md._exact_int(Fraction(-10, 5)) == -2
+    with pytest.raises(ArithmeticError):
+        md._exact_int(7, 2)
+    with pytest.raises(ArithmeticError):
+        md._exact_int(Fraction(1, 3))
+
+
 def test_dyck_partition_examples():
     # Hankel matrix of Catalan numbers starting at c_1 has determinant 1.
     assert md.dyck_partition(2, 1) == 1
