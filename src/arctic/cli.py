@@ -430,8 +430,8 @@ def cmd_plot(args, parser) -> Report:
 
 def _positive(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
 
 

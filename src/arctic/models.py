@@ -41,8 +41,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial, prod
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -139,7 +140,9 @@ class Model:
 
     Exact values ``one_point(n, k, ell)`` and ``escape(n, k, target, ell)``
     have log-space profiles over all exits, ``log_profile(n, k)`` and
-    ``log_escape(n, target, k)``.  ``scan(n, z, x)`` gives the (size, target,
+    ``log_escape(n, target, k)``.  ``exact_profile(n, k)`` gives the
+    ``one_point`` values of all exits in one sweep; verification keeps to the
+    closed form ``one_point``.  ``scan(n, z, x)`` gives the (size, target,
     k) of a finite-n scan.  The large-n limits are ``saddle(z, x)`` for z in
     ``z_range``, ``action(z, xi, x) -> (s0, s1)``, ``geometry(xi, z, x) ->
     (exit point, target point)``, ``limit_curve(x)``, ``tangency(x)`` and
@@ -150,6 +153,7 @@ class Model:
     model: ModelId
     ell_max: Callable[[int, int | None], int]
     one_point: Callable[[int, int | None, int], Fraction]
+    exact_profile: Callable[[int, int | None], tuple[Fraction, ...]]
     escape: Callable[[int, int | None, int, int], int]
     log_profile: Callable[[int, int | None], np.ndarray]
     log_escape: Callable[[int, int, int | None], np.ndarray]
@@ -201,18 +205,27 @@ class Model:
 # ---------------------------------------------------------------------------
 
 _log_factorials = np.zeros(1)
+LOG_FACTORIAL_CAP = 2**20
 
 
 def _log_factorial(m: np.ndarray) -> np.ndarray:
-    """log(m!) for integer-valued m >= 0, read from a growing math.lgamma table."""
+    """log(m!) for integer-valued m >= 0, read from a growing math.lgamma table.
+
+    Past LOG_FACTORIAL_CAP entries (a far target would ask for a table linear
+    in z) lgamma is evaluated directly, giving the doubles the table would hold.
+    """
     global _log_factorials
     m = np.asarray(m, dtype=np.intp)
     have = len(_log_factorials)
     top = int(m.max(initial=0))
-    if top >= have:
-        more = [math.lgamma(i + 1.0) for i in range(have, max(top + 1, 2 * have))]
+    if top >= have and have < LOG_FACTORIAL_CAP:
+        stop = min(max(top + 1, 2 * have), LOG_FACTORIAL_CAP)
+        more = [math.lgamma(i + 1.0) for i in range(have, stop)]
         _log_factorials = np.concatenate([_log_factorials, more])
-    return _log_factorials[m]
+    if top < len(_log_factorials):
+        return _log_factorials[m]
+    args, where = np.unique(m, return_inverse=True)
+    return np.array([math.lgamma(a + 1.0) for a in args.tolist()])[where].reshape(m.shape)
 
 
 def _log_comb(n: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -298,6 +311,12 @@ def _exact_int(num: int | Fraction, den: int = 1) -> int:
 def _pascal_prefix(n: int, m: int) -> Fraction:
     """2^-n sum_{j <= m} C(n, j): the one-point function of the Pascal-row models."""
     return Fraction(sum(comb(n, j) for j in range(min(m, n) + 1)), 2**n)
+
+
+def _pascal_profile(n: int, ms: Iterable[int]) -> tuple[Fraction, ...]:
+    """:func:`_pascal_prefix` for each m of ``ms`` (0 for m < 0), from one accumulated row."""
+    prefix = list(accumulate(comb(n, j) for j in range(n + 1)))
+    return tuple(Fraction(prefix[m], 2**n) if m >= 0 else Fraction(0) for m in ms)
 
 
 @dataclass(frozen=True)
@@ -480,6 +499,26 @@ def dyck_one_point(n: int, k: int, ell: int) -> Fraction:
     return Fraction(total, comb(2 * n + 2 * k, n + ell))
 
 
+def _dyck_profile(n: int, k: int) -> tuple[Fraction, ...]:
+    """:func:`dyck_one_point` over every exit ell = 0..n+k.
+
+    H = 1 for ell <= n (the partial-sum identity).  Above n, with a = n+ell+1,
+    m = n+ell, r = 2n+1-2s and b = 2n+k-s, the summand t(s) = C(a, r) C(b, m)
+    obeys t(s+1) = t(s) r(r-1)(b-m) / ((a-r+2)(a-r+1) b), an exact integer
+    division, and vanishes once b < m.
+    """
+    out = [Fraction(1)] * (n + 1)
+    for ell in range(n + 1, n + k + 1):
+        a, m = n + ell + 1, n + ell
+        t = total = comb(a, 2 * n + 1) * comb(2 * n + k, m)
+        for s in range(min(n, n + k - ell)):
+            r, b = 2 * n + 1 - 2 * s, 2 * n + k - s
+            t = t * (r * (r - 1) * (b - m)) // ((a - r + 2) * (a - r + 1) * b)
+            total += t
+        out.append(Fraction(total, comb(2 * n + 2 * k, m)))
+    return tuple(out)
+
+
 def dyck_escape(p: int, ell: int) -> int:
     """Single monotone path continuations: C(p + ell - 1, ell)."""
     if p < 1 or ell < 0:
@@ -605,6 +644,13 @@ def red_one_point(n: int, k: int, ell: int) -> Fraction:
         for s in range(ell, n + 2)
     )
     return Fraction(2 * total, comb(2 * n + 2 * k, 2 * n + 3))
+
+
+def _red_profile(n: int, k: int) -> tuple[Fraction, ...]:
+    """:func:`red_one_point` over every exit ell = 0..n+1: suffix sums of one term list."""
+    terms = [comb(k + n - 1 - s, k - 2) * comb(k + n + s, k - 2) for s in range(n + 2)]
+    norm = comb(2 * n + 2 * k, 2 * n + 3)
+    return tuple(Fraction(2 * t, norm) for t in reversed(list(accumulate(reversed(terms)))))
 
 
 def _red_log_profile(n: int, k: int) -> np.ndarray:
@@ -782,13 +828,29 @@ def n_vsasm_refined(size: int, ell: int) -> int:
     if not 1 <= ell <= size:
         raise ValueError(f"ell={ell} outside [1, {size}]")
     n = (size - 1) // 2
-    # Each term is an integer: (2n+i-2)!/(i-1)! times (4n-i-1)!/(2n-i)!.
-    acc = sum(
-        (-1) ** (ell + i - 1) * factorial(2 * n + i - 2) * factorial(4 * n - i - 1)
-        // (factorial(i - 1) * factorial(2 * n - i))
-        for i in range(1, ell)
-    )
+    acc = sum((-1) ** (ell + i - 1) * _vsasm_term(n, i) for i in range(1, ell))
     return _exact_int(n_vsasm(2 * n - 1) * acc, factorial(4 * n - 2))
+
+
+def _vsasm_term(n: int, i: int) -> int:
+    """(2n+i-2)!/(i-1)! times (4n-i-1)!/(2n-i)!, the integer i-th term of the refined sum."""
+    num = factorial(2 * n + i - 2) * factorial(4 * n - i - 1)
+    return num // (factorial(i - 1) * factorial(2 * n - i))
+
+
+def _vsasm_profile(size: int, k: int | None) -> tuple[Fraction, ...]:
+    """``n_vsasm_refined(size, ell) / n_vsasm(size)`` over every exit ell = 1..size.
+
+    (-1)^(ell+i-1) = (-1)^(ell-1) (-1)^i, so the alternating sum of exit ell is,
+    up to its sign, the prefix over i < ell of one signed sum.
+    """
+    n = (size - 1) // 2
+    scale, den, total = n_vsasm(2 * n - 1), factorial(4 * n - 2), n_vsasm(size)
+    signed = accumulate(((-1) ** i * _vsasm_term(n, i) for i in range(1, size)), initial=0)
+    return tuple(
+        Fraction(_exact_int((-1) ** (ell - 1) * scale * acc, den), total)
+        for ell, acc in enumerate(signed, start=1)
+    )
 
 
 def vsasm_generating(size: int, t: Fraction | int) -> Fraction:
@@ -796,11 +858,7 @@ def vsasm_generating(size: int, t: Fraction | int) -> Fraction:
     if size < 3 or size % 2 == 0:
         raise ValueError(f"size must be odd and >= 3, got {size}")
     t = Fraction(t)
-    total = n_vsasm(size)
-    acc = Fraction(0)
-    for ell in range(1, size + 1):
-        acc += Fraction(n_vsasm_refined(size, ell), total) * t ** (ell - 1)
-    return acc
+    return sum((h * t**i for i, h in enumerate(_vsasm_profile(size, None))), Fraction(0))
 
 
 def raz_strog_check(size: int, t: Fraction | int) -> bool:
@@ -894,6 +952,7 @@ MODEL_OPS: dict[ModelId, Model] = {
         model=ModelId.AZTEC,
         ell_max=lambda n, k: n,
         one_point=lambda n, k, ell: aztec_one_point(n, ell),
+        exact_profile=lambda n, k: _pascal_profile(n, range(n + 1)),
         escape=lambda n, k, target, ell: aztec_escape(ell, target, n),
         log_profile=lambda n, k: _log_pascal_prefix(n) - n * math.log(2),
         log_escape=_aztec_log_escape,
@@ -915,6 +974,7 @@ MODEL_OPS: dict[ModelId, Model] = {
         model=ModelId.DYCK_HALF_HEX,
         ell_max=lambda n, k: n + k,
         one_point=lambda n, k, ell: dyck_one_point(n, k, ell),
+        exact_profile=_dyck_profile,
         escape=lambda n, k, target, ell: dyck_escape(target, ell),
         log_profile=_dyck_log_profile,
         log_escape=lambda n, target, k: _log_monotone_escape(target, np.arange(n + k + 1)),
@@ -937,6 +997,7 @@ MODEL_OPS: dict[ModelId, Model] = {
         model=ModelId.RED_HALF_HEX,
         ell_max=lambda n, k: n + 1,
         one_point=lambda n, k, ell: red_one_point(n, k, ell),
+        exact_profile=_red_profile,
         escape=lambda n, k, target, ell: dyck_escape(target, ell),
         log_profile=_red_log_profile,
         log_escape=lambda n, target, k: _log_monotone_escape(target, np.arange(n + 2)),
@@ -959,6 +1020,7 @@ MODEL_OPS: dict[ModelId, Model] = {
         model=ModelId.STAIRCASE,
         ell_max=lambda n, k: 2 * n,
         one_point=lambda n, k, ell: staircase_one_point(n, ell),
+        exact_profile=lambda n, k: _pascal_profile(n, [min(n, m) for m in range(2 * n, -1, -1)]),
         escape=lambda n, k, target, ell: staircase_escape(n, target, ell),
         log_profile=_staircase_log_profile,
         log_escape=lambda n, target, k: _log_comb(target - n - 1 + np.arange(2 * n + 1),
@@ -980,6 +1042,7 @@ MODEL_OPS: dict[ModelId, Model] = {
         model=ModelId.STAIRCASE_ALT,
         ell_max=lambda n, k: 2 * n,
         one_point=lambda n, k, ell: staircase_alt_one_point(n, ell),
+        exact_profile=lambda n, k: _pascal_profile(n, range(-n, n + 1)),  # m = ell - n
         escape=lambda n, k, target, ell: staircase_alt_escape(n, target, ell),
         log_profile=_staircase_alt_log_profile,
         log_escape=lambda n, target, k: _log_comb(2 * n - np.arange(2 * n + 1) - 1,
@@ -1001,6 +1064,7 @@ MODEL_OPS: dict[ModelId, Model] = {
         model=ModelId.VSASM,
         ell_max=lambda n, k: n,
         one_point=lambda n, k, ell: Fraction(n_vsasm_refined(n, ell), n_vsasm(n)),
+        exact_profile=_vsasm_profile,
         escape=lambda n, k, target, ell: vsasm_escape(ell, target, n),
         log_profile=_vsasm_log_profile,
         log_escape=_vsasm_log_escape,
@@ -1058,8 +1122,7 @@ def one_point_profile(
     ops = MODEL_OPS[model]
     ops.check_size(n, k)
     k = k if ops.needs_k else None
-    vals = tuple(ops.one_point(n, k, ell) for ell in ops.exits(n, k))
-    return OnePointProfile(model, n, k, ops.ell_start, vals)
+    return OnePointProfile(model, n, k, ops.ell_start, ops.exact_profile(n, k))
 
 
 def log_one_point_profile(model: ModelId, n: int, k: int | None = None) -> np.ndarray:

@@ -94,8 +94,8 @@ class EnvelopeError(ValueError):
 def _record(model: ModelId, x: float | None) -> Model:
     """The model's registry record, once its width x is known to be usable."""
     ops = MODEL_OPS[model]
-    if ops.needs_k and (x is None or x <= 0):
-        raise ValueError(f"{model.value} requires x > 0, got x={x}")
+    if ops.needs_k and (x is None or not (x > 0 and math.isfinite(x))):
+        raise ValueError(f"{model.value} requires a finite x > 0, got x={x}")
     return ops
 
 

@@ -131,6 +131,10 @@ def test_envelope_rejects_small_grid(capsys):
         ["onepoint", "--model", "aztec", "--n", "4", "--out", "."],
         ["verify", "--model", "aztec", "--n", "2", "--json-out", "."],
         ["oracle", "--model", "aztec", "--n", "2", "--dump", "d.ndjson"],
+        ["saddle", "--model", "aztec", "--n", "512", "--z", "2.0", "--tol", "inf"],
+        ["curve", "--model", "vsasm", "--samples", "10", "--tol", "inf"],
+        ["saddle", "--model", "dyck", "--n", "64", "--z", "2", "--x-model", "inf"],
+        ["envelope", "--model", "dyck", "--z-min", "0.5", "--z-max", "3", "--x-model", "nan"],
     ],
 )
 def test_invalid_inputs_exit_2(argv, capsys):

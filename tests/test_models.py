@@ -1,10 +1,12 @@
 """Model closed forms against enumeration oracles and determinant ratios."""
 
 import math
+import time
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from arctic.combinat import binomial, falling_factorial
 from arctic.linalg import ExactMatrix, det_bareiss, lu_exact
 from arctic.models import ModelId
 from arctic.oracle import enumerate_asm, enumerate_vsasm
+from arctic.tangent import finite_n_saddle
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +360,31 @@ def test_profile_crossover_guard():
     with pytest.raises(ValueError):
         md.one_point_profile(ModelId.AZTEC, 1000)
     md.one_point_profile(ModelId.AZTEC, 1000, exact_max=1024)
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=st.sampled_from(list(md.MODEL_OPS)), n=st.integers(0, 24), k=st.integers(1, 30))
+def test_exact_profile_sweep_matches_per_exit_closed_form(model, n, k):
+    """Each record's whole-profile sweep gives the per-exit closed form at every exit."""
+    ops = md.MODEL_OPS[model]
+    try:
+        ops.check_size(n, k)
+    except ValueError:
+        assume(False)
+    k = k if ops.needs_k else None
+    assert ops.exact_profile(n, k) == tuple(ops.one_point(n, k, ell) for ell in ops.exits(n, k))
+
+
+def test_log_factorial_table_is_capped_at_far_targets():
+    start = time.perf_counter()
+    for model in (ModelId.VSASM, ModelId.AZTEC, ModelId.DYCK_HALF_HEX):
+        finite_n_saddle(model, 64, 1e6, 1.0)
+        assert len(md._log_factorials) <= md.LOG_FACTORIAL_CAP, model
+    assert time.perf_counter() - start < 10.0
+    beyond = md.LOG_FACTORIAL_CAP + np.array([[7, 0], [7, 3]])
+    want = [[math.lgamma(v + 1.0) for v in row] for row in beyond.tolist()]
+    assert md._log_factorial(beyond).tolist() == want
+    assert float(md._log_factorial(np.array(md.LOG_FACTORIAL_CAP + 3))) == want[1][1]
 
 
 # ---------------------------------------------------------------------------
