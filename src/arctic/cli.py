@@ -322,12 +322,16 @@ def _tangents(args, parser) -> tuple[list[TangentLine], list[tuple[float, float]
     zmin, zmax, count = args.z_min, args.z_max, args.count
     if count < 8:
         parser.error(f"tangent grids need at least 8 points, got {count}")
+    if not (math.isfinite(zmin) and math.isfinite(zmax)):
+        parser.error(f"--z-min and --z-max must be finite, got {zmin}, {zmax}")
     if not zmin < zmax or (args.spacing == "log" and not zmin > 0):
         parser.error(f"need z_min < z_max, and z_min > 0 for log spacing; got {zmin}, {zmax}")
     if args.spacing == "log":
         grid = [zmin * (zmax / zmin) ** (i / (count - 1)) for i in range(count)]
     else:
         grid = [zmin + (zmax - zmin) * i / (count - 1) for i in range(count)]
+    if not all(map(math.isfinite, grid)):
+        parser.error(f"the {args.spacing} grid from --z-min {zmin} to --z-max {zmax} overflows")
     try:
         lines = tangent_family(ModelId(args.model), grid, args.x_model)
         points, _conds = envelope(lines)

@@ -378,41 +378,23 @@ def aztec_escape(ell: int, k: int, n: int) -> int:
     return entry0(n - ell, k - n - 1) + entry0(n - ell - 1, k - n - 1)
 
 
-def _log_schroeder_column(m_max: int, j: int) -> np.ndarray:
-    """log of the path weights A(m, j) for m = 0..m_max, by row logsumexp."""
-    if j < 0:
-        return np.full(m_max + 1, -np.inf)
-    m = np.arange(m_max + 1)
-    out = np.empty(m_max + 1)
-    p_max = min(m_max, j)
-    p = np.arange(p_max + 1)
-    for lo in range(0, m_max + 1, 512):
-        hi = min(lo + 512, m_max + 1)
-        mm = m[lo:hi][:, None]
-        pp = p[None, :]
-        valid = (pp <= mm) & (pp <= j)
-        terms = np.where(
-            valid,
-            _log_factorial(np.maximum(mm + j - pp, 0))
-            - _log_factorial(pp)
-            - _log_factorial(np.maximum(mm - pp, 0))
-            - _log_factorial(np.maximum(j - pp, 0)),
-            -np.inf,
-        )
-        out[lo:hi] = _logsumexp_rows(terms)
-    return out
-
-
 def _aztec_log_escape(n: int, target: int, k: int | None) -> np.ndarray:
+    """log :func:`aztec_escape` over ell = 0..n, from one exact Delannoy column.
+
+    The path weight A(m, j) is the Delannoy number D(m, j), and with
+    j = target - n - 1 exit ell escapes through D(n-ell, j) + D(n-ell-1, j).
+    The column obeys (m+1) D(m+1, j) = (2j+1) D(m, j) + m D(m-1, j) from
+    D(-1, j) = 0 and D(0, j) = 1, an exact integer division.
+    """
     if target <= n:
         raise ValueError(f"target k={target} must exceed n={n}")
-    col = _log_schroeder_column(n, target - n - 1)
-    ell = np.arange(n + 1)
-    a = col[n - ell]
-    b = np.where(n - ell - 1 >= 0, col[np.clip(n - ell - 1, 0, n)], -np.inf)
-    hi = np.maximum(a, b)
-    lo = np.minimum(a, b)
-    return np.where(np.isfinite(lo), hi + np.log1p(np.exp(lo - hi)), hi)
+    j = target - n - 1
+    out = np.empty(n + 1)
+    prev, cur = 0, 1
+    for m in range(n + 1):
+        out[n - m] = math.log(cur + prev)
+        prev, cur = cur, ((2 * j + 1) * cur + m * prev) // (m + 1)
+    return out
 
 
 def _aztec_action(z: float, xi: float, x: float | None) -> tuple[float, float]:
@@ -1108,23 +1090,22 @@ class OnePointProfile:
         return range(self.ell_start, self.ell_start + len(self.values))
 
 
-def one_point_profile(
-    model: ModelId, n: int, k: int | None = None, exact_max: int = EXACT_PROFILE_MAX
-) -> OnePointProfile:
+def one_point_profile(model: ModelId, n: int, k: int | None = None) -> OnePointProfile:
     """Exact profile of H over the full exit range.
 
-    Sizes above ``exact_max`` are refused; use :func:`log_one_point_profile`
-    there (the crossover exists because exact partial sums at Stirling scale
-    are pointless work).
+    Sizes above ``EXACT_PROFILE_MAX`` are refused; use
+    :func:`log_one_point_profile` there (the crossover exists because exact
+    partial sums at Stirling scale are pointless work).
     """
-    if n > exact_max:
-        raise ValueError(f"n={n} exceeds exact profile crossover {exact_max}")
+    if n > EXACT_PROFILE_MAX:
+        raise ValueError(f"n={n} exceeds exact profile crossover {EXACT_PROFILE_MAX}")
     ops = MODEL_OPS[model]
     ops.check_size(n, k)
     k = k if ops.needs_k else None
     return OnePointProfile(model, n, k, ops.ell_start, ops.exact_profile(n, k))
 
 
+@lru_cache(maxsize=8)
 def log_one_point_profile(model: ModelId, n: int, k: int | None = None) -> np.ndarray:
     """log H over the exit range, from the positive closed forms only.
 
@@ -1133,20 +1114,14 @@ def log_one_point_profile(model: ModelId, n: int, k: int | None = None) -> np.nd
     alternating refined formula is never evaluated at large size.
 
     Profiles are target-independent, so results are cached (read-only arrays)
-    for reuse across a scan's whole parameter grid.
+    for reuse across a scan's whole parameter grid; the cache keeps the latest
+    8 keys, at least one per model.
     """
-    cached = _profile_cache.get((model, n, k))
-    if cached is not None:
-        return cached
     ops = MODEL_OPS[model]
     ops.check_size(n, k)
     out = ops.log_profile(n, k)
     out.setflags(write=False)
-    _profile_cache[(model, n, k)] = out
     return out
-
-
-_profile_cache: dict[tuple[ModelId, int, int | None], np.ndarray] = {}
 
 
 def log_escape_profile(model: ModelId, n: int, target: int, k: int | None = None) -> np.ndarray:

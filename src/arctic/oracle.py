@@ -328,33 +328,36 @@ class AsmMatrix:
         )
 
 
-def _candidate_rows(partial: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-    """All valid next rows given column partial sums, in lexicographic order.
+def _alternating_rows(
+    partial: tuple[int, ...], accept: Callable[[int, int], bool]
+) -> Iterable[tuple[int, ...]]:
+    """Rows that may follow column partial sums, in lexicographic order.
 
     A row entry may be +1 only over a column with partial sum 0 and -1 only
     over partial sum 1; within the row the nonzero entries must read
-    +1, -1, ..., +1.
+    +1, -1, +1, ...  A complete row is yielded when ``accept(net, last)``
+    holds for its entry sum and its last nonzero entry (0 if none).
     """
     n = len(partial)
     row = [0] * n
 
-    def rec(j: int, expect: int, placed_net: int):
+    def rec(j: int, expect: int, net: int, last: int):
         if j == n:
-            if placed_net == 1:
+            if accept(net, last):
                 yield tuple(row)
             return
         # Lexicographic order over entry values -1 < 0 < 1.
         if expect == -1 and partial[j] == 1:
             row[j] = -1
-            yield from rec(j + 1, 1, placed_net - 1)
+            yield from rec(j + 1, 1, net - 1, -1)
             row[j] = 0
-        yield from rec(j + 1, expect, placed_net)
+        yield from rec(j + 1, expect, net, last)
         if expect == 1 and partial[j] == 0:
             row[j] = 1
-            yield from rec(j + 1, -1, placed_net + 1)
+            yield from rec(j + 1, -1, net + 1, 1)
             row[j] = 0
 
-    yield from rec(0, 1, 0)
+    yield from rec(0, 1, 0, 0)
 
 
 def enumerate_asm(n: int) -> list[AsmMatrix]:
@@ -371,45 +374,13 @@ def enumerate_asm(n: int) -> list[AsmMatrix]:
             if all(s == 1 for s in partial):
                 out.append(AsmMatrix(n, tuple(rows)))
             return
-        for row in _candidate_rows(partial):
+        for row in _alternating_rows(partial, lambda net, last: net == 1):
             rows.append(row)
             rec(tuple(p + r for p, r in zip(partial, row)))
             rows.pop()
 
     rec(tuple([0] * n))
     return out
-
-
-def _candidate_half_rows(
-    partial: tuple[int, ...], mid_sign: int
-) -> Iterable[tuple[int, ...]]:
-    """Left halves of symmetric rows compatible with the forced middle entry.
-
-    The full row reads (left, mid, reversed(left)); it alternates iff the left
-    part alternates starting with +1 and its last nonzero differs from
-    ``mid_sign`` (when the left part is empty, ``mid_sign`` must be +1).  The
-    full row sums to 1 iff the left part sums to (1 - mid_sign) / 2.
-    """
-    n = len(partial)
-    need = (1 - mid_sign) // 2
-    row = [0] * n
-
-    def rec(j: int, expect: int, net: int, last: int):
-        if j == n:
-            if net == need and (last == -mid_sign or (last == 0 and mid_sign == 1)):
-                yield tuple(row)
-            return
-        if expect == -1 and partial[j] == 1:
-            row[j] = -1
-            yield from rec(j + 1, 1, net - 1, -1)
-            row[j] = 0
-        yield from rec(j + 1, expect, net, last)
-        if expect == 1 and partial[j] == 0:
-            row[j] = 1
-            yield from rec(j + 1, -1, net + 1, 1)
-            row[j] = 0
-
-    yield from rec(0, 1, 0, 0)
 
 
 def enumerate_vsasm(size: int) -> tuple[list[AsmMatrix], list[int]]:
@@ -433,6 +404,17 @@ def enumerate_vsasm(size: int) -> tuple[list[AsmMatrix], list[int]]:
     out: list[AsmMatrix] = []
     lefts: list[tuple[int, ...]] = []
 
+    def half_row_fits(mid_sign: int) -> Callable[[int, int], bool]:
+        """Whether a left half fits the forced middle entry ``mid_sign``.
+
+        The full row reads (left, mid, reversed(left)); it alternates iff the
+        left part's last nonzero differs from ``mid_sign`` (an empty left part
+        needs ``mid_sign`` = +1), and it sums to 1 iff the left part sums to
+        (1 - mid_sign) / 2.
+        """
+        need, lasts = (0, (-1, 0)) if mid_sign == 1 else (1, (1,))
+        return lambda net, last: net == need and last in lasts
+
     def rec(partial: tuple[int, ...]):
         i = len(lefts)
         if i == size:
@@ -442,7 +424,7 @@ def enumerate_vsasm(size: int) -> tuple[list[AsmMatrix], list[int]]:
                 )
                 out.append(AsmMatrix(size, full))
             return
-        for left in _candidate_half_rows(partial, (-1) ** i):
+        for left in _alternating_rows(partial, half_row_fits((-1) ** i)):
             lefts.append(left)
             rec(tuple(p + r for p, r in zip(partial, left)))
             lefts.pop()

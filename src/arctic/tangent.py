@@ -129,7 +129,8 @@ def finite_n_saddle(model: ModelId, n: int, z: float, x: float | None = None) ->
     Ties break toward smaller ell; a plateau wider than
     ``PLATEAU_DEGENERATE_WIDTH`` grid points marks the result degenerate.
     The returned ``xi_hat`` is the exit index scaled by n (by the matrix size
-    for the osculating model).
+    for the osculating model).  Targets above 2**53 are refused: the log-space
+    profiles index with doubles, which stop holding every integer there.
     """
     if n < 64:
         raise ValueError(f"finite-n scan needs n >= 64, got {n}")
@@ -138,6 +139,8 @@ def finite_n_saddle(model: ModelId, n: int, z: float, x: float | None = None) ->
     if not lo < z < hi + 1e-12:
         raise ValueError(f"z={z} outside admissible range ({lo}, {hi}) for {model.value}")
     size, target, k = ops.scan(n, z, x)
+    if target > 2**53:
+        raise ValueError(f"scan target {float(target):.3g} at n={n}, z={z} exceeds 2**53")
     log_h = log_one_point_profile(model, size, k)
     log_y = log_escape_profile(model, size, target, k)
     total = log_h + log_y

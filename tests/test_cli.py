@@ -135,6 +135,8 @@ def test_envelope_rejects_small_grid(capsys):
         ["curve", "--model", "vsasm", "--samples", "10", "--tol", "inf"],
         ["saddle", "--model", "dyck", "--n", "64", "--z", "2", "--x-model", "inf"],
         ["envelope", "--model", "dyck", "--z-min", "0.5", "--z-max", "3", "--x-model", "nan"],
+        *(["saddle", "--model", m, "--n", "64", "--z", "1e300"]
+          for m in ("aztec", "dyck", "red", "staircase", "vsasm")),
     ],
 )
 def test_invalid_inputs_exit_2(argv, capsys):
@@ -142,6 +144,27 @@ def test_invalid_inputs_exit_2(argv, capsys):
         main(argv)
     assert err.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ["--z-min", "1.5", "--z-max", "inf"],
+        ["--z-min", "nan", "--z-max", "4"],
+        ["--z-min", "0.1", "--z-max", "1e308", "--spacing", "log"],
+        ["--z-min=-1e308", "--z-max", "1e308"],
+    ],
+)
+@pytest.mark.parametrize("command", ["envelope", "plot"])
+def test_non_finite_z_grid_names_the_bounds(command, bounds, capsys, tmp_path):
+    """Non-finite bounds, or bounds whose grid overflows, exit 2 naming the flags."""
+    out = ["--out", str(tmp_path / "p.svg")] if command == "plot" else []
+    with pytest.raises(SystemExit) as err:
+        main([command, "--model", "aztec", *bounds, *out])
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert "--z-max" in err_text and "Traceback" not in err_text
+    assert not (tmp_path / "p.svg").exists()
 
 
 def test_report_without_checks_fails():

@@ -359,7 +359,15 @@ def test_log_profiles_match_exact_values(model, n, k, offsets):
 def test_profile_crossover_guard():
     with pytest.raises(ValueError):
         md.one_point_profile(ModelId.AZTEC, 1000)
-    md.one_point_profile(ModelId.AZTEC, 1000, exact_max=1024)
+
+
+@pytest.mark.parametrize("n, z", [(4096, 1.1), (512, 5.0)])
+def test_aztec_log_escape_is_log_of_exact_escape(n, z):
+    """The Delannoy-column sweep gives the rounded log of each exact escape integer."""
+    t = round(z * n)
+    logs = md.log_escape_profile(ModelId.AZTEC, n, t)
+    for ell in (0, 1, n // 2, n - 1, n):
+        assert logs[ell] == math.log(md.aztec_escape(ell, t, n)), ell
 
 
 @settings(max_examples=300, deadline=None)
