@@ -509,18 +509,44 @@ def dyck_escape(p: int, ell: int) -> int:
 
 
 def _dyck_log_profile(n: int, k: int) -> np.ndarray:
-    ells = np.arange(n + k + 1)
-    s = np.arange(n + 1)
-    out = np.empty(n + k + 1)
-    norm = _log_comb(np.full(n + k + 1, 2 * n + 2 * k), n + ells)
-    for lo in range(0, n + k + 1, 512):
-        hi = min(lo + 512, n + k + 1)
-        blk = ells[lo:hi][:, None]
-        terms = _log_comb(blk + n + 1, 2 * n + 1 - 2 * s[None, :]) + _log_comb(
-            2 * n + k - s[None, :], blk + n
-        )
-        out[lo:hi] = _logsumexp_rows(terms)
-    return out - norm
+    """log :func:`dyck_one_point` over ell = 0..n+k, summed over a window at each peak.
+
+    Rows ell <= n are exactly 0 (H = 1).  Above n the summand t(s) of
+    :func:`_dyck_profile` is log-concave in s on 0 <= s <= min(n, n+k-ell),
+    so its peak is the first s where the term ratio drops below 1, found by
+    bisection.  Each block of 512 rows sums the window [peak - w, peak + w]
+    (shifted right at s = 0), and w doubles until every window edge that is
+    not a domain end lies ln(2^60 (n+1)) below its row maximum: by
+    unimodality the at most n+1 dropped terms then sum to under 2^-60 of the
+    row.  The edge test alone proves that bound, whatever the bisection found.
+    """
+    out = np.zeros(n + k + 1)
+    ells = np.arange(n + 1, n + k + 1)
+    a, m = n + ells + 1, n + ells
+    top = np.minimum(n, n + k - ells)
+    peaks, hi = np.zeros(k, dtype=np.intp), top
+    while (peaks < hi).any():
+        mid = (peaks + hi) // 2
+        r, b = 2 * n + 1 - 2 * mid, 2 * n + k - mid
+        rising = r * (r - 1.0) * (b - m) >= (a - r + 2.0) * (a - r + 1.0) * b
+        peaks, hi = np.where(rising, mid + 1, peaks), np.where(rising, hi, mid)
+    cut = 60 * math.log(2) + math.log(n + 1)
+    w = 16
+    for i in range(0, k, 512):
+        ell, peak, end = ells[i : i + 512, None], peaks[i : i + 512], top[i : i + 512]
+        while True:
+            start = np.maximum(peak - w, 0)
+            s = start[:, None] + np.arange(2 * w + 1)
+            terms = _log_comb(ell + n + 1, 2 * n + 1 - 2 * s) + _log_comb(2 * n + k - s, ell + n)
+            floor = terms.max(axis=1) - cut
+            left_ok = (start == 0) | (terms[:, 0] <= floor)
+            right_ok = (start + 2 * w >= end) | (terms[:, -1] <= floor)
+            if (left_ok & right_ok).all():
+                break
+            w *= 2
+        out[n + 1 + i : n + 1 + i + len(peak)] = _logsumexp_rows(terms)
+    out[n + 1 :] -= _log_comb(np.full(k, 2 * n + 2 * k), m)
+    return out
 
 
 def _dyck_cubic(x: float, y: float, xi: float) -> float:
@@ -790,13 +816,18 @@ def n_asm_refined(n: int, ell: int) -> int:
 
 @lru_cache(maxsize=None)
 def n_vsasm(size: int) -> int:
-    """Number of vertically symmetric ASMs of odd size 2n + 1."""
+    """Number of vertically symmetric ASMs of odd size 2n + 1.
+
+    Walks V(2m+1) = V(2m-1) (6m-2)! (2m-1)! / (2 (4m-1)! (4m-2)!) from V(1) = 1,
+    one factor of the product formula per step, each step an exact quotient.
+    """
     if size < 1 or size % 2 == 0:
         raise ValueError(f"size must be odd and >= 1, got {size}")
-    n = (size - 1) // 2
-    num = prod(factorial(6 * i - 2) * factorial(2 * i - 1) for i in range(1, n + 1))
-    den = prod(factorial(4 * i - 1) * factorial(4 * i - 2) for i in range(1, n + 1))
-    return _exact_int(num, 2**n * den)
+    v = 1
+    for m in range(1, (size - 1) // 2 + 1):
+        num = v * factorial(6 * m - 2) * factorial(2 * m - 1)
+        v = _exact_int(num, 2 * factorial(4 * m - 1) * factorial(4 * m - 2))
+    return v
 
 
 def n_vsasm_refined(size: int, ell: int) -> int:
@@ -1093,7 +1124,7 @@ class OnePointProfile:
 def one_point_profile(model: ModelId, n: int, k: int | None = None) -> OnePointProfile:
     """Exact profile of H over the full exit range.
 
-    Sizes above ``EXACT_PROFILE_MAX`` are refused; use
+    Sizes n or k above ``EXACT_PROFILE_MAX`` are refused; use
     :func:`log_one_point_profile` there (the crossover exists because exact
     partial sums at Stirling scale are pointless work).
     """
@@ -1102,6 +1133,8 @@ def one_point_profile(model: ModelId, n: int, k: int | None = None) -> OnePointP
     ops = MODEL_OPS[model]
     ops.check_size(n, k)
     k = k if ops.needs_k else None
+    if k is not None and k > EXACT_PROFILE_MAX:
+        raise ValueError(f"k={k} exceeds exact profile crossover {EXACT_PROFILE_MAX}")
     return OnePointProfile(model, n, k, ops.ell_start, ops.exact_profile(n, k))
 
 

@@ -21,7 +21,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import MODEL_OPS, Model, ModelId, log_escape_profile, log_one_point_profile, r_asm
+from .models import (
+    LOG_FACTORIAL_CAP,
+    MODEL_OPS,
+    Model,
+    ModelId,
+    log_escape_profile,
+    log_one_point_profile,
+    r_asm,
+)
 
 __all__ = [
     "SaddleResult",
@@ -130,7 +138,9 @@ def finite_n_saddle(model: ModelId, n: int, z: float, x: float | None = None) ->
     ``PLATEAU_DEGENERATE_WIDTH`` grid points marks the result degenerate.
     The returned ``xi_hat`` is the exit index scaled by n (by the matrix size
     for the osculating model).  Targets above 2**53 are refused: the log-space
-    profiles index with doubles, which stop holding every integer there.
+    profiles index with doubles, which stop holding every integer there.  So
+    are exit ranges longer than ``LOG_FACTORIAL_CAP``, whose profile arrays
+    could exhaust memory.
     """
     if n < 64:
         raise ValueError(f"finite-n scan needs n >= 64, got {n}")
@@ -141,6 +151,12 @@ def finite_n_saddle(model: ModelId, n: int, z: float, x: float | None = None) ->
     size, target, k = ops.scan(n, z, x)
     if target > 2**53:
         raise ValueError(f"scan target {float(target):.3g} at n={n}, z={z} exceeds 2**53")
+    exits = ops.exits(size, k)
+    count = exits.stop - exits.start  # len() overflows past sys.maxsize
+    if count > LOG_FACTORIAL_CAP:
+        raise ValueError(
+            f"{model.value} scan at n={n} has {float(count):.3g} exits, over {LOG_FACTORIAL_CAP}"
+        )
     log_h = log_one_point_profile(model, size, k)
     log_y = log_escape_profile(model, size, target, k)
     total = log_h + log_y

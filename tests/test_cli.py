@@ -137,6 +137,10 @@ def test_envelope_rejects_small_grid(capsys):
         ["envelope", "--model", "dyck", "--z-min", "0.5", "--z-max", "3", "--x-model", "nan"],
         *(["saddle", "--model", m, "--n", "64", "--z", "1e300"]
           for m in ("aztec", "dyck", "red", "staircase", "vsasm")),
+        ["saddle", "--model", "dyck", "--n", "64", "--x-model", "1e12", "--z", "1"],
+        *(["saddle", "--model", m.value, "--n", "1000000000000", "--z", "1.5"] for m in ModelId),
+        ["onepoint", "--model", "dyck", "--n", "4", "--k", "100000000000"],
+        ["onepoint", "--model", "red", "--n", "4", "--k", "100000000000"],
     ],
 )
 def test_invalid_inputs_exit_2(argv, capsys):

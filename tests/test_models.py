@@ -370,6 +370,14 @@ def test_aztec_log_escape_is_log_of_exact_escape(n, z):
         assert logs[ell] == math.log(md.aztec_escape(ell, t, n)), ell
 
 
+@pytest.mark.parametrize("n, k", [(512, 512), (64, 512), (300, 700)])
+def test_dyck_windowed_log_profile_matches_exact(n, k):
+    """The peak-window sums agree with the exact sweep, and H = 1 rows are exactly 0."""
+    logs = md.log_one_point_profile(ModelId.DYCK_HALF_HEX, n, k)
+    assert (logs[: n + 1] == 0.0).all()
+    _assert_log_close(logs, md._dyck_profile(n, k), (n, k))
+
+
 @settings(max_examples=300, deadline=None)
 @given(model=st.sampled_from(list(md.MODEL_OPS)), n=st.integers(0, 24), k=st.integers(1, 30))
 def test_exact_profile_sweep_matches_per_exit_closed_form(model, n, k):
