@@ -40,6 +40,11 @@ from .oracle import (
 )
 from .tangent import TangentLine, analytic_saddle, envelope, finite_n_saddle, tangent_family
 
+# Most tangent lines (--count) or curve samples (--samples) one command builds;
+# an unbounded value would be built as one list and could exhaust memory.
+GRID_MAX = 2**20
+
+
 def fraction_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
@@ -198,11 +203,13 @@ def _sized_model(args, parser: argparse.ArgumentParser) -> tuple[ModelId, int | 
     """The model named by --model and its k, after checking --n and --k."""
     model = ModelId(args.model)
     ops = MODEL_OPS[model]
+    if args.k is not None and not ops.needs_k:
+        parser.error(f"model {model.value} takes no --k, got --k {args.k}")
     try:
         ops.check_size(args.n, args.k)
     except ValueError as exc:
         parser.error(str(exc))
-    return model, args.k if ops.needs_k else None
+    return model, args.k
 
 
 def cmd_verify(args, parser) -> Report:
@@ -265,8 +272,8 @@ def cmd_onepoint(args, parser) -> Report:
     except ValueError as exc:
         parser.error(str(exc))
     rows = ["ell,value"]
-    rows += [f"{ell},{fraction_str(profile[ell])}" for ell in profile.ells]
-    bounded = all(0 <= v <= 1 for v in profile.values)
+    rows += [f"{ell},{fraction_str(value)}" for ell, value in profile.items()]
+    bounded = all(0 <= v <= 1 for v in profile.values())
     rep.add("profile values within [0, 1]", True, bounded)
     reference_ell = MODEL_OPS[model].reference_ell
     if reference_ell is not None:
@@ -320,8 +327,8 @@ def cmd_oracle(args, parser) -> Report:
 def _tangents(args, parser) -> tuple[list[TangentLine], list[tuple[float, float]]]:
     """The tangent family over the --z-min/--z-max grid and its envelope points."""
     zmin, zmax, count = args.z_min, args.z_max, args.count
-    if count < 8:
-        parser.error(f"tangent grids need at least 8 points, got {count}")
+    if not 8 <= count <= GRID_MAX:
+        parser.error(f"--count must be between 8 and {GRID_MAX}, got {count}")
     if not (math.isfinite(zmin) and math.isfinite(zmax)):
         parser.error(f"--z-min and --z-max must be finite, got {zmin}, {zmax}")
     if not zmin < zmax or (args.spacing == "log" and not zmin > 0):
@@ -394,13 +401,13 @@ def cmd_envelope(args, parser) -> Report:
 
 def cmd_curve(args, parser) -> Report:
     model = ModelId(args.model)
-    rep = Report("curve", model.value, {"samples": args.samples, "x_model": args.x_model})
+    rep = Report("curve", model.value, {"samples": args.samples})
     par = MODEL_OPS[model].parametric
     if par is None:
         parser.error(f"no parametric form for {model.value}; available: "
                      + ", ".join(sorted(m.value for m, ops in MODEL_OPS.items() if ops.parametric)))
-    if args.samples < 2:
-        parser.error(f"--samples must be at least 2, got {args.samples}")
+    if not 2 <= args.samples <= GRID_MAX:
+        parser.error(f"--samples must be between 2 and {GRID_MAX}, got {args.samples}")
     t0, t1 = par.t_range
     rows = ["t,x,y,residual"]
     worst = 0.0
@@ -447,10 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     model_names = [m.value for m in ModelId]
 
-    def add_common(p, with_n=True):
+    def add_common(p, with_n=True, with_k=True):
         p.add_argument("--model", required=True, choices=model_names)
         if with_n:
             p.add_argument("--n", type=int, required=True)
+        if with_n and with_k:
             p.add_argument("--k", type=int, default=None)
         p.add_argument("--json-out", default=None, help="write the JSON report here")
 
@@ -466,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", default=None, help="newline-delimited JSON dump of enumerated objects")
 
     p = sub.add_parser("saddle", help="finite-n saddle scan against the analytic saddle")
-    add_common(p)
+    add_common(p, with_k=False)
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--x-model", type=float, default=1.0)
     p.add_argument("--tol", type=_positive, default=0.01)
@@ -484,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", help="parametric curve samples and residuals")
     add_common(p, with_n=False)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--x-model", type=float, default=1.0)
     p.add_argument("--tol", type=_positive, default=1e-12)
     p.add_argument("--out", default=None)
 

@@ -22,9 +22,7 @@ __all__ = [
     "det_bareiss",
     "leading_principal_minors",
     "lu_exact",
-    "unit_lower_inverse",
     "det_ratio_last_column",
-    "gf_convolve_truncated",
 ]
 
 Scalar = Fraction | int
@@ -87,9 +85,6 @@ class ExactMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix.from_function(self.cols, self.rows, lambda i, j: self[j, i])
 
     def truncate(self, size: int) -> "ExactMatrix":
         """Leading size x size corner."""
@@ -225,16 +220,6 @@ def lu_exact(m: ExactMatrix) -> LUPair:
     return LUPair(ExactMatrix.from_rows(low), ExactMatrix.from_rows(u))
 
 
-def unit_lower_inverse(low: ExactMatrix) -> ExactMatrix:
-    """Inverse of a unit lower triangular matrix by forward substitution."""
-    n = low.rows
-    inv = [[int(i == j) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i):
-            inv[i][j] = -sum(low[i, k] * inv[k][j] for k in range(j, i))
-    return ExactMatrix.from_rows(inv)
-
-
 def det_ratio_last_column(
     l_inv_last_row: Sequence[Scalar],
     b: Sequence[Scalar],
@@ -251,17 +236,3 @@ def det_ratio_last_column(
         raise ZeroDivisionError("U_{n,n} is zero")
     return Fraction(sum(li * bi for li, bi in zip(l_inv_last_row, b)), u_nn)
 
-
-def gf_convolve_truncated(fa: ExactMatrix, fb: ExactMatrix, size: int) -> ExactMatrix:
-    """Convolution of two-variable coefficient tables, truncated to size.
-
-    Equals the coefficient table of the product generating function whenever
-    one factor is lower triangular and the other upper triangular (then the
-    truncation commutes with the product); computed as the exact matrix product
-    of the size x size truncations.
-    """
-    if min(fa.rows, fa.cols, fb.rows, fb.cols) < size:
-        raise ValueError(
-            f"tables {fa.rows}x{fa.cols} and {fb.rows}x{fb.cols} cannot serve size {size}"
-        )
-    return fa.truncate(size) @ fb.truncate(size)

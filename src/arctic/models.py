@@ -64,11 +64,9 @@ __all__ = [
     "ModelId",
     "Model",
     "MODEL_OPS",
-    "OnePointProfile",
-    "ClosedLU",
     "aztec_entry",
     "aztec_matrix",
-    "aztec_closed_lu",
+    "aztec_closed_U",
     "aztec_b_column",
     "aztec_one_point",
     "aztec_escape",
@@ -83,6 +81,7 @@ __all__ = [
     "red_entry",
     "red_matrix",
     "red_closed_L",
+    "red_u_diagonal",
     "red_partition",
     "red_b_column",
     "red_one_point",
@@ -90,7 +89,7 @@ __all__ = [
     "staircase_alt_entry",
     "staircase_matrix",
     "staircase_alt_matrix",
-    "pascal_closed_lu",
+    "pascal_closed_L",
     "staircase_b_column",
     "staircase_alt_b_column",
     "staircase_one_point",
@@ -101,7 +100,6 @@ __all__ = [
     "n_asm_refined",
     "n_vsasm",
     "n_vsasm_refined",
-    "vsasm_generating",
     "raz_strog_check",
     "vsasm_escape",
     "r_asm",
@@ -138,8 +136,9 @@ class Model:
     models, the extension width for the osculating model), ``z`` its scaled
     value and ``xi`` a scaled exit.
 
-    Exact values ``one_point(n, k, ell)`` and ``escape(n, k, target, ell)``
-    have log-space profiles over all exits, ``log_profile(n, k)`` and
+    ``exits(n, k)`` is the range of exit positions ell.  Exact values
+    ``one_point(n, k, ell)`` and ``escape(n, k, target, ell)`` have log-space
+    profiles over all exits, ``log_profile(n, k)`` and
     ``log_escape(n, target, k)``.  ``exact_profile(n, k)`` gives the
     ``one_point`` values of all exits in one sweep; verification keeps to the
     closed form ``one_point``.  ``scan(n, z, x)`` gives the (size, target,
@@ -151,7 +150,7 @@ class Model:
     """
 
     model: ModelId
-    ell_max: Callable[[int, int | None], int]
+    exits: Callable[[int, int | None], range]
     one_point: Callable[[int, int | None, int], Fraction]
     exact_profile: Callable[[int, int | None], tuple[Fraction, ...]]
     escape: Callable[[int, int | None, int, int], int]
@@ -166,7 +165,6 @@ class Model:
     tangency: Callable[[float], list[Point]]
     parametric: ParametricCurve | None = None
     needs_k: bool = False
-    ell_start: int = 0
     matrix: Callable[[int, int | None], ExactMatrix] | None = None
     closed_l_inv: Callable[[int, int | None], ExactMatrix] | None = None
     b_column: Callable[[int, int | None, int], list[int]] | None = None
@@ -184,9 +182,6 @@ class Model:
         ``closed_l_inv``, ``b_column`` and ``one_point``, never ``partition``.
         """
         return self.partition is not None
-
-    def exits(self, n: int, k: int | None) -> range:
-        return range(self.ell_start, self.ell_max(n, k) + 1)
 
     def check_size(self, n: int, k: int | None) -> None:
         """Raise ValueError unless the exact formulas accept sizes (n, k)."""
@@ -246,12 +241,6 @@ def _logsumexp_rows(m: np.ndarray) -> np.ndarray:
     s = np.sum(np.exp(m - safe[:, None]), axis=1, where=np.isfinite(m), out=np.zeros(len(m)))
     with np.errstate(divide="ignore"):
         return np.where(np.isfinite(mx), safe + np.log(s), -np.inf)
-
-
-def _log_pascal_prefix(n: int) -> np.ndarray:
-    """log sum_{j <= m} C(n, j) for m = 0..n."""
-    p = np.arange(n + 1)
-    return np.logaddexp.accumulate(_log_comb(np.full(n + 1, n), p))
 
 
 def _log_monotone_escape(target: int, ell: np.ndarray) -> np.ndarray:
@@ -319,13 +308,18 @@ def _pascal_profile(n: int, ms: Iterable[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(prefix[m], 2**n) if m >= 0 else Fraction(0) for m in ms)
 
 
-@dataclass(frozen=True)
-class ClosedLU:
-    """Closed-form factors; U or L_inv may be absent for some models."""
+def _log_pascal_profile(n: int, ms: np.ndarray) -> np.ndarray:
+    """log of :func:`_pascal_profile` (-inf for m < 0), from one accumulated log row."""
+    row = np.logaddexp.accumulate(_log_comb(np.full(n + 1, n), np.arange(n + 1)))
+    return np.where(ms >= 0, row[np.clip(ms, 0, n)], -np.inf) - n * math.log(2)
 
-    L: ExactMatrix
-    U: ExactMatrix | None
-    L_inv: ExactMatrix
+
+def _pascal_row_profiles(ms: Callable[[int], np.ndarray]) -> dict[str, Callable]:
+    """Exact and log profile fields of a Pascal-row model whose exits read prefixes ms(n)."""
+    return {
+        "exact_profile": lambda n, k: _pascal_profile(n, ms(n).tolist()),
+        "log_profile": lambda n, k: _log_pascal_profile(n, ms(n)),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +338,9 @@ def aztec_matrix(n: int) -> ExactMatrix:
     return ExactMatrix.from_function(n + 1, n + 1, aztec_entry)
 
 
-def aztec_closed_lu(n: int) -> ClosedLU:
-    """The Pascal L and L^-1 of :func:`pascal_closed_lu` with U = 2^i C(j,i)."""
-    pascal = pascal_closed_lu(n)
-    U = ExactMatrix.from_function(n + 1, n + 1, lambda i, j: 2**i * binomial(j, i))
-    return ClosedLU(pascal.L, U, pascal.L_inv)
+def aztec_closed_U(n: int) -> ExactMatrix:
+    """U = 2^i C(j, i), the upper factor of the diamond matrix under the Pascal L."""
+    return ExactMatrix.from_function(n + 1, n + 1, lambda i, j: 2**i * binomial(j, i))
 
 
 def aztec_b_column(n: int, ell: int) -> list[int]:
@@ -713,11 +705,11 @@ def staircase_alt_matrix(n: int) -> ExactMatrix:
     return ExactMatrix.from_function(n + 1, n + 1, staircase_alt_entry)
 
 
-def pascal_closed_lu(n: int) -> ClosedLU:
-    """L = C(i,j) with U unavailable in closed form off the diagonal."""
+def pascal_closed_L(n: int) -> tuple[ExactMatrix, ExactMatrix]:
+    """The Pascal lower factor C(i, j) of the diamond and staircase matrices, and its inverse."""
     L = ExactMatrix.from_function(n + 1, n + 1, lambda i, j: binomial(i, j))
     Linv = ExactMatrix.from_function(n + 1, n + 1, lambda i, j: (-1) ** (i + j) * binomial(i, j))
-    return ClosedLU(L, None, Linv)
+    return L, Linv
 
 
 def staircase_b_column(n: int, ell: int) -> list[int]:
@@ -758,20 +750,6 @@ def staircase_alt_escape(n: int, p: int, ell: int) -> int:
     if p < n:
         raise ValueError(f"requires p >= n, got p={p}, n={n}")
     return binomial(2 * n - ell - 1, p - n - 1)
-
-
-def _staircase_log_profile(n: int, k: int | None) -> np.ndarray:
-    csum = _log_pascal_prefix(n)
-    ell = np.arange(2 * n + 1)
-    return csum[np.minimum(n, 2 * n - ell)] - n * math.log(2)
-
-
-def _staircase_alt_log_profile(n: int, k: int | None) -> np.ndarray:
-    csum = _log_pascal_prefix(n)
-    ell = np.arange(2 * n + 1)
-    m = ell - n
-    out = np.where(m >= 0, csum[np.clip(m, 0, n)], -np.inf)
-    return out - n * math.log(2)
 
 
 def _staircase_xi(z: float) -> float:
@@ -866,14 +844,6 @@ def _vsasm_profile(size: int, k: int | None) -> tuple[Fraction, ...]:
     )
 
 
-def vsasm_generating(size: int, t: Fraction | int) -> Fraction:
-    """h(t) = sum_ell refined(ell)/total * t^(ell-1), evaluated exactly."""
-    if size < 3 or size % 2 == 0:
-        raise ValueError(f"size must be odd and >= 3, got {size}")
-    t = Fraction(t)
-    return sum((h * t**i for i, h in enumerate(_vsasm_profile(size, None))), Fraction(0))
-
-
 def raz_strog_check(size: int, t: Fraction | int) -> bool:
     """Exact identity tying refined VSASM counts to refined ASM counts.
 
@@ -963,11 +933,10 @@ def _vsasm_action(z: float, xi: float, x: float | None) -> tuple[float, float]:
 MODEL_OPS: dict[ModelId, Model] = {
     ModelId.AZTEC: Model(
         model=ModelId.AZTEC,
-        ell_max=lambda n, k: n,
+        exits=lambda n, k: range(n + 1),
         one_point=lambda n, k, ell: aztec_one_point(n, ell),
-        exact_profile=lambda n, k: _pascal_profile(n, range(n + 1)),
+        **_pascal_row_profiles(lambda n: np.arange(n + 1)),
         escape=lambda n, k, target, ell: aztec_escape(ell, target, n),
-        log_profile=lambda n, k: _log_pascal_prefix(n) - n * math.log(2),
         log_escape=_aztec_log_escape,
         scan=lambda n, z, x: (n, max(round(z * n), n + 1), None),
         z_range=(1.0, math.inf),
@@ -978,14 +947,14 @@ MODEL_OPS: dict[ModelId, Model] = {
         tangency=lambda x: [(0.5, 1.5), (-0.5, 1.5), (0.5, 0.5), (-0.5, 0.5)],
         parametric=CIRCLE_ARC,
         matrix=lambda n, k: aztec_matrix(n),
-        closed_l_inv=lambda n, k: pascal_closed_lu(n).L_inv,
+        closed_l_inv=lambda n, k: pascal_closed_L(n)[1],
         b_column=lambda n, k, ell: aztec_b_column(n, ell),
         partition=lambda n, k: 2 ** (n * (n + 1) // 2),
         reference_ell=lambda n, k: n,
     ),
     ModelId.DYCK_HALF_HEX: Model(
         model=ModelId.DYCK_HALF_HEX,
-        ell_max=lambda n, k: n + k,
+        exits=lambda n, k: range(n + k + 1),
         one_point=lambda n, k, ell: dyck_one_point(n, k, ell),
         exact_profile=_dyck_profile,
         escape=lambda n, k, target, ell: dyck_escape(target, ell),
@@ -1008,7 +977,7 @@ MODEL_OPS: dict[ModelId, Model] = {
     ),
     ModelId.RED_HALF_HEX: Model(
         model=ModelId.RED_HALF_HEX,
-        ell_max=lambda n, k: n + 1,
+        exits=lambda n, k: range(n + 2),
         one_point=lambda n, k, ell: red_one_point(n, k, ell),
         exact_profile=_red_profile,
         escape=lambda n, k, target, ell: dyck_escape(target, ell),
@@ -1031,11 +1000,10 @@ MODEL_OPS: dict[ModelId, Model] = {
     ),
     ModelId.STAIRCASE: Model(
         model=ModelId.STAIRCASE,
-        ell_max=lambda n, k: 2 * n,
+        exits=lambda n, k: range(2 * n + 1),
         one_point=lambda n, k, ell: staircase_one_point(n, ell),
-        exact_profile=lambda n, k: _pascal_profile(n, [min(n, m) for m in range(2 * n, -1, -1)]),
+        **_pascal_row_profiles(lambda n: np.minimum(n, np.arange(2 * n, -1, -1))),
         escape=lambda n, k, target, ell: staircase_escape(n, target, ell),
-        log_profile=_staircase_log_profile,
         log_escape=lambda n, target, k: _log_comb(target - n - 1 + np.arange(2 * n + 1),
                                                   np.arange(2 * n + 1)),
         scan=lambda n, z, x: (n, max(round(z * n), n + 1), None),
@@ -1046,18 +1014,17 @@ MODEL_OPS: dict[ModelId, Model] = {
         limit_curve=lambda x: parabola(),
         tangency=lambda x: [(0.0, 0.0), (2.0, 0.0)],
         matrix=lambda n, k: staircase_matrix(n),
-        closed_l_inv=lambda n, k: pascal_closed_lu(n).L_inv,
+        closed_l_inv=lambda n, k: pascal_closed_L(n)[1],
         b_column=lambda n, k, ell: staircase_b_column(n, ell),
         partition=lambda n, k: 2 ** (n * (n + 1) // 2),
         reference_ell=lambda n, k: 0,
     ),
     ModelId.STAIRCASE_ALT: Model(
         model=ModelId.STAIRCASE_ALT,
-        ell_max=lambda n, k: 2 * n,
+        exits=lambda n, k: range(2 * n + 1),
         one_point=lambda n, k, ell: staircase_alt_one_point(n, ell),
-        exact_profile=lambda n, k: _pascal_profile(n, range(-n, n + 1)),  # m = ell - n
+        **_pascal_row_profiles(lambda n: np.arange(-n, n + 1)),  # m = ell - n
         escape=lambda n, k, target, ell: staircase_alt_escape(n, target, ell),
-        log_profile=_staircase_alt_log_profile,
         log_escape=lambda n, target, k: _log_comb(2 * n - np.arange(2 * n + 1) - 1,
                                                   np.full(2 * n + 1, target - n - 1)),
         scan=lambda n, z, x: (n, max(round(z * n), n + 1), None),
@@ -1068,14 +1035,14 @@ MODEL_OPS: dict[ModelId, Model] = {
         limit_curve=lambda x: parabola(),
         tangency=lambda x: [(0.0, 0.0), (2.0, 0.0)],
         matrix=lambda n, k: staircase_alt_matrix(n),
-        closed_l_inv=lambda n, k: pascal_closed_lu(n).L_inv,
+        closed_l_inv=lambda n, k: pascal_closed_L(n)[1],
         b_column=lambda n, k, ell: staircase_alt_b_column(n, ell),
         partition=lambda n, k: 2 ** (n * (n + 1) // 2),
         reference_ell=lambda n, k: 2 * n,
     ),
     ModelId.VSASM: Model(
         model=ModelId.VSASM,
-        ell_max=lambda n, k: n,
+        exits=lambda n, k: range(1, n + 1),
         one_point=lambda n, k, ell: Fraction(n_vsasm_refined(n, ell), n_vsasm(n)),
         exact_profile=_vsasm_profile,
         escape=lambda n, k, target, ell: vsasm_escape(ell, target, n),
@@ -1089,7 +1056,6 @@ MODEL_OPS: dict[ModelId, Model] = {
         limit_curve=lambda x: vsasm_curve(),
         tangency=lambda x: [(0.5, 0.0), (1.0, 0.5)],
         parametric=VSASM_ARC,
-        ell_start=1,
         n_min=3,
         odd_n=True,
     ),
@@ -1103,26 +1069,8 @@ MODEL_OPS: dict[ModelId, Model] = {
 EXACT_PROFILE_MAX = 512
 
 
-@dataclass(frozen=True)
-class OnePointProfile:
-    """Exact one-point values indexed by exit position."""
-
-    model: ModelId
-    n: int
-    k: int | None
-    ell_start: int
-    values: tuple[Fraction, ...]
-
-    def __getitem__(self, ell: int) -> Fraction:
-        return self.values[ell - self.ell_start]
-
-    @property
-    def ells(self) -> range:
-        return range(self.ell_start, self.ell_start + len(self.values))
-
-
-def one_point_profile(model: ModelId, n: int, k: int | None = None) -> OnePointProfile:
-    """Exact profile of H over the full exit range.
+def one_point_profile(model: ModelId, n: int, k: int | None = None) -> dict[int, Fraction]:
+    """Exact profile of H over the full exit range, keyed by exit ell.
 
     Sizes n or k above ``EXACT_PROFILE_MAX`` are refused; use
     :func:`log_one_point_profile` there (the crossover exists because exact
@@ -1135,7 +1083,7 @@ def one_point_profile(model: ModelId, n: int, k: int | None = None) -> OnePointP
     k = k if ops.needs_k else None
     if k is not None and k > EXACT_PROFILE_MAX:
         raise ValueError(f"k={k} exceeds exact profile crossover {EXACT_PROFILE_MAX}")
-    return OnePointProfile(model, n, k, ops.ell_start, ops.exact_profile(n, k))
+    return dict(zip(ops.exits(n, k), ops.exact_profile(n, k)))
 
 
 @lru_cache(maxsize=8)

@@ -28,7 +28,6 @@ from .models import (
     ModelId,
     log_escape_profile,
     log_one_point_profile,
-    r_asm,
 )
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "tangent_family",
     "envelope",
     "free_path_midpoint",
-    "r_asm",
     "PLATEAU_DEGENERATE_WIDTH",
 ]
 
@@ -167,7 +165,7 @@ def finite_n_saddle(model: ModelId, n: int, z: float, x: float | None = None) ->
     plateau = int(np.sum(np.abs(total - top) <= 1e-12 * max(1.0, abs(top))))
     return SaddleResult(
         z=z,
-        xi_hat=(best + ops.ell_start) / size,
+        xi_hat=(best + exits.start) / size,
         log_mass=float(top),
         n_used=size,
         plateau=plateau,
@@ -242,57 +240,54 @@ def envelope(lines: Sequence[TangentLine]) -> tuple[list[tuple[float, float]], l
 
 
 def free_path_midpoint(
-    steps: Sequence[tuple[int, int]] | dict[tuple[int, int], int],
-    endpoint: tuple[int, int],
-    n: int,
+    steps: Sequence[tuple[int, int]], endpoint: tuple[int, int], n: int
 ) -> tuple[float, float]:
     """Most likely visited point on the mid-progress cut, in scaled units.
 
-    For an unconstrained weighted path ensemble from the origin, splits the
+    For an unconstrained path ensemble from the origin, splits the
     count at the cut where half of the progress toward ``endpoint`` is spent
     and maximizes log Z(0 -> m) + log Z(m -> endpoint) over cut points m.
     The argmax must approach the straight chord as n grows.
     """
     if n < 64:
         raise ValueError(f"needs n >= 64, got {n}")
-    weights = dict(steps) if isinstance(steps, dict) else {s: 1 for s in steps}
-    if not weights:
+    steps = sorted(set(steps))
+    if not steps:
         raise ValueError("empty step set")
     ex, ey = endpoint
     progress = None
     for w in ((1, 0), (0, 1), (1, 1), (-1, 1), (1, -1), (-1, 0), (0, -1)):
-        if all(w[0] * sx + w[1] * sy > 0 for sx, sy in weights):
+        if all(w[0] * sx + w[1] * sy > 0 for sx, sy in steps):
             progress = w
             break
     if progress is None:
-        raise ValueError(f"steps {sorted(weights)} admit no progress direction")
+        raise ValueError(f"steps {steps} admit no progress direction")
     total = progress[0] * ex + progress[1] * ey
     if total <= 0:
         raise ValueError(f"endpoint {endpoint} not ahead of the origin")
 
     def counts_from(
-        origin: tuple[int, int], top: int, step_weights: dict[tuple[int, int], int]
+        origin: tuple[int, int], top: int, step_set: list[tuple[int, int]]
     ) -> dict[int, dict[tuple[int, int], int]]:
-        """Weighted path counts from origin to every point within 'top' progress."""
+        """Path counts from origin to every point within 'top' progress."""
         by_level: dict[int, dict[tuple[int, int], int]] = {0: {origin: 1}}
         for level in range(1, top + 1):
             nxt: dict[tuple[int, int], int] = {}
-            for (sx, sy), wgt in step_weights.items():
+            for sx, sy in step_set:
                 adv = abs(progress[0] * sx + progress[1] * sy)
                 src = by_level.get(level - adv)
                 if not src:
                     continue
                 for (px, py), c in src.items():
                     key = (px + sx, py + sy)
-                    nxt[key] = nxt.get(key, 0) + c * wgt
+                    nxt[key] = nxt.get(key, 0) + c
             by_level[level] = nxt
         return by_level
 
     half = total // 2
-    mid = counts_from((0, 0), half, weights)[half]
+    mid = counts_from((0, 0), half, steps)[half]
     # Backward counts: paths m -> endpoint equal reversed-step paths endpoint -> m.
-    rev_weights = {(-sx, -sy): w for (sx, sy), w in weights.items()}
-    far = counts_from(endpoint, total - half, rev_weights)[total - half]
+    far = counts_from(endpoint, total - half, [(-sx, -sy) for sx, sy in steps])[total - half]
     best = None
     best_pt = None
     for pt, c in sorted(mid.items()):

@@ -118,7 +118,7 @@ def test_criterion_3_one_point_closed_forms():
         for n, k in sizes:
             matrix = ops.matrix(n, k)
             det = det_bareiss(matrix)
-            for ell in range(ops.ell_max(n, k) + 1):
+            for ell in ops.exits(n, k):
                 replaced = matrix.with_column(matrix.cols - 1, ops.b_column(n, k, ell))
                 ok = ok and ops.one_point(n, k, ell) == det_bareiss(replaced) / det
     # Exit-resolved brute-force masses agree as well (both exit regimes).

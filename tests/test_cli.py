@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import arctic
-from arctic.cli import Report, emit_svg, main
-from arctic.models import ModelId, curve_catalog
+from arctic.cli import GRID_MAX, Report, emit_svg, main
+from arctic.models import MODEL_OPS, ModelId, curve_catalog
 from arctic.tangent import tangent_family
 
 
@@ -62,6 +62,23 @@ def test_onepoint_writes_rational_csv(tmp_path, capsys):
     assert lines[1] == "0,1/1"
     assert all("/" in line.split(",")[1] for line in lines[1:])
     assert str(out) in report["artifacts"]
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_onepoint_csv_rows_follow_the_exit_range(model, tmp_path, capsys):
+    """Each model's CSV lists exactly its exits, with weight 1 at the reference exit."""
+    ops = MODEL_OPS[model]
+    n, k = (5, None) if model is ModelId.VSASM else (4, 3 if ops.needs_k else None)
+    out = tmp_path / "profile.csv"
+    argv = ["onepoint", "--model", model.value, "--n", str(n), "--out", str(out)]
+    code, _ = run(argv + (["--k", str(k)] if k else []), capsys)
+    assert code == 0
+    rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
+    assert [int(ell) for ell in rows] == list(ops.exits(n, k))
+    if ops.has_paths:
+        assert rows[str(ops.reference_ell(n, k))] == "1/1"
+    else:
+        assert min(map(int, rows)) == 1
 
 
 def test_oracle_command(capsys):
@@ -141,6 +158,18 @@ def test_envelope_rejects_small_grid(capsys):
         *(["saddle", "--model", m.value, "--n", "1000000000000", "--z", "1.5"] for m in ModelId),
         ["onepoint", "--model", "dyck", "--n", "4", "--k", "100000000000"],
         ["onepoint", "--model", "red", "--n", "4", "--k", "100000000000"],
+        ["envelope", "--model", "aztec", "--z-min", "1.1", "--z-max", "5", "--count", "1000000000"],
+        ["envelope", "--model", "aztec", "--z-min", "1.1", "--z-max", "5",
+         "--count", str(GRID_MAX + 1)],
+        ["plot", "--model", "aztec", "--z-min", "1.1", "--z-max", "5", "--count", "1000000000",
+         "--out", "."],
+        ["curve", "--model", "vsasm", "--samples", "1000000000"],
+        ["curve", "--model", "aztec", "--samples", str(GRID_MAX + 1)],
+        ["curve", "--model", "vsasm", "--samples", "10", "--x-model", "1"],
+        ["saddle", "--model", "aztec", "--n", "512", "--z", "2.0", "--k", "3"],
+        ["verify", "--model", "aztec", "--n", "4", "--k", "-5"],
+        ["onepoint", "--model", "staircase", "--n", "4", "--k", "2"],
+        ["oracle", "--model", "vsasm", "--n", "5", "--k", "2"],
     ],
 )
 def test_invalid_inputs_exit_2(argv, capsys):

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from arctic.curves import residual
-from arctic.models import ModelId, curve_catalog
+from arctic.models import ModelId, curve_catalog, r_asm
 from arctic.tangent import (
     EnvelopeError,
     TangentLine,
@@ -14,7 +14,6 @@ from arctic.tangent import (
     envelope,
     finite_n_saddle,
     free_path_midpoint,
-    r_asm,
     scaled_geometry,
     tangent_family,
 )
