@@ -341,7 +341,7 @@ def _tangents(args, parser) -> tuple[list[TangentLine], list[tuple[float, float]
         parser.error(f"the {args.spacing} grid from --z-min {zmin} to --z-max {zmax} overflows")
     try:
         lines = tangent_family(ModelId(args.model), grid, args.x_model)
-        points, _conds = envelope(lines)
+        points = envelope(lines)
     except ValueError as exc:
         parser.error(str(exc))
     return lines, points

@@ -106,9 +106,6 @@ __all__ = [
     "one_point_profile",
     "log_one_point_profile",
     "log_escape_profile",
-    "curve_catalog",
-    "parametric_catalog",
-    "tangency_points",
     "EXACT_PROFILE_MAX",
 ]
 
@@ -232,15 +229,6 @@ def _log_comb(n: np.ndarray, k: np.ndarray) -> np.ndarray:
     k_safe = np.where(valid, k, 0.0)
     out = _log_factorial(n_safe) - _log_factorial(k_safe) - _log_factorial(n_safe - k_safe)
     return np.where(valid, out, -np.inf)
-
-
-def _logsumexp_rows(m: np.ndarray) -> np.ndarray:
-    """logsumexp along axis 1, tolerating all -inf rows."""
-    mx = np.max(m, axis=1)
-    safe = np.where(np.isfinite(mx), mx, 0.0)
-    s = np.sum(np.exp(m - safe[:, None]), axis=1, where=np.isfinite(m), out=np.zeros(len(m)))
-    with np.errstate(divide="ignore"):
-        return np.where(np.isfinite(mx), safe + np.log(s), -np.inf)
 
 
 def _log_monotone_escape(target: int, ell: np.ndarray) -> np.ndarray:
@@ -473,24 +461,39 @@ def dyck_one_point(n: int, k: int, ell: int) -> Fraction:
     return Fraction(total, comb(2 * n + 2 * k, n + ell))
 
 
+def _dyck_recurrence(n: int, k: int, ell: int) -> tuple[int, int, int]:
+    """Coefficients (a, b, c) with a S(ell+2) + b S(ell+1) + c S(ell) = 0 for n < ell <= n+k-2.
+
+    S(ell) = sum_s t_ell(s) is the numerator of :func:`dyck_one_point`, with
+    t_ell(s) = C(n+ell+1, 2n+1-2s) C(2n+k-s, n+ell).  Creative telescoping
+    certifies it: with G(ell, s) = (2k+n-ell) s (s-2n-k-1) / (n+ell+1) t_ell(s),
+    a t_{ell+2}(s) + b t_{ell+1}(s) + c t_ell(s) = G(ell, s+1) - G(ell, s), and
+    summing over s = 0..n telescopes to G(ell, n+1) - G(ell, 0) = 0, since
+    G(ell, 0) = 0 and t_ell(n+1) = 0.  c > 0 on that range, and S is the
+    minimal solution, so both profiles walk it downward from the two top rows.
+    """
+    a = (ell - n) * (ell + n + 2)
+    b = 2 * ell * ell - (2 * n + 3 * k - 2) * ell + n * k - 2 * n - k
+    c = (ell - n - k) * (ell - n - 2 * k)
+    return a, b, c
+
+
 def _dyck_profile(n: int, k: int) -> tuple[Fraction, ...]:
     """:func:`dyck_one_point` over every exit ell = 0..n+k.
 
-    H = 1 for ell <= n (the partial-sum identity).  Above n, with a = n+ell+1,
-    m = n+ell, r = 2n+1-2s and b = 2n+k-s, the summand t(s) = C(a, r) C(b, m)
-    obeys t(s+1) = t(s) r(r-1)(b-m) / ((a-r+2)(a-r+1) b), an exact integer
-    division, and vanishes once b < m.
+    H = 1 for ell <= n (the partial-sum identity).  Above n the numerator S
+    starts from its top rows, S(n+k) (one term) and S(n+k-1) (two terms), and
+    walks :func:`_dyck_recurrence` down to ell = n+1 in exact integers; each
+    division goes through :func:`_exact_int`, so a wrong identity raises.
     """
-    out = [Fraction(1)] * (n + 1)
-    for ell in range(n + 1, n + k + 1):
-        a, m = n + ell + 1, n + ell
-        t = total = comb(a, 2 * n + 1) * comb(2 * n + k, m)
-        for s in range(min(n, n + k - ell)):
-            r, b = 2 * n + 1 - 2 * s, 2 * n + k - s
-            t = t * (r * (r - 1) * (b - m)) // ((a - r + 2) * (a - r + 1) * b)
-            total += t
-        out.append(Fraction(total, comb(2 * n + 2 * k, m)))
-    return tuple(out)
+    m = 2 * n + k
+    sums = [comb(m + 1, 2 * n + 1), m * comb(m, 2 * n + 1) + comb(m, k + 1)]
+    for ell in range(n + k - 2, n, -1):
+        a, b, c = _dyck_recurrence(n, k, ell)
+        sums.append(_exact_int(-(a * sums[-2] + b * sums[-1]), c))
+    ells = range(n + k, n, -1)
+    tail = [Fraction(s, comb(2 * n + 2 * k, n + ell)) for ell, s in zip(ells, sums)]
+    return (Fraction(1),) * (n + 1) + tuple(reversed(tail))
 
 
 def dyck_escape(p: int, ell: int) -> int:
@@ -501,43 +504,23 @@ def dyck_escape(p: int, ell: int) -> int:
 
 
 def _dyck_log_profile(n: int, k: int) -> np.ndarray:
-    """log :func:`dyck_one_point` over ell = 0..n+k, summed over a window at each peak.
+    """log :func:`dyck_one_point` over ell = 0..n+k; rows ell <= n are exactly 0 (H = 1).
 
-    Rows ell <= n are exactly 0 (H = 1).  Above n the summand t(s) of
-    :func:`_dyck_profile` is log-concave in s on 0 <= s <= min(n, n+k-ell),
-    so its peak is the first s where the term ratio drops below 1, found by
-    bisection.  Each block of 512 rows sums the window [peak - w, peak + w]
-    (shifted right at s = 0), and w doubles until every window edge that is
-    not a domain end lies ln(2^60 (n+1)) below its row maximum: by
-    unimodality the at most n+1 dropped terms then sum to under 2^-60 of the
-    row.  The edge test alone proves that bound, whatever the bisection found.
+    Above n the ratio rho(ell) = S(ell) / S(ell+1) walks :func:`_dyck_recurrence`
+    downward as rho(ell) = -(a / rho(ell+1) + b) / c, the direction in which the
+    minimal solution S is stable, from the log-binomials of the two top rows.
     """
     out = np.zeros(n + k + 1)
+    m = 2 * n + k
+    log_top = float(_log_comb(m + 1, 2 * n + 1))
+    log_next = np.logaddexp(_log_comb(m, 2 * n + 1) + math.log(m), _log_comb(m, k + 1))
+    rhos = [math.exp(log_next - log_top)]
+    for ell in range(n + k - 2, n, -1):
+        a, b, c = _dyck_recurrence(n, k, ell)
+        rhos.append(-(a / rhos[-1] + b) / c)
+    log_sums = log_top + np.cumsum(np.log([1.0] + rhos[: k - 1]))
     ells = np.arange(n + 1, n + k + 1)
-    a, m = n + ells + 1, n + ells
-    top = np.minimum(n, n + k - ells)
-    peaks, hi = np.zeros(k, dtype=np.intp), top
-    while (peaks < hi).any():
-        mid = (peaks + hi) // 2
-        r, b = 2 * n + 1 - 2 * mid, 2 * n + k - mid
-        rising = r * (r - 1.0) * (b - m) >= (a - r + 2.0) * (a - r + 1.0) * b
-        peaks, hi = np.where(rising, mid + 1, peaks), np.where(rising, hi, mid)
-    cut = 60 * math.log(2) + math.log(n + 1)
-    w = 16
-    for i in range(0, k, 512):
-        ell, peak, end = ells[i : i + 512, None], peaks[i : i + 512], top[i : i + 512]
-        while True:
-            start = np.maximum(peak - w, 0)
-            s = start[:, None] + np.arange(2 * w + 1)
-            terms = _log_comb(ell + n + 1, 2 * n + 1 - 2 * s) + _log_comb(2 * n + k - s, ell + n)
-            floor = terms.max(axis=1) - cut
-            left_ok = (start == 0) | (terms[:, 0] <= floor)
-            right_ok = (start + 2 * w >= end) | (terms[:, -1] <= floor)
-            if (left_ok & right_ok).all():
-                break
-            w *= 2
-        out[n + 1 + i : n + 1 + i + len(peak)] = _logsumexp_rows(terms)
-    out[n + 1 :] -= _log_comb(np.full(k, 2 * n + 2 * k), m)
+    out[n + 1 :] = log_sums[::-1] - _log_comb(np.full(k, 2 * n + 2 * k), n + ells)
     return out
 
 
@@ -1063,7 +1046,7 @@ MODEL_OPS: dict[ModelId, Model] = {
 
 
 # ---------------------------------------------------------------------------
-# Profiles and catalogs over the registry
+# Profiles over the registry
 # ---------------------------------------------------------------------------
 
 EXACT_PROFILE_MAX = 512
@@ -1113,17 +1096,3 @@ def log_escape_profile(model: ModelId, n: int, target: int, k: int | None = None
     ops = MODEL_OPS[model]
     ops.check_size(n, k)
     return ops.log_escape(n, target, k)
-
-
-def curve_catalog(x_model: float = 1.0) -> dict[ModelId, ImplicitCurve]:
-    """The limit curve of every model; x_model binds the half-hexagon width."""
-    return {model: ops.limit_curve(x_model) for model, ops in MODEL_OPS.items()}
-
-
-def parametric_catalog() -> dict[ModelId, ParametricCurve]:
-    return {model: ops.parametric for model, ops in MODEL_OPS.items() if ops.parametric}
-
-
-def tangency_points(model: ModelId, x_model: float = 1.0) -> list[Point]:
-    """Boundary contact points of each limit curve, in derivation order."""
-    return MODEL_OPS[model].tangency(x_model)

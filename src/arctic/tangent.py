@@ -206,12 +206,11 @@ def tangent_family(
     return [_line_through(z, *scaled_geometry(model, z, x)) for z in z_grid]
 
 
-def envelope(lines: Sequence[TangentLine]) -> tuple[list[tuple[float, float]], list[float]]:
+def envelope(lines: Sequence[TangentLine]) -> list[tuple[float, float]]:
     """Envelope points of a line family, one per interior parameter.
 
     Solves F = 0 together with a central finite difference of dF/dz across
-    the two neighbors; returns the points and the condition number of each
-    2x2 system.  Parallel neighbors make the system singular and raise.
+    the two neighbors.  Parallel neighbors make the system singular and raise.
     """
     if len(lines) < 3:
         raise ValueError(f"envelope needs >= 3 lines, got {len(lines)}")
@@ -219,19 +218,16 @@ def envelope(lines: Sequence[TangentLine]) -> tuple[list[tuple[float, float]], l
     if any(b <= a for a, b in zip(params, params[1:])):
         raise ValueError("line parameters must be strictly increasing")
     points: list[tuple[float, float]] = []
-    conds: list[float] = []
     for i in range(1, len(lines) - 1):
         da = lines[i + 1].slope - lines[i - 1].slope
         db = lines[i + 1].intercept - lines[i - 1].intercept
-        # System: y - slope_i x = intercept_i ; 0 x*da = -db
-        mat = np.array([[-lines[i].slope, 1.0], [da, 0.0]])
+        # System: y - slope_i x = intercept_i ; x da = -db
         if abs(da) < 1e-15 * max(1.0, abs(lines[i].slope)):
             raise EnvelopeError(f"parallel neighbors around index {i}")
         x = -db / da
         y = lines[i].y_at(x)
         points.append((x, y))
-        conds.append(float(np.linalg.cond(mat)))
-    return points, conds
+    return points
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from arctic.models import (
     MODEL_OPS,
     ModelId,
     aztec_matrix,
-    curve_catalog,
     dyck_matrix,
     dyck_partition,
     n_asm,
@@ -33,7 +32,6 @@ from arctic.models import (
     red_partition,
     staircase_alt_matrix,
     staircase_matrix,
-    tangency_points,
 )
 from arctic.oracle import (
     count_nilp,
@@ -287,8 +285,8 @@ def test_criterion_7_envelope_residuals():
     for model, (grid, xs) in ENVELOPE_GRIDS.items():
         for x in xs:
             lines = tangent_family(model, grid, x)
-            points, _ = envelope(lines)
-            curve = curve_catalog(x if x is not None else 1.0)[model]
+            points = envelope(lines)
+            curve = MODEL_OPS[model].limit_curve(x if x is not None else 1.0)
             worst = max(residual(curve, p) for p in points)
             details.append(f"{model.value}{'' if x is None else f'(x={x:g})'}={worst:.1e}")
             ok = ok and worst <= 1e-3
@@ -302,20 +300,19 @@ def test_criterion_7_envelope_residuals():
 
 
 def test_criterion_8_parametric_and_tangency_consistency():
-    curve = curve_catalog()[ModelId.VSASM]
+    curve = MODEL_OPS[ModelId.VSASM].limit_curve(1.0)
     worst = max(residual(curve, vsasm_parametric(i / 999)) for i in range(1000))
     ok = worst <= 1e-12
-    cat = curve_catalog()
     stated = {
         ModelId.AZTEC: [(0.5, 1.5), (-0.5, 1.5), (0.5, 0.5), (-0.5, 0.5)],
         ModelId.STAIRCASE: [(0.0, 0.0), (2.0, 0.0)],
         ModelId.DYCK_HALF_HEX: [(4.0 / 3.0, 8.0 / 3.0)],  # contact point B at x = 1
     }
     for model, points in stated.items():
-        listed = tangency_points(model, 1.0)
+        listed = MODEL_OPS[model].tangency(1.0)
         for point in points:
             ok = ok and any(math.hypot(point[0] - q[0], point[1] - q[1]) < 1e-12 for q in listed)
-            ok = ok and residual(cat[model], point) <= 1e-12
+            ok = ok and residual(MODEL_OPS[model].limit_curve(1.0), point) <= 1e-12
     _verdict(
         8,
         "parametric samples and stated tangency points on-curve to 1e-12",

@@ -5,11 +5,11 @@ import math
 import pytest
 
 from arctic.curves import ImplicitCurve, aztec_parametric, residual, vsasm_parametric
-from arctic.models import ModelId, curve_catalog, parametric_catalog, tangency_points
+from arctic.models import MODEL_OPS, ModelId
 
 
 def test_catalog_values_on_known_points():
-    cat = curve_catalog(1.0)
+    cat = {model: ops.limit_curve(1.0) for model, ops in MODEL_OPS.items()}
     circle = cat[ModelId.AZTEC]
     assert abs(circle.value(0.0, 1 + 1 / math.sqrt(2))) < 1e-15
     parabola = cat[ModelId.STAIRCASE]
@@ -22,7 +22,7 @@ def test_catalog_values_on_known_points():
 
 
 def test_residual_is_gradient_normalized():
-    circle = curve_catalog()[ModelId.AZTEC]
+    circle = MODEL_OPS[ModelId.AZTEC].limit_curve(1.0)
     # At the center the gradient vanishes; the 1-floor keeps the proxy finite.
     assert residual(circle, (0.0, 1.0)) == 0.5
     assert residual(circle, (0.0, 1 + 1 / math.sqrt(2))) < 1e-15
@@ -34,11 +34,11 @@ def test_curve_validation():
     with pytest.raises(ValueError):
         ImplicitCurve("empty", (((0, 0), 1.0),), ((1, 0), (0, 1)))
     with pytest.raises(ValueError):
-        curve_catalog(0.0)
+        MODEL_OPS[ModelId.DYCK_HALF_HEX].limit_curve(0.0)
 
 
 def test_window_membership():
-    circle = curve_catalog()[ModelId.AZTEC]
+    circle = MODEL_OPS[ModelId.AZTEC].limit_curve(1.0)
     assert circle.contains((0.0, 1.0))
     assert not circle.contains((2.0, 1.0))
 
@@ -54,7 +54,7 @@ def test_vsasm_parametric_endpoints():
 
 
 def test_parametric_points_satisfy_implicit_curves():
-    for model, par in parametric_catalog().items():
+    for model, par in ((m, ops.parametric) for m, ops in MODEL_OPS.items() if ops.parametric):
         t0, t1 = par.t_range
         worst = 0.0
         for i in range(1000):
@@ -73,7 +73,7 @@ def test_aztec_parametric_stays_on_upper_arc():
 
 def test_ellipse_reflection_symmetry():
     for x_model in (0.5, 1.0, 2.0):
-        ellipse = curve_catalog(x_model)[ModelId.DYCK_HALF_HEX]
+        ellipse = MODEL_OPS[ModelId.DYCK_HALF_HEX].limit_curve(x_model)
         for i in range(50):
             u = 2 * x_model * i / 49
             v = 0.3 + 0.02 * i
@@ -82,7 +82,7 @@ def test_ellipse_reflection_symmetry():
 
 
 def test_circle_mirror_symmetry():
-    circle = curve_catalog()[ModelId.AZTEC]
+    circle = MODEL_OPS[ModelId.AZTEC].limit_curve(1.0)
     for i in range(50):
         x = -1 + 2 * i / 49
         y = 0.4 + 0.03 * i
@@ -91,21 +91,20 @@ def test_circle_mirror_symmetry():
 
 def test_tangency_points_sit_on_curves_and_boundaries():
     for x_model in (0.5, 1.0, 2.0):
-        cat = curve_catalog(x_model)
-        for model in ModelId:
-            for point in tangency_points(model, x_model):
-                assert residual(cat[model], point) <= 1e-12, (model, point)
+        for model, ops in MODEL_OPS.items():
+            for point in ops.tangency(x_model):
+                assert residual(ops.limit_curve(x_model), point) <= 1e-12, (model, point)
     # Diamond contacts on the scaled boundary |x| + |y - 1| = 1.
-    for x, y in tangency_points(ModelId.AZTEC):
+    for x, y in MODEL_OPS[ModelId.AZTEC].tangency(1.0):
         assert abs(abs(x) + abs(y - 1) - 1) < 1e-15
     # Half-hexagon contacts on the slanted edges v = u + 2 and v = 2 + 2x - u.
     for x_model in (0.5, 1.0, 2.0):
-        a, b = tangency_points(ModelId.DYCK_HALF_HEX, x_model)
+        a, b = MODEL_OPS[ModelId.DYCK_HALF_HEX].tangency(x_model)
         assert abs(a[1] - (a[0] + 2)) < 1e-12
         assert abs(b[1] - (2 + 2 * x_model - b[0])) < 1e-12
 
 
 def test_parabola_tangent_at_origin_has_slope_one():
-    parabola = curve_catalog()[ModelId.STAIRCASE]
+    parabola = MODEL_OPS[ModelId.STAIRCASE].limit_curve(1.0)
     gx, gy = parabola.gradient(0.0, 0.0)
     assert abs(-gx / gy - 1.0) < 1e-15

@@ -371,9 +371,40 @@ def test_aztec_log_escape_is_log_of_exact_escape(n, z):
         assert logs[ell] == math.log(md.aztec_escape(ell, t, n)), ell
 
 
-@pytest.mark.parametrize("n, k", [(512, 512), (64, 512), (300, 700)])
-def test_dyck_windowed_log_profile_matches_exact(n, k):
-    """The peak-window sums agree with the exact sweep, and H = 1 rows are exactly 0."""
+def _dyck_term(n, k, ell, s):
+    """t_ell(s) = C(n+ell+1, 2n+1-2s) C(2n+k-s, n+ell), vanishing outside the binomial ranges."""
+    return binomial(n + ell + 1, 2 * n + 1 - 2 * s) * binomial(2 * n + k - s, n + ell)
+
+
+def test_dyck_recurrence_certificate_telescopes():
+    """Creative telescoping proves the Dyck recurrence: checked pointwise in int.
+
+    With (n+ell+1) G(ell, s) = (2k+n-ell) s (s-2n-k-1) t_ell(s), the identity
+    (n+ell+1) (a t_{ell+2}(s) + b t_{ell+1}(s) + c t_ell(s)) = (n+ell+1) (G(ell, s+1) - G(ell, s))
+    holds at every s, boundary values included; G(ell, 0) = 0 and t_ell(n+1) = 0
+    make the sum over s = 0..n telescope to 0.
+    """
+    for n in range(21):
+        for k in range(1, 33):
+            for ell in range(n + 1, n + k - 1):
+                a, b, c = md._dyck_recurrence(n, k, ell)
+                assert c > 0, (n, k, ell)
+                ss = range(-2, n + 5)
+                t = {j: [_dyck_term(n, k, j, s) for s in ss] for j in (ell, ell + 1, ell + 2)}
+                # g[i] = (n+ell+1) G(ell, s) at s = i - 2
+                g = [(2 * k + n - ell) * s * (s - 2 * n - k - 1) * t[ell][s + 2] for s in ss]
+                for i in range(n + 6):  # s = i - 2 runs over -2..n+3
+                    lhs = a * t[ell + 2][i] + b * t[ell + 1][i] + c * t[ell][i]
+                    assert (n + ell + 1) * lhs == g[i + 1] - g[i], (n, k, ell, i - 2)
+                assert g[2] == 0 and t[ell][n + 3] == 0, (n, k, ell)
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [(512, 512), (64, 512), (300, 700), (0, 1), (0, 2), (0, 64), (37, 1), (37, 2), (4096, 256)],
+)
+def test_dyck_recurrence_log_profile_matches_exact(n, k):
+    """The downward ratio walk agrees with the exact walk, and H = 1 rows are exactly 0."""
     logs = md.log_one_point_profile(ModelId.DYCK_HALF_HEX, n, k)
     assert (logs[: n + 1] == 0.0).all()
     _assert_log_close(logs, md._dyck_profile(n, k), (n, k))

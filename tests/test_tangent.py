@@ -5,7 +5,7 @@ import math
 import pytest
 
 from arctic.curves import residual
-from arctic.models import ModelId, curve_catalog, r_asm
+from arctic.models import MODEL_OPS, ModelId, r_asm
 from arctic.tangent import (
     EnvelopeError,
     TangentLine,
@@ -230,11 +230,10 @@ def test_envelope_recovers_unit_circle():
         p1 = (0.0, intercept)
         p2 = (1.0, slope + intercept)
         lines.append(TangentLine(a, slope, intercept, p1, p2))
-    points, conds = envelope(lines)
-    assert len(points) == 198 and len(conds) == 198
+    points = envelope(lines)
+    assert len(points) == 198
     for x, y in points:
         assert abs(math.hypot(x, y) - 1) < 1e-6
-    assert all(c >= 1 for c in conds)
 
 
 def test_envelope_rejects_parallel_and_unsorted():
@@ -250,8 +249,8 @@ def test_envelope_rejects_parallel_and_unsorted():
 def test_aztec_envelope_lands_on_circle():
     grid = [1.1 + (5 - 1.1) * i / 199 for i in range(200)]
     lines = tangent_family(ModelId.AZTEC, grid)
-    points, _ = envelope(lines)
-    curve = curve_catalog()[ModelId.AZTEC]
+    points = envelope(lines)
+    curve = MODEL_OPS[ModelId.AZTEC].limit_curve(1.0)
     assert max(residual(curve, p) for p in points) <= 1e-3
 
 
@@ -261,7 +260,7 @@ def test_dyck_contact_approaches_boundary_tangency():
     y0 = 1e-3
     grid = [y0 * (1 + 0.02 * i) for i in range(9)]
     lines = tangent_family(ModelId.DYCK_HALF_HEX, grid, x)
-    points, _ = envelope(lines)
+    points = envelope(lines)
     bx, by = 2 * x * (1 + x) / (2 + x), 4 * (1 + x) / (2 + x)
     assert math.hypot(points[0][0] - bx, points[0][1] - by) <= 1e-3
 
