@@ -231,11 +231,6 @@ def _log_comb(n: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.where(valid, out, -np.inf)
 
 
-def _log_monotone_escape(target: int, ell: np.ndarray) -> np.ndarray:
-    """log C(target + ell - 1, ell): the single-path escape of both half-hexagon forms."""
-    return _log_comb(target + ell - 1, ell)
-
-
 def _bisect(f: Callable[[float], float], lo: float, hi: float, iters: int = 200) -> float:
     flo = f(lo)
     if flo == 0:
@@ -942,7 +937,8 @@ MODEL_OPS: dict[ModelId, Model] = {
         exact_profile=_dyck_profile,
         escape=lambda n, k, target, ell: dyck_escape(target, ell),
         log_profile=_dyck_log_profile,
-        log_escape=lambda n, target, k: _log_monotone_escape(target, np.arange(n + k + 1)),
+        log_escape=lambda n, target, k: _log_comb(target + np.arange(n + k + 1) - 1,
+                                                  np.arange(n + k + 1)),
         scan=lambda n, z, x: (n, max(round(z * n), 1), round(x * n)),
         z_range=(0.0, math.inf),
         saddle=lambda z, x: _bisect(lambda xi: _dyck_cubic(x, z, xi), (2 + 3 * x) / (2 + x),
@@ -965,7 +961,7 @@ MODEL_OPS: dict[ModelId, Model] = {
         exact_profile=_red_profile,
         escape=lambda n, k, target, ell: dyck_escape(target, ell),
         log_profile=_red_log_profile,
-        log_escape=lambda n, target, k: _log_monotone_escape(target, np.arange(n + 2)),
+        log_escape=lambda n, target, k: _log_comb(target + np.arange(n + 2) - 1, np.arange(n + 2)),
         scan=lambda n, z, x: (n, max(round(z * n), 1), round(x * n)),
         z_range=(0.0, math.inf),
         saddle=lambda z, x: _bisect(lambda xi: _red_y(x, xi) - z, 1e-15, 1 - 1e-15),

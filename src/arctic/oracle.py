@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from .models import ModelId
@@ -37,6 +38,7 @@ __all__ = [
 
 Point = tuple[int, int]
 Step = tuple[int, int]
+_LIVE, _FLIGHT, _STOP = 0, 1, 2  # flag of a path's entry in a frontier state
 
 _PROGRESS_CANDIDATES: tuple[Step, ...] = (
     (1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1),
@@ -89,80 +91,102 @@ class PathFamilySpec:
         return True
 
 
-def _feasibility(steps: tuple[Step, ...], progress: Step):
-    """Memoized test: can some nonnegative combination of steps realize delta?"""
+def _feasible(spec: PathFamilySpec, dx: int, dy: int) -> bool:
+    """Is (dx, dy) a sum of the spec's steps with nonnegative multiplicities?
 
-    @lru_cache(maxsize=None)
-    def feasible(dx: int, dy: int) -> bool:
-        if dx == 0 and dy == 0:
+    The multiplicities of all steps but one independent pair (a, b) are
+    enumerated within the progress budget; the remainder must then be
+    p a + q b with nonnegative integers p, q, which Cramer's rule settles
+    exactly.  Parallel steps have no such pair: all are enumerated and the
+    remainder must vanish.  Nothing recurses along the path.
+    """
+    steps, (wx, wy) = spec.steps, spec.progress
+    pair = next(((a, b) for a in steps for b in steps if a[0] * b[1] > a[1] * b[0]), ())
+    rest = [s for s in steps if s not in pair]
+    for ms in product(*(range((wx * dx + wy * dy) // (wx * x + wy * y) + 1) for x, y in rest)):
+        rx = dx - sum(m * s[0] for m, s in zip(ms, rest))
+        ry = dy - sum(m * s[1] for m, s in zip(ms, rest))
+        if pair:
+            (ax, ay), (bx, by) = pair
+            det = ax * by - ay * bx
+            p, q = rx * by - ry * bx, ax * ry - ay * rx
+            if p >= 0 and q >= 0 and p % det == q % det == 0:
+                return True
+        elif rx == ry == 0:
             return True
-        if progress[0] * dx + progress[1] * dy <= 0:
-            return False
-        return any(feasible(dx - sx, dy - sy) for sx, sy in steps)
-
-    return feasible
+    return False
 
 
 def count_nilp(spec: PathFamilySpec, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of vertex-disjoint path families matching the spec.
 
+    The single-exit case of :func:`count_nilp_by_exit`; a spec with no paths
+    has one (empty) family.
+    """
+    if not spec.ends:
+        return 1
+    return count_nilp_by_exit(spec, spec.ends[-1:], budget)[spec.ends[-1]]
+
+
+def count_nilp_by_exit(
+    spec: PathFamilySpec, exits: Sequence[Point], budget: int = DEFAULT_BUDGET
+) -> dict[Point, int]:
+    """Counts with the distinguished (last) endpoint moved to each exit.
+
     All paths advance simultaneously through sweep levels of the progress
     direction; only the frontier (current vertex of every live path, plus
     in-flight markers for steps that advance two levels) is stored, with
-    counts aggregated per frontier state.  That turns the exponential
-    path-by-path search into a transfer-matrix walk while staying fully
-    independent of any determinant machinery.
+    counts aggregated per frontier state and per exit the last path took.
+    That turns the exponential path-by-path search into a transfer-matrix walk
+    while staying fully independent of any determinant machinery.  One sweep
+    serves every exit: the last path may stop at any exit it lands on, or walk
+    on toward another one.
 
     ``budget`` caps the total number of (state, move-combination) pairs the
     sweep may examine.
     """
-    w = spec.progress
-    feasible = _feasibility(spec.steps, spec.progress)
-    npaths = len(spec.starts)
-    for s, e in zip(spec.starts, spec.ends):
-        if not spec.allows(s) or not spec.allows(e):
-            return 0
-        if not feasible(e[0] - s[0], e[1] - s[1]):
-            return 0
+    last = len(spec.starts) - 1
+    ends_of = [(e,) for e in spec.ends[:-1]] + [tuple(exits)]
 
     def level(p: Point) -> int:
-        return w[0] * p[0] + w[1] * p[1]
+        return spec.progress[0] * p[0] + spec.progress[1] * p[1]
+
+    @lru_cache(maxsize=None)
+    def arrivals(idx: int, p: Point) -> tuple:
+        """Ways path idx may stand on p (stopped at an end, walking on); none if unreachable."""
+        if not spec.allows(p):
+            return ()
+        ahead = any(e != p and _feasible(spec, e[0] - p[0], e[1] - p[1]) for e in ends_of[idx])
+        return ((idx, p, _STOP),) * (p in ends_of[idx]) + ((idx, p, _LIVE),) * ahead
+
+    @lru_cache(maxsize=None)
+    def moves(idx: int, p: Point) -> tuple:
+        out: tuple = ()
+        for nv in ((p[0] + sx, p[1] + sy) for sx, sy in spec.steps):
+            if level(nv) != level(p) + 2:
+                out += arrivals(idx, nv)
+            elif arrivals(idx, nv):
+                out += ((idx, nv, _FLIGHT),)
+        return out
 
     birth = [level(s) for s in spec.starts]
-    death = [level(e) for e in spec.ends]
-    lo = min(birth) if birth else 0
-    hi = max(death) if death else 0
-    # Frontier entry per live path: (path index, vertex, in_flight); an
-    # in-flight path's vertex is its landing point one level ahead.
-    start_state: tuple = ()
-    states: dict[tuple, int] = {start_state: 1}
+    lo = min(birth, default=0)
+    hi = max((level(e) for ends in ends_of for e in ends), default=0)
+    # A state is (exit the last path stopped at, or None; frontier).  Frontier
+    # entry per live path: (path index, vertex, flag); an in-flight path's
+    # vertex is its landing point one level ahead.
+    states: dict[tuple, int] = {(None, ()): 1}
     work = 0
 
     # Start one level early so paths born at the lowest level are placed
     # inside the uniform birth handling.
     for tau in range(lo - 1, hi):
-        nxt_level = tau + 1
-        born = [i for i in range(npaths) if birth[i] == nxt_level]
         new_states: dict[tuple, int] = {}
-        for state, count in states.items():
-            options: list[list[tuple[int, Point, bool]]] = []
-            for idx, pos, flight in state:
-                if flight:
-                    options.append([(idx, pos, False)])
-                    continue
-                moves = []
-                end = spec.ends[idx]
-                for sx, sy in spec.steps:
-                    nv = (pos[0] + sx, pos[1] + sy)
-                    if not spec.allows(nv):
-                        continue
-                    if not feasible(end[0] - nv[0], end[1] - nv[1]):
-                        continue
-                    moves.append((idx, nv, level(nv) == tau + 2))
-                options.append(moves)
-            for j in born:
-                options.append([(j, spec.starts[j], False)])
-
+        for (exit_taken, frontier), count in states.items():
+            options = [
+                arrivals(idx, pos) if flag == _FLIGHT else moves(idx, pos)
+                for idx, pos, flag in frontier
+            ] + [arrivals(j, spec.starts[j]) for j in range(last + 1) if birth[j] == tau + 1]
             stack = [(0, [], set())]
             while stack:
                 work += 1
@@ -170,38 +194,17 @@ def count_nilp(spec: PathFamilySpec, budget: int = DEFAULT_BUDGET) -> int:
                     raise BudgetExceededError(f"frontier sweep of {work} states", budget)
                 oi, chosen, occupied = stack.pop()
                 if oi == len(options):
-                    survivors = tuple(
-                        entry
-                        for entry in sorted(chosen)
-                        if not (not entry[2] and death[entry[0]] == nxt_level)
-                    )
-                    new_states[survivors] = new_states.get(survivors, 0) + count
+                    stop = next((p for i, p, f in chosen if f == _STOP and i == last), exit_taken)
+                    key = (stop, tuple(sorted(e for e in chosen if e[2] != _STOP)))
+                    new_states[key] = new_states.get(key, 0) + count
                     continue
                 for entry in options[oi]:
-                    _, nv, flight = entry
-                    if not flight and nv in occupied:
-                        continue
-                    nocc = occupied | {nv} if not flight else occupied
-                    stack.append((oi + 1, chosen + [entry], nocc))
+                    if entry[2] == _FLIGHT or entry[1] not in occupied:
+                        held = occupied if entry[2] == _FLIGHT else occupied | {entry[1]}
+                        stack.append((oi + 1, chosen + [entry], held))
         states = new_states
 
-    return states.get((), 0)
-
-
-def count_nilp_by_exit(
-    spec: PathFamilySpec, exits: Sequence[Point], budget: int = DEFAULT_BUDGET
-) -> dict[Point, int]:
-    """Counts with the distinguished (last) endpoint moved to each exit."""
-    out: dict[Point, int] = {}
-    for exit_point in exits:
-        moved = PathFamilySpec(
-            steps=spec.steps,
-            starts=spec.starts,
-            ends=spec.ends[:-1] + (exit_point,),
-            constraint=spec.constraint,
-        )
-        out[exit_point] = count_nilp(moved, budget)
-    return out
+    return {e: sum(c for (x, f), c in states.items() if x == e and not f) for e in exits}
 
 
 # ---------------------------------------------------------------------------

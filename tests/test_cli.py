@@ -1,5 +1,6 @@
 """Command-line behavior: reports, artifacts, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -84,6 +85,17 @@ def test_onepoint_csv_rows_follow_the_exit_range(model, tmp_path, capsys):
 def test_oracle_command(capsys):
     code, report = run(["oracle", "--model", "staircase", "--n", "2"], capsys)
     assert code == 0 and all(c["pass"] for c in report["checks"])
+
+
+_DIGESTS = json.loads((Path(__file__).parent.parent / "perfbench" / "digests.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(k for k in _DIGESTS if k.startswith("oracle ")))
+def test_oracle_reports_match_recorded_digests(key, capsys):
+    code, report = run(key.split(), capsys)
+    assert code == 0
+    checks = json.dumps(report["checks"], sort_keys=True).encode()
+    assert hashlib.sha256(checks).hexdigest() == _DIGESTS[key]
 
 
 def test_oracle_vsasm_dump(tmp_path, capsys):

@@ -43,6 +43,12 @@ def test_unreachable_endpoint_counts_zero():
     assert count_nilp(spec) == 0
 
 
+def test_long_single_path_needs_no_recursion():
+    # 3000 lattice steps: far past Python's recursion limit.
+    spec = PathFamilySpec(steps=((1, 0), (1, 1)), starts=((0, 0),), ends=((3000, 0),))
+    assert count_nilp(spec) == 1
+
+
 def test_family_counts_match_small_partition_functions():
     assert count_nilp(model_path_spec(ModelId.AZTEC, 1)) == 2
     assert count_nilp(model_path_spec(ModelId.DYCK_HALF_HEX, 1, 2)) == 3
@@ -83,6 +89,8 @@ def test_exit_masses_match_one_point_functions():
         ref = masses[exits[ops.reference_ell(n, k)]]
         for ell, pt in exits.items():
             assert Fraction(masses[pt], ref) == ops.one_point(n, k, ell), (model, n, k, ell)
+            moved = PathFamilySpec(spec.steps, spec.starts, spec.ends[:-1] + (pt,), spec.constraint)
+            assert masses[pt] == count_nilp(moved), (model, n, k, ell)
 
 
 def test_aztec_exit_ratio_profile():
