@@ -20,8 +20,9 @@ from typing import Any, Sequence
 
 from . import __version__
 from .curves import ImplicitCurve, residual
-from .linalg import ExactMatrix, det_bareiss, det_ratio_last_column, lu_exact
+from .linalg import ExactMatrix, det_bareiss, det_ratio_last_column, last_column_minors, lu_exact
 from .models import (
+    EXACT_PROFILE_MAX,
     MODEL_OPS,
     ModelId,
     n_vsasm,
@@ -209,6 +210,8 @@ def _sized_model(args, parser: argparse.ArgumentParser) -> tuple[ModelId, int | 
         ops.check_size(args.n, args.k)
     except ValueError as exc:
         parser.error(str(exc))
+    if max(args.n, args.k or 0) > EXACT_PROFILE_MAX:
+        parser.error(f"exact sizes go up to {EXACT_PROFILE_MAX}, got n={args.n}, k={args.k}")
     return model, args.k
 
 
@@ -253,12 +256,11 @@ def cmd_verify(args, parser) -> Report:
     mismatches = []
     linv_last = l_inv.row(l_inv.rows - 1)
     u_nn = lu.U[lu.U.rows - 1, lu.U.cols - 1]
-    for ell in ops.exits(args.n, k):
-        closed = ops.one_point(args.n, k, ell)
-        b = ops.b_column(args.n, k, ell)
-        ratio = det_bareiss(matrix.with_column(matrix.cols - 1, b)) / det
+    exits = ops.exits(args.n, k)
+    columns = [ops.b_column(args.n, k, ell) for ell in exits]
+    for ell, b, minor in zip(exits, columns, last_column_minors(matrix, columns)):
         fast = det_ratio_last_column(linv_last, b, u_nn)
-        if not closed == ratio == fast:
+        if not ops.one_point(args.n, k, ell) == minor / det == fast:
             mismatches.append(ell)
     rep.add("one-point closed form equals det ratio for every exit", [], mismatches)
     return rep
@@ -267,10 +269,7 @@ def cmd_verify(args, parser) -> Report:
 def cmd_onepoint(args, parser) -> Report:
     model, k = _sized_model(args, parser)
     rep = Report("onepoint", model.value, {"n": args.n, "k": args.k})
-    try:
-        profile = one_point_profile(model, args.n, k)
-    except ValueError as exc:
-        parser.error(str(exc))
+    profile = one_point_profile(model, args.n, k)
     rows = ["ell,value"]
     rows += [f"{ell},{fraction_str(value)}" for ell, value in profile.items()]
     bounded = all(0 <= v <= 1 for v in profile.values())

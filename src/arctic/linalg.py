@@ -6,13 +6,15 @@ appears only where a true ratio is formed (LU pivots, last-column ratios).
 Determinants are deliberately available through two independent routes
 (Bareiss elimination and the product of LU pivots) so the two can be
 cross-checked; a disagreement is treated as a test failure, never a
-warning.
+warning.  One Bareiss loop gives determinants, leading minors and, bordered by
+replacement columns, every last-column minor without reading an LU factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
@@ -20,6 +22,7 @@ __all__ = [
     "LUPair",
     "SingularMinorError",
     "det_bareiss",
+    "last_column_minors",
     "leading_principal_minors",
     "lu_exact",
     "det_ratio_last_column",
@@ -76,12 +79,6 @@ class ExactMatrix:
     def row(self, i: int) -> tuple[Scalar, ...]:
         return self._data[i * self.cols:(i + 1) * self.cols]
 
-    def column(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(self._data[i * self.cols + j] for i in range(self.rows))
-
-    def to_lists(self) -> list[list[Scalar]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -91,13 +88,6 @@ class ExactMatrix:
         if not (1 <= size <= min(self.rows, self.cols)):
             raise ValueError(f"cannot truncate {self.rows}x{self.cols} to {size}")
         return ExactMatrix.from_function(size, size, lambda i, j: self[i, j])
-
-    def with_column(self, j: int, values: Sequence[Scalar]) -> "ExactMatrix":
-        if len(values) != self.rows:
-            raise ValueError(f"column length {len(values)} != {self.rows}")
-        return ExactMatrix.from_function(
-            self.rows, self.cols, lambda r, c: values[r] if c == j else self[r, c]
-        )
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -135,47 +125,47 @@ class LUPair:
         return tuple(self.U[i, i] for i in range(self.U.rows))
 
     def determinant(self) -> Fraction:
-        out = Fraction(1)
-        for d in self.u_diagonal():
-            out *= d
-        return out
+        return Fraction(prod(self.u_diagonal()))
 
 
-def _bareiss_pivots(m: ExactMatrix, swaps: bool = True) -> list[int]:
-    """Bareiss elimination; pivot k equals the order-(k+1) leading minor.
+def _rows(m: ExactMatrix, border: Sequence[Sequence[Scalar]] = ()) -> list[list[Scalar]]:
+    """Rows of the square ``m``, each followed by its entry of every border column."""
+    if not m.is_square or any(len(c) != m.rows for c in border):
+        raise ValueError(f"non-square {m.rows}x{m.cols} matrix or border of another height")
+    return [[*m.row(i), *(c[i] for c in border)] for i in range(m.rows)]
 
-    Every intermediate entry is a minor of the integer matrix ``m``, so each
-    division is exact and runs as ``//`` in ``int``; a non-``int`` entry raises
-    TypeError.  Row swaps (needed only when a leading minor vanishes) flip the
-    sign of all subsequent pivots, so the returned minors are exact for the
-    swapped matrix; det (the last pivot) is corrected for the swap parity.
-    With ``swaps`` false a vanishing leading minor raises instead.
+
+def _bareiss_pivots(a: list[list[Scalar]], steps: int, swaps: bool = True) -> list[int]:
+    """Bareiss elimination of the first ``steps`` columns of ``a`` (rows may be wider), in place.
+
+    After step k, entry (i, j) with i, j > k is the minor on rows 0..k, i and
+    columns 0..k, j (Sylvester's identity): pivot k is the order-(k+1) leading
+    minor and each division is an exact ``//`` in ``int`` (TypeError otherwise).
+    Row swaps, made only when a leading minor vanishes, flip the sign of later
+    pivots so that the last one is det; with ``swaps`` false they raise instead.
     """
-    if not m.is_square:
-        raise ValueError(f"determinant of non-square {m.rows}x{m.cols} matrix")
-    n = m.rows
-    a = m.to_lists()
     if not all(isinstance(e, int) for row in a for e in row):
         raise TypeError("Bareiss elimination needs int entries")
-    sign = 1
-    prev = 1
+    n = len(a)
+    sign = prev = 1
     pivots: list[int] = []
-    for k in range(n):
+    for k in range(steps):
         if a[k][k] == 0:
             if not swaps:
                 raise SingularMinorError(k)
             pivot_row = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
             if pivot_row is None:
                 # Entire lower column zero: determinant is zero.
-                pivots.extend([0] * (n - k))
-                return pivots
+                return pivots + [0] * (steps - k)
             a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
+        top = a[k]
+        pivot = top[k]
+        for row in a[k + 1:]:
+            factor, row[k] = row[k], 0
+            row[k + 1:] = [
+                (x * pivot - factor * y) // prev for x, y in zip(row[k + 1:], top[k + 1:])
+            ]
         prev = pivot
         pivots.append(sign * pivot)
     return pivots
@@ -186,7 +176,7 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
 
     Returned as a Fraction so that quotients of determinants stay exact.
     """
-    return Fraction(_bareiss_pivots(m)[-1])
+    return Fraction(_bareiss_pivots(_rows(m), m.rows)[-1])
 
 
 def leading_principal_minors(m: ExactMatrix) -> list[int]:
@@ -195,7 +185,18 @@ def leading_principal_minors(m: ExactMatrix) -> list[int]:
     Only valid when no row swap is needed (all leading minors nonzero), which
     holds for every model matrix in this package; a required swap raises.
     """
-    return _bareiss_pivots(m, swaps=False)
+    return _bareiss_pivots(_rows(m), m.rows, swaps=False)
+
+
+def last_column_minors(m: ExactMatrix, columns: Sequence[Sequence[Scalar]]) -> list[int]:
+    """det(m with its last column replaced by c) for each c in ``columns``.
+
+    One elimination of m's first n-1 columns, bordered by every c, leaves them
+    in its last row; a vanishing leading minor of order < n raises.
+    """
+    a = _rows(m, columns)
+    _bareiss_pivots(a, m.rows - 1, swaps=False)
+    return a[-1][m.rows:]
 
 
 def lu_exact(m: ExactMatrix) -> LUPair:

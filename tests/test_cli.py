@@ -39,6 +39,8 @@ def test_verify_aztec_passes(capsys):
         ["verify", "--model", "staircase", "--n", "5"],
         ["verify", "--model", "staircase-alt", "--n", "5"],
         ["verify", "--model", "vsasm", "--n", "5"],
+        ["verify", "--model", "aztec", "--n", "0"],
+        ["verify", "--model", "dyck", "--n", "0", "--k", "1"],
     ],
 )
 def test_verify_all_models_pass(argv, capsys):
@@ -90,8 +92,8 @@ def test_oracle_command(capsys):
 _DIGESTS = json.loads((Path(__file__).parent.parent / "perfbench" / "digests.json").read_text())
 
 
-@pytest.mark.parametrize("key", sorted(k for k in _DIGESTS if k.startswith("oracle ")))
-def test_oracle_reports_match_recorded_digests(key, capsys):
+@pytest.mark.parametrize("key", sorted(k for k in _DIGESTS if k.startswith(("oracle ", "verify "))))
+def test_exact_reports_match_recorded_digests(key, capsys):
     code, report = run(key.split(), capsys)
     assert code == 0
     checks = json.dumps(report["checks"], sort_keys=True).encode()
@@ -182,6 +184,10 @@ def test_envelope_rejects_small_grid(capsys):
         ["verify", "--model", "aztec", "--n", "4", "--k", "-5"],
         ["onepoint", "--model", "staircase", "--n", "4", "--k", "2"],
         ["oracle", "--model", "vsasm", "--n", "5", "--k", "2"],
+        ["verify", "--model", "dyck", "--n", "4", "--k", "100000"],
+        ["oracle", "--model", "dyck", "--n", "2", "--k", "100000"],
+        ["verify", "--model", "aztec", "--n", "600"],
+        ["oracle", "--model", "red", "--n", "1500", "--k", "2"],
     ],
 )
 def test_invalid_inputs_exit_2(argv, capsys):
