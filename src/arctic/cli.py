@@ -13,10 +13,11 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from . import __version__
 from .curves import ImplicitCurve, residual
@@ -46,8 +47,29 @@ from .tangent import TangentLine, analytic_saddle, envelope, finite_n_saddle, ta
 GRID_MAX = 2**20
 
 
+@contextmanager
+def _all_digits() -> Iterator[None]:
+    """Print ints of any length inside the block.
+
+    Python 3.11 refuses to convert ints above 4,300 digits to decimal; exact
+    outputs under ``EXACT_PROFILE_MAX`` reach about 40,000 (2^131328).
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def fraction_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:  # past the digit limit; retried without it
+        with _all_digits():
+            return fraction_str(f)
 
 
 @dataclass
@@ -98,7 +120,8 @@ class Report:
             "checks": [c.as_dict() for c in self.checks],
             "artifacts": self.artifacts,
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        with _all_digits():
+            return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _write(path: Path, content: str) -> None:

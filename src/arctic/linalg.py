@@ -3,6 +3,9 @@
 Everything here is exact: entries are ``int`` or ``fractions.Fraction`` and no
 operation introduces rounding.  Integer matrices stay integer; a ``Fraction``
 appears only where a true ratio is formed (LU pivots, last-column ratios).
+Products clear denominators per left row and right column, sum integer dot
+products over the left row's nonzero entries, and divide once per entry, so a
+whole entry of a product is an ``int``.
 Determinants are deliberately available through two independent routes
 (Bareiss elimination and the product of LU pivots) so the two can be
 cross-checked; a disagreement is treated as a test failure, never a
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
@@ -90,13 +93,23 @@ class ExactMatrix:
         return ExactMatrix.from_function(size, size, lambda i, j: self[i, j])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        """Exact product, summed in ``int`` over the nonzero entries of each left row.
+
+        Each right column is scaled once by the lcm e of its denominators and
+        each left row by the lcm d of its own, so entry (i, j) is one
+        ``Fraction(s, d * e)`` of an integer dot product s, stored as ``int``
+        when it is whole.
+        """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        columns = [_cleared(other._data[j::other.cols]) for j in range(other.cols)]
         out = []
         for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other[k, j] for k in range(self.cols)))
+            d, row = _cleared(self.row(i))
+            nonzero = [(k, a) for k, a in enumerate(row) if a]
+            for e, col in columns:
+                q = Fraction(sum(a * col[k] for k, a in nonzero), d * e)
+                out.append(q.numerator if q.denominator == 1 else q)
         return ExactMatrix(self.rows, other.cols, out)
 
     def __eq__(self, other: object) -> bool:
@@ -109,6 +122,12 @@ class ExactMatrix:
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols})"
+
+
+def _cleared(entries: Sequence[Scalar]) -> tuple[int, list[int]]:
+    """The lcm of the entries' denominators and the entries times it, as ints."""
+    den = lcm(*(e.denominator for e in entries))
+    return den, [e.numerator * (den // e.denominator) for e in entries]
 
 
 @dataclass(frozen=True)

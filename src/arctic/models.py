@@ -754,6 +754,7 @@ def _staircase_alt_action(z: float, xi: float, x: float | None) -> tuple[float, 
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def n_asm(n: int) -> int:
     """Number of alternating sign matrices of size n."""
     if n < 1:

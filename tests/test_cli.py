@@ -1,17 +1,22 @@
 """Command-line behavior: reports, artifacts, exit codes, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import arctic
-from arctic.cli import GRID_MAX, Report, emit_svg, main
+from arctic import cli
+from arctic.cli import GRID_MAX, Report, emit_svg, fraction_str, main
+from arctic.linalg import ExactMatrix, lu_exact
 from arctic.models import MODEL_OPS, ModelId
 from arctic.tangent import tangent_family
 
@@ -46,6 +51,60 @@ def test_verify_aztec_passes(capsys):
 def test_verify_all_models_pass(argv, capsys):
     code, report = run(argv, capsys)
     assert code == 0 and all(c["pass"] for c in report["checks"])
+
+
+@pytest.mark.parametrize(
+    "factor, entry, reconstructs, inverts",
+    [
+        ("L", (4, 2), False, False),
+        ("L", (1, 3), False, False),
+        ("U", (2, 5), False, True),
+        ("U", (5, 5), False, True),
+        ("L_inv", (4, 2), True, False),
+        ("L_inv", (1, 4), True, False),
+    ],
+)
+def test_verify_factor_checks_catch_one_perturbed_entry(factor, entry, reconstructs, inverts, monkeypatch, capsys):
+    def bump(m):
+        return ExactMatrix.from_function(m.rows, m.cols, lambda i, j: m[i, j] + ((i, j) == entry))
+
+    if factor == "L_inv":
+        model = MODEL_OPS[ModelId.AZTEC]
+        closed = model.closed_l_inv
+        monkeypatch.setitem(
+            MODEL_OPS, ModelId.AZTEC, dataclasses.replace(model, closed_l_inv=lambda n, k: bump(closed(n, k)))
+        )
+    else:
+        def perturbed_lu(m):
+            lu = lu_exact(m)
+            return dataclasses.replace(lu, **{factor: bump(getattr(lu, factor))})
+
+        monkeypatch.setattr(cli, "lu_exact", perturbed_lu)
+    code, report = run(["verify", "--model", "aztec", "--n", "6"], capsys)
+    verdicts = {c["name"]: c["pass"] for c in report["checks"]}
+    assert code == 1
+    assert verdicts["lu factors reconstruct the matrix"] is reconstructs
+    assert verdicts["closed L inverse inverts lu L"] is inverts
+
+
+@pytest.fixture
+def default_int_digit_limit():
+    """Python's default cap on int-to-decimal conversion, whatever an earlier test set."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_exact_outputs_print_past_the_int_digit_limit(default_int_digit_limit):
+    big = 10**4999 + 7  # 5,000 digits
+    rep = Report("verify", "vsasm", {"n": 1})
+    rep.add("big", big, big)
+    assert f'"expected": 1{"0" * 4998}7,' in rep.to_json()
+    assert fraction_str(Fraction(2**20000)) == f"{Decimal(2**20000)}/1"
+    assert sys.get_int_max_str_digits() == 4300
 
 
 def test_verify_requires_k_for_dyck(capsys):

@@ -49,6 +49,49 @@ def test_matrix_basic_ops():
         m[2, 0]
 
 
+def _naive_product(a, b):
+    """Triple-loop Fraction product, the reference for ``@``."""
+    return [
+        [sum((Fraction(a[i][k]) * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+# Rectangular factors of mixed int/Fraction entries, with a zeroed left row and
+# right column when the draw asks for them.
+_scalar = st.integers(-6, 6) | st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@st.composite
+def _product_pair(draw):
+    r, m, c = (draw(st.integers(1, 5)) for _ in range(3))
+    a = draw(st.lists(st.lists(_scalar, min_size=m, max_size=m), min_size=r, max_size=r))
+    b = draw(st.lists(st.lists(_scalar, min_size=c, max_size=c), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        a[draw(st.integers(0, r - 1))] = [0] * m
+    if draw(st.booleans()):
+        j = draw(st.integers(0, c - 1))
+        for row in b:
+            row[j] = 0
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=_product_pair())
+def test_matmul_matches_naive_fraction_product(drawn):
+    a, b = drawn
+    product = ExactMatrix.from_rows(a) @ ExactMatrix.from_rows(b)
+    assert (product.rows, product.cols) == (len(a), len(b[0]))
+    want = _naive_product(a, b)
+    entries = [e for i in range(product.rows) for e in product.row(i)]
+    assert entries == [e for row in want for e in row]
+    assert all(type(e) is int or e.denominator > 1 for e in entries)
+    if all(type(e) is int for row in a + b for e in row):
+        assert all(type(e) is int for e in entries)
+    with pytest.raises(ValueError):
+        ExactMatrix.from_rows(a) @ ExactMatrix.from_rows(b + [b[0]])
+
+
 def test_det_identity():
     assert det_bareiss(ExactMatrix.identity(5)) == 1
 
