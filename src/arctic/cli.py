@@ -65,11 +65,8 @@ def _all_digits() -> Iterator[None]:
 
 
 def fraction_str(f: Fraction) -> str:
-    try:
+    with _all_digits():
         return f"{f.numerator}/{f.denominator}"
-    except ValueError:  # past the digit limit; retried without it
-        with _all_digits():
-            return fraction_str(f)
 
 
 @dataclass
@@ -331,7 +328,7 @@ def cmd_oracle(args, parser) -> Report:
     spec = model_path_spec(model, args.n, k)
     det = det_bareiss(ops.matrix(args.n, k))
     count = count_nilp(spec)
-    rep.add("brute-force family count equals determinant", fraction_str(det), f"{count}/1")
+    rep.add("brute-force family count equals determinant", fraction_str(det), fraction_str(Fraction(count)))
     exits = {
         ell: model_exit_point(model, args.n, ell, k) for ell in model_exit_range(model, args.n, k)
     }
