@@ -100,6 +100,7 @@ __all__ = [
     "n_asm_refined",
     "n_vsasm",
     "n_vsasm_refined",
+    "n_vsasm_refined_counts",
     "raz_strog_check",
     "vsasm_escape",
     "r_asm",
@@ -232,16 +233,20 @@ def _log_comb(n: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float, iters: int = 200) -> float:
+    """Root of f in [lo, hi] by halving until the midpoint is an end of the bracket; every
+    later halving would repeat that state, so the result is that of ``iters`` halvings."""
     flo = f(lo)
     if flo == 0:
         return lo
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if flo * f(mid) <= 0:
+        if mid == lo or mid == hi:
+            break
+        fmid = f(mid)
+        if flo * fmid <= 0:
             hi = mid
         else:
-            lo = mid
-            flo = f(lo)
+            lo, flo = mid, fmid
     return 0.5 * (lo + hi)
 
 
@@ -262,13 +267,14 @@ def _binom_exponent(a: float, b: float) -> float:
 
 
 def _ternary_max(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Max of a unimodal f on [lo, hi]; stops once an update leaves the bracket unchanged."""
     for _ in range(200):
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3
-        if f(m1) < f(m2):
-            lo = m1
-        else:
-            hi = m2
+        bracket = (m1, hi) if f(m1) < f(m2) else (lo, m2)
+        if bracket == (lo, hi):
+            break
+        lo, hi = bracket
     return f(0.5 * (lo + hi))
 
 
@@ -759,8 +765,11 @@ def n_asm(n: int) -> int:
     """Number of alternating sign matrices of size n."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _exact_int(prod(factorial(3 * i + 1) for i in range(n)),
-                      prod(factorial(n + i) for i in range(n)))
+    a = 1  # A(m+1) = A(m) (3m+1)! m! / ((2m)! (2m+1)!), from A(1) = 1
+    for m in range(1, n):
+        a = _exact_int(a * factorial(3 * m + 1) * factorial(m),
+                       factorial(2 * m) * factorial(2 * m + 1))
+    return a
 
 
 def n_asm_refined(n: int, ell: int) -> int:
@@ -808,19 +817,25 @@ def _vsasm_term(n: int, i: int) -> int:
     return num // (factorial(i - 1) * factorial(2 * n - i))
 
 
-def _vsasm_profile(size: int, k: int | None) -> tuple[Fraction, ...]:
-    """``n_vsasm_refined(size, ell) / n_vsasm(size)`` over every exit ell = 1..size.
+def n_vsasm_refined_counts(size: int) -> list[int]:
+    """``n_vsasm_refined(size, ell)`` for every exit ell = 1..size, in one pass.
 
     (-1)^(ell+i-1) = (-1)^(ell-1) (-1)^i, so the alternating sum of exit ell is,
     up to its sign, the prefix over i < ell of one signed sum.
     """
+    if size < 3 or size % 2 == 0:
+        raise ValueError(f"size must be odd and >= 3, got {size}")
     n = (size - 1) // 2
-    scale, den, total = n_vsasm(2 * n - 1), factorial(4 * n - 2), n_vsasm(size)
+    scale, den = n_vsasm(2 * n - 1), factorial(4 * n - 2)
     signed = accumulate(((-1) ** i * _vsasm_term(n, i) for i in range(1, size)), initial=0)
-    return tuple(
-        Fraction(_exact_int((-1) ** (ell - 1) * scale * acc, den), total)
-        for ell, acc in enumerate(signed, start=1)
-    )
+    return [_exact_int((-1) ** (ell - 1) * scale * acc, den)
+            for ell, acc in enumerate(signed, start=1)]
+
+
+def _vsasm_profile(size: int, k: int | None) -> tuple[Fraction, ...]:
+    """``n_vsasm_refined(size, ell) / n_vsasm(size)`` over every exit ell = 1..size."""
+    total = n_vsasm(size)
+    return tuple(Fraction(count, total) for count in n_vsasm_refined_counts(size))
 
 
 def raz_strog_check(size: int, t: Fraction | int) -> bool:
@@ -835,10 +850,8 @@ def raz_strog_check(size: int, t: Fraction | int) -> bool:
     if t == -1:
         raise ValueError("t = -1 is outside the identity's domain")
     n = (size - 1) // 2
-    lhs = sum(
-        (n_vsasm_refined(size, ell) * t ** (ell - 1) for ell in range(1, 2 * n + 1)),
-        Fraction(0),
-    ) / n_vsasm(2 * n - 1)
+    counts = n_vsasm_refined_counts(size)[: 2 * n]
+    lhs = sum((c * t ** ell for ell, c in enumerate(counts)), Fraction(0)) / n_vsasm(2 * n - 1)
     rhs = (
         t
         / (t + 1)

@@ -76,13 +76,17 @@ class ActionValue:
 
 @dataclass(frozen=True)
 class TangentLine:
-    """Line through the scaled exit point and the scaled target."""
+    """Line through the scaled exit point and the scaled target.
+
+    ``xi`` is the saddle exit fraction behind the exit point (nan if not given).
+    """
 
     z: float
     slope: float
     intercept: float
     exit_point: tuple[float, float]
     target_point: tuple[float, float]
+    xi: float = math.nan
 
     def __post_init__(self) -> None:
         for px, py in (self.exit_point, self.target_point):
@@ -178,15 +182,16 @@ def finite_n_saddle(model: ModelId, n: int, z: float, x: float | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-def _line_through(
-    z: float, exit_point: tuple[float, float], target: tuple[float, float]
-) -> TangentLine:
+def _tangent_line(model: ModelId, z: float, x: float | None) -> TangentLine:
+    """The line from the saddle exit to the target, from one saddle solve."""
+    xi = analytic_saddle(model, z, x)
+    exit_point, target = MODEL_OPS[model].geometry(xi, z, x)
     (x0, y0), (x1, y1) = exit_point, target
     if abs(x1 - x0) < 1e-14:
         raise EnvelopeError(f"vertical tangent at parameter {z}")
     slope = (y1 - y0) / (x1 - x0)
     intercept = y0 - slope * x0
-    return TangentLine(z, slope, intercept, exit_point, target)
+    return TangentLine(z, slope, intercept, exit_point, target, xi)
 
 
 def scaled_geometry(
@@ -200,10 +205,10 @@ def scaled_geometry(
 def tangent_family(
     model: ModelId, z_grid: Sequence[float], x: float | None = None
 ) -> list[TangentLine]:
-    """One tangent line per grid parameter, ordered as given."""
+    """One tangent line per grid parameter, ordered as given; each carries its saddle ``xi``."""
     if len(z_grid) < 8:
         raise ValueError(f"tangent family needs >= 8 parameters, got {len(z_grid)}")
-    return [_line_through(z, *scaled_geometry(model, z, x)) for z in z_grid]
+    return [_tangent_line(model, z, x) for z in z_grid]
 
 
 def envelope(lines: Sequence[TangentLine]) -> list[tuple[float, float]]:

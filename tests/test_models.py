@@ -512,6 +512,14 @@ def test_asm_product_formula_against_enumeration():
     assert md.n_asm(5) == 429
 
 
+def test_stepped_asm_count_equals_product_formula():
+    for n in range(1, 41):
+        num = math.prod(factorial(3 * i + 1) for i in range(n))
+        den = math.prod(factorial(n + i) for i in range(n))
+        assert num % den == 0
+        assert md.n_asm(n) == num // den
+
+
 def test_asm_refined_against_enumeration():
     for n in (3, 4):
         matrices = enumerate_asm(n)
@@ -539,6 +547,15 @@ def test_vsasm_refined_alternating_formula():
         assert refined[0] == 0 and refined[-1] == 0
         assert all(v >= 0 for v in refined)
         assert sum(refined) == md.n_vsasm(size)
+
+
+def test_one_pass_vsasm_counts_equal_per_exit_formula():
+    for size in range(3, 42, 2):
+        want = [md.n_vsasm_refined(size, ell) for ell in range(1, size + 1)]
+        assert md.n_vsasm_refined_counts(size) == want
+    for size in (1, 4):
+        with pytest.raises(ValueError):
+            md.n_vsasm_refined_counts(size)
 
 
 def test_refined_generating_identity():

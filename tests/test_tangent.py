@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from arctic import cli, models, tangent
 from arctic.curves import residual
 from arctic.models import MODEL_OPS, ModelId, r_asm
 from arctic.tangent import (
@@ -185,6 +186,110 @@ def test_finite_n_saddle_validation():
         finite_n_saddle(ModelId.AZTEC, 32, 2.0)
     with pytest.raises(ValueError):
         finite_n_saddle(ModelId.AZTEC, 256, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# Saddle bisection and inner ternary search
+# ---------------------------------------------------------------------------
+
+
+def _bisect_200(f, lo, hi, iters=200):
+    """Reference: the bisection as it was, a fixed 200 halvings with f(lo) re-evaluated."""
+    flo = f(lo)
+    if flo == 0:
+        return lo
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if flo * f(mid) <= 0:
+            hi = mid
+        else:
+            lo = mid
+            flo = f(lo)
+    return 0.5 * (lo + hi)
+
+
+def _ternary_max_200(f, lo, hi):
+    """Reference: the ternary search as it was, a fixed 200 updates."""
+    for _ in range(200):
+        m1 = lo + (hi - lo) / 3
+        m2 = hi - (hi - lo) / 3
+        if f(m1) < f(m2):
+            lo = m1
+        else:
+            hi = m2
+    return f(0.5 * (lo + hi))
+
+
+def _saddle_cases(model):
+    """(z, x) over x in {0.01, 0.5, 1, 2, 100} and z = 1e-6 .. 1e8 inside the model's z range."""
+    lo, hi = MODEL_OPS[model].z_range
+    widths = (0.01, 0.5, 1.0, 2.0, 100.0) if MODEL_OPS[model].needs_k else (None,)
+    return [(10.0**e, x) for x in widths for e in range(-6, 9) if lo < 10.0**e <= hi]
+
+
+def _checked_against(reference, real, log):
+    """A stand-in for ``real`` that checks its result bit for bit and logs its f calls."""
+
+    def run(f, lo, hi):
+        calls = 0
+
+        def counted(t):
+            nonlocal calls
+            calls += 1
+            return f(t)
+
+        got = real(counted, lo, hi)
+        assert got.hex() == reference(f, lo, hi).hex()
+        log.append(calls)
+        return got
+
+    return run
+
+
+@pytest.mark.parametrize("model", [ModelId.VSASM, ModelId.DYCK_HALF_HEX, ModelId.RED_HALF_HEX])
+def test_saddle_bisection_matches_fixed_200_halvings(model, monkeypatch):
+    log = []
+    monkeypatch.setattr(models, "_bisect", _checked_against(_bisect_200, models._bisect, log))
+    cases = _saddle_cases(model)
+    for z, x in cases:
+        analytic_saddle(model, z, x)
+    assert len(log) == len(cases) >= 15
+    assert max(log) <= 110
+
+
+@pytest.mark.parametrize("model,x", [(ModelId.DYCK_HALF_HEX, 1.0), (ModelId.RED_HALF_HEX, 0.5)])
+def test_inner_ternary_search_matches_fixed_200_updates(model, x, monkeypatch):
+    log = []
+    real = models._ternary_max
+    monkeypatch.setattr(models, "_ternary_max", _checked_against(_ternary_max_200, real, log))
+    for z in (0.01, 0.7, 5.0):
+        for xi in (0.1, analytic_saddle(model, z, x), 0.9):
+            action_components(model, z, xi, x)
+    assert len(log) == 9
+    assert max(log) < 2 * 200 + 1  # each search stops before its 200th update
+
+
+def test_envelope_solves_each_saddle_once(tmp_path, monkeypatch, capsys):
+    solved = []
+
+    def counted(model, z, x=None):
+        solved.append((z, x))
+        return analytic_saddle(model, z, x)
+
+    monkeypatch.setattr(tangent, "analytic_saddle", counted)
+    monkeypatch.setattr(cli, "analytic_saddle", counted)
+    prefix = tmp_path / "env"
+    argv = ["envelope", "--model", "dyck", "--z-min", "0.05", "--z-max", "20", "--count", "40",
+            "--spacing", "log", "--x-model", "0.5", "--out-prefix", str(prefix)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(solved) == 40
+    rows = (tmp_path / "env.csv").read_text().splitlines()[1:]
+    assert len(rows) == 38
+    for row, (z, x) in zip(rows, solved[1:-1]):
+        cells = row.split(",")
+        assert cells[0] == f"{z:.12g}"
+        assert cells[1] == f"{analytic_saddle(ModelId.DYCK_HALF_HEX, z, x):.12g}"
 
 
 # ---------------------------------------------------------------------------
