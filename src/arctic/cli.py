@@ -250,13 +250,14 @@ def cmd_verify(args, parser) -> Report:
                 [n_vsasm_refined(size, ell) for ell in range(1, size + 1)],
                 hist,
             )
+        counts = n_vsasm_refined_counts(size)
         if size >= 5:
             rep.add(
                 "refined generating identity at t=1/2",
                 True,
-                raz_strog_check(size, Fraction(1, 2)),
+                raz_strog_check(size, Fraction(1, 2), counts),
             )
-        rep.add("refined counts sum to total", n_vsasm(size), sum(n_vsasm_refined_counts(size)))
+        rep.add("refined counts sum to total", n_vsasm(size), sum(counts))
         return rep
     matrix = ops.matrix(args.n, k)
     det = det_bareiss(matrix)

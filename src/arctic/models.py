@@ -42,7 +42,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 from typing import Callable, Iterable
 
 import numpy as np
@@ -360,21 +360,31 @@ def aztec_escape(ell: int, k: int, n: int) -> int:
 
 
 def _aztec_log_escape(n: int, target: int, k: int | None) -> np.ndarray:
-    """log :func:`aztec_escape` over ell = 0..n, from one exact Delannoy column.
+    """log :func:`aztec_escape` over ell = 0..n, from one rescaled float Delannoy column.
 
     The path weight A(m, j) is the Delannoy number D(m, j), and with
     j = target - n - 1 exit ell escapes through D(n-ell, j) + D(n-ell-1, j).
     The column obeys (m+1) D(m+1, j) = (2j+1) D(m, j) + m D(m-1, j) from
-    D(-1, j) = 0 and D(0, j) = 1, an exact integer division.
+    D(-1, j) = 0 and D(0, j) = 1. It is walked in doubles times 2^shift: once
+    D(m, j) passes 2^512 both kept values are scaled by the exact 2^-512.
+    D grows in m by at most 2j+1 per step, so nothing overflows or turns
+    subnormal. Every coefficient is positive, so each step adds at most four
+    roundings (two products, a sum, a quotient) to the relative error of its
+    terms: D(m, j) is within gamma(4m) and the escape D(m) + D(m-1) within
+    gamma(4m+1), gamma(k) = k u / (1 - k u) with u = 2^-53, as long as 2j+1
+    is a double (target below 2^52). Its log is then within about
+    gamma(4m+1) + 4 u log(escape) of the exact one.
     """
     if target <= n:
         raise ValueError(f"target k={target} must exceed n={n}")
-    j = target - n - 1
+    a, ln2 = float(2 * (target - n - 1) + 1), math.log(2)
     out = np.empty(n + 1)
-    prev, cur = 0, 1
+    prev, cur, shift = 0.0, 1.0, 0
     for m in range(n + 1):
-        out[n - m] = math.log(cur + prev)
-        prev, cur = cur, ((2 * j + 1) * cur + m * prev) // (m + 1)
+        out[n - m] = math.log(cur + prev) + shift * ln2
+        prev, cur = cur, (a * cur + m * prev) / (m + 1)
+        if cur > 2.0**512:
+            prev, cur, shift = math.ldexp(prev, -512), math.ldexp(cur, -512), shift + 512
     return out
 
 
@@ -760,16 +770,47 @@ def _staircase_alt_action(z: float, xi: float, x: float | None) -> tuple[float, 
 # ---------------------------------------------------------------------------
 
 
+def _factorial_ratio(tops: list[int], bottoms: list[int]) -> int:
+    """prod(a! for a in tops) / prod(b! for b in bottoms), from its prime factorisation.
+
+    m appears in the ratio to the power e(m) = #{a >= m} - #{b >= m}.  From the
+    largest m down, a composite m = p (m/p), p its least prime factor, hands its
+    power on to p and m/p; the primes are left with the factorisation.
+    ArithmeticError unless every exponent is >= 0.
+    """
+    top = max(tops + bottoms, default=1)
+    least = list(range(top + 1))  # least prime factor of each m
+    for p in range(2, math.isqrt(top) + 1):
+        if least[p] == p:
+            for m in range(p * p, top + 1, p):
+                if least[m] == m:
+                    least[m] = p
+    e = [0] * (top + 2)
+    for a in tops:
+        e[a] += 1
+    for b in bottoms:
+        e[b] -= 1
+    for m in range(top - 1, 0, -1):
+        e[m] += e[m + 1]
+    out = 1
+    for m in range(top, 1, -1):
+        p = least[m]
+        if p < m:
+            e[p] += e[m]
+            e[m // p] += e[m]
+        elif e[m] < 0:
+            raise ArithmeticError("count formula gave a non-integer quotient")
+        else:
+            out *= m ** e[m]
+    return out
+
+
 @lru_cache(maxsize=None)
 def n_asm(n: int) -> int:
-    """Number of alternating sign matrices of size n."""
+    """Number of alternating sign matrices of size n: prod_{k<n} (3k+1)! / (n+k)!."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    a = 1  # A(m+1) = A(m) (3m+1)! m! / ((2m)! (2m+1)!), from A(1) = 1
-    for m in range(1, n):
-        a = _exact_int(a * factorial(3 * m + 1) * factorial(m),
-                       factorial(2 * m) * factorial(2 * m + 1))
-    return a
+    return _factorial_ratio([3 * k + 1 for k in range(n)], [n + k for k in range(n)])
 
 
 def n_asm_refined(n: int, ell: int) -> int:
@@ -784,16 +825,14 @@ def n_asm_refined(n: int, ell: int) -> int:
 def n_vsasm(size: int) -> int:
     """Number of vertically symmetric ASMs of odd size 2n + 1.
 
-    Walks V(2m+1) = V(2m-1) (6m-2)! (2m-1)! / (2 (4m-1)! (4m-2)!) from V(1) = 1,
-    one factor of the product formula per step, each step an exact quotient.
+    The product formula prod_{m=1..n} (6m-2)! (2m-1)! / (2 (4m-1)! (4m-2)!),
+    with each 2 written as 2!.
     """
     if size < 1 or size % 2 == 0:
         raise ValueError(f"size must be odd and >= 1, got {size}")
-    v = 1
-    for m in range(1, (size - 1) // 2 + 1):
-        num = v * factorial(6 * m - 2) * factorial(2 * m - 1)
-        v = _exact_int(num, 2 * factorial(4 * m - 1) * factorial(4 * m - 2))
-    return v
+    ms = range(1, (size - 1) // 2 + 1)
+    tops = [6 * m - 2 for m in ms] + [2 * m - 1 for m in ms]
+    return _factorial_ratio(tops, [4 * m - 1 for m in ms] + [4 * m - 2 for m in ms] + [2] * len(ms))
 
 
 def n_vsasm_refined(size: int, ell: int) -> int:
@@ -821,14 +860,18 @@ def n_vsasm_refined_counts(size: int) -> list[int]:
     """``n_vsasm_refined(size, ell)`` for every exit ell = 1..size, in one pass.
 
     (-1)^(ell+i-1) = (-1)^(ell-1) (-1)^i, so the alternating sum of exit ell is,
-    up to its sign, the prefix over i < ell of one signed sum.
+    up to its sign, the prefix over i < ell of one signed sum.  Each count is
+    an integer, so once scale and denominator are reduced to coprime
+    numbers the reduced denominator divides the prefix itself.
     """
     if size < 3 or size % 2 == 0:
         raise ValueError(f"size must be odd and >= 3, got {size}")
     n = (size - 1) // 2
     scale, den = n_vsasm(2 * n - 1), factorial(4 * n - 2)
+    g = gcd(scale, den)
+    scale, den = scale // g, den // g
     signed = accumulate(((-1) ** i * _vsasm_term(n, i) for i in range(1, size)), initial=0)
-    return [_exact_int((-1) ** (ell - 1) * scale * acc, den)
+    return [(-1) ** (ell - 1) * scale * _exact_int(acc, den)
             for ell, acc in enumerate(signed, start=1)]
 
 
@@ -838,11 +881,16 @@ def _vsasm_profile(size: int, k: int | None) -> tuple[Fraction, ...]:
     return tuple(Fraction(count, total) for count in n_vsasm_refined_counts(size))
 
 
-def raz_strog_check(size: int, t: Fraction | int) -> bool:
+def raz_strog_check(size: int, t: Fraction | int, counts: list[int] | None = None) -> bool:
     """Exact identity tying refined VSASM counts to refined ASM counts.
 
     lhs: sum_ell N_VSASM(2n+1, ell) t^(ell-1) / N_VSASM(2n-1)
     rhs: t/(t+1) * sum_ell N_ASM(2n, ell) t^(ell-1) / N_ASM(2n-1)
+
+    ``counts`` are ``n_vsasm_refined_counts(size)`` if the caller has them.
+    N_ASM(2n, 1) = N_ASM(2n-1), and each next refined count is an exact quotient,
+    N_ASM(2n, i+1) = N_ASM(2n, i) (2n+i-1)(2n-i) / (i (4n-1-i)).  With t = p/q,
+    both sides times q^(2n-1) (p+q) N_VSASM(2n-1) N_ASM(2n-1) are integers.
     """
     if size < 3 or size % 2 == 0:
         raise ValueError(f"size must be odd and >= 3, got {size}")
@@ -850,15 +898,17 @@ def raz_strog_check(size: int, t: Fraction | int) -> bool:
     if t == -1:
         raise ValueError("t = -1 is outside the identity's domain")
     n = (size - 1) // 2
-    counts = n_vsasm_refined_counts(size)[: 2 * n]
-    lhs = sum((c * t ** ell for ell, c in enumerate(counts)), Fraction(0)) / n_vsasm(2 * n - 1)
-    rhs = (
-        t
-        / (t + 1)
-        * sum((n_asm_refined(2 * n, ell) * t ** (ell - 1) for ell in range(1, 2 * n + 1)), Fraction(0))
-        / n_asm(2 * n - 1)
-    )
-    return lhs == rhs
+    if counts is None:
+        counts = n_vsasm_refined_counts(size)
+    asm = [n_asm(2 * n - 1)]
+    for i in range(1, 2 * n):
+        asm.append(_exact_int(asm[-1] * (2 * n + i - 1) * (2 * n - i), i * (4 * n - 1 - i)))
+    p, q = t.numerator, t.denominator
+
+    def cleared(coeffs: list[int]) -> int:  # q^(2n-1) sum_e coeffs[e] t^e
+        return sum(c * p**e * q ** (2 * n - 1 - e) for e, c in enumerate(coeffs))
+
+    return (p + q) * asm[0] * cleared(counts[: 2 * n]) == p * n_vsasm(2 * n - 1) * cleared(asm)
 
 
 def vsasm_escape(ell: int, k: int, size: int) -> int:

@@ -151,7 +151,9 @@ def test_oracle_command(capsys):
 _DIGESTS = json.loads((Path(__file__).parent.parent / "perfbench" / "digests.json").read_text())
 
 
-@pytest.mark.parametrize("key", sorted(k for k in _DIGESTS if k.startswith(("oracle ", "verify "))))
+@pytest.mark.parametrize(
+    "key", sorted(k for k in _DIGESTS if k.startswith(("oracle ", "verify ", "saddle --model aztec ")))
+)
 def test_exact_reports_match_recorded_digests(key, capsys):
     code, report = run(key.split(), capsys)
     assert code == 0

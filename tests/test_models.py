@@ -141,6 +141,9 @@ def test_integer_quotient_raises_on_remainder():
         md._exact_int(7, 2)
     with pytest.raises(ArithmeticError):
         md._exact_int(Fraction(1, 3))
+    assert md._factorial_ratio([5, 4], [2, 3]) == 240
+    with pytest.raises(ArithmeticError):
+        md._factorial_ratio([2], [3])
 
 
 def test_dyck_partition_examples():
@@ -362,13 +365,43 @@ def test_profile_crossover_guard():
         md.one_point_profile(ModelId.AZTEC, 1000)
 
 
-@pytest.mark.parametrize("n, z", [(4096, 1.1), (512, 5.0)])
-def test_aztec_log_escape_is_log_of_exact_escape(n, z):
-    """The Delannoy-column sweep gives the rounded log of each exact escape integer."""
+def _exact_aztec_escapes(n, target):
+    """Every exit's escape D(n-ell, j) + D(n-ell-1, j) as an int, by the exact Delannoy walk."""
+    j, prev, cur, out = target - n - 1, 0, 1, [0] * (n + 1)
+    for m in range(n + 1):
+        out[n - m] = cur + prev
+        prev, cur = cur, md._exact_int((2 * j + 1) * cur + m * prev, m + 1)
+    return out
+
+
+@pytest.mark.parametrize("n, z", [(n, z) for n in (512, 4096, 16384) for z in (1.1, 5.0, 6.0)])
+def test_aztec_log_escape_within_derived_bound(n, z):
+    """The rescaled float walk is within a forward-error bound of every exact escape's log.
+
+    With u = 2^-53, gamma(k) = k u / (1 - k u) and m = n - ell, L = log E of the
+    exact escape E:
+    * the walk's value is E (1 + theta), |theta| <= gamma(4m+1): four roundings
+      per step on positive terms, one for D(m) + D(m-1); the power-of-two
+      rescaling is exact. |log(1 + theta)| <= gamma(4m+2).
+    * log of the value (1 ulp, 2u |log value|), shift * fl(ln 2) (2u shift ln 2)
+      and the final sum (u L): log value and shift ln 2 are >= 0 and add up to
+      about L, so together <= 3u L.
+    * the reference math.log(E) rounds E's mantissa (u), takes its log (2u ln 2)
+      and adds e fl(ln 2) (2u e ln 2, then u L): <= 3u + 3u L.
+    One more u (1 + L) covers the second-order products.
+    """
+    u = 2.0**-53
     t = round(z * n)
     logs = md.log_escape_profile(ModelId.AZTEC, n, t)
-    for ell in (0, 1, n // 2, n - 1, n):
-        assert logs[ell] == math.log(md.aztec_escape(ell, t, n)), ell
+    exact = _exact_aztec_escapes(n, t)
+    if n == 512:
+        assert [exact[ell] for ell in (0, 1, n // 2, n)] == [
+            md.aztec_escape(ell, t, n) for ell in (0, 1, n // 2, n)
+        ]
+    for ell in range(n + 1):
+        want, k = math.log(exact[ell]), 4 * (n - ell) + 2
+        tol = k * u / (1 - k * u) + 4 * u + 7 * u * want
+        assert abs(logs[ell] - want) <= tol, (ell, logs[ell], want)
 
 
 def _dyck_term(n, k, ell, s):
@@ -536,6 +569,11 @@ def test_vsasm_product_formula_against_enumeration():
     for size in (3, 5):
         matrices, _ = enumerate_vsasm(size)
         assert len(matrices) == md.n_vsasm(size)
+    for size in range(1, 62, 2):
+        ms = range(1, (size - 1) // 2 + 1)
+        num = math.prod(factorial(6 * m - 2) * factorial(2 * m - 1) for m in ms)
+        den = math.prod(2 * factorial(4 * m - 1) * factorial(4 * m - 2) for m in ms)
+        assert md.n_vsasm(size) == Fraction(num, den)
 
 
 def test_vsasm_refined_alternating_formula():
@@ -559,9 +597,13 @@ def test_one_pass_vsasm_counts_equal_per_exit_formula():
 
 
 def test_refined_generating_identity():
-    for size in (3, 5, 7, 9):
-        for t in (Fraction(1, 3), Fraction(1, 2), 1, 2, 3):
+    for size in (3, 5, 7, 9, 21):
+        for t in (Fraction(1, 3), Fraction(1, 2), Fraction(-2, 5), 0, 1, 2, 3):
             assert md.raz_strog_check(size, t)
+    counts = md.n_vsasm_refined_counts(21)
+    assert md.raz_strog_check(21, Fraction(1, 2), counts)
+    counts[4] += 1
+    assert not md.raz_strog_check(21, Fraction(1, 2), counts)
     with pytest.raises(ValueError):
         md.raz_strog_check(5, -1)
     with pytest.raises(ValueError):
