@@ -27,7 +27,6 @@ from .models import (
     MODEL_OPS,
     ModelId,
     n_vsasm,
-    n_vsasm_refined,
     n_vsasm_refined_counts,
     one_point_profile,
     raz_strog_check,
@@ -38,7 +37,6 @@ from .oracle import (
     count_nilp_by_exit,
     enumerate_vsasm,
     model_exit_point,
-    model_exit_range,
     model_path_spec,
 )
 from .tangent import TangentLine, analytic_saddle, envelope, finite_n_saddle, tangent_family
@@ -242,15 +240,11 @@ def cmd_verify(args, parser) -> Report:
     ops = MODEL_OPS[model]
     if not ops.has_paths:
         size = args.n
+        counts = n_vsasm_refined_counts(size)
         if size <= 7:
             matrices, hist = enumerate_vsasm(size)
             rep.add("vsasm count equals product formula", n_vsasm(size), len(matrices))
-            rep.add(
-                "refined formula equals brute-force histogram",
-                [n_vsasm_refined(size, ell) for ell in range(1, size + 1)],
-                hist,
-            )
-        counts = n_vsasm_refined_counts(size)
+            rep.add("refined formula equals brute-force histogram", counts, hist)
         if size >= 5:
             rep.add(
                 "refined generating identity at t=1/2",
@@ -312,11 +306,7 @@ def cmd_oracle(args, parser) -> Report:
         rep = Report("oracle", model.value, {"size": size})
         matrices, hist = enumerate_vsasm(size)
         rep.add("brute-force count equals product formula", n_vsasm(size), len(matrices))
-        rep.add(
-            "histogram equals refined formula",
-            [n_vsasm_refined(size, ell) for ell in range(1, size + 1)],
-            hist,
-        )
+        rep.add("histogram equals refined formula", n_vsasm_refined_counts(size), hist)
         if args.dump:
             payload = "\n".join(json.dumps({"entries": m.entries}) for m in matrices)
             _write(Path(args.dump), payload + "\n")
@@ -327,9 +317,7 @@ def cmd_oracle(args, parser) -> Report:
     det = det_bareiss(ops.matrix(args.n, k))
     count = count_nilp(spec)
     rep.add("brute-force family count equals determinant", fraction_str(det), fraction_str(Fraction(count)))
-    exits = {
-        ell: model_exit_point(model, args.n, ell, k) for ell in model_exit_range(model, args.n, k)
-    }
+    exits = {ell: model_exit_point(model, args.n, ell, k) for ell in ops.exits(args.n, k)}
     masses = count_nilp_by_exit(spec, list(exits.values()))
     ref_mass = masses[exits[ops.reference_ell(args.n, k)]]
     mismatch = [

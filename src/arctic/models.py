@@ -18,9 +18,10 @@ Every model, the osculating one included, also has log-space versions of the
 last two and its large-n limits: analytic saddle, action, tangent geometry
 and limit curve.  :data:`MODEL_OPS` holds all of it, one :class:`Model`
 record per model; the scan, envelope and command-line layers look a model up
-there and never branch on which model it is.  Adding a model means adding
-its functions and its record here, plus its lattice geometry in
-:mod:`arctic.oracle`, the independent reference.
+there and never branch on which model it is.  A path model's record also
+carries its :class:`Lattice` (steps, endpoints, exit points), which only the
+brute-force reference :mod:`arctic.oracle` reads and no closed form uses.
+Adding a model means adding its functions and its record here.
 
 Conventions.  Out-of-range binomials vanish (see :mod:`arctic.combinat`), so
 every summation below uses the same index-free range as the closed formula it
@@ -62,6 +63,7 @@ from .linalg import ExactMatrix
 
 __all__ = [
     "ModelId",
+    "Lattice",
     "Model",
     "MODEL_OPS",
     "aztec_entry",
@@ -111,6 +113,7 @@ __all__ = [
 ]
 
 Point = tuple[float, float]
+LatticePoint = tuple[int, int]
 
 
 class ModelId(Enum):
@@ -120,6 +123,24 @@ class ModelId(Enum):
     STAIRCASE = "staircase"
     STAIRCASE_ALT = "staircase-alt"
     VSASM = "vsasm"
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """How a path model is drawn on Z^2, for the brute-force oracle.
+
+    Path i of the size-(n, k) family runs from ``starts(n, k)[i]`` to
+    ``ends(n, k)[i]`` with ``steps``, visiting only vertices that
+    ``constraint`` allows (``none``, ``upper-half`` or ``first-quadrant``);
+    the escaping path is the last one and leaves at ``exit_point(n, k, ell)``.
+    Plain data: no closed form reads it.
+    """
+
+    steps: tuple[LatticePoint, ...]
+    starts: Callable[[int, int | None], Iterable[LatticePoint]]
+    ends: Callable[[int, int | None], Iterable[LatticePoint]]
+    exit_point: Callable[[int, int | None, int], LatticePoint]
+    constraint: str = "none"
 
 
 @dataclass(frozen=True)
@@ -144,7 +165,8 @@ class Model:
     ``z_range``, ``action(z, xi, x) -> (s0, s1)``, ``geometry(xi, z, x) ->
     (exit point, target point)``, ``limit_curve(x)``, ``tangency(x)`` and
     ``parametric``.  The Gessel-Viennot fields (``matrix`` to
-    ``reference_ell``) are None for the osculating model.
+    ``reference_ell``) and the path ``lattice`` are None for the osculating
+    model.
     """
 
     model: ModelId
@@ -168,6 +190,7 @@ class Model:
     b_column: Callable[[int, int | None, int], list[int]] | None = None
     partition: Callable[[int, int | None], int] | None = None
     reference_ell: Callable[[int, int | None], int] | None = None
+    lattice: Lattice | None = None
     n_min: int = 0
     k_min: int = 1
     odd_n: bool = False
@@ -993,6 +1016,12 @@ MODEL_OPS: dict[ModelId, Model] = {
         b_column=lambda n, k, ell: aztec_b_column(n, ell),
         partition=lambda n, k: 2 ** (n * (n + 1) // 2),
         reference_ell=lambda n, k: n,
+        lattice=Lattice(
+            steps=((1, 1), (1, -1), (2, 0)),
+            starts=lambda n, k: ((-i, i) for i in range(n + 1)),
+            ends=lambda n, k: ((j, j) for j in range(n + 1)),
+            exit_point=lambda n, k, ell: (ell, 2 * n - ell),
+        ),
     ),
     ModelId.DYCK_HALF_HEX: Model(
         model=ModelId.DYCK_HALF_HEX,
@@ -1017,6 +1046,13 @@ MODEL_OPS: dict[ModelId, Model] = {
         b_column=lambda n, k, ell: dyck_b_column(n, k, ell),
         partition=lambda n, k: dyck_partition(n, k),
         reference_ell=lambda n, k: 0,
+        lattice=Lattice(
+            steps=((1, 1), (1, -1)),
+            starts=lambda n, k: ((-2 * i, 0) for i in range(n + 1)),
+            ends=lambda n, k: ((2 * k + 2 * j, 0) for j in range(n + 1)),
+            exit_point=lambda n, k, ell: (2 * k + n - ell, n + ell),
+            constraint="upper-half",
+        ),
     ),
     ModelId.RED_HALF_HEX: Model(
         model=ModelId.RED_HALF_HEX,
@@ -1039,6 +1075,12 @@ MODEL_OPS: dict[ModelId, Model] = {
         b_column=lambda n, k, ell: red_b_column(n, k, ell),
         partition=lambda n, k: red_partition(n, k),
         reference_ell=lambda n, k: 0,
+        lattice=Lattice(
+            steps=((0, -2), (1, -1)),
+            starts=lambda n, k: ((i, i + 2 * n + 2) for i in range(k)),
+            ends=lambda n, k: ((2 * j, 0) for j in range(k)),
+            exit_point=lambda n, k, ell: (2 * k - 2, 2 * ell),
+        ),
         k_min=2,  # the positive one-point sum needs k >= 2
     ),
     ModelId.STAIRCASE: Model(
@@ -1061,6 +1103,12 @@ MODEL_OPS: dict[ModelId, Model] = {
         b_column=lambda n, k, ell: staircase_b_column(n, ell),
         partition=lambda n, k: 2 ** (n * (n + 1) // 2),
         reference_ell=lambda n, k: 0,
+        lattice=Lattice(
+            steps=((-1, 0), (0, 1)),
+            starts=lambda n, k: ((2 * i, 0) for i in range(n + 1)),
+            ends=lambda n, k: ((0, j) for j in range(n + 1)),
+            exit_point=lambda n, k, ell: (ell, n),
+        ),
     ),
     ModelId.STAIRCASE_ALT: Model(
         model=ModelId.STAIRCASE_ALT,
@@ -1082,6 +1130,14 @@ MODEL_OPS: dict[ModelId, Model] = {
         b_column=lambda n, k, ell: staircase_alt_b_column(n, ell),
         partition=lambda n, k: 2 ** (n * (n + 1) // 2),
         reference_ell=lambda n, k: 2 * n,
+        # Row i of the counting matrix is the start (2(n-i), 0): the leftmost
+        # start must reach the topmost end for the family to be non-crossing.
+        lattice=Lattice(
+            steps=((1, 0), (1, 1)),
+            starts=lambda n, k: ((2 * (n - i), 0) for i in range(n + 1)),
+            ends=lambda n, k: ((2 * n, j) for j in range(n + 1)),
+            exit_point=lambda n, k, ell: (ell, n),
+        ),
     ),
     ModelId.VSASM: Model(
         model=ModelId.VSASM,
@@ -1133,9 +1189,9 @@ def one_point_profile(model: ModelId, n: int, k: int | None = None) -> dict[int,
 def log_one_point_profile(model: ModelId, n: int, k: int | None = None) -> np.ndarray:
     """log H over the exit range, from the positive closed forms only.
 
-    For the osculating model this is the plain ASM ratio, whose difference
-    from the symmetric-class profile vanishes in the scaling limit; the
-    alternating refined formula is never evaluated at large size.
+    For the osculating model this is the refined ASM ratio, standing in for
+    the VSASM profile (ROADMAP item 2 checks that claim); the alternating
+    refined VSASM formula is never evaluated at large size.
 
     Profiles are target-independent, so results are cached (read-only arrays)
     for reuse across a scan's whole parameter grid; the cache keeps the latest

@@ -5,8 +5,10 @@ Nothing in this module knows about determinants or the closed formulas in
 extension with vertex-disjointness enforced on a shared visited set, and
 alternating sign matrices by row-by-row backtracking over column partial sums
 (the monotone-triangle characterization: every partial column sum is 0 or 1).
-The only shared vocabulary is the geometry of each model (steps, start and
-end points), rebuilt here from scratch.
+The only shared vocabulary is the geometry of each model (steps, start, end
+and exit points), read from the ``lattice`` of its :data:`MODEL_OPS` record
+and not rebuilt here; this module reads nothing else from a record, and no
+closed form reads the lattice.
 
 Budgets are explicit: an enumeration that would exceed its state budget
 refuses loudly instead of truncating.
@@ -19,7 +21,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
-from .models import ModelId
+from .models import MODEL_OPS, Lattice, ModelId
 
 __all__ = [
     "PathFamilySpec",
@@ -32,7 +34,6 @@ __all__ = [
     "osculating_config_check",
     "model_path_spec",
     "model_exit_point",
-    "model_exit_range",
     "DEFAULT_BUDGET",
 ]
 
@@ -208,83 +209,26 @@ def count_nilp_by_exit(
 
 
 # ---------------------------------------------------------------------------
-# Model geometry
+# Model lattices
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Geometry:
-    """How one model is drawn: steps, endpoints, and where the last path exits."""
-
-    steps: tuple[Step, ...]
-    starts: Callable[[int, int], Iterable[Point]]  # (n, k) -> start of each path
-    ends: Callable[[int, int], Iterable[Point]]
-    exit_point: Callable[[int, int, int], Point]  # (n, k, ell)
-    exit_range: Callable[[int, int], range]
-    constraint: str = "none"
-
-
-_GEOMETRY: dict[ModelId, _Geometry] = {
-    ModelId.AZTEC: _Geometry(
-        steps=((1, 1), (1, -1), (2, 0)),
-        starts=lambda n, k: ((-i, i) for i in range(n + 1)),
-        ends=lambda n, k: ((j, j) for j in range(n + 1)),
-        exit_point=lambda n, k, ell: (ell, 2 * n - ell),
-        exit_range=lambda n, k: range(n + 1),
-    ),
-    ModelId.DYCK_HALF_HEX: _Geometry(
-        steps=((1, 1), (1, -1)),
-        starts=lambda n, k: ((-2 * i, 0) for i in range(n + 1)),
-        ends=lambda n, k: ((2 * k + 2 * j, 0) for j in range(n + 1)),
-        exit_point=lambda n, k, ell: (2 * k + n - ell, n + ell),
-        exit_range=lambda n, k: range(n + k + 1),
-        constraint="upper-half",
-    ),
-    ModelId.RED_HALF_HEX: _Geometry(
-        steps=((0, -2), (1, -1)),
-        starts=lambda n, k: ((i, i + 2 * n + 2) for i in range(k)),
-        ends=lambda n, k: ((2 * j, 0) for j in range(k)),
-        exit_point=lambda n, k, ell: (2 * k - 2, 2 * ell),
-        exit_range=lambda n, k: range(n + 2),
-    ),
-    ModelId.STAIRCASE: _Geometry(
-        steps=((-1, 0), (0, 1)),
-        starts=lambda n, k: ((2 * i, 0) for i in range(n + 1)),
-        ends=lambda n, k: ((0, j) for j in range(n + 1)),
-        exit_point=lambda n, k, ell: (ell, n),
-        exit_range=lambda n, k: range(2 * n + 1),
-    ),
-    # Row i of the counting matrix is the start (2(n-i), 0): the leftmost
-    # start must reach the topmost end for the family to be non-crossing.
-    ModelId.STAIRCASE_ALT: _Geometry(
-        steps=((1, 0), (1, 1)),
-        starts=lambda n, k: ((2 * (n - i), 0) for i in range(n + 1)),
-        ends=lambda n, k: ((2 * n, j) for j in range(n + 1)),
-        exit_point=lambda n, k, ell: (ell, n),
-        exit_range=lambda n, k: range(2 * n + 1),
-    ),
-}
-
-
-def _geometry(model: ModelId) -> _Geometry:
-    if model not in _GEOMETRY:
-        raise ValueError(f"no path-family geometry for model {model}")
-    return _GEOMETRY[model]
+def _lattice(model: ModelId) -> Lattice:
+    lattice = MODEL_OPS[model].lattice
+    if lattice is None:
+        raise ValueError(f"no path-family lattice for model {model}")
+    return lattice
 
 
 def model_path_spec(model: ModelId, n: int, k: int | None = None) -> PathFamilySpec:
     """Steps and endpoints of each model, as drawn on the lattice."""
-    g = _geometry(model)
+    g = _lattice(model)
     return PathFamilySpec(g.steps, tuple(g.starts(n, k)), tuple(g.ends(n, k)), g.constraint)
 
 
 def model_exit_point(model: ModelId, n: int, ell: int, k: int | None = None) -> Point:
     """Boundary point where the distinguished path leaves the domain."""
-    return _geometry(model).exit_point(n, k, ell)
-
-
-def model_exit_range(model: ModelId, n: int, k: int | None = None) -> range:
-    return _geometry(model).exit_range(n, k)
+    return _lattice(model).exit_point(n, k, ell)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ __all__ = [
     "finite_n_saddle",
     "analytic_saddle",
     "action_components",
-    "scaled_geometry",
     "tangent_family",
     "envelope",
     "free_path_midpoint",
@@ -101,11 +100,14 @@ class EnvelopeError(ValueError):
     pass
 
 
-def _record(model: ModelId, x: float | None) -> Model:
-    """The model's registry record, once its width x is known to be usable."""
+def _record(model: ModelId, z: float, x: float | None) -> Model:
+    """The model's registry record, once z and its width x are known to be usable."""
     ops = MODEL_OPS[model]
     if ops.needs_k and (x is None or not (x > 0 and math.isfinite(x))):
         raise ValueError(f"{model.value} requires a finite x > 0, got x={x}")
+    lo, hi = ops.z_range
+    if not lo < z <= hi:
+        raise ValueError(f"{model.value} requires {lo:g} < z <= {hi:g}, got z={z}")
     return ops
 
 
@@ -115,11 +117,7 @@ def analytic_saddle(model: ModelId, z: float, x: float | None = None) -> float:
     ``z`` is the scaled target parameter; the half-hexagon models also need
     the scaled width ``x`` and read ``z`` as the scaled target offset y.
     """
-    ops = _record(model, x)
-    lo, hi = ops.z_range
-    if not lo < z <= hi:
-        raise ValueError(f"{model.value} requires {lo:g} < z <= {hi:g}, got z={z}")
-    return ops.saddle(z, x)
+    return _record(model, z, x).saddle(z, x)
 
 
 def action_components(model: ModelId, z: float, xi: float, x: float | None = None) -> ActionValue:
@@ -146,10 +144,7 @@ def finite_n_saddle(model: ModelId, n: int, z: float, x: float | None = None) ->
     """
     if n < 64:
         raise ValueError(f"finite-n scan needs n >= 64, got {n}")
-    ops = _record(model, x)
-    lo, hi = ops.z_range
-    if not lo < z < hi + 1e-12:
-        raise ValueError(f"z={z} outside admissible range ({lo}, {hi}) for {model.value}")
+    ops = _record(model, z, x)
     size, target, k = ops.scan(n, z, x)
     if target > 2**53:
         raise ValueError(f"scan target {float(target):.3g} at n={n}, z={z} exceeds 2**53")
@@ -192,14 +187,6 @@ def _tangent_line(model: ModelId, z: float, x: float | None) -> TangentLine:
     slope = (y1 - y0) / (x1 - x0)
     intercept = y0 - slope * x0
     return TangentLine(z, slope, intercept, exit_point, target, xi)
-
-
-def scaled_geometry(
-    model: ModelId, z: float, x: float | None = None
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Scaled (exit point, target point) for parameter z."""
-    xi = analytic_saddle(model, z, x)
-    return MODEL_OPS[model].geometry(xi, z, x)
 
 
 def tangent_family(

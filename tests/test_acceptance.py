@@ -39,7 +39,6 @@ from arctic.oracle import (
     enumerate_asm,
     enumerate_vsasm,
     model_exit_point,
-    model_exit_range,
     model_path_spec,
 )
 from arctic.tangent import analytic_saddle, envelope, finite_n_saddle, tangent_family
@@ -129,7 +128,7 @@ def test_criterion_3_one_point_closed_forms():
     ]:
         ops = MODEL_OPS[model]
         spec = model_path_spec(model, n, k)
-        exits = {ell: model_exit_point(model, n, ell, k) for ell in model_exit_range(model, n, k)}
+        exits = {ell: model_exit_point(model, n, ell, k) for ell in ops.exits(n, k)}
         masses = count_nilp_by_exit(spec, list(exits.values()))
         ref = masses[exits[ops.reference_ell(n, k)]]
         for ell, pt in exits.items():

@@ -127,7 +127,7 @@ def test_onepoint_writes_rational_csv(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("model", list(ModelId))
-def test_onepoint_csv_rows_follow_the_exit_range(model, tmp_path, capsys):
+def test_onepoint_csv_rows_follow_the_exits(model, tmp_path, capsys):
     """Each model's CSV lists exactly its exits, with weight 1 at the reference exit."""
     ops = MODEL_OPS[model]
     n, k = (5, None) if model is ModelId.VSASM else (4, 3 if ops.needs_k else None)

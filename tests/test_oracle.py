@@ -15,7 +15,6 @@ from arctic.oracle import (
     enumerate_asm,
     enumerate_vsasm,
     model_exit_point,
-    model_exit_range,
     model_path_spec,
     osculating_config_check,
 )
@@ -84,13 +83,28 @@ def test_exit_masses_match_one_point_functions():
     ]:
         ops = MODEL_OPS[model]
         spec = model_path_spec(model, n, k)
-        exits = {ell: model_exit_point(model, n, ell, k) for ell in model_exit_range(model, n, k)}
+        exits = {ell: model_exit_point(model, n, ell, k) for ell in ops.exits(n, k)}
         masses = count_nilp_by_exit(spec, list(exits.values()))
         ref = masses[exits[ops.reference_ell(n, k)]]
         for ell, pt in exits.items():
             assert Fraction(masses[pt], ref) == ops.one_point(n, k, ell), (model, n, k, ell)
             moved = PathFamilySpec(spec.steps, spec.starts, spec.ends[:-1] + (pt,), spec.constraint)
             assert masses[pt] == count_nilp(moved), (model, n, k, ell)
+
+
+@pytest.mark.parametrize("model", [m for m in ModelId if MODEL_OPS[m].has_paths])
+def test_lattice_matches_matrix_and_separates_exits(model):
+    """One path per matrix row, and distinct exits land on distinct points.
+
+    Exit masses are keyed by point, so two exits sharing one would merge.
+    """
+    ops = MODEL_OPS[model]
+    for n in range(ops.n_min, 5):
+        for k in range(ops.k_min, 4) if ops.needs_k else [None]:
+            spec = model_path_spec(model, n, k)
+            assert len(spec.starts) == len(spec.ends) == ops.matrix(n, k).rows, (n, k)
+            points = [model_exit_point(model, n, ell, k) for ell in ops.exits(n, k)]
+            assert len(set(points)) == len(points), (n, k)
 
 
 def test_aztec_exit_ratio_profile():

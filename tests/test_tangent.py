@@ -15,7 +15,6 @@ from arctic.tangent import (
     envelope,
     finite_n_saddle,
     free_path_midpoint,
-    scaled_geometry,
     tangent_family,
 )
 
@@ -186,6 +185,9 @@ def test_finite_n_saddle_validation():
         finite_n_saddle(ModelId.AZTEC, 32, 2.0)
     with pytest.raises(ValueError):
         finite_n_saddle(ModelId.AZTEC, 256, 0.5)
+    with pytest.raises(ValueError):
+        # Just past the top of the z range: refused as analytic_saddle refuses it.
+        finite_n_saddle(ModelId.STAIRCASE_ALT, 64, 2.0 + 1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +373,12 @@ def test_dyck_contact_approaches_boundary_tangency():
 
 
 def test_scaled_geometry_conventions():
-    exit_pt, target = scaled_geometry(ModelId.STAIRCASE, 2.0)
+    def scaled(model, z, x=None):
+        return MODEL_OPS[model].geometry(analytic_saddle(model, z, x), z, x)
+
+    exit_pt, target = scaled(ModelId.STAIRCASE, 2.0)
     assert exit_pt[1] == 1.0 and target == (0.0, 2.0)
-    exit_pt, target = scaled_geometry(ModelId.RED_HALF_HEX, 1.0, 1.0)
+    exit_pt, target = scaled(ModelId.RED_HALF_HEX, 1.0, 1.0)
     assert exit_pt[0] == 2.0 and target == (3.0, -1.0)
 
 
