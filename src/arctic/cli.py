@@ -314,8 +314,10 @@ def cmd_oracle(args, parser) -> Report:
         return rep
     rep = Report("oracle", model.value, {"n": args.n, "k": args.k})
     spec = model_path_spec(model, args.n, k)
-    det = det_bareiss(ops.matrix(args.n, k))
+    # The sweep goes first: it refuses an input too large for its budget
+    # before an elimination of the same size runs.
     count = count_nilp(spec)
+    det = det_bareiss(ops.matrix(args.n, k))
     rep.add("brute-force family count equals determinant", fraction_str(det), fraction_str(Fraction(count)))
     exits = {ell: model_exit_point(model, args.n, ell, k) for ell in ops.exits(args.n, k)}
     masses = count_nilp_by_exit(spec, list(exits.values()))

@@ -3,9 +3,11 @@
 Everything here is exact: entries are ``int`` or ``fractions.Fraction`` and no
 operation introduces rounding.  Integer matrices stay integer; a ``Fraction``
 appears only where a true ratio is formed (LU pivots, last-column ratios).
-Products clear denominators per left row and right column, sum integer dot
-products over the left row's nonzero entries, and divide once per entry, so a
-whole entry of a product is an ``int``.
+Every whole entry that LU or a product forms is stored as an ``int``, so a
+matrix whose factors are integral (the diamond and both staircases) is
+factored by Doolittle sums in ``int`` alone.  Products clear denominators per
+left row and right column, sum integer dot products over the left row's
+nonzero entries, and divide once per entry.
 Determinants are deliberately available through two independent routes
 (Bareiss elimination and the product of LU pivots) so the two can be
 cross-checked; a disagreement is treated as a test failure, never a
@@ -108,8 +110,7 @@ class ExactMatrix:
             d, row = _cleared(self.row(i))
             nonzero = [(k, a) for k, a in enumerate(row) if a]
             for e, col in columns:
-                q = Fraction(sum(a * col[k] for k, a in nonzero), d * e)
-                out.append(q.numerator if q.denominator == 1 else q)
+                out.append(_whole(Fraction(sum(a * col[k] for k, a in nonzero), d * e)))
         return ExactMatrix(self.rows, other.cols, out)
 
     def __eq__(self, other: object) -> bool:
@@ -128,6 +129,11 @@ def _cleared(entries: Sequence[Scalar]) -> tuple[int, list[int]]:
     """The lcm of the entries' denominators and the entries times it, as ints."""
     den = lcm(*(e.denominator for e in entries))
     return den, [e.numerator * (den // e.denominator) for e in entries]
+
+
+def _whole(x: Scalar) -> Scalar:
+    """``x`` as an ``int`` when it is whole, so later sums stay in ``int``."""
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
@@ -222,7 +228,8 @@ def lu_exact(m: ExactMatrix) -> LUPair:
     """Unique unit-lower / upper factorization, no pivoting.
 
     The model matrices are totally-positive-like and never need pivoting; a
-    vanishing leading minor is reported with its index, not repaired.
+    vanishing leading minor of order < n is reported with its index, not
+    repaired.  Whole entries of L and U are stored as ``int``.
     """
     if not m.is_square:
         raise ValueError(f"LU of non-square {m.rows}x{m.cols} matrix")
@@ -231,12 +238,12 @@ def lu_exact(m: ExactMatrix) -> LUPair:
     low = [[int(i == j) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i, n):
-            u[i][j] = m[i, j] - sum(low[i][k] * u[k][j] for k in range(i))
+            u[i][j] = _whole(m[i, j] - sum(low[i][k] * u[k][j] for k in range(i)))
         if i < n - 1 and u[i][i] == 0:
             raise SingularMinorError(i)
         for r in range(i + 1, n):
             num = m[r, i] - sum(low[r][k] * u[k][i] for k in range(i))
-            low[r][i] = Fraction(num, u[i][i])
+            low[r][i] = _whole(Fraction(num, u[i][i]))
     return LUPair(ExactMatrix.from_rows(low), ExactMatrix.from_rows(u))
 
 

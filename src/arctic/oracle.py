@@ -1,17 +1,20 @@
 """Independent brute-force enumerators used to validate every closed form.
 
 Nothing in this module knows about determinants or the closed formulas in
-:mod:`arctic.models`; path families are counted by direct depth-first
-extension with vertex-disjointness enforced on a shared visited set, and
-alternating sign matrices by row-by-row backtracking over column partial sums
-(the monotone-triangle characterization: every partial column sum is 0 or 1).
+:mod:`arctic.models`; path families are counted by a per-path transfer sweep
+over the levels of a progress direction, which moves one path at a time,
+keeps the vertices occupied on each level disjoint and merges equal partial
+states, and alternating sign matrices by row-by-row backtracking over column
+partial sums (the monotone-triangle characterization: every partial column
+sum is 0 or 1).
 The only shared vocabulary is the geometry of each model (steps, start, end
 and exit points), read from the ``lattice`` of its :data:`MODEL_OPS` record
 and not rebuilt here; this module reads nothing else from a record, and no
 closed form reads the lattice.
 
-Budgets are explicit: an enumeration that would exceed its state budget
-refuses loudly instead of truncating.
+Budgets are explicit: an enumeration that would exceed its budget refuses
+loudly instead of truncating.  A path sweep's budget counts work units (see
+:func:`count_nilp_by_exit`).
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-DEFAULT_BUDGET = 10**8
+DEFAULT_BUDGET = 3 * 10**6
 
 
 @dataclass(frozen=True)
@@ -134,17 +137,21 @@ def count_nilp_by_exit(
 ) -> dict[Point, int]:
     """Counts with the distinguished (last) endpoint moved to each exit.
 
-    All paths advance simultaneously through sweep levels of the progress
-    direction; only the frontier (current vertex of every live path, plus
-    in-flight markers for steps that advance two levels) is stored, with
-    counts aggregated per frontier state and per exit the last path took.
-    That turns the exponential path-by-path search into a transfer-matrix walk
-    while staying fully independent of any determinant machinery.  One sweep
-    serves every exit: the last path may stop at any exit it lands on, or walk
-    on toward another one.
+    A transfer-matrix walk (Stanley, *Enumerative Combinatorics I*, 4.7) over
+    the levels of the progress direction, fully independent of any
+    determinant machinery.  A state is the frontier (current vertex of every
+    live path, plus in-flight markers for steps that advance two levels) and
+    the exit the last path stopped at, with counts aggregated per state.  Each
+    level is a per-path transfer: the frontier's paths move one at a time in
+    frontier order, then the paths born on the next level are placed the same
+    way, and after each path's move equal partial states merge before the
+    next path branches.  One sweep serves every exit: the last path may stop
+    at any exit it lands on, or walk on toward another one.
 
-    ``budget`` caps the total number of (state, move-combination) pairs the
-    sweep may examine.
+    One unit of ``budget`` is one path carried by a partial state whose next
+    path moves, plus one for the state itself, so that the cost of a unit does
+    not grow with the number of paths; the sweep refuses as soon as its units
+    exceed the budget.
     """
     last = len(spec.starts) - 1
     ends_of = [(e,) for e in spec.ends[:-1]] + [tuple(exits)]
@@ -175,34 +182,52 @@ def count_nilp_by_exit(
     hi = max((level(e) for ends in ends_of for e in ends), default=0)
     # A state is (exit the last path stopped at, or None; frontier).  Frontier
     # entry per live path: (path index, vertex, flag); an in-flight path's
-    # vertex is its landing point one level ahead.
+    # vertex is its landing point one level ahead.  Entries stay in order of
+    # birth level, then index, so equal sets of paths give equal tuples.
     states: dict[tuple, int] = {(None, ()): 1}
     work = 0
 
     # Start one level early so paths born at the lowest level are placed
     # inside the uniform birth handling.
     for tau in range(lo - 1, hi):
+        # A newborn is placed like a path landing on its start.
+        born = tuple((j, spec.starts[j], _FLIGHT) for j in range(last + 1) if birth[j] == tau + 1)
         new_states: dict[tuple, int] = {}
-        for (exit_taken, frontier), count in states.items():
-            options = [
-                arrivals(idx, pos) if flag == _FLIGHT else moves(idx, pos)
-                for idx, pos, flag in frontier
-            ] + [arrivals(j, spec.starts[j]) for j in range(last + 1) if birth[j] == tau + 1]
-            stack = [(0, [], set())]
-            while stack:
-                work += 1
+        # A partial state is (exit, entries chosen so far, vertices occupied on
+        # level tau + 1, paths still to move); equal ones merge before the
+        # next path branches.
+        todo: dict[tuple, int] = {}
+        # Popping releases each consumed state while the next ones are made.
+        while states:
+            (stop, frontier), count = states.popitem()
+            if frontier or born:
+                todo[stop, (), (), frontier + born] = count
+            else:
+                new_states[stop, ()] = new_states.get((stop, ()), 0) + count
+        while todo:
+            moved: dict[tuple, int] = {}
+            while todo:
+                (stop, chosen, occupied, rest), count = todo.popitem()
+                work += 1 + len(chosen) + len(rest)
                 if work > budget:
-                    raise BudgetExceededError(f"frontier sweep of {work} states", budget)
-                oi, chosen, occupied = stack.pop()
-                if oi == len(options):
-                    stop = next((p for i, p, f in chosen if f == _STOP and i == last), exit_taken)
-                    key = (stop, tuple(sorted(e for e in chosen if e[2] != _STOP)))
-                    new_states[key] = new_states.get(key, 0) + count
-                    continue
-                for entry in options[oi]:
-                    if entry[2] == _FLIGHT or entry[1] not in occupied:
-                        held = occupied if entry[2] == _FLIGHT else occupied | {entry[1]}
-                        stack.append((oi + 1, chosen + [entry], held))
+                    raise BudgetExceededError(f"frontier sweep of {work} work units", budget)
+                idx, pos, flag = rest[0]
+                rest = rest[1:]
+                out = moved if rest else new_states
+                for entry in arrivals(idx, pos) if flag == _FLIGHT else moves(idx, pos):
+                    p, f = entry[1], entry[2]
+                    if f == _FLIGHT:
+                        key = (stop, chosen + (entry,), occupied, rest)
+                    elif p in occupied:
+                        continue
+                    elif f == _STOP:
+                        key = (p if idx == last else stop, chosen, occupied + (p,), rest)
+                    else:
+                        key = (stop, chosen + (entry,), occupied + (p,), rest)
+                    if not rest:
+                        key = key[:2]
+                    out[key] = out.get(key, 0) + count
+            todo = moved
         states = new_states
 
     return {e: sum(c for (x, f), c in states.items() if x == e and not f) for e in exits}

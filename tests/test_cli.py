@@ -249,6 +249,7 @@ def test_envelope_rejects_small_grid(capsys):
         ["oracle", "--model", "dyck", "--n", "2", "--k", "100000"],
         ["verify", "--model", "aztec", "--n", "600"],
         ["oracle", "--model", "red", "--n", "1500", "--k", "2"],
+        ["oracle", "--model", "dyck", "--n", "2", "--k", "500"],
     ],
 )
 def test_invalid_inputs_exit_2(argv, capsys):

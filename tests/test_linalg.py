@@ -204,6 +204,52 @@ def test_lu_dyck_diagonal_and_det():
     assert lu.determinant() == 3
 
 
+def _naive_doolittle(rows):
+    """Doolittle LU in ``Fraction`` throughout, the reference for ``lu_exact``."""
+    n = len(rows)
+    low = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    up = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            up[i][j] = Fraction(rows[i][j]) - sum((low[i][k] * up[k][j] for k in range(i)), Fraction(0))
+        for r in range(i + 1, n):
+            low[r][i] = (Fraction(rows[r][i]) - sum((low[r][k] * up[k][i] for k in range(i)), Fraction(0))) / up[i][i]
+    return low, up
+
+
+# Square matrices up to 6x6, all-int or mixed int/Fraction (whole Fractions
+# included), with zeros frequent enough to make leading minors vanish.
+_lu_square = st.tuples(st.integers(1, 6), st.booleans()).flatmap(
+    lambda shape: st.lists(
+        st.just(0) | (st.integers(-6, 6) if shape[1] else _scalar),
+        min_size=shape[0] ** 2,
+        max_size=shape[0] ** 2,
+    ).map(lambda flat: [flat[i:i + shape[0]] for i in range(0, len(flat), shape[0])])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_lu_square)
+def test_lu_matches_naive_doolittle(rows):
+    n = len(rows)
+    m = ExactMatrix.from_rows(rows)
+    # Only minors of order < n must be nonzero; U's last pivot may vanish.
+    minors = [_leibniz_det([r[:size] for r in rows[:size]]) for size in range(1, n)]
+    if not all(minors):
+        with pytest.raises(SingularMinorError) as err:
+            lu_exact(m)
+        assert err.value.index == minors.index(0)
+        return
+    lu = lu_exact(m)
+    low = [list(lu.L.row(i)) for i in range(n)]
+    up = [list(lu.U.row(i)) for i in range(n)]
+    assert all(low[i][i] == 1 and not any(low[i][i + 1:]) for i in range(n))
+    assert all(not any(up[i][:i]) for i in range(n))
+    assert lu.L @ lu.U == m
+    assert (low, up) == _naive_doolittle(rows)
+    assert all(type(e) is int or e.denominator > 1 for row in low + up for e in row)
+
+
 def test_lu_reports_failing_minor():
     with pytest.raises(SingularMinorError) as err:
         lu_exact(ExactMatrix.from_rows([[0, 1], [1, 0]]))

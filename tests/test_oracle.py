@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from arctic.linalg import det_bareiss
+from arctic.linalg import det_bareiss, last_column_minors
 from arctic.models import MODEL_OPS, ModelId, n_asm, n_vsasm, n_vsasm_refined
 from arctic.oracle import (
     AsmMatrix,
@@ -40,6 +40,12 @@ def test_single_path_counts():
 def test_unreachable_endpoint_counts_zero():
     spec = PathFamilySpec(steps=((1, 0), (1, 1)), starts=((0, 0),), ends=((1, 3),))
     assert count_nilp(spec) == 0
+
+
+def test_stopped_path_still_occupies_its_end():
+    # Path 0 stops at (1, 0) on the level where path 1 could pass through it.
+    spec = PathFamilySpec(steps=((1, 0), (0, 1)), starts=((0, 0), (1, -1)), ends=((1, 0), (2, 0)))
+    assert count_nilp(spec) == 1
 
 
 def test_long_single_path_needs_no_recursion():
@@ -105,6 +111,33 @@ def test_lattice_matches_matrix_and_separates_exits(model):
             assert len(spec.starts) == len(spec.ends) == ops.matrix(n, k).rows, (n, k)
             points = [model_exit_point(model, n, ell, k) for ell in ops.exits(n, k)]
             assert len(set(points)) == len(points), (n, k)
+
+
+@pytest.mark.parametrize(
+    "model,n,k",
+    [
+        (ModelId.AZTEC, 7, None),
+        (ModelId.STAIRCASE, 10, None),
+        (ModelId.STAIRCASE_ALT, 10, None),
+        (ModelId.DYCK_HALF_HEX, 6, 6),
+        (ModelId.RED_HALF_HEX, 6, 6),
+    ],
+)
+def test_sweep_matches_bordered_bareiss_at_larger_sizes(model, n, k):
+    """Each exit's mass is the determinant with the last column replaced.
+
+    The bordered Bareiss elimination never reads a path, so this pins the
+    per-path sweep at sizes where many partial states merge on every level.
+    """
+    ops = MODEL_OPS[model]
+    spec = model_path_spec(model, n, k)
+    matrix = ops.matrix(n, k)
+    exits = list(ops.exits(n, k))
+    points = [model_exit_point(model, n, ell, k) for ell in exits]
+    masses = count_nilp_by_exit(spec, points)
+    minors = last_column_minors(matrix, [ops.b_column(n, k, ell) for ell in exits])
+    assert [masses[p] for p in points] == minors
+    assert count_nilp(spec) == det_bareiss(matrix)
 
 
 def test_aztec_exit_ratio_profile():
