@@ -10,6 +10,7 @@ byte-identical across runs for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -452,7 +453,13 @@ def _positive(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    It is only read once built: ``parse_args`` returns a fresh namespace per
+    call and the commands only call ``parser.error``.
+    """
     parser = argparse.ArgumentParser(
         prog="arctic",
         description="Exact lattice-path verification and arctic-curve extraction.",

@@ -401,14 +401,15 @@ def _aztec_log_escape(n: int, target: int, k: int | None) -> np.ndarray:
     if target <= n:
         raise ValueError(f"target k={target} must exceed n={n}")
     a, ln2 = float(2 * (target - n - 1) + 1), math.log(2)
-    out = np.empty(n + 1)
+    logs, log, offset = [], math.log, 0.0
     prev, cur, shift = 0.0, 1.0, 0
     for m in range(n + 1):
-        out[n - m] = math.log(cur + prev) + shift * ln2
+        logs.append(log(cur + prev) + offset)
         prev, cur = cur, (a * cur + m * prev) / (m + 1)
         if cur > 2.0**512:
             prev, cur, shift = math.ldexp(prev, -512), math.ldexp(cur, -512), shift + 512
-    return out
+            offset = shift * ln2
+    return np.array(logs[::-1])
 
 
 def _aztec_action(z: float, xi: float, x: float | None) -> tuple[float, float]:

@@ -140,10 +140,12 @@ def finite_n_saddle(model: ModelId, n: int, z: float, x: float | None = None) ->
     for the osculating model).  Targets above 2**53 are refused: the log-space
     profiles index with doubles, which stop holding every integer there.  So
     are exit ranges longer than ``LOG_FACTORIAL_CAP``, whose profile arrays
-    could exhaust memory.
+    could exhaust memory, and so is a non-finite z, which gives no target.
     """
     if n < 64:
         raise ValueError(f"finite-n scan needs n >= 64, got {n}")
+    if not math.isfinite(z):
+        raise ValueError(f"finite-n scan needs a finite z, got z={z}")
     ops = _record(model, z, x)
     size, target, k = ops.scan(n, z, x)
     if target > 2**53:

@@ -230,6 +230,7 @@ def test_envelope_rejects_small_grid(capsys):
         *(["saddle", "--model", m, "--n", "64", "--z", "1e300"]
           for m in ("aztec", "dyck", "red", "staircase", "vsasm")),
         ["saddle", "--model", "dyck", "--n", "64", "--x-model", "1e12", "--z", "1"],
+        *(["saddle", "--model", m.value, "--n", "4096", "--z", "inf"] for m in ModelId),
         *(["saddle", "--model", m.value, "--n", "1000000000000", "--z", "1.5"] for m in ModelId),
         ["onepoint", "--model", "dyck", "--n", "4", "--k", "100000000000"],
         ["onepoint", "--model", "red", "--n", "4", "--k", "100000000000"],
@@ -278,6 +279,38 @@ def test_non_finite_z_grid_names_the_bounds(command, bounds, capsys, tmp_path):
     err_text = capsys.readouterr().err
     assert "--z-max" in err_text and "Traceback" not in err_text
     assert not (tmp_path / "p.svg").exists()
+
+
+def test_reused_parser_prints_identical_bytes(capsys):
+    argv = ["saddle", "--model", "dyck", "--n", "128", "--z", "1.5", "--x-model", "2"]
+    outs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_usage_error_leaves_the_parser_usable(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--model", "aztec"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    code, report = run(["verify", "--model", "aztec", "--n", "3"], capsys)
+    assert code == 0 and report["params"] == {"n": 3, "k": None}
+
+
+def test_no_value_leaks_into_the_next_call(capsys):
+    code, report = run(["verify", "--model", "dyck", "--n", "3", "--k", "3"], capsys)
+    assert code == 0 and report["params"]["k"] == 3
+    assert main(["verify", "--model", "aztec", "--n", "3"]) == 0
+    assert '"k": null' in capsys.readouterr().out
+
+
+def test_cli_import_builds_no_parser():
+    package_root = str(Path(arctic.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": package_root}
+    code = "import sys, arctic.cli as c; sys.exit(c.build_parser.cache_info().currsize)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_report_without_checks_fails():
