@@ -35,7 +35,6 @@ from .models import (
 from .oracle import (
     BudgetExceededError,
     count_nilp,
-    count_nilp_by_exit,
     enumerate_vsasm,
     model_exit_point,
     model_path_spec,
@@ -255,7 +254,11 @@ def cmd_verify(args, parser) -> Report:
         rep.add("refined counts sum to total", n_vsasm(size), sum(counts))
         return rep
     matrix = ops.matrix(args.n, k)
-    det = det_bareiss(matrix)
+    exits = ops.exits(args.n, k)
+    columns = [ops.b_column(args.n, k, ell) for ell in exits]
+    # Bordered by A's own last column first, the elimination's first minor is det(A).
+    own = [matrix[i, matrix.cols - 1] for i in range(matrix.rows)]
+    det, *minors = map(Fraction, last_column_minors(matrix, [own, *columns]))
     rep.add("bareiss det equals closed partition", fraction_str(Fraction(ops.partition(args.n, k))), fraction_str(det))
     lu = lu_exact(matrix)
     rep.add("lu pivot product equals bareiss det", fraction_str(det), fraction_str(lu.determinant()))
@@ -269,9 +272,7 @@ def cmd_verify(args, parser) -> Report:
     mismatches = []
     linv_last = l_inv.row(l_inv.rows - 1)
     u_nn = lu.U[lu.U.rows - 1, lu.U.cols - 1]
-    exits = ops.exits(args.n, k)
-    columns = [ops.b_column(args.n, k, ell) for ell in exits]
-    for ell, b, minor in zip(exits, columns, last_column_minors(matrix, columns)):
+    for ell, b, minor in zip(exits, columns, minors):
         fast = det_ratio_last_column(linv_last, b, u_nn)
         if not ops.one_point(args.n, k, ell) == minor / det == fast:
             mismatches.append(ell)
@@ -315,13 +316,13 @@ def cmd_oracle(args, parser) -> Report:
         return rep
     rep = Report("oracle", model.value, {"n": args.n, "k": args.k})
     spec = model_path_spec(model, args.n, k)
+    exits = {ell: model_exit_point(model, args.n, ell, k) for ell in ops.exits(args.n, k)}
     # The sweep goes first: it refuses an input too large for its budget
     # before an elimination of the same size runs.
-    count = count_nilp(spec)
+    masses = count_nilp(spec, list(exits.values()))
     det = det_bareiss(ops.matrix(args.n, k))
-    rep.add("brute-force family count equals determinant", fraction_str(det), fraction_str(Fraction(count)))
-    exits = {ell: model_exit_point(model, args.n, ell, k) for ell in ops.exits(args.n, k)}
-    masses = count_nilp_by_exit(spec, list(exits.values()))
+    count = Fraction(masses[spec.ends[-1]])  # the last path stopped at its own end
+    rep.add("brute-force family count equals determinant", fraction_str(det), fraction_str(count))
     ref_mass = masses[exits[ops.reference_ell(args.n, k)]]
     mismatch = [
         ell

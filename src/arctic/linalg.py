@@ -12,7 +12,9 @@ Determinants are deliberately available through two independent routes
 (Bareiss elimination and the product of LU pivots) so the two can be
 cross-checked; a disagreement is treated as a test failure, never a
 warning.  One Bareiss loop gives determinants, leading minors and, bordered by
-replacement columns, every last-column minor without reading an LU factor.
+replacement columns, every last-column minor without reading an LU factor;
+bordered by the matrix's own last column too, the same pass gives its
+determinant.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Independent brute-force enumerators used to validate every closed form.
 
 Nothing in this module knows about determinants or the closed formulas in
-:mod:`arctic.models`; path families are counted by a per-path transfer sweep
-over the levels of a progress direction, which moves one path at a time,
-keeps the vertices occupied on each level disjoint and merges equal partial
-states, and alternating sign matrices by row-by-row backtracking over column
+:mod:`arctic.models`; path families are counted by one per-path transfer
+sweep over the levels of a progress direction, which moves one path at a
+time, keeps the vertices occupied on each level disjoint and merges equal
+partial states, and counts the family and every exit of its last path
+together; alternating sign matrices by row-by-row backtracking over column
 partial sums (the monotone-triangle characterization: every partial column
 sum is 0 or 1).
 The only shared vocabulary is the geometry of each model (steps, start, end
@@ -14,7 +15,7 @@ closed form reads the lattice.
 
 Budgets are explicit: an enumeration that would exceed its budget refuses
 loudly instead of truncating.  A path sweep's budget counts work units (see
-:func:`count_nilp_by_exit`).
+:func:`count_nilp`).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "AsmMatrix",
     "BudgetExceededError",
     "count_nilp",
-    "count_nilp_by_exit",
     "enumerate_asm",
     "enumerate_vsasm",
     "osculating_config_check",
@@ -121,21 +121,14 @@ def _feasible(spec: PathFamilySpec, dx: int, dy: int) -> bool:
     return False
 
 
-def count_nilp(spec: PathFamilySpec, budget: int = DEFAULT_BUDGET) -> int:
-    """Exact number of vertex-disjoint path families matching the spec.
-
-    The single-exit case of :func:`count_nilp_by_exit`; a spec with no paths
-    has one (empty) family.
-    """
-    if not spec.ends:
-        return 1
-    return count_nilp_by_exit(spec, spec.ends[-1:], budget)[spec.ends[-1]]
-
-
-def count_nilp_by_exit(
-    spec: PathFamilySpec, exits: Sequence[Point], budget: int = DEFAULT_BUDGET
+def count_nilp(
+    spec: PathFamilySpec, exits: Sequence[Point] = (), budget: int = DEFAULT_BUDGET
 ) -> dict[Point, int]:
     """Counts with the distinguished (last) endpoint moved to each exit.
+
+    The last path may stop at any of ``exits`` or at ``spec.ends[-1]``, so the
+    family count is ``result[spec.ends[-1]]``; a spec with no paths has no
+    last path to stop anywhere, and every exit counts 0.
 
     A transfer-matrix walk (Stanley, *Enumerative Combinatorics I*, 4.7) over
     the levels of the progress direction, fully independent of any
@@ -154,7 +147,8 @@ def count_nilp_by_exit(
     exceed the budget.
     """
     last = len(spec.starts) - 1
-    ends_of = [(e,) for e in spec.ends[:-1]] + [tuple(exits)]
+    exits = tuple(dict.fromkeys((*exits, *spec.ends[-1:])))
+    ends_of = [(e,) for e in spec.ends[:-1]] + [exits]
 
     def level(p: Point) -> int:
         return spec.progress[0] * p[0] + spec.progress[1] * p[1]

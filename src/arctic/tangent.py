@@ -29,6 +29,7 @@ from .models import (
     log_escape_profile,
     log_one_point_profile,
 )
+from .oracle import PathFamilySpec
 
 __all__ = [
     "SaddleResult",
@@ -245,13 +246,7 @@ def free_path_midpoint(
     if not steps:
         raise ValueError("empty step set")
     ex, ey = endpoint
-    progress = None
-    for w in ((1, 0), (0, 1), (1, 1), (-1, 1), (1, -1), (-1, 0), (0, -1)):
-        if all(w[0] * sx + w[1] * sy > 0 for sx, sy in steps):
-            progress = w
-            break
-    if progress is None:
-        raise ValueError(f"steps {steps} admit no progress direction")
+    progress = PathFamilySpec(tuple(steps), ((0, 0),), (endpoint,)).progress
     total = progress[0] * ex + progress[1] * ey
     if total <= 0:
         raise ValueError(f"endpoint {endpoint} not ahead of the origin")

@@ -14,10 +14,11 @@ from pathlib import Path
 import pytest
 
 import arctic
-from arctic import cli
+from arctic import cli, linalg
 from arctic.cli import GRID_MAX, Report, emit_svg, fraction_str, main
 from arctic.linalg import ExactMatrix, lu_exact
 from arctic.models import MODEL_OPS, ModelId
+from arctic.oracle import model_exit_point
 from arctic.tangent import tangent_family
 
 
@@ -146,6 +147,51 @@ def test_onepoint_csv_rows_follow_the_exits(model, tmp_path, capsys):
 def test_oracle_command(capsys):
     code, report = run(["oracle", "--model", "staircase", "--n", "2"], capsys)
     assert code == 0 and all(c["pass"] for c in report["checks"])
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so that each call is recorded; return the record."""
+    fn, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_oracle_makes_one_path_sweep(monkeypatch, capsys):
+    sweeps = _count_calls(monkeypatch, cli, "count_nilp")
+    code, report = run(["oracle", "--model", "dyck", "--n", "2", "--k", "2"], capsys)
+    assert code == 0 and all(c["pass"] for c in report["checks"])
+    # The one sweep serves the family count and every exit mass.
+    dyck = ModelId.DYCK_HALF_HEX
+    exits = [model_exit_point(dyck, 2, ell, 2) for ell in MODEL_OPS[dyck].exits(2, 2)]
+    assert [args[1:] for args in sweeps] == [(exits,)]
+
+
+def test_verify_makes_one_elimination(monkeypatch, capsys):
+    eliminations = _count_calls(monkeypatch, linalg, "_bareiss_pivots")
+    dets = _count_calls(monkeypatch, cli, "det_bareiss")
+    code, report = run(["verify", "--model", "aztec", "--n", "6"], capsys)
+    assert code == 0 and all(c["pass"] for c in report["checks"])
+    assert len(eliminations) == 1 and dets == []
+
+
+def test_bench_traced_bindings_all_resolve():
+    """Every binding the bench harness traces still names a function here.
+
+    A renamed or dropped binding would silently make its per-layer metrics absent.
+    """
+    code = (
+        "import json, sys; sys.path[:0] = [sys.argv[1], sys.argv[2]];"
+        "import tracing; print(json.dumps(sorted(tracing.Tracer().install())))"
+    )
+    root = Path(__file__).parent.parent
+    proc = subprocess.run([sys.executable, "-c", code, str(root / "perfbench"), str(root / "src")],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert json.loads(proc.stdout) == []
 
 
 _DIGESTS = json.loads((Path(__file__).parent.parent / "perfbench" / "digests.json").read_text())

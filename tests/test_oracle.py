@@ -11,7 +11,6 @@ from arctic.oracle import (
     BudgetExceededError,
     PathFamilySpec,
     count_nilp,
-    count_nilp_by_exit,
     enumerate_asm,
     enumerate_vsasm,
     model_exit_point,
@@ -32,32 +31,41 @@ def test_spec_validation():
 
 def test_single_path_counts():
     spec = PathFamilySpec(steps=((1, 1), (1, -1)), starts=((0, 0),), ends=((4, 0),), constraint="upper-half")
-    assert count_nilp(spec) == 2  # the two Dyck paths of four steps
+    assert count_nilp(spec)[spec.ends[-1]] == 2  # the two Dyck paths of four steps
     free = PathFamilySpec(steps=((1, 1), (1, -1)), starts=((0, 0),), ends=((4, 0),))
-    assert count_nilp(free) == 6
+    assert count_nilp(free)[free.ends[-1]] == 6
 
 
 def test_unreachable_endpoint_counts_zero():
     spec = PathFamilySpec(steps=((1, 0), (1, 1)), starts=((0, 0),), ends=((1, 3),))
-    assert count_nilp(spec) == 0
+    assert count_nilp(spec)[spec.ends[-1]] == 0
 
 
 def test_stopped_path_still_occupies_its_end():
     # Path 0 stops at (1, 0) on the level where path 1 could pass through it.
     spec = PathFamilySpec(steps=((1, 0), (0, 1)), starts=((0, 0), (1, -1)), ends=((1, 0), (2, 0)))
-    assert count_nilp(spec) == 1
+    assert count_nilp(spec)[spec.ends[-1]] == 1
+
+
+def test_spec_without_paths_stops_at_no_exit():
+    spec = PathFamilySpec(steps=((1, 0),), starts=(), ends=())
+    assert count_nilp(spec) == {}
+    assert count_nilp(spec, [(1, 0)]) == {(1, 0): 0}
 
 
 def test_long_single_path_needs_no_recursion():
     # 3000 lattice steps: far past Python's recursion limit.
     spec = PathFamilySpec(steps=((1, 0), (1, 1)), starts=((0, 0),), ends=((3000, 0),))
-    assert count_nilp(spec) == 1
+    assert count_nilp(spec)[spec.ends[-1]] == 1
 
 
 def test_family_counts_match_small_partition_functions():
-    assert count_nilp(model_path_spec(ModelId.AZTEC, 1)) == 2
-    assert count_nilp(model_path_spec(ModelId.DYCK_HALF_HEX, 1, 2)) == 3
-    assert count_nilp(model_path_spec(ModelId.STAIRCASE, 1)) == 2
+    for spec, count in [
+        (model_path_spec(ModelId.AZTEC, 1), 2),
+        (model_path_spec(ModelId.DYCK_HALF_HEX, 1, 2), 3),
+        (model_path_spec(ModelId.STAIRCASE, 1), 2),
+    ]:
+        assert count_nilp(spec)[spec.ends[-1]] == count
 
 
 @pytest.mark.parametrize(
@@ -73,7 +81,8 @@ def test_family_counts_match_small_partition_functions():
 def test_counts_equal_determinants(model, sizes):
     ops = MODEL_OPS[model]
     for n, k in sizes:
-        got = count_nilp(model_path_spec(model, n, k))
+        spec = model_path_spec(model, n, k)
+        got = count_nilp(spec)[spec.ends[-1]]
         assert got == det_bareiss(ops.matrix(n, k)), (model, n, k)
 
 
@@ -90,12 +99,14 @@ def test_exit_masses_match_one_point_functions():
         ops = MODEL_OPS[model]
         spec = model_path_spec(model, n, k)
         exits = {ell: model_exit_point(model, n, ell, k) for ell in ops.exits(n, k)}
-        masses = count_nilp_by_exit(spec, list(exits.values()))
+        masses = count_nilp(spec, list(exits.values()))
+        # The family count rides along, also where ends[-1] is no exit (dyck).
+        assert masses[spec.ends[-1]] == count_nilp(spec)[spec.ends[-1]], (model, n, k)
         ref = masses[exits[ops.reference_ell(n, k)]]
         for ell, pt in exits.items():
             assert Fraction(masses[pt], ref) == ops.one_point(n, k, ell), (model, n, k, ell)
             moved = PathFamilySpec(spec.steps, spec.starts, spec.ends[:-1] + (pt,), spec.constraint)
-            assert masses[pt] == count_nilp(moved), (model, n, k, ell)
+            assert masses[pt] == count_nilp(moved)[pt], (model, n, k, ell)
 
 
 @pytest.mark.parametrize("model", [m for m in ModelId if MODEL_OPS[m].has_paths])
@@ -134,16 +145,16 @@ def test_sweep_matches_bordered_bareiss_at_larger_sizes(model, n, k):
     matrix = ops.matrix(n, k)
     exits = list(ops.exits(n, k))
     points = [model_exit_point(model, n, ell, k) for ell in exits]
-    masses = count_nilp_by_exit(spec, points)
+    masses = count_nilp(spec, points)
     minors = last_column_minors(matrix, [ops.b_column(n, k, ell) for ell in exits])
     assert [masses[p] for p in points] == minors
-    assert count_nilp(spec) == det_bareiss(matrix)
+    assert count_nilp(spec)[spec.ends[-1]] == det_bareiss(matrix)
 
 
 def test_aztec_exit_ratio_profile():
     spec = model_path_spec(ModelId.AZTEC, 2)
     exits = [model_exit_point(ModelId.AZTEC, 2, ell) for ell in range(3)]
-    masses = count_nilp_by_exit(spec, exits)
+    masses = count_nilp(spec, exits)
     ref = masses[(2, 2)]
     assert [Fraction(masses[e], ref) for e in exits] == [
         Fraction(1, 4),
@@ -155,8 +166,8 @@ def test_aztec_exit_ratio_profile():
 def test_degenerate_single_exit_collects_all_mass():
     spec = model_path_spec(ModelId.STAIRCASE, 2)
     only = model_exit_point(ModelId.STAIRCASE, 2, 0)
-    masses = count_nilp_by_exit(spec, [only])
-    assert masses[only] == count_nilp(spec)
+    masses = count_nilp(spec, [only])
+    assert masses[only] == count_nilp(spec)[spec.ends[-1]]
 
 
 def test_budget_is_enforced_and_named():

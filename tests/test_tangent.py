@@ -392,6 +392,8 @@ def test_free_path_midpoint_on_symmetric_walks():
     assert abs(mx - 1.0) <= 2 / 128 and abs(my) <= 2 / 128
     mx, my = free_path_midpoint([(1, 0), (0, 1)], (128, 128), 128)
     assert abs(mx - 0.5) <= 2 / 128 and abs(my - 0.5) <= 2 / 128
+    mx, my = free_path_midpoint([(-1, 0), (0, -1)], (-128, -128), 128)
+    assert abs(mx + 0.5) <= 2 / 128 and abs(my + 0.5) <= 2 / 128
 
 
 def test_free_path_midpoint_schroeder_on_chord():
