@@ -38,6 +38,7 @@ and the alternative formulation's saddle xi = 2 - z/2 on overlapping arcs.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -45,8 +46,6 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, gcd, prod
 from typing import Callable, Iterable
-
-import numpy as np
 
 from .combinat import ballot, binomial, catalan, trinomial
 from .curves import (
@@ -157,11 +156,16 @@ class Model:
 
     ``exits(n, k)`` is the range of exit positions ell.  Exact values
     ``one_point(n, k, ell)`` and ``escape(n, k, target, ell)`` have log-space
-    profiles over all exits, ``log_profile(n, k)`` and
-    ``log_escape(n, target, k)``.  ``exact_profile(n, k)`` gives the
-    ``one_point`` values of all exits in one sweep; verification keeps to the
-    closed form ``one_point``.  ``scan(n, z, x)`` gives the (size, target,
-    k) of a finite-n scan.  The large-n limits are ``saddle(z, x)`` for z in
+    forms: ``log_profile(n, k)``, a tuple over all exits, and
+    ``log_escape(n, target, k)``, a function of the exit's index in
+    ``exits(n, k)``.  Both logs are concave in ell wherever they are finite (each
+    model's log functions say why), and ``live_exits(n, k, target)`` is the
+    range of exits where both are finite (None: every exit).
+    ``exact_profile(n, k)`` gives the ``one_point`` values of all exits in one
+    sweep; verification keeps to the closed form ``one_point``.  A finite-n
+    scan of size n uses the size n (n | 1 for ``odd_n``), k = round(x n) and the
+    target round(z size), which must exceed ``z_range[0]`` times the size.  The
+    large-n limits are ``saddle(z, x)`` for z in
     ``z_range``, ``action(z, xi, x) -> (s0, s1)``, ``geometry(xi, z, x) ->
     (exit point, target point)``, ``limit_curve(x)``, ``tangency(x)`` and
     ``parametric``.  The Gessel-Viennot fields (``matrix`` to
@@ -174,9 +178,8 @@ class Model:
     one_point: Callable[[int, int | None, int], Fraction]
     exact_profile: Callable[[int, int | None], tuple[Fraction, ...]]
     escape: Callable[[int, int | None, int, int], int]
-    log_profile: Callable[[int, int | None], np.ndarray]
-    log_escape: Callable[[int, int, int | None], np.ndarray]
-    scan: Callable[[int, float, float | None], tuple[int, int, int | None]]
+    log_profile: Callable[[int, int | None], tuple[float, ...]]
+    log_escape: Callable[[int, int, int | None], Callable[[int], float]]
     z_range: tuple[float, float]
     saddle: Callable[[float, float | None], float]
     action: Callable[[float, float, float | None], tuple[float, float]]
@@ -191,6 +194,7 @@ class Model:
     partition: Callable[[int, int | None], int] | None = None
     reference_ell: Callable[[int, int | None], int] | None = None
     lattice: Lattice | None = None
+    live_exits: Callable[[int, int | None, int], range] | None = None
     n_min: int = 0
     k_min: int = 1
     odd_n: bool = False
@@ -220,39 +224,41 @@ class Model:
 # Shared numerics: log-space sums and large-n exponents
 # ---------------------------------------------------------------------------
 
-_log_factorials = np.zeros(1)
+_log_factorials = array("d", [0.0])
 LOG_FACTORIAL_CAP = 2**20
+_LN2 = math.log(2)
 
 
-def _log_factorial(m: np.ndarray) -> np.ndarray:
-    """log(m!) for integer-valued m >= 0, read from a growing math.lgamma table.
+def _grow_log_factorials(top: int) -> None:
+    """Extend the math.lgamma table of log(m!) through m = top, capped at LOG_FACTORIAL_CAP.
 
-    Past LOG_FACTORIAL_CAP entries (a far target would ask for a table linear
-    in z) lgamma is evaluated directly, giving the doubles the table would hold.
+    Only the cached profile rows grow it; a far target would ask for a table
+    linear in z, so escapes read past the table through :func:`_log_factorial`.
     """
-    global _log_factorials
-    m = np.asarray(m, dtype=np.intp)
-    have = len(_log_factorials)
-    top = int(m.max(initial=0))
-    if top >= have and have < LOG_FACTORIAL_CAP:
-        stop = min(max(top + 1, 2 * have), LOG_FACTORIAL_CAP)
-        more = [math.lgamma(i + 1.0) for i in range(have, stop)]
-        _log_factorials = np.concatenate([_log_factorials, more])
-    if top < len(_log_factorials):
-        return _log_factorials[m]
-    args, where = np.unique(m, return_inverse=True)
-    return np.array([math.lgamma(a + 1.0) for a in args.tolist()])[where].reshape(m.shape)
+    stop = min(top + 1, LOG_FACTORIAL_CAP)
+    _log_factorials.extend(math.lgamma(m + 1.0) for m in range(len(_log_factorials), stop))
 
 
-def _log_comb(n: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Vectorized log C(n, k) for integer arguments, -inf outside 0 <= k <= n."""
-    n = np.asarray(n, dtype=float)
-    k = np.asarray(k, dtype=float)
-    valid = (k >= 0) & (k <= n)
-    n_safe = np.where(valid, n, 1.0)
-    k_safe = np.where(valid, k, 0.0)
-    out = _log_factorial(n_safe) - _log_factorial(k_safe) - _log_factorial(n_safe - k_safe)
-    return np.where(valid, out, -np.inf)
+def _log_factorial(m: int) -> float:
+    """log(m!) for an integer m >= 0: the table entry, or past the table the same lgamma double."""
+    return _log_factorials[m] if m < len(_log_factorials) else math.lgamma(m + 1.0)
+
+
+def _log_comb(n: int, k: int) -> float:
+    """log C(n, k) for integer arguments, -inf outside 0 <= k <= n."""
+    if not 0 <= k <= n:
+        return -math.inf
+    return _log_factorial(n) - _log_factorial(k) - _log_factorial(n - k)
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """log(e^x + e^y): x + log 2 if x == y, else the larger plus log1p(exp(-|x - y|))."""
+    if x == y:
+        return x + _LN2
+    d = x - y
+    if d > 0:
+        return x + math.log1p(math.exp(-d))
+    return y + math.log1p(math.exp(d))
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float, iters: int = 200) -> float:
@@ -320,18 +326,32 @@ def _pascal_profile(n: int, ms: Iterable[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(prefix[m], 2**n) if m >= 0 else Fraction(0) for m in ms)
 
 
-def _log_pascal_profile(n: int, ms: np.ndarray) -> np.ndarray:
-    """log of :func:`_pascal_profile` (-inf for m < 0), from one accumulated log row."""
-    row = np.logaddexp.accumulate(_log_comb(np.full(n + 1, n), np.arange(n + 1)))
-    return np.where(ms >= 0, row[np.clip(ms, 0, n)], -np.inf) - n * math.log(2)
+@lru_cache(maxsize=4)
+def _log_pascal_row(n: int) -> tuple[float, ...]:
+    """log 2^-n sum_{j <= m} C(n, j) for m = 0..n, one accumulated log row shared by the
+    three Pascal-row models.
+
+    C(n, j) is log-concave in j (its ratio (n-j)/(j+1) falls), and a prefix sum is
+    the convolution with the all-ones sequence, itself log-concave; a convolution
+    of log-concave sequences without internal zeros is log-concave (Menon, Proc.
+    AMS 23 (1969)).  So the row is log-concave in m, and so is its reversal.
+    """
+    _grow_log_factorials(n)
+    shift = n * _LN2
+    return tuple(v - shift for v in accumulate((_log_comb(n, j) for j in range(n + 1)), _logaddexp))
 
 
-def _pascal_row_profiles(ms: Callable[[int], np.ndarray]) -> dict[str, Callable]:
-    """Exact and log profile fields of a Pascal-row model whose exits read prefixes ms(n)."""
-    return {
-        "exact_profile": lambda n, k: _pascal_profile(n, ms(n).tolist()),
-        "log_profile": lambda n, k: _log_pascal_profile(n, ms(n)),
-    }
+def _pascal_row_profiles(ms: Callable[[int], Iterable[int]]) -> dict[str, Callable]:
+    """Exact and log profile fields of a Pascal-row model whose exits read prefixes ms(n).
+
+    The log profile reads the same prefixes of :func:`_log_pascal_row` (-inf for m < 0).
+    """
+
+    def log_profile(n: int, k: int | None) -> tuple[float, ...]:
+        row = _log_pascal_row(n)
+        return tuple(row[m] if m >= 0 else -math.inf for m in ms(n))
+
+    return {"exact_profile": lambda n, k: _pascal_profile(n, ms(n)), "log_profile": log_profile}
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +402,8 @@ def aztec_escape(ell: int, k: int, n: int) -> int:
     return entry0(n - ell, k - n - 1) + entry0(n - ell - 1, k - n - 1)
 
 
-def _aztec_log_escape(n: int, target: int, k: int | None) -> np.ndarray:
-    """log :func:`aztec_escape` over ell = 0..n, from one rescaled float Delannoy column.
+def _aztec_log_escape(n: int, target: int, k: int | None) -> Callable[[int], float]:
+    """log :func:`aztec_escape` at exit ell = 0..n, read from one rescaled float Delannoy column.
 
     The path weight A(m, j) is the Delannoy number D(m, j), and with
     j = target - n - 1 exit ell escapes through D(n-ell, j) + D(n-ell-1, j).
@@ -397,6 +417,12 @@ def _aztec_log_escape(n: int, target: int, k: int | None) -> np.ndarray:
     gamma(4m+1), gamma(k) = k u / (1 - k u) with u = 2^-53, as long as 2j+1
     is a double (target below 2^52). Its log is then within about
     gamma(4m+1) + 4 u log(escape) of the exact one.
+
+    Log-concave in ell: the column's generating function is
+    sum_m D(m, j) x^m = (1+x)^j / (1-x)^(j+1), so D(., j) is the convolution of
+    C(j, .) with C(. + j, j), both log-concave (falling ratios), and the escape
+    D(m) + D(m-1) convolves that with (1, 1).  Convolutions of log-concave
+    sequences without internal zeros are log-concave (Menon, Proc. AMS 23 (1969)).
     """
     if target <= n:
         raise ValueError(f"target k={target} must exceed n={n}")
@@ -409,7 +435,7 @@ def _aztec_log_escape(n: int, target: int, k: int | None) -> np.ndarray:
         if cur > 2.0**512:
             prev, cur, shift = math.ldexp(prev, -512), math.ldexp(cur, -512), shift + 512
             offset = shift * ln2
-    return np.array(logs[::-1])
+    return logs[::-1].__getitem__
 
 
 def _aztec_action(z: float, xi: float, x: float | None) -> tuple[float, float]:
@@ -538,25 +564,38 @@ def dyck_escape(p: int, ell: int) -> int:
     return comb(p + ell - 1, ell)
 
 
-def _dyck_log_profile(n: int, k: int) -> np.ndarray:
+def _log_path_escape(p: int) -> Callable[[int], float]:
+    """log :func:`dyck_escape` C(p + j - 1, j) as a function of j >= 0, for p >= 1.
+
+    Log-concave in j: the ratio C(p + j, j + 1) / C(p + j - 1, j) = (p + j) / (j + 1)
+    falls as j grows.  The escapes of both half-hexagon models, the staircase
+    (p = target - n) and, read backward from the last exit, VSASM are this form.
+    """
+    return lambda j: _log_comb(p + j - 1, j)
+
+
+def _dyck_log_profile(n: int, k: int) -> tuple[float, ...]:
     """log :func:`dyck_one_point` over ell = 0..n+k; rows ell <= n are exactly 0 (H = 1).
 
     Above n the ratio rho(ell) = S(ell) / S(ell+1) walks :func:`_dyck_recurrence`
     downward as rho(ell) = -(a / rho(ell+1) + b) / c, the direction in which the
     minimal solution S is stable, from the log-binomials of the two top rows.
+
+    Log-concavity in ell is sampled, not proven: H(ell)^2 >= H(ell-1) H(ell+1)
+    holds in exact arithmetic at every interior exit for n <= 39, k <= 57, and a
+    test checks a smaller grid.
     """
-    out = np.zeros(n + k + 1)
     m = 2 * n + k
-    log_top = float(_log_comb(m + 1, 2 * n + 1))
-    log_next = np.logaddexp(_log_comb(m, 2 * n + 1) + math.log(m), _log_comb(m, k + 1))
+    _grow_log_factorials(2 * n + 2 * k)
+    log_top = _log_comb(m + 1, 2 * n + 1)
+    log_next = _logaddexp(_log_comb(m, 2 * n + 1) + math.log(m), _log_comb(m, k + 1))
     rhos = [math.exp(log_next - log_top)]
     for ell in range(n + k - 2, n, -1):
         a, b, c = _dyck_recurrence(n, k, ell)
         rhos.append(-(a / rhos[-1] + b) / c)
-    log_sums = log_top + np.cumsum(np.log([1.0] + rhos[: k - 1]))
-    ells = np.arange(n + 1, n + k + 1)
-    out[n + 1 :] = log_sums[::-1] - _log_comb(np.full(k, 2 * n + 2 * k), n + ells)
-    return out
+    log_sums = [log_top + v for v in accumulate(map(math.log, [1.0] + rhos[: k - 1]))]
+    tail = zip(range(2 * n + 1, 2 * n + k + 1), reversed(log_sums))  # n + ell, log S(ell)
+    return (0.0,) * (n + 1) + tuple(v - _log_comb(2 * n + 2 * k, j) for j, v in tail)
 
 
 def _dyck_cubic(x: float, y: float, xi: float) -> float:
@@ -671,14 +710,19 @@ def _red_profile(n: int, k: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(2 * t, norm) for t in reversed(list(accumulate(reversed(terms)))))
 
 
-def _red_log_profile(n: int, k: int) -> np.ndarray:
-    s = np.arange(n + 2)
-    terms = _log_comb(np.full(n + 2, k + n - 1) - s, np.full(n + 2, k - 2)) + _log_comb(
-        np.full(n + 2, k + n) + s, np.full(n + 2, k - 2)
-    )
-    suffix = np.logaddexp.accumulate(terms[::-1])[::-1]
-    norm = float(_log_comb(np.array(2 * n + 2 * k), np.array(2 * n + 3)))
-    return suffix + math.log(2) - norm
+def _red_log_profile(n: int, k: int) -> tuple[float, ...]:
+    """log :func:`red_one_point` over ell = 0..n+1: log suffix sums of one term list.
+
+    Log-concave in ell: each term C(k+n-1-s, k-2) C(k+n+s, k-2) is a product of
+    two binomials log-concave in s, positive for s = 0..n+1, and a suffix sum is
+    a convolution with the all-ones sequence, which keeps log-concavity (see
+    :func:`_log_pascal_row`).
+    """
+    _grow_log_factorials(2 * n + 2 * k)
+    terms = [_log_comb(k + n - 1 - s, k - 2) + _log_comb(k + n + s, k - 2) for s in range(n + 2)]
+    norm = _log_comb(2 * n + 2 * k, 2 * n + 3)
+    suffix = list(accumulate(reversed(terms), _logaddexp))
+    return tuple(v + _LN2 - norm for v in reversed(suffix))
 
 
 def _red_y(x: float, xi: float) -> float:
@@ -947,20 +991,18 @@ def vsasm_escape(ell: int, k: int, size: int) -> int:
     )
 
 
-def _vsasm_log_profile(n: int, k: int | None) -> np.ndarray:
-    size = n
-    ell = np.arange(1, size + 1)
-    return (
-        _log_comb(size + ell - 2, np.full(size, size - 1))
-        + _log_comb(2 * size - 1 - ell, np.full(size, size - 1))
-        - float(_log_comb(np.array(3 * size - 2), np.array(size - 1)))
+def _vsasm_log_profile(size: int, k: int | None) -> tuple[float, ...]:
+    """log of the refined ASM ratio over ell = 1..size.
+
+    The ratio is C(size+ell-2, size-1) C(2 size-1-ell, size-1) / C(3 size-2, size-1),
+    log-concave in ell as a product of two binomials each log-concave in ell.
+    """
+    _grow_log_factorials(3 * size)
+    norm = _log_comb(3 * size - 2, size - 1)
+    return tuple(
+        _log_comb(size + ell - 2, size - 1) + _log_comb(2 * size - 1 - ell, size - 1) - norm
+        for ell in range(1, size + 1)
     )
-
-
-def _vsasm_log_escape(n: int, target: int, k: int | None) -> np.ndarray:
-    size = n
-    ell = np.arange(1, size + 1)
-    return _log_comb(target - 1 + size - ell, size - ell)
 
 
 def r_asm(t: float) -> float:
@@ -1001,10 +1043,9 @@ MODEL_OPS: dict[ModelId, Model] = {
         model=ModelId.AZTEC,
         exits=lambda n, k: range(n + 1),
         one_point=lambda n, k, ell: aztec_one_point(n, ell),
-        **_pascal_row_profiles(lambda n: np.arange(n + 1)),
+        **_pascal_row_profiles(lambda n: range(n + 1)),
         escape=lambda n, k, target, ell: aztec_escape(ell, target, n),
         log_escape=_aztec_log_escape,
-        scan=lambda n, z, x: (n, max(round(z * n), n + 1), None),
         z_range=(1.0, math.inf),
         saddle=lambda z, x: 1.0 / (2.0 * z),
         action=_aztec_action,
@@ -1031,9 +1072,7 @@ MODEL_OPS: dict[ModelId, Model] = {
         exact_profile=_dyck_profile,
         escape=lambda n, k, target, ell: dyck_escape(target, ell),
         log_profile=_dyck_log_profile,
-        log_escape=lambda n, target, k: _log_comb(target + np.arange(n + k + 1) - 1,
-                                                  np.arange(n + k + 1)),
-        scan=lambda n, z, x: (n, max(round(z * n), 1), round(x * n)),
+        log_escape=lambda n, target, k: _log_path_escape(target),
         z_range=(0.0, math.inf),
         saddle=lambda z, x: _bisect(lambda xi: _dyck_cubic(x, z, xi), (2 + 3 * x) / (2 + x),
                                     1 + x - 1e-15),
@@ -1062,8 +1101,7 @@ MODEL_OPS: dict[ModelId, Model] = {
         exact_profile=_red_profile,
         escape=lambda n, k, target, ell: dyck_escape(target, ell),
         log_profile=_red_log_profile,
-        log_escape=lambda n, target, k: _log_comb(target + np.arange(n + 2) - 1, np.arange(n + 2)),
-        scan=lambda n, z, x: (n, max(round(z * n), 1), round(x * n)),
+        log_escape=lambda n, target, k: _log_path_escape(target),
         z_range=(0.0, math.inf),
         saddle=lambda z, x: _bisect(lambda xi: _red_y(x, xi) - z, 1e-15, 1 - 1e-15),
         action=_red_action,
@@ -1088,11 +1126,9 @@ MODEL_OPS: dict[ModelId, Model] = {
         model=ModelId.STAIRCASE,
         exits=lambda n, k: range(2 * n + 1),
         one_point=lambda n, k, ell: staircase_one_point(n, ell),
-        **_pascal_row_profiles(lambda n: np.minimum(n, np.arange(2 * n, -1, -1))),
+        **_pascal_row_profiles(lambda n: [min(n, m) for m in range(2 * n, -1, -1)]),
         escape=lambda n, k, target, ell: staircase_escape(n, target, ell),
-        log_escape=lambda n, target, k: _log_comb(target - n - 1 + np.arange(2 * n + 1),
-                                                  np.arange(2 * n + 1)),
-        scan=lambda n, z, x: (n, max(round(z * n), n + 1), None),
+        log_escape=lambda n, target, k: _log_path_escape(target - n),
         z_range=(1.0, math.inf),
         saddle=lambda z, x: _staircase_xi(z),
         action=_staircase_action,
@@ -1115,11 +1151,12 @@ MODEL_OPS: dict[ModelId, Model] = {
         model=ModelId.STAIRCASE_ALT,
         exits=lambda n, k: range(2 * n + 1),
         one_point=lambda n, k, ell: staircase_alt_one_point(n, ell),
-        **_pascal_row_profiles(lambda n: np.arange(-n, n + 1)),  # m = ell - n
+        **_pascal_row_profiles(lambda n: range(-n, n + 1)),  # m = ell - n
         escape=lambda n, k, target, ell: staircase_alt_escape(n, target, ell),
-        log_escape=lambda n, target, k: _log_comb(2 * n - np.arange(2 * n + 1) - 1,
-                                                  np.full(2 * n + 1, target - n - 1)),
-        scan=lambda n, z, x: (n, max(round(z * n), n + 1), None),
+        # C(m, c) is log-concave in m = 2n-1-ell: C(m+1, c) / C(m, c) = (m+1) / (m+1-c) falls.
+        log_escape=lambda n, target, k: lambda ell: _log_comb(2 * n - ell - 1, target - n - 1),
+        # H > 0 from ell = n on, and Y > 0 while target - n - 1 <= 2n - 1 - ell.
+        live_exits=lambda n, k, target: range(n, 3 * n - target + 1),
         z_range=(1.0, 2.0),
         saddle=lambda z, x: 2.0 - z / 2.0,
         action=_staircase_alt_action,
@@ -1147,8 +1184,8 @@ MODEL_OPS: dict[ModelId, Model] = {
         exact_profile=_vsasm_profile,
         escape=lambda n, k, target, ell: vsasm_escape(ell, target, n),
         log_profile=_vsasm_log_profile,
-        log_escape=_vsasm_log_escape,
-        scan=lambda n, z, x: (n | 1, max(round(z * (n | 1)), 1), None),  # odd size n or n+1
+        # The i-th exit ell = i + 1 escapes with C(target + j - 1, j), j = size - ell.
+        log_escape=lambda size, target, k: lambda i: _log_comb(target + size - i - 2, size - i - 1),
         z_range=(0.0, math.inf),
         saddle=_vsasm_saddle,
         action=_vsasm_action,
@@ -1187,28 +1224,29 @@ def one_point_profile(model: ModelId, n: int, k: int | None = None) -> dict[int,
 
 
 @lru_cache(maxsize=8)
-def log_one_point_profile(model: ModelId, n: int, k: int | None = None) -> np.ndarray:
+def log_one_point_profile(model: ModelId, n: int, k: int | None = None) -> tuple[float, ...]:
     """log H over the exit range, from the positive closed forms only.
 
     For the osculating model this is the refined ASM ratio, standing in for
     the VSASM profile (ROADMAP item 2 checks that claim); the alternating
     refined VSASM formula is never evaluated at large size.
 
-    Profiles are target-independent, so results are cached (read-only arrays)
-    for reuse across a scan's whole parameter grid; the cache keeps the latest
-    8 keys, at least one per model.
+    Profiles are target-independent, so results are cached (as tuples) for
+    reuse across a scan's whole parameter grid; the cache keeps the latest 8
+    keys, at least one per model.
     """
     ops = MODEL_OPS[model]
     ops.check_size(n, k)
-    out = ops.log_profile(n, k)
-    out.setflags(write=False)
-    return out
+    return ops.log_profile(n, k)
 
 
-def log_escape_profile(model: ModelId, n: int, target: int, k: int | None = None) -> np.ndarray:
-    """log of the escape weight Y over the same exit range as the profile.
+def log_escape_profile(
+    model: ModelId, n: int, target: int, k: int | None = None
+) -> Callable[[int], float]:
+    """log of the escape weight Y, as a function of the exit's index in the profile.
 
     ``target`` is the model's distant-endpoint parameter (see :class:`Model`).
+    Exits are evaluated one at a time, so a scan reads only the exits it visits.
     """
     ops = MODEL_OPS[model]
     ops.check_size(n, k)

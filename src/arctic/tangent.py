@@ -2,9 +2,13 @@
 
 For a model of size n with an escaping path forced to a distant target, the
 most likely exit position maximizes H(ell) * Y(ell) over the boundary.  At
-finite n this is a straight argmax over the integer exit grid, evaluated in
-log arithmetic from the positive closed forms (never from alternating
-determinant expansions, whose terms cancel at Stirling scale).  The analytic
+finite n this is the argmax over the integer exit grid, evaluated in log
+arithmetic from the positive closed forms (never from alternating determinant
+expansions, whose terms cancel at Stirling scale).  Both log H and log Y are
+concave in ell where they are finite (each model's log functions in
+:mod:`arctic.models` give the argument), so the argmax is found by a binary
+search on the sign of the forward difference, in about 2 log2(n) pointwise
+evaluations.  The analytic
 saddles are the closed-form large-n limits; the family of lines joining the
 saddle exit to the moving target envelopes the limit curve.
 
@@ -18,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .models import (
     LOG_FACTORIAL_CAP,
@@ -135,22 +137,43 @@ def action_components(model: ModelId, z: float, xi: float, x: float | None = Non
 def finite_n_saddle(model: ModelId, n: int, z: float, x: float | None = None) -> SaddleResult:
     """Argmax of log H + log Y over the integer exit grid.
 
-    Ties break toward smaller ell; a plateau wider than
-    ``PLATEAU_DEGENERATE_WIDTH`` grid points marks the result degenerate.
-    The returned ``xi_hat`` is the exit index scaled by n (by the matrix size
-    for the osculating model).  Targets above 2**53 are refused: the log-space
-    profiles index with doubles, which stop holding every integer there.  So
-    are exit ranges longer than ``LOG_FACTORIAL_CAP``, whose profile arrays
-    could exhaust memory, and so is a non-finite z, which gives no target.
+    The scan's size is n (n | 1 for the osculating model), its width k =
+    round(x n) and its target round(z size).  Only the exits where both H and Y
+    are positive are searched.  The total is concave there, so the first exit
+    whose successor is no larger is the argmax, with ties broken toward smaller
+    ell; the plateau is counted outward from it, and one wider than
+    ``PLATEAU_DEGENERATE_WIDTH`` grid points marks the result degenerate.  The
+    returned ``xi_hat`` is the exit index scaled by the size.
+
+    Refused: a non-finite z, which gives no target; a target below the least
+    one the model admits, where the scan would stand for a z it does not use;
+    log-factorial arguments past 2**53, which lgamma would read as inexact
+    doubles; and exit ranges longer than ``LOG_FACTORIAL_CAP``.
     """
     if n < 64:
         raise ValueError(f"finite-n scan needs n >= 64, got {n}")
     if not math.isfinite(z):
         raise ValueError(f"finite-n scan needs a finite z, got z={z}")
     ops = _record(model, z, x)
-    size, target, k = ops.scan(n, z, x)
-    if target > 2**53:
-        raise ValueError(f"scan target {float(target):.3g} at n={n}, z={z} exceeds 2**53")
+    size = n | 1 if ops.odd_n else n
+    x_n = x * n if ops.needs_k else 0.0
+    # Every log-factorial argument of a scan is below target + 3 (size + k).  The bound
+    # is checked in floats first, so that round() never meets an infinite product.
+    reach = z * size + 3 * (size + x_n)
+    if reach <= 2**53:
+        target, k = round(z * size), (round(x_n) if ops.needs_k else None)
+        reach = target + 3 * (size + (k or 0))
+    if not reach <= 2**53:
+        raise ValueError(
+            f"{model.value} scan at n={n}, z={z} needs log-factorials up to {float(reach):.3g},"
+            " past 2**53"
+        )
+    least = int(ops.z_range[0] * size) + 1  # the targets above z_range[0] * size
+    if target < least:
+        raise ValueError(
+            f"{model.value} scan target round(z*size) = {target} at size {size}, z={z} is"
+            f" below {least}, the least target the model admits"
+        )
     exits = ops.exits(size, k)
     count = exits.stop - exits.start  # len() overflows past sys.maxsize
     if count > LOG_FACTORIAL_CAP:
@@ -159,16 +182,33 @@ def finite_n_saddle(model: ModelId, n: int, z: float, x: float | None = None) ->
         )
     log_h = log_one_point_profile(model, size, k)
     log_y = log_escape_profile(model, size, target, k)
-    total = log_h + log_y
-    if not np.isfinite(total).any():
+    live = exits if ops.live_exits is None else ops.live_exits(size, k, target)
+    first, last = live.start - exits.start, live.stop - 1 - exits.start
+    if first > last:
         raise ValueError(f"empty scan domain for {model.value} at n={n}, z={z}")
-    best = int(np.argmax(total))
-    top = total[best]
-    plateau = int(np.sum(np.abs(total - top) <= 1e-12 * max(1.0, abs(top))))
+
+    def total(i: int) -> float:
+        return log_h[i] + log_y(i)
+
+    lo, hi = first, last
+    while lo < hi:  # the first i whose successor is no larger lies in [lo, hi]
+        mid = (lo + hi) // 2
+        if total(mid + 1) <= total(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    best, top = lo, total(lo)
+    tol = 1e-12 * max(1.0, abs(top))
+    left = right = best
+    while left > first and abs(total(left - 1) - top) <= tol:
+        left -= 1
+    while right < last and abs(total(right + 1) - top) <= tol:
+        right += 1
+    plateau = right - left + 1
     return SaddleResult(
         z=z,
         xi_hat=(best + exits.start) / size,
-        log_mass=float(top),
+        log_mass=top,
         n_used=size,
         plateau=plateau,
         degenerate=plateau > PLATEAU_DEGENERATE_WIDTH,

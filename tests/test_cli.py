@@ -297,6 +297,11 @@ def test_envelope_rejects_small_grid(capsys):
         ["verify", "--model", "aztec", "--n", "600"],
         ["oracle", "--model", "red", "--n", "1500", "--k", "2"],
         ["oracle", "--model", "dyck", "--n", "2", "--k", "500"],
+        *(["saddle", "--model", "red", "--n", "4096", "--z", "1", "--x-model", x]
+          for x in ("1e17", "1e15")),
+        ["saddle", "--model", "aztec", "--n", "4096", "--z", "1e308"],
+        ["saddle", "--model", "dyck", "--n", "4096", "--z", "1e-300", "--x-model", "1"],
+        ["saddle", "--model", "staircase-alt", "--n", "4096", "--z", "1.0001"],
     ],
 )
 def test_invalid_inputs_exit_2(argv, capsys):
@@ -350,6 +355,28 @@ def test_no_value_leaks_into_the_next_call(capsys):
     assert code == 0 and report["params"]["k"] == 3
     assert main(["verify", "--model", "aztec", "--n", "3"]) == 0
     assert '"k": null' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "args, limit",
+    [
+        (["red", "--z", "1", "--x-model", "1e17"], "2**53"),
+        (["dyck", "--z", "1e-300", "--x-model", "1"], "least target"),
+    ],
+)
+def test_saddle_refusal_names_the_limit(args, limit, capsys):
+    """Scans whose log-factorials pass 2**53, or whose target would be clamped, exit 2."""
+    with pytest.raises(SystemExit) as err:
+        main(["saddle", "--n", "4096", "--model", *args])
+    assert err.value.code == 2
+    assert limit in capsys.readouterr().err
+
+
+def test_cli_import_leaves_numpy_out():
+    package_root = str(Path(arctic.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": package_root}
+    code = "import sys, arctic.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_cli_import_builds_no_parser():

@@ -1,6 +1,9 @@
 """Saddle scans, analytic saddles, tangent families, envelopes."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +191,40 @@ def test_finite_n_saddle_validation():
     with pytest.raises(ValueError):
         # Just past the top of the z range: refused as analytic_saddle refuses it.
         finite_n_saddle(ModelId.STAIRCASE_ALT, 64, 2.0 + 1e-13)
+
+
+def _bench_saddle_lattice(monkeypatch):
+    """(model, z) for every z that any seed of the benchmark's saddle workload can draw."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass annotations
+    spec.loader.exec_module(workloads)
+    return [(ModelId(m), z) for m in workloads.MODELS
+            for slot in workloads.saddle_z_lattice(m) for z in slot]
+
+
+def test_search_matches_full_argmax_on_the_bench_lattice(monkeypatch):
+    """The concave search gives what a full argmax over the same pointwise totals gives.
+
+    Every z of the lattice at n = 512 (726 inputs), staircase-alt at z = 2 included,
+    where only exit n has finite mass.
+    """
+    lattice = _bench_saddle_lattice(monkeypatch)
+    assert len(lattice) == 726
+    n = 512
+    for model, z in lattice:
+        ops = MODEL_OPS[model]
+        got = finite_n_saddle(model, n, z, 1.0)
+        size = got.n_used
+        target, k = round(z * size), (n if ops.needs_k else None)
+        log_h = models.log_one_point_profile(model, size, k)
+        log_y = models.log_escape_profile(model, size, target, k)
+        totals = [h + log_y(i) for i, h in enumerate(log_h)]
+        top = max(totals)
+        plateau = sum(abs(t - top) <= 1e-12 * max(1.0, abs(top)) for t in totals)
+        xi_hat = (totals.index(top) + ops.exits(size, k).start) / size
+        assert (got.xi_hat, got.plateau, got.log_mass) == (xi_hat, plateau, top), (model, z)
 
 
 # ---------------------------------------------------------------------------
