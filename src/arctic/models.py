@@ -359,8 +359,12 @@ def _pascal_row_profiles(ms: Callable[[int], Iterable[int]]) -> dict[str, Callab
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def aztec_entry(i: int, j: int) -> int:
-    """Large Schroeder paths (-i, i) -> (j, j): sum over horizontal counts p."""
+    """Large Schroeder paths (-i, i) -> (j, j): sum over horizontal counts p.
+
+    Cached: the b-columns of an exit profile re-read the matrix's column n.
+    """
     if i < 0 or j < 0:
         raise ValueError(f"indices must be >= 0, got ({i}, {j})")
     return sum(trinomial(i + j - p, p, i - p, j - p) for p in range(min(i, j) + 1))
@@ -427,15 +431,20 @@ def _aztec_log_escape(n: int, target: int, k: int | None) -> Callable[[int], flo
     if target <= n:
         raise ValueError(f"target k={target} must exceed n={n}")
     a, ln2 = float(2 * (target - n - 1) + 1), math.log(2)
-    logs, log, offset = [], math.log, 0.0
+    sums, offsets, offset = [], [], 0.0
     prev, cur, shift = 0.0, 1.0, 0
     for m in range(n + 1):
-        logs.append(log(cur + prev) + offset)
+        sums.append(cur + prev)
+        offsets.append(offset)
         prev, cur = cur, (a * cur + m * prev) / (m + 1)
         if cur > 2.0**512:
             prev, cur, shift = math.ldexp(prev, -512), math.ldexp(cur, -512), shift + 512
             offset = shift * ln2
-    return logs[::-1].__getitem__
+    sums.reverse()
+    offsets.reverse()
+    log = math.log
+    # The search reads a few dozen exits, so each log is taken when read.
+    return lambda ell: log(sums[ell]) + offsets[ell]
 
 
 def _aztec_action(z: float, xi: float, x: float | None) -> tuple[float, float]:

@@ -5,9 +5,11 @@ Nothing in this module knows about determinants or the closed formulas in
 sweep over the levels of a progress direction, which moves one path at a
 time, keeps the vertices occupied on each level disjoint and merges equal
 partial states, and counts the family and every exit of its last path
-together; alternating sign matrices by row-by-row backtracking over column
-partial sums (the monotone-triangle characterization: every partial column
-sum is 0 or 1).
+together.  Its states hold small ints only: a frontier entry is an int code
+whose successors are built once, and the vertices occupied on a level are a
+bitmask over slots numbered within that level.  Alternating sign matrices
+are counted by row-by-row backtracking over column partial sums (the
+monotone-triangle characterization: every partial column sum is 0 or 1).
 The only shared vocabulary is the geometry of each model (steps, start, end
 and exit points), read from the ``lattice`` of its :data:`MODEL_OPS` record
 and not rebuilt here; this module reads nothing else from a record, and no
@@ -95,30 +97,42 @@ class PathFamilySpec:
         return True
 
 
-def _feasible(spec: PathFamilySpec, dx: int, dy: int) -> bool:
-    """Is (dx, dy) a sum of the spec's steps with nonnegative multiplicities?
+def _reach_test(spec: PathFamilySpec) -> Callable[[int, int], bool]:
+    """Whether (dx, dy) is a sum of the spec's steps with nonnegative multiplicities.
 
     The multiplicities of all steps but one independent pair (a, b) are
     enumerated within the progress budget; the remainder must then be
     p a + q b with nonnegative integers p, q, which Cramer's rule settles
     exactly.  Parallel steps have no such pair: all are enumerated and the
-    remainder must vanish.  Nothing recurses along the path.
+    remainder must vanish.  Nothing recurses along the path.  The pair and
+    the other steps' progress gains are found once per spec.
     """
     steps, (wx, wy) = spec.steps, spec.progress
     pair = next(((a, b) for a in steps for b in steps if a[0] * b[1] > a[1] * b[0]), ())
     rest = [s for s in steps if s not in pair]
-    for ms in product(*(range((wx * dx + wy * dy) // (wx * x + wy * y) + 1) for x, y in rest)):
-        rx = dx - sum(m * s[0] for m, s in zip(ms, rest))
-        ry = dy - sum(m * s[1] for m, s in zip(ms, rest))
-        if pair:
-            (ax, ay), (bx, by) = pair
-            det = ax * by - ay * bx
-            p, q = rx * by - ry * bx, ax * ry - ay * rx
-            if p >= 0 and q >= 0 and p % det == q % det == 0:
-                return True
-        elif rx == ry == 0:
-            return True
-    return False
+    gains = [wx * x + wy * y for x, y in rest]
+    (ax, ay), (bx, by) = pair or ((0, 0), (0, 0))
+    det = ax * by - ay * bx
+
+    def on_pair(rx: int, ry: int) -> bool:
+        if not pair:
+            return rx == ry == 0
+        p, q = rx * by - ry * bx, ax * ry - ay * rx
+        return p >= 0 and q >= 0 and p % det == q % det == 0
+
+    if not rest:
+        return on_pair
+
+    def feasible(dx: int, dy: int) -> bool:
+        return any(
+            on_pair(
+                dx - sum(m * s[0] for m, s in zip(ms, rest)),
+                dy - sum(m * s[1] for m, s in zip(ms, rest)),
+            )
+            for ms in product(*(range((wx * dx + wy * dy) // g + 1) for g in gains))
+        )
+
+    return feasible
 
 
 def count_nilp(
@@ -141,6 +155,14 @@ def count_nilp(
     next path branches.  One sweep serves every exit: the last path may stop
     at any exit it lands on, or walk on toward another one.
 
+    States hold small ints only.  A frontier entry (path, vertex, flag) is an
+    int code, numbered as entries first appear, and each code's successor
+    list is built once, when a state first moves that entry.  The vertices
+    occupied on the next level are an int bitmask whose bits are slots
+    numbered within that level, so a mask is as wide as one level, not the
+    lattice; the exit the last path stopped at is its index in the exit list
+    (-1 while it walks).
+
     One unit of ``budget`` is one path carried by a partial state whose next
     path moves, plus one for the state itself, so that the cost of a unit does
     not grow with the number of paths; the sweep refuses as soon as its units
@@ -148,20 +170,23 @@ def count_nilp(
     """
     last = len(spec.starts) - 1
     exits = tuple(dict.fromkeys((*exits, *spec.ends[-1:])))
-    ends_of = [(e,) for e in spec.ends[:-1]] + [exits]
+    ends_of = [frozenset((e,)) for e in spec.ends[:-1]] + [frozenset(exits)]
+    exit_index = {e: i for i, e in enumerate(exits)}
+    feasible = _reach_test(spec)
+    wx, wy = spec.progress
 
     def level(p: Point) -> int:
-        return spec.progress[0] * p[0] + spec.progress[1] * p[1]
+        return wx * p[0] + wy * p[1]
 
     @lru_cache(maxsize=None)
     def arrivals(idx: int, p: Point) -> tuple:
         """Ways path idx may stand on p (stopped at an end, walking on); none if unreachable."""
         if not spec.allows(p):
             return ()
-        ahead = any(e != p and _feasible(spec, e[0] - p[0], e[1] - p[1]) for e in ends_of[idx])
-        return ((idx, p, _STOP),) * (p in ends_of[idx]) + ((idx, p, _LIVE),) * ahead
+        ends = ends_of[idx]
+        ahead = any(e != p and feasible(e[0] - p[0], e[1] - p[1]) for e in ends)
+        return ((idx, p, _STOP),) * (p in ends) + ((idx, p, _LIVE),) * ahead
 
-    @lru_cache(maxsize=None)
     def moves(idx: int, p: Point) -> tuple:
         out: tuple = ()
         for nv in ((p[0] + sx, p[1] + sy) for sx, sy in spec.steps):
@@ -171,31 +196,67 @@ def count_nilp(
                 out += ((idx, nv, _FLIGHT),)
         return out
 
+    entries: list[tuple] = []  # code -> frontier entry
+    code_of: dict[tuple, int] = {}
+    successors: list = []  # code -> its successor list, once a state moves it
+    bit_of: dict[Point, int] = {}
+    slots: dict[int, int] = {}  # level -> slots numbered on it so far
+
+    def code(entry: tuple) -> int:
+        c = code_of.get(entry)
+        if c is None:
+            c = code_of[entry] = len(entries)
+            entries.append(entry)
+            successors.append(None)
+        return c
+
+    def bit(p: Point) -> int:
+        b = bit_of.get(p)
+        if b is None:
+            slot = slots.get(level(p), 0)
+            slots[level(p)] = slot + 1
+            b = bit_of[p] = 1 << slot
+        return b
+
+    def successors_of(c: int) -> tuple:
+        """(code or -1 if stopped, occupied bit or 0 in flight, shift of the stop index)."""
+        idx, p, flag = entries[c]
+        out = []
+        for entry in arrivals(idx, p) if flag == _FLIGHT else moves(idx, p):
+            q, f = entry[1], entry[2]
+            if f == _FLIGHT:
+                out.append((code(entry), 0, 0))
+            elif f == _LIVE:
+                out.append((code(entry), bit(q), 0))
+            else:
+                out.append((-1, bit(q), exit_index[q] + 1 if idx == last else 0))
+        successors[c] = out = tuple(out)
+        return out
+
     birth = [level(s) for s in spec.starts]
     lo = min(birth, default=0)
     hi = max((level(e) for ends in ends_of for e in ends), default=0)
-    # A state is (exit the last path stopped at, or None; frontier).  Frontier
-    # entry per live path: (path index, vertex, flag); an in-flight path's
-    # vertex is its landing point one level ahead.  Entries stay in order of
-    # birth level, then index, so equal sets of paths give equal tuples.
-    states: dict[tuple, int] = {(None, ()): 1}
+    # A state is (stop index, frontier of entry codes); entries stay in order
+    # of birth level, then index, so equal sets of paths give equal tuples.
+    # An in-flight path's vertex is its landing point one level ahead.
+    states: dict[tuple, int] = {(-1, ()): 1}
     work = 0
 
     # Start one level early so paths born at the lowest level are placed
     # inside the uniform birth handling.
     for tau in range(lo - 1, hi):
         # A newborn is placed like a path landing on its start.
-        born = tuple((j, spec.starts[j], _FLIGHT) for j in range(last + 1) if birth[j] == tau + 1)
+        born = tuple(code((j, spec.starts[j], _FLIGHT)) for j in range(last + 1) if birth[j] == tau + 1)
         new_states: dict[tuple, int] = {}
-        # A partial state is (exit, entries chosen so far, vertices occupied on
-        # level tau + 1, paths still to move); equal ones merge before the
-        # next path branches.
+        # A partial state is (stop index, codes chosen so far, mask of the
+        # vertices occupied on level tau + 1, codes still to move); equal ones
+        # merge before the next path branches.
         todo: dict[tuple, int] = {}
         # Popping releases each consumed state while the next ones are made.
         while states:
             (stop, frontier), count = states.popitem()
             if frontier or born:
-                todo[stop, (), (), frontier + born] = count
+                todo[stop, (), 0, frontier + born] = count
             else:
                 new_states[stop, ()] = new_states.get((stop, ()), 0) + count
         while todo:
@@ -205,26 +266,23 @@ def count_nilp(
                 work += 1 + len(chosen) + len(rest)
                 if work > budget:
                     raise BudgetExceededError(f"frontier sweep of {work} work units", budget)
-                idx, pos, flag = rest[0]
+                c = rest[0]
                 rest = rest[1:]
                 out = moved if rest else new_states
-                for entry in arrivals(idx, pos) if flag == _FLIGHT else moves(idx, pos):
-                    p, f = entry[1], entry[2]
-                    if f == _FLIGHT:
-                        key = (stop, chosen + (entry,), occupied, rest)
-                    elif p in occupied:
+                for nc, b, shift in successors[c] or successors_of(c):
+                    if occupied & b:
                         continue
-                    elif f == _STOP:
-                        key = (p if idx == last else stop, chosen, occupied + (p,), rest)
+                    if nc < 0:
+                        key = (stop + shift, chosen, occupied | b, rest)
                     else:
-                        key = (stop, chosen + (entry,), occupied + (p,), rest)
+                        key = (stop, chosen + (nc,), occupied | b, rest)
                     if not rest:
                         key = key[:2]
                     out[key] = out.get(key, 0) + count
             todo = moved
         states = new_states
 
-    return {e: sum(c for (x, f), c in states.items() if x == e and not f) for e in exits}
+    return {e: sum(c for (x, f), c in states.items() if x == i and not f) for i, e in enumerate(exits)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Brute-force enumerators against determinants and product formulas."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arctic.linalg import det_bareiss, last_column_minors
 from arctic.models import MODEL_OPS, ModelId, n_asm, n_vsasm, n_vsasm_refined
@@ -175,6 +178,105 @@ def test_budget_is_enforced_and_named():
     with pytest.raises(BudgetExceededError) as err:
         count_nilp(spec, budget=10)
     assert "budget of 10" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "model,n,k,budget,units",
+    [
+        (ModelId.DYCK_HALF_HEX, 2, 60, 10**5, 100002),
+        (ModelId.AZTEC, 6, None, 2 * 10**4, 20001),
+        (ModelId.STAIRCASE, 8, None, 5 * 10**4, 50004),
+    ],
+)
+def test_refusal_reports_the_units_swept(model, n, k, budget, units):
+    """Pins the work-unit charge: one per carried path plus one per partial state."""
+    spec = model_path_spec(model, n, k)
+    exits = [model_exit_point(model, n, ell, k) for ell in MODEL_OPS[model].exits(n, k)]
+    with pytest.raises(BudgetExceededError) as err:
+        count_nilp(spec, exits, budget=budget)
+    assert f"frontier sweep of {units} work units" in str(err.value)
+
+
+def _walks(spec, start, end):
+    """Every single path start -> end with the spec's steps inside its constraint."""
+    wx, wy = spec.progress
+    goal = wx * end[0] + wy * end[1]
+    out = []
+
+    def dfs(path):
+        p = path[-1]
+        if p == end:
+            out.append(path)
+        elif wx * p[0] + wy * p[1] < goal:
+            for sx, sy in spec.steps:
+                q = (p[0] + sx, p[1] + sy)
+                if spec.allows(q):
+                    dfs(path + (q,))
+
+    if spec.allows(start):
+        dfs((start,))
+    return out
+
+
+def _naive_counts(spec, exits):
+    """Vertex-disjoint families, from every tuple of single paths, per exit of the last path."""
+    out = {}
+    for e in dict.fromkeys((*exits, *spec.ends[-1:])):
+        ends = spec.ends[:-1] + (e,)
+        out[e] = sum(
+            len(set().union(*family)) == sum(map(len, family))
+            for family in product(*(_walks(spec, a, b) for a, b in zip(spec.starts, ends)))
+        )
+    return out
+
+
+_STEP_SETS = (
+    ((1, 1), (1, -1), (2, 0)),  # (2, 0) advances two levels, as in the aztec lattice
+    ((1, 1), (1, -1)),
+    ((0, -2), (1, -1)),
+    ((-1, 0), (0, 1)),
+    ((1, 0), (1, 1), (0, 1)),
+)
+
+
+@st.composite
+def _small_families(draw):
+    """1-3 paths of at most 4 steps and up to 3 exits, each end a walk from its start."""
+    steps = draw(st.sampled_from(_STEP_SETS))
+    point = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+    def walk_from(a):
+        moves = draw(st.lists(st.sampled_from(steps), max_size=4))
+        return (a[0] + sum(x for x, _ in moves), a[1] + sum(y for _, y in moves))
+
+    starts = draw(st.lists(point, min_size=1, max_size=3))
+    ends = [walk_from(a) for a in starts]
+    exits = [walk_from(starts[-1]) for _ in range(draw(st.integers(0, 3)))]
+    constraint = draw(st.sampled_from(("none", "upper-half", "first-quadrant")))
+    return PathFamilySpec(steps, tuple(starts), tuple(ends), constraint), exits
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(drawn=_small_families())
+@example(  # a stopped path occupies its end on the level where the other passes
+    drawn=(PathFamilySpec(((1, 0), (0, 1)), ((0, 0), (1, -1)), ((1, 0), (2, 0))), [(1, 1), (3, -1)])
+)
+@example(drawn=(model_path_spec(ModelId.AZTEC, 2), [model_exit_point(ModelId.AZTEC, 2, ell) for ell in range(3)]))
+@example(
+    drawn=(
+        PathFamilySpec(((1, 1), (1, -1)), ((0, 0), (1, 1)), ((2, 0), (3, 1)), "upper-half"),
+        [(3, 1), (3, 3), (4, 0)],
+    )
+)
+@example(
+    drawn=(
+        PathFamilySpec(((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 2), (2, 1)), "first-quadrant"),
+        [(3, 0), (2, 1), (1, 2)],
+    )
+)
+def test_sweep_matches_naive_enumeration(drawn):
+    spec, exits = drawn
+    assert count_nilp(spec, exits) == _naive_counts(spec, exits)
 
 
 # ---------------------------------------------------------------------------
