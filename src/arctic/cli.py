@@ -284,9 +284,9 @@ def cmd_onepoint(args, parser) -> Report:
     model, k = _sized_model(args, parser)
     rep = Report("onepoint", model.value, {"n": args.n, "k": args.k})
     profile = one_point_profile(model, args.n, k)
-    rows = ["ell,value"]
-    rows += [f"{ell},{fraction_str(value)}" for ell, value in profile.items()]
-    bounded = all(0 <= v <= 1 for v in profile.values())
+    with _all_digits():
+        rows = ["ell,value", *(f"{ell},{v.numerator}/{v.denominator}" for ell, v in profile.items())]
+    bounded = all(0 <= v.numerator <= v.denominator for v in profile.values())  # denominators > 0
     rep.add("profile values within [0, 1]", True, bounded)
     reference_ell = MODEL_OPS[model].reference_ell
     if reference_ell is not None:

@@ -320,10 +320,9 @@ def _pascal_prefix(n: int, m: int) -> Fraction:
     return Fraction(sum(comb(n, j) for j in range(min(m, n) + 1)), 2**n)
 
 
-def _pascal_profile(n: int, ms: Iterable[int]) -> tuple[Fraction, ...]:
-    """:func:`_pascal_prefix` for each m of ``ms`` (0 for m < 0), from one accumulated row."""
-    prefix = list(accumulate(comb(n, j) for j in range(n + 1)))
-    return tuple(Fraction(prefix[m], 2**n) if m >= 0 else Fraction(0) for m in ms)
+def _binomial_row(n: int, lo: int, hi: int) -> list[int]:
+    """C(n, j) for j = lo..hi, walked by C(n, j+1) = C(n, j) (n-j) / (j+1) from C(n, lo)."""
+    return list(accumulate(range(lo, hi), lambda c, j: c * (n - j) // (j + 1), initial=comb(n, lo)))
 
 
 @lru_cache(maxsize=4)
@@ -344,14 +343,20 @@ def _log_pascal_row(n: int) -> tuple[float, ...]:
 def _pascal_row_profiles(ms: Callable[[int], Iterable[int]]) -> dict[str, Callable]:
     """Exact and log profile fields of a Pascal-row model whose exits read prefixes ms(n).
 
-    The log profile reads the same prefixes of :func:`_log_pascal_row` (-inf for m < 0).
+    The exact profile is :func:`_pascal_prefix` at each m (0 for m < 0), one Fraction
+    per prefix of one walked row; the log profile reads the same prefixes of
+    :func:`_log_pascal_row` (-inf for m < 0).
     """
+
+    def exact_profile(n: int, k: int | None) -> tuple[Fraction, ...]:
+        row, zero = [Fraction(p, 1 << n) for p in accumulate(_binomial_row(n, 0, n))], Fraction(0)
+        return tuple(row[m] if m >= 0 else zero for m in ms(n))
 
     def log_profile(n: int, k: int | None) -> tuple[float, ...]:
         row = _log_pascal_row(n)
         return tuple(row[m] if m >= 0 else -math.inf for m in ms(n))
 
-    return {"exact_profile": lambda n, k: _pascal_profile(n, ms(n)), "log_profile": log_profile}
+    return {"exact_profile": exact_profile, "log_profile": log_profile}
 
 
 # ---------------------------------------------------------------------------
@@ -430,21 +435,25 @@ def _aztec_log_escape(n: int, target: int, k: int | None) -> Callable[[int], flo
     """
     if target <= n:
         raise ValueError(f"target k={target} must exceed n={n}")
-    a, ln2 = float(2 * (target - n - 1) + 1), math.log(2)
-    sums, offsets, offset = [], [], 0.0
-    prev, cur, shift = 0.0, 1.0, 0
-    for m in range(n + 1):
-        sums.append(cur + prev)
-        offsets.append(offset)
-        prev, cur = cur, (a * cur + m * prev) / (m + 1)
-        if cur > 2.0**512:
-            prev, cur, shift = math.ldexp(prev, -512), math.ldexp(cur, -512), shift + 512
-            offset = shift * ln2
-    sums.reverse()
-    offsets.reverse()
-    log = math.log
-    # The search reads a few dozen exits, so each log is taken when read.
-    return lambda ell: log(sums[ell]) + offsets[ell]
+    a, log, sums, offsets = float(2 * (target - n - 1) + 1), math.log, [], []
+    prev, cur, shift, offset = 0.0, 1.0, 0, 0.0  # the walk's state at m = len(sums)
+
+    # The search reads a few dozen exits, none with m = n - ell much past
+    # n (1 - 1/(2z)), so the column is walked only as far as it is read.
+    def log_escape(ell: int) -> float:
+        nonlocal prev, cur, shift, offset
+        m = n - ell
+        if m >= len(sums):
+            for j in range(len(sums), m + 1):
+                sums.append(cur + prev)
+                offsets.append(offset)
+                prev, cur = cur, (a * cur + j * prev) / (j + 1)
+                if cur > 2.0**512:
+                    prev, cur, shift = math.ldexp(prev, -512), math.ldexp(cur, -512), shift + 512
+                    offset = shift * _LN2
+        return log(sums[m]) + offsets[m]
+
+    return log_escape
 
 
 def _aztec_action(z: float, xi: float, x: float | None) -> tuple[float, float]:
@@ -561,9 +570,9 @@ def _dyck_profile(n: int, k: int) -> tuple[Fraction, ...]:
     for ell in range(n + k - 2, n, -1):
         a, b, c = _dyck_recurrence(n, k, ell)
         sums.append(_exact_int(-(a * sums[-2] + b * sums[-1]), c))
-    ells = range(n + k, n, -1)
-    tail = [Fraction(s, comb(2 * n + 2 * k, n + ell)) for ell, s in zip(ells, sums)]
-    return (Fraction(1),) * (n + 1) + tuple(reversed(tail))
+    # sums[:k] are S(n+k)..S(n+1) (k = 1 keeps one top row); n + ell runs 2n+1..2n+k.
+    dens = _binomial_row(2 * n + 2 * k, 2 * n + 1, 2 * n + k)
+    return (Fraction(1),) * (n + 1) + tuple(map(Fraction, reversed(sums[:k]), dens))
 
 
 def dyck_escape(p: int, ell: int) -> int:
@@ -713,10 +722,15 @@ def red_one_point(n: int, k: int, ell: int) -> Fraction:
 
 
 def _red_profile(n: int, k: int) -> tuple[Fraction, ...]:
-    """:func:`red_one_point` over every exit ell = 0..n+1: suffix sums of one term list."""
-    terms = [comb(k + n - 1 - s, k - 2) * comb(k + n + s, k - 2) for s in range(n + 2)]
+    """:func:`red_one_point` over every exit ell = 0..n+1: suffix sums of one term list.
+
+    Both factors of term s are entries col[m] = C(k-2+m, k-2) of one column,
+    m = n+1-s and n+2+s, walked by col[m+1] = col[m] (k-1+m) / (m+1).
+    """
+    col = list(accumulate(range(2 * n + 3), lambda c, m: c * (k - 1 + m) // (m + 1), initial=1))
+    suffix = accumulate(col[n + 1 - s] * col[n + 2 + s] for s in range(n + 1, -1, -1))
     norm = comb(2 * n + 2 * k, 2 * n + 3)
-    return tuple(Fraction(2 * t, norm) for t in reversed(list(accumulate(reversed(terms)))))
+    return tuple(Fraction(2 * t, norm) for t in reversed(list(suffix)))
 
 
 def _red_log_profile(n: int, k: int) -> tuple[float, ...]:
@@ -936,20 +950,23 @@ def _vsasm_term(n: int, i: int) -> int:
 def n_vsasm_refined_counts(size: int) -> list[int]:
     """``n_vsasm_refined(size, ell)`` for every exit ell = 1..size, in one pass.
 
-    (-1)^(ell+i-1) = (-1)^(ell-1) (-1)^i, so the alternating sum of exit ell is,
-    up to its sign, the prefix over i < ell of one signed sum.  Each count is
+    The count of exit ell is scale / den times sum_{i < ell} (-1)^(ell-1-i) t_i,
+    t_i = ``_vsasm_term(n, i)``, so each alternating sum is t_{ell-1} minus the
+    one before it.  The terms walk from t_1 = (4n-2)! by the ratio
+    (2n+i-1)(2n-i) / (i (4n-i-1)), each step an exact quotient.  Each count is
     an integer, so once scale and denominator are reduced to coprime
-    numbers the reduced denominator divides the prefix itself.
+    numbers the reduced denominator divides the alternating sum itself.
     """
     if size < 3 or size % 2 == 0:
         raise ValueError(f"size must be odd and >= 3, got {size}")
     n = (size - 1) // 2
-    scale, den = n_vsasm(2 * n - 1), factorial(4 * n - 2)
+    scale, den = n_vsasm(2 * n - 1), factorial(4 * n - 2)  # the walk starts from t_1 = den
+    terms = accumulate(range(1, 2 * n), lambda t, i: _exact_int(
+        t * (2 * n + i - 1) * (2 * n - i), i * (4 * n - i - 1)), initial=den)
     g = gcd(scale, den)
     scale, den = scale // g, den // g
-    signed = accumulate(((-1) ** i * _vsasm_term(n, i) for i in range(1, size)), initial=0)
-    return [(-1) ** (ell - 1) * scale * _exact_int(acc, den)
-            for ell, acc in enumerate(signed, start=1)]
+    return [scale * _exact_int(acc, den)
+            for acc in accumulate(terms, lambda acc, t: t - acc, initial=0)]
 
 
 def _vsasm_profile(size: int, k: int | None) -> tuple[Fraction, ...]:

@@ -207,6 +207,29 @@ def test_exact_reports_match_recorded_digests(key, capsys):
     assert hashlib.sha256(checks).hexdigest() == _DIGESTS[key]
 
 
+@pytest.mark.parametrize("key", sorted(k for k in _DIGESTS if k.startswith("onepoint ")))
+def test_onepoint_csvs_match_recorded_digests(key, tmp_path, monkeypatch, capsys):
+    """Each recorded onepoint op writes its CSV byte for byte, hashed as the bench worker does."""
+    monkeypatch.chdir(tmp_path)
+    argv = key.split()
+    code, report = run(argv, capsys)
+    out = argv[argv.index("--out") + 1]
+    assert code == 0 and report["artifacts"] == [out]
+    assert hashlib.sha256((tmp_path / out).read_bytes()).hexdigest() == _DIGESTS[key]
+
+
+@pytest.mark.parametrize("bad", [Fraction(3, 2), Fraction(-1, 2)])
+def test_onepoint_bound_check_fails_outside_unit_interval(bad, monkeypatch, capsys):
+    """The integer check 0 <= numerator <= denominator rejects a value above 1 or below 0."""
+    profile = (bad, Fraction(1, 2), Fraction(1))
+    monkeypatch.setitem(MODEL_OPS, ModelId.AZTEC,
+                        dataclasses.replace(MODEL_OPS[ModelId.AZTEC], exact_profile=lambda n, k: profile))
+    code, report = run(["onepoint", "--model", "aztec", "--n", "2"], capsys)
+    assert code == 1
+    checks = {c["name"]: c["pass"] for c in report["checks"]}
+    assert checks == {"profile values within [0, 1]": False, "reference exit has weight 1": True}
+
+
 def test_oracle_vsasm_dump(tmp_path, capsys):
     dump = tmp_path / "vsasm.ndjson"
     code, report = run(["oracle", "--model", "vsasm", "--n", "5", "--dump", str(dump)], capsys)

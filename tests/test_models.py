@@ -1,6 +1,7 @@
 """Model closed forms against enumeration oracles and determinant ratios."""
 
 import math
+import random
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -403,6 +404,31 @@ def test_aztec_log_escape_within_derived_bound(n, z):
         assert abs(log_y(ell) - want) <= tol, (ell, log_y(ell), want)
 
 
+def _eager_aztec_log_escapes(n, target):
+    """Every exit's log escape from one full walk of the rescaled float Delannoy column."""
+    a, logs, prev, cur, shift = float(2 * (target - n - 1) + 1), [], 0.0, 1.0, 0
+    for m in range(n + 1):
+        logs.append(math.log(cur + prev) + shift * math.log(2))
+        prev, cur = cur, (a * cur + m * prev) / (m + 1)
+        if cur > 2.0**512:
+            prev, cur, shift = math.ldexp(prev, -512), math.ldexp(cur, -512), shift + 512
+    return logs[::-1]
+
+
+@pytest.mark.parametrize("n", [64, 512, 4096])
+@pytest.mark.parametrize("z", [1.1, 2.5, 6.0])
+def test_aztec_log_escape_lazy_walk_is_bit_identical(n, z):
+    """Walking the column only as far as each read reaches gives the full walk's doubles,
+    whatever order the exits are read in."""
+    target = round(z * n)
+    want = _eager_aztec_log_escapes(n, target)
+    log_y = md.log_escape_profile(ModelId.AZTEC, n, target)
+    ells = list(range(n + 1))
+    random.Random(n).shuffle(ells)
+    for ell in ells[: n // 2] + ells:  # the first half is read twice
+        assert log_y(ell).hex() == want[ell].hex(), ell
+
+
 def _dyck_term(n, k, ell, s):
     """t_ell(s) = C(n+ell+1, 2n+1-2s) C(2n+k-s, n+ell), vanishing outside the binomial ranges."""
     return binomial(n + ell + 1, 2 * n + 1 - 2 * s) * binomial(2 * n + k - s, n + ell)
@@ -475,6 +501,27 @@ def test_exact_profile_sweep_matches_per_exit_closed_form(model, n, k):
         assume(False)
     k = k if ops.needs_k else None
     assert ops.exact_profile(n, k) == tuple(ops.one_point(n, k, ell) for ell in ops.exits(n, k))
+
+
+@pytest.mark.parametrize(
+    "model, n, k",
+    [(ModelId.DYCK_HALF_HEX, n, k) for k in (1, 2, 3) for n in (0, 1, 2)]
+    + [(ModelId.RED_HALF_HEX, n, k) for k in (2, 3) for n in (0, 1)]
+    + [(m, n, None) for m in (ModelId.AZTEC, ModelId.STAIRCASE, ModelId.STAIRCASE_ALT) for n in (0, 1, 2)]
+    + [(ModelId.VSASM, 3, None), (ModelId.VSASM, 5, None)],
+)
+def test_exact_profile_edge_rows_match_per_exit_closed_form(model, n, k):
+    """The smallest sizes, where a walk has one or two steps (dyck k = 1 keeps one top row)."""
+    ops = md.MODEL_OPS[model]
+    assert ops.exact_profile(n, k) == tuple(ops.one_point(n, k, ell) for ell in ops.exits(n, k))
+
+
+def test_binomial_row_matches_comb():
+    """Every window lo..hi of rows n <= 12, lo = hi, lo = 0 and hi = n among them."""
+    for n in range(13):
+        for lo in range(n + 1):
+            for hi in range(lo, n + 1):
+                assert md._binomial_row(n, lo, hi) == [comb(n, j) for j in range(lo, hi + 1)]
 
 
 def test_log_factorial_table_is_capped_at_far_targets():
