@@ -44,6 +44,10 @@ from .tangent import TangentLine, analytic_saddle, envelope, finite_n_saddle, ta
 # Most tangent lines (--count) or curve samples (--samples) one command builds;
 # an unbounded value would be built as one list and could exhaust memory.
 GRID_MAX = 2**20
+# Longest fitted `verify` time (``Model.verify_seconds``) accepted.  Near this
+# bound the fits under-estimate measured times by up to about 1.7x, so every
+# accepted input still ends well inside 10 minutes.
+VERIFY_SECONDS_MAX = 120.0
 
 
 @contextmanager
@@ -238,6 +242,12 @@ def cmd_verify(args, parser) -> Report:
     model, k = _sized_model(args, parser)
     rep = Report("verify", model.value, {"n": args.n, "k": args.k})
     ops = MODEL_OPS[model]
+    fitted = ops.verify_seconds(args.n, k) if ops.verify_seconds else 0.0
+    if fitted > VERIFY_SECONDS_MAX:
+        parser.error(
+            f"verify --model {model.value} at n={args.n}, k={k} is fitted at {fitted:.0f} s,"
+            f" above the verify cost bound of {VERIFY_SECONDS_MAX:.0f} s"
+        )
     if not ops.has_paths:
         size = args.n
         counts = n_vsasm_refined_counts(size)

@@ -11,10 +11,11 @@ nonzero entries, and divide once per entry.
 Determinants are deliberately available through two independent routes
 (Bareiss elimination and the product of LU pivots) so the two can be
 cross-checked; a disagreement is treated as a test failure, never a
-warning.  One Bareiss loop gives determinants, leading minors and, bordered by
-replacement columns, every last-column minor without reading an LU factor;
-bordered by the matrix's own last column too, the same pass gives its
-determinant.
+warning.  One Bareiss loop gives determinants and leading minors.  Run on the
+transpose and followed by a fraction-free back substitution, it gives the
+cofactor row of the last column, so every last-column minor (the matrix's own
+last column gives its determinant) is one integer dot product, without
+reading an LU factor.
 """
 
 from __future__ import annotations
@@ -155,15 +156,15 @@ class LUPair:
         return Fraction(prod(self.u_diagonal()))
 
 
-def _rows(m: ExactMatrix, border: Sequence[Sequence[Scalar]] = ()) -> list[list[Scalar]]:
-    """Rows of the square ``m``, each followed by its entry of every border column."""
-    if not m.is_square or any(len(c) != m.rows for c in border):
-        raise ValueError(f"non-square {m.rows}x{m.cols} matrix or border of another height")
-    return [[*m.row(i), *(c[i] for c in border)] for i in range(m.rows)]
+def _rows(m: ExactMatrix) -> list[list[Scalar]]:
+    """Rows of the square ``m`` as lists."""
+    if not m.is_square:
+        raise ValueError(f"non-square {m.rows}x{m.cols} matrix")
+    return [list(m.row(i)) for i in range(m.rows)]
 
 
 def _bareiss_pivots(a: list[list[Scalar]], steps: int, swaps: bool = True) -> list[int]:
-    """Bareiss elimination of the first ``steps`` columns of ``a`` (rows may be wider), in place.
+    """Bareiss elimination of the first ``steps`` columns of the square ``a``, in place.
 
     After step k, entry (i, j) with i, j > k is the minor on rows 0..k, i and
     columns 0..k, j (Sylvester's identity): pivot k is the order-(k+1) leading
@@ -218,12 +219,25 @@ def leading_principal_minors(m: ExactMatrix) -> list[int]:
 def last_column_minors(m: ExactMatrix, columns: Sequence[Sequence[Scalar]]) -> list[int]:
     """det(m with its last column replaced by c) for each c in ``columns``.
 
-    One elimination of m's first n-1 columns, bordered by every c, leaves them
-    in its last row; a vanishing leading minor of order < n raises.
+    By Laplace expansion along the last column each is sum_i c_i x_i, where x
+    holds the cofactors x_i = C_{i,n-1}, so that x^T m = det(m) e_{n-1}^T.
+    x_{n-1} is the order-(n-1) leading minor (1 when n = 1).  Bareiss
+    elimination of the first n-1 columns of m^T leaves rows i < n-1 upper
+    triangular with a[i][i] the order-(i+1) leading minor, and back
+    substitution through them gives the rest, each ``//`` exact because every
+    x_i is an integer.  m^T has m's leading minors, so one of order < n that
+    vanishes raises with its index.
     """
-    a = _rows(m, columns)
-    _bareiss_pivots(a, m.rows - 1, swaps=False)
-    return a[-1][m.rows:]
+    if any(len(c) != m.rows for c in columns):
+        raise ValueError(f"replacement column of another height than {m.rows}")
+    a = [list(col) for col in zip(*_rows(m))]
+    n = len(a)
+    pivots = _bareiss_pivots(a, n - 1, swaps=False)
+    x = [0] * (n - 1) + [pivots[-1] if pivots else 1]
+    for i in reversed(range(n - 1)):
+        row = a[i]
+        x[i] = -sum(row[j] * x[j] for j in range(i + 1, n)) // row[i]
+    return [sum(ci * xi for ci, xi in zip(c, x)) for c in columns]
 
 
 def lu_exact(m: ExactMatrix) -> LUPair:

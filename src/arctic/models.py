@@ -170,7 +170,9 @@ class Model:
     (exit point, target point)``, ``limit_curve(x)``, ``tangency(x)`` and
     ``parametric``.  The Gessel-Viennot fields (``matrix`` to
     ``reference_ell``) and the path ``lattice`` are None for the osculating
-    model.
+    model, and so is ``verify_seconds(n, k)``: the in-process time of the
+    ``verify`` command, fitted to timings on a 2-core Xeon, by which the CLI
+    refuses an input before any work.
     """
 
     model: ModelId
@@ -193,6 +195,7 @@ class Model:
     b_column: Callable[[int, int | None, int], list[int]] | None = None
     partition: Callable[[int, int | None], int] | None = None
     reference_ell: Callable[[int, int | None], int] | None = None
+    verify_seconds: Callable[[int, int | None], float] | None = None
     lattice: Lattice | None = None
     live_exits: Callable[[int, int | None, int], range] | None = None
     n_min: int = 0
@@ -359,6 +362,11 @@ def _pascal_row_profiles(ms: Callable[[int], Iterable[int]]) -> dict[str, Callab
     return {"exact_profile": exact_profile, "log_profile": log_profile}
 
 
+def _pascal_verify_seconds(n: int, k: int | None) -> float:
+    """Fitted ``verify`` time of the diamond and both staircases (13 timings of 0.8-131 s)."""
+    return 52 * ((n + 1) / 181) ** 6
+
+
 # ---------------------------------------------------------------------------
 # Diamond tiling (large Schroeder paths)
 # ---------------------------------------------------------------------------
@@ -376,7 +384,14 @@ def aztec_entry(i: int, j: int) -> int:
 
 
 def aztec_matrix(n: int) -> ExactMatrix:
-    return ExactMatrix.from_function(n + 1, n + 1, aztec_entry)
+    """The Delannoy table D(i, j) = D(i, j-1) + D(i-1, j) + D(i-1, j-1), D(0, .) = D(., 0) = 1."""
+    rows = [[1] * (n + 1)]
+    for _ in range(n):
+        row = [1]
+        for j in range(1, n + 1):
+            row.append(row[-1] + rows[-1][j] + rows[-1][j - 1])
+        rows.append(row)
+    return ExactMatrix.from_rows(rows)
 
 
 def aztec_closed_U(n: int) -> ExactMatrix:
@@ -1084,6 +1099,7 @@ MODEL_OPS: dict[ModelId, Model] = {
         b_column=lambda n, k, ell: aztec_b_column(n, ell),
         partition=lambda n, k: 2 ** (n * (n + 1) // 2),
         reference_ell=lambda n, k: n,
+        verify_seconds=_pascal_verify_seconds,
         lattice=Lattice(
             steps=((1, 1), (1, -1), (2, 0)),
             starts=lambda n, k: ((-i, i) for i in range(n + 1)),
@@ -1112,6 +1128,10 @@ MODEL_OPS: dict[ModelId, Model] = {
         b_column=lambda n, k, ell: dyck_b_column(n, k, ell),
         partition=lambda n, k: dyck_partition(n, k),
         reference_ell=lambda n, k: 0,
+        # Fitted to 22 timings of 0.7-70 s; the elimination of an (n+1)-square
+        # matrix whose entries grow by 2 bits per unit of k.
+        verify_seconds=lambda n, k: 53 * ((n + 1) / 351) ** 3.5
+        + 91 * ((n + 1) / 61) ** 4 * (k / 512) ** 2,
         lattice=Lattice(
             steps=((1, 1), (1, -1)),
             starts=lambda n, k: ((-2 * i, 0) for i in range(n + 1)),
@@ -1140,6 +1160,9 @@ MODEL_OPS: dict[ModelId, Model] = {
         b_column=lambda n, k, ell: red_b_column(n, k, ell),
         partition=lambda n, k: red_partition(n, k),
         reference_ell=lambda n, k: 0,
+        # Fitted to the 16 timings of 10-256 s; the elimination of a k-square
+        # matrix whose entries vanish more than n + 1 places right of the diagonal.
+        verify_seconds=lambda n, k: 70 * (k / 200) ** 3.3 * min(n + 2, k) / 32,
         lattice=Lattice(
             steps=((0, -2), (1, -1)),
             starts=lambda n, k: ((i, i + 2 * n + 2) for i in range(k)),
@@ -1166,6 +1189,7 @@ MODEL_OPS: dict[ModelId, Model] = {
         b_column=lambda n, k, ell: staircase_b_column(n, ell),
         partition=lambda n, k: 2 ** (n * (n + 1) // 2),
         reference_ell=lambda n, k: 0,
+        verify_seconds=_pascal_verify_seconds,
         lattice=Lattice(
             steps=((-1, 0), (0, 1)),
             starts=lambda n, k: ((2 * i, 0) for i in range(n + 1)),
@@ -1194,6 +1218,7 @@ MODEL_OPS: dict[ModelId, Model] = {
         b_column=lambda n, k, ell: staircase_alt_b_column(n, ell),
         partition=lambda n, k: 2 ** (n * (n + 1) // 2),
         reference_ell=lambda n, k: 2 * n,
+        verify_seconds=_pascal_verify_seconds,
         # Row i of the counting matrix is the start (2(n-i), 0): the leftmost
         # start must reach the topmost end for the family to be non-crossing.
         lattice=Lattice(

@@ -179,6 +179,40 @@ def test_verify_makes_one_elimination(monkeypatch, capsys):
     assert len(eliminations) == 1 and dets == []
 
 
+# Largest inputs the verify cost bound accepts, each timed in-process (see
+# CHANGES.md); one more in n or in k is refused before any elimination.
+@pytest.mark.parametrize(
+    "model,n,k",
+    [
+        ("aztec", 207, None),
+        ("staircase", 207, None),
+        ("staircase-alt", 207, None),
+        ("dyck", 441, 1),
+        ("dyck", 250, 32),
+        ("dyck", 129, 128),
+        ("dyck", 64, 512),
+        ("red", 0, 512),
+        ("red", 2, 442),
+        ("red", 32, 231),
+        ("red", 80, 177),
+        ("red", 512, 148),
+    ],
+)
+def test_verify_cost_bound_refuses_past_the_timed_edge(model, n, k, monkeypatch, capsys):
+    assert MODEL_OPS[ModelId(model)].verify_seconds(n, k) <= cli.VERIFY_SECONDS_MAX
+    eliminations = _count_calls(monkeypatch, linalg, "_bareiss_pivots")
+    past = [(n + 1, k), *([(n, k + 1)] if k is not None else [])]
+    for n_past, k_past in past:
+        if max(n_past, k_past or 0) > 512:
+            continue
+        argv = ["verify", "--model", model, "--n", str(n_past)]
+        with pytest.raises(SystemExit) as err:
+            main(argv + (["--k", str(k_past)] if k_past is not None else []))
+        assert err.value.code == 2
+        assert "above the verify cost bound of 120 s" in capsys.readouterr().err
+    assert eliminations == []
+
+
 def test_bench_traced_bindings_all_resolve():
     """Every binding the bench harness traces still names a function here.
 
@@ -318,6 +352,8 @@ def test_envelope_rejects_small_grid(capsys):
         ["verify", "--model", "dyck", "--n", "4", "--k", "100000"],
         ["oracle", "--model", "dyck", "--n", "2", "--k", "100000"],
         ["verify", "--model", "aztec", "--n", "600"],
+        *(["verify", "--model", m, "--n", "512"] for m in ("aztec", "staircase", "staircase-alt")),
+        *(["verify", "--model", m, "--n", "512", "--k", "512"] for m in ("dyck", "red")),
         ["oracle", "--model", "red", "--n", "1500", "--k", "2"],
         ["oracle", "--model", "dyck", "--n", "2", "--k", "500"],
         *(["saddle", "--model", "red", "--n", "4096", "--z", "1", "--x-model", x]

@@ -183,6 +183,33 @@ def test_bareiss_matches_leibniz(drawn):
         assert err.value.index == dets.index(0)
 
 
+@pytest.mark.parametrize(
+    "model,n,k",
+    [
+        (ModelId.AZTEC, 40, None),
+        (ModelId.STAIRCASE, 40, None),
+        (ModelId.DYCK_HALF_HEX, 20, 20),
+        (ModelId.RED_HALF_HEX, 20, 20),
+    ],
+)
+def test_cofactor_minors_match_replaced_determinants_at_model_scale(model, n, k):
+    """The cofactor row's back substitution divides exactly at model sizes.
+
+    A floor division that dropped a remainder would shift that cofactor and
+    every one solved after it, so some replaced determinant would differ.
+    """
+    ops = MODEL_OPS[model]
+    m = ops.matrix(n, k)
+    exits = ops.exits(n, k)
+    columns = [ops.b_column(n, k, ell) for ell in (exits[0], exits[len(exits) // 2], exits[-1])]
+    last = m.cols - 1
+    minors = last_column_minors(m, columns)
+    assert all(minors)
+    for c, minor in zip(columns, minors):
+        replaced = ExactMatrix.from_function(m.rows, m.cols, lambda i, j: c[i] if j == last else m[i, j])
+        assert minor == det_bareiss(replaced)
+
+
 def test_bareiss_rejects_non_integer_entries():
     with pytest.raises(TypeError):
         det_bareiss(ExactMatrix.from_rows([[1, Fraction(1, 2)], [3, 4]]))

@@ -80,6 +80,11 @@ def test_aztec_entry_symmetry():
             assert md.aztec_entry(i, j) == md.aztec_entry(j, i)
 
 
+def test_aztec_matrix_delannoy_table_matches_entry_sums():
+    for n in range(0, 41):
+        assert md.aztec_matrix(n) == ExactMatrix.from_function(n + 1, n + 1, md.aztec_entry)
+
+
 def test_aztec_closed_lu_reconstructs():
     for n in range(0, 9):
         L, L_inv = md.pascal_closed_L(n)
