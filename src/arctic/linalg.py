@@ -6,8 +6,9 @@ appears only where a true ratio is formed (LU pivots, last-column ratios).
 Every whole entry that LU or a product forms is stored as an ``int``, so a
 matrix whose factors are integral (the diamond and both staircases) is
 factored by Doolittle sums in ``int`` alone.  Products clear denominators per
-left row and right column, sum integer dot products over the left row's
-nonzero entries, and divide once per entry.
+left row and right column, sum integer dot products where the left row's and
+right column's nonzero spans overlap, and divide once per entry unless both
+are integral.
 Determinants are deliberately available through two independent routes
 (Bareiss elimination and the product of LU pivots) so the two can be
 cross-checked; a disagreement is treated as a test failure, never a
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
@@ -98,22 +100,26 @@ class ExactMatrix:
         return ExactMatrix.from_function(size, size, lambda i, j: self[i, j])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Exact product, summed in ``int`` over the nonzero entries of each left row.
+        """Exact product, summed in ``int`` where a left row's and a right column's nonzero
+        spans overlap.
 
         Each right column is scaled once by the lcm e of its denominators and
-        each left row by the lcm d of its own, so entry (i, j) is one
-        ``Fraction(s, d * e)`` of an integer dot product s, stored as ``int``
-        when it is whole.
+        each left row by the lcm d of its own, so entry (i, j) is an integer dot
+        product s over the overlap, stored as s when d e = 1 and otherwise as
+        ``Fraction(s, d * e)``, an ``int`` when it is whole.
         """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        columns = [_cleared(other._data[j::other.cols]) for j in range(other.cols)]
+        cleared = (_cleared(other._data[j::other.cols]) for j in range(other.cols))
+        columns = [(e, col, *_span(col)) for e, col in cleared]
         out = []
         for i in range(self.rows):
             d, row = _cleared(self.row(i))
-            nonzero = [(k, a) for k, a in enumerate(row) if a]
-            for e, col in columns:
-                out.append(_whole(Fraction(sum(a * col[k] for k, a in nonzero), d * e)))
+            row_lo, row_hi = _span(row)
+            for e, col, col_lo, col_hi in columns:
+                lo, hi = max(row_lo, col_lo), min(row_hi, col_hi)
+                s = sum(map(mul, row[lo:hi], col[lo:hi]))
+                out.append(s if d * e == 1 else _whole(Fraction(s, d * e)))
         return ExactMatrix(self.rows, other.cols, out)
 
     def __eq__(self, other: object) -> bool:
@@ -132,6 +138,12 @@ def _cleared(entries: Sequence[Scalar]) -> tuple[int, list[int]]:
     """The lcm of the entries' denominators and the entries times it, as ints."""
     den = lcm(*(e.denominator for e in entries))
     return den, [e.numerator * (den // e.denominator) for e in entries]
+
+
+def _span(entries: Sequence[int]) -> tuple[int, int]:
+    """(first, last + 1) of the indices of the nonzero entries; (0, 0) if there are none."""
+    nonzero = [k for k, e in enumerate(entries) if e]
+    return (nonzero[0], nonzero[-1] + 1) if nonzero else (0, 0)
 
 
 def _whole(x: Scalar) -> Scalar:
@@ -249,17 +261,19 @@ def lu_exact(m: ExactMatrix) -> LUPair:
     """
     if not m.is_square:
         raise ValueError(f"LU of non-square {m.rows}x{m.cols} matrix")
-    n = m.rows
+    a = _rows(m)
+    n = len(a)
     u = [[0] * n for _ in range(n)]
     low = [[int(i == j) for j in range(n)] for i in range(n)]
     for i in range(n):
+        a_i, low_i, u_i = a[i], low[i], u[i]
         for j in range(i, n):
-            u[i][j] = _whole(m[i, j] - sum(low[i][k] * u[k][j] for k in range(i)))
-        if i < n - 1 and u[i][i] == 0:
+            u_i[j] = _whole(a_i[j] - sum(low_i[k] * u[k][j] for k in range(i)))
+        if i < n - 1 and u_i[i] == 0:
             raise SingularMinorError(i)
         for r in range(i + 1, n):
-            num = m[r, i] - sum(low[r][k] * u[k][i] for k in range(i))
-            low[r][i] = _whole(Fraction(num, u[i][i]))
+            low_r = low[r]
+            low_r[i] = _whole(Fraction(a[r][i] - sum(low_r[k] * u[k][i] for k in range(i)), u_i[i]))
     return LUPair(ExactMatrix.from_rows(low), ExactMatrix.from_rows(u))
 
 

@@ -38,13 +38,13 @@ and the alternative formulation's saddle xi = 2 - z/2 on overlapping arcs.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb, factorial, gcd, prod
+from operator import add, sub
 from typing import Callable, Iterable
 
 from .combinat import ballot, binomial, catalan, trinomial
@@ -59,6 +59,18 @@ from .curves import (
     vsasm_curve,
 )
 from .linalg import ExactMatrix
+# The log layer's names stay readable as attributes of this module, as before it moved.
+from .logspace import (
+    _LN2,
+    LOG_FACTORIAL_CAP,
+    _grow_log_factorials,
+    _log_comb,
+    _log_comb_run,
+    _log_cumsum,
+    _log_factorial,
+    _log_factorials,
+    _logaddexp,
+)
 
 __all__ = [
     "ModelId",
@@ -224,44 +236,8 @@ class Model:
 
 
 # ---------------------------------------------------------------------------
-# Shared numerics: log-space sums and large-n exponents
+# Shared numerics: large-n exponents (log-space sums live in arctic.logspace)
 # ---------------------------------------------------------------------------
-
-_log_factorials = array("d", [0.0])
-LOG_FACTORIAL_CAP = 2**20
-_LN2 = math.log(2)
-
-
-def _grow_log_factorials(top: int) -> None:
-    """Extend the math.lgamma table of log(m!) through m = top, capped at LOG_FACTORIAL_CAP.
-
-    Only the cached profile rows grow it; a far target would ask for a table
-    linear in z, so escapes read past the table through :func:`_log_factorial`.
-    """
-    stop = min(top + 1, LOG_FACTORIAL_CAP)
-    _log_factorials.extend(math.lgamma(m + 1.0) for m in range(len(_log_factorials), stop))
-
-
-def _log_factorial(m: int) -> float:
-    """log(m!) for an integer m >= 0: the table entry, or past the table the same lgamma double."""
-    return _log_factorials[m] if m < len(_log_factorials) else math.lgamma(m + 1.0)
-
-
-def _log_comb(n: int, k: int) -> float:
-    """log C(n, k) for integer arguments, -inf outside 0 <= k <= n."""
-    if not 0 <= k <= n:
-        return -math.inf
-    return _log_factorial(n) - _log_factorial(k) - _log_factorial(n - k)
-
-
-def _logaddexp(x: float, y: float) -> float:
-    """log(e^x + e^y): x + log 2 if x == y, else the larger plus log1p(exp(-|x - y|))."""
-    if x == y:
-        return x + _LN2
-    d = x - y
-    if d > 0:
-        return x + math.log1p(math.exp(-d))
-    return y + math.log1p(math.exp(d))
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float, iters: int = 200) -> float:
@@ -339,8 +315,7 @@ def _log_pascal_row(n: int) -> tuple[float, ...]:
     AMS 23 (1969)).  So the row is log-concave in m, and so is its reversal.
     """
     _grow_log_factorials(n)
-    shift = n * _LN2
-    return tuple(v - shift for v in accumulate((_log_comb(n, j) for j in range(n + 1)), _logaddexp))
+    return tuple(map(sub, _log_cumsum(_log_comb_run(n, 0, 0, 1, n + 1)), repeat(n * _LN2)))
 
 
 def _pascal_row_profiles(ms: Callable[[int], Iterable[int]]) -> dict[str, Callable]:
@@ -622,13 +597,17 @@ def _dyck_log_profile(n: int, k: int) -> tuple[float, ...]:
     _grow_log_factorials(2 * n + 2 * k)
     log_top = _log_comb(m + 1, 2 * n + 1)
     log_next = _logaddexp(_log_comb(m, 2 * n + 1) + math.log(m), _log_comb(m, k + 1))
-    rhos = [math.exp(log_next - log_top)]
-    for ell in range(n + k - 2, n, -1):
-        a, b, c = _dyck_recurrence(n, k, ell)
-        rhos.append(-(a / rhos[-1] + b) / c)
-    log_sums = [log_top + v for v in accumulate(map(math.log, [1.0] + rhos[: k - 1]))]
-    tail = zip(range(2 * n + 1, 2 * n + k + 1), reversed(log_sums))  # n + ell, log S(ell)
-    return (0.0,) * (n + 1) + tuple(v - _log_comb(2 * n + 2 * k, j) for j, v in tail)
+    rho = math.exp(log_next - log_top)
+    rhos = [1.0, rho]  # 1, then S(ell) / S(ell+1) for ell = n+k-1 down to n+1
+    p, q = 2 * n + 3 * k - 2, n * k - 2 * n - k
+    for ell in range(n + k - 2, n, -1):  # the (a, b, c) of _dyck_recurrence, inline
+        a, b, c = (ell - n) * (ell + n + 2), (2 * ell - p) * ell + q, (ell - n - k) * (ell - n - 2 * k)
+        rho = -(a / rho + b) / c
+        rhos.append(rho)
+    log_sums = map(add, repeat(log_top), accumulate(map(math.log, rhos[:k])))
+    # log S(ell) - log C(2n+2k, n+ell) for ell = n+1..n+k
+    tail = map(sub, reversed(list(log_sums)), _log_comb_run(2 * n + 2 * k, 0, 2 * n + 1, 1, k))
+    return (0.0,) * (n + 1) + tuple(tail)
 
 
 def _dyck_cubic(x: float, y: float, xi: float) -> float:
@@ -757,10 +736,13 @@ def _red_log_profile(n: int, k: int) -> tuple[float, ...]:
     :func:`_log_pascal_row`).
     """
     _grow_log_factorials(2 * n + 2 * k)
-    terms = [_log_comb(k + n - 1 - s, k - 2) + _log_comb(k + n + s, k - 2) for s in range(n + 2)]
+    # log C(k+n-1-s, k-2) + log C(k+n+s, k-2), summed from s = n+1 down to 0
+    terms = map(
+        add, _log_comb_run(k - 2, 1, k - 2, 0, n + 2), _log_comb_run(k + 2 * n + 1, -1, k - 2, 0, n + 2)
+    )
     norm = _log_comb(2 * n + 2 * k, 2 * n + 3)
-    suffix = list(accumulate(reversed(terms), _logaddexp))
-    return tuple(v + _LN2 - norm for v in reversed(suffix))
+    suffix = _log_cumsum(terms)
+    return tuple(map(sub, map(add, reversed(suffix), repeat(_LN2)), repeat(norm)))
 
 
 def _red_y(x: float, xi: float) -> float:
@@ -1040,10 +1022,9 @@ def _vsasm_log_profile(size: int, k: int | None) -> tuple[float, ...]:
     """
     _grow_log_factorials(3 * size)
     norm = _log_comb(3 * size - 2, size - 1)
-    return tuple(
-        _log_comb(size + ell - 2, size - 1) + _log_comb(2 * size - 1 - ell, size - 1) - norm
-        for ell in range(1, size + 1)
-    )
+    rising = _log_comb_run(size - 1, 1, size - 1, 0, size)  # C(size+ell-2, size-1), ell = 1..size
+    falling = _log_comb_run(2 * size - 2, -1, size - 1, 0, size)  # C(2 size-1-ell, size-1)
+    return tuple(map(sub, map(add, rising, falling), repeat(norm)))
 
 
 def r_asm(t: float) -> float:

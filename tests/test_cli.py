@@ -232,7 +232,7 @@ _DIGESTS = json.loads((Path(__file__).parent.parent / "perfbench" / "digests.jso
 
 
 @pytest.mark.parametrize(
-    "key", sorted(k for k in _DIGESTS if k.startswith(("oracle ", "verify ", "saddle --model aztec ")))
+    "key", sorted(k for k in _DIGESTS if k.startswith(("oracle ", "verify ", "saddle ")))
 )
 def test_exact_reports_match_recorded_digests(key, capsys):
     code, report = run(key.split(), capsys)

@@ -92,6 +92,30 @@ def test_matmul_matches_naive_fraction_product(drawn):
         ExactMatrix.from_rows(a) @ ExactMatrix.from_rows(b + [b[0]])
 
 
+@pytest.mark.parametrize(
+    "model,n,k",
+    [
+        (ModelId.AZTEC, 24, None),
+        (ModelId.STAIRCASE, 24, None),
+        (ModelId.DYCK_HALF_HEX, 20, 17),
+        (ModelId.RED_HALF_HEX, 17, 16),
+    ],
+)
+def test_matmul_matches_naive_product_at_model_scale(model, n, k):
+    """Products of the triangular factors, whose nonzero spans overlap only in part,
+    equal the naive product in value and in type: ``int`` exactly when whole."""
+    ops = MODEL_OPS[model]
+    m = ops.matrix(n, k)
+    lu = lu_exact(m)
+    pairs = [(lu.L, lu.U), (lu.U, lu.L), (m, lu.U), (ops.closed_l_inv(n, k), lu.L)]
+    for left, right in pairs:
+        want = _naive_product(*([list(x.row(i)) for i in range(x.rows)] for x in (left, right)))
+        got = left @ right
+        assert [(type(e), e) for e in got._data] == [
+            (int, e.numerator) if e.denominator == 1 else (Fraction, e) for row in want for e in row
+        ]
+
+
 def test_det_identity():
     assert det_bareiss(ExactMatrix.identity(5)) == 1
 
