@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import arctic
-from arctic import cli, linalg
+from arctic import cli, linalg, models
 from arctic.cli import GRID_MAX, Report, emit_svg, fraction_str, main
 from arctic.linalg import ExactMatrix, lu_exact
 from arctic.models import MODEL_OPS, ModelId
@@ -226,6 +226,26 @@ def test_bench_traced_bindings_all_resolve():
     proc = subprocess.run([sys.executable, "-c", code, str(root / "perfbench"), str(root / "src")],
                           capture_output=True, text=True, timeout=60, check=True)
     assert json.loads(proc.stdout) == []
+
+
+
+@pytest.mark.parametrize("argv,name", [
+    ("verify --model dyck --n 4 --k 4", "binomial"),
+    ("verify --model red --n 4 --k 4", "binomial"),
+    ("verify --model staircase --n 6", "binomial"),
+    ("onepoint --model vsasm --n 7", "n_vsasm"),
+])
+def test_bench_traced_helpers_are_called_through_the_hub(argv, name, tmp_path, monkeypatch, capsys):
+    """The helpers the bench harness wraps on ``arctic.models`` are the ones the families call.
+
+    A family module that bound its own copy would leave the name resolvable and its
+    per-layer metric at 0.
+    """
+    monkeypatch.chdir(tmp_path)
+    calls = _count_calls(monkeypatch, models, name)
+    assert main(argv.split()) == 0
+    capsys.readouterr()
+    assert len(calls) > 0
 
 
 _DIGESTS = json.loads((Path(__file__).parent.parent / "perfbench" / "digests.json").read_text())

@@ -1,13 +1,32 @@
-"""Each library module's ``__all__`` names exactly its public definitions,
-and the brute-force oracle reads only the lattice off a model record."""
+"""Each library module's ``__all__`` names exactly its public definitions, the
+brute-force oracle reads only the lattice off a model record, and the package
+is laid out so that no one module's compile sets the memory peak."""
 
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-MODULES = ["combinat", "curves", "linalg", "models", "oracle", "tangent"]
+import arctic
+from arctic.models import ModelId
+
+FAMILIES = ["aztec", "halfhex", "staircase", "vsasm"]
+MODULES = ["combinat", "curves", "linalg", "models", "oracle", "tangent"] + [
+    f"models.{family}" for family in FAMILIES
+]
+SRC = Path(arctic.__file__).resolve().parent
+
+
+def _python(code: str, *args: str) -> str:
+    """Standard output of ``code`` in a fresh interpreter importing this checkout's package."""
+    code = "import sys; sys.path.insert(0, sys.argv.pop(1));" + code
+    proc = subprocess.run([sys.executable, "-c", code, str(SRC.parent), *args],
+                          capture_output=True, text=True, timeout=60, check=True)
+    return proc.stdout
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -23,6 +42,35 @@ def test_all_lists_every_public_definition(name):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     }
     assert sorted(public - set(exported)) == []
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_module_imported_first_loads_the_whole_registry(family):
+    out = _python(f"import arctic.models.{family}; from arctic.models import MODEL_OPS;"
+                  "print(*(f'{m.value}={ops.model.value}' for m, ops in MODEL_OPS.items()))")
+    assert out.split() == [f"{m.value}={m.value}" for m in ModelId]
+
+
+_COMPILE_PEAK = (
+    "status = lambda: open('/proc/self/status').read().split('VmHWM:')[1].split()[0];"
+    "source = open(sys.argv[1]).read(); before = int(status());"
+    "compile(source, sys.argv[1], 'exec'); print(int(status()) - before)"
+)
+
+
+def test_no_module_compile_lifts_the_peak_more_than_cli():
+    """Without a bytecode cache each module compiles from source at import, and a
+    compile that lifts the peak RSS more than ``cli.py``'s sets the program's peak.
+
+    The peak is the process's own high-water mark, VmHWM: on Linux ``ru_maxrss``
+    keeps the launching process's peak across exec, so under a test runner it
+    would not move.
+    """
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status")
+    lift = {path.relative_to(SRC).as_posix(): int(_python(_COMPILE_PEAK, str(path)))
+            for path in sorted(SRC.rglob("*.py"))}
+    assert {name: kb for name, kb in lift.items() if kb > lift["cli.py"]} == {}
 
 
 def test_oracle_reads_only_the_lattice_of_a_record():

@@ -258,6 +258,11 @@ def test_staircase_one_point_values():
         md.staircase_one_point(2, 5)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 64, 4096])
+def test_staircase_prefix_map_is_min_n_and_2n_minus_ell(n):
+    assert md._staircase_prefixes(n) == [min(n, m) for m in range(2 * n, -1, -1)]
+
+
 def test_staircase_escapes():
     assert md.staircase_escape(3, 4, 0) == 1
     assert md.staircase_escape(2, 4, 3) == 4
