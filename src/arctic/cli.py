@@ -32,14 +32,11 @@ from .models import (
     one_point_profile,
     raz_strog_check,
 )
-from .oracle import (
-    BudgetExceededError,
-    count_nilp,
-    enumerate_vsasm,
-    model_exit_point,
-    model_path_spec,
-)
 from .tangent import TangentLine, analytic_saddle, envelope, finite_n_saddle, tangent_family
+
+# The commands call the oracle's `enumerate_vsasm` as an attribute of this module,
+# where tests and the bench tracer replace it; `__getattr__` loads it on first use.
+_this = sys.modules[__name__]
 
 # Most tangent lines (--count) or curve samples (--samples) one command builds;
 # an unbounded value would be built as one list and could exhaust memory.
@@ -65,6 +62,20 @@ def _all_digits() -> Iterator[None]:
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+
+
+def __getattr__(name: str) -> Any:
+    """``enumerate_vsasm``, read from :mod:`arctic.oracle` when first asked for (PEP 562).
+
+    Only ``oracle`` and ``verify`` at VSASM sizes up to 7 run the brute-force
+    oracle, so no other command imports (and, without a bytecode cache,
+    compiles) it.
+    """
+    if name == "enumerate_vsasm":
+        from .oracle import enumerate_vsasm
+
+        return enumerate_vsasm
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def fraction_str(f: Fraction) -> str:
@@ -252,7 +263,7 @@ def cmd_verify(args, parser) -> Report:
         size = args.n
         counts = n_vsasm_refined_counts(size)
         if size <= 7:
-            matrices, hist = enumerate_vsasm(size)
+            matrices, hist = _this.enumerate_vsasm(size)
             rep.add("vsasm count equals product formula", n_vsasm(size), len(matrices))
             rep.add("refined formula equals brute-force histogram", counts, hist)
         if size >= 5:
@@ -310,13 +321,23 @@ def cmd_onepoint(args, parser) -> Report:
 
 def cmd_oracle(args, parser) -> Report:
     model, k = _sized_model(args, parser)
-    ops = MODEL_OPS[model]
-    if args.dump and ops.has_paths:
+    if args.dump and MODEL_OPS[model].has_paths:
         parser.error(f"--dump lists enumerated objects; the path model {model.value} has none")
+    from . import oracle
+
+    try:
+        return _oracle_report(oracle, args, model, k)
+    except oracle.BudgetExceededError as exc:  # input too large to enumerate
+        parser.error(str(exc))
+
+
+def _oracle_report(oracle, args, model: ModelId, k: int | None) -> Report:
+    """Brute-force counts of the ``oracle`` command; the oracle's functions are read at call time."""
+    ops = MODEL_OPS[model]
     if not ops.has_paths:
         size = args.n
         rep = Report("oracle", model.value, {"size": size})
-        matrices, hist = enumerate_vsasm(size)
+        matrices, hist = _this.enumerate_vsasm(size)
         rep.add("brute-force count equals product formula", n_vsasm(size), len(matrices))
         rep.add("histogram equals refined formula", n_vsasm_refined_counts(size), hist)
         if args.dump:
@@ -325,11 +346,11 @@ def cmd_oracle(args, parser) -> Report:
             rep.artifacts.append(args.dump)
         return rep
     rep = Report("oracle", model.value, {"n": args.n, "k": args.k})
-    spec = model_path_spec(model, args.n, k)
-    exits = {ell: model_exit_point(model, args.n, ell, k) for ell in ops.exits(args.n, k)}
+    spec = oracle.model_path_spec(model, args.n, k)
+    exits = {ell: oracle.model_exit_point(model, args.n, ell, k) for ell in ops.exits(args.n, k)}
     # The sweep goes first: it refuses an input too large for its budget
     # before an elimination of the same size runs.
-    masses = count_nilp(spec, list(exits.values()))
+    masses = oracle.count_nilp(spec, list(exits.values()))
     det = det_bareiss(ops.matrix(args.n, k))
     count = Fraction(masses[spec.ends[-1]])  # the last path stopped at its own end
     rep.add("brute-force family count equals determinant", fraction_str(det), fraction_str(count))
@@ -549,8 +570,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         text = report.to_json()
         if getattr(args, "json_out", None):
             _write(Path(args.json_out), text)
-    except BudgetExceededError as exc:  # input too large to enumerate
-        parser.error(str(exc))
     except OSError as exc:  # an artifact path that cannot be written
         parser.error(str(exc))
     sys.stdout.write(text)

@@ -1,14 +1,13 @@
 """Exact combinatorial scalars.
 
-All counting functions return Python ints (arbitrary precision); ratios are
-``fractions.Fraction`` in lowest terms.  Binomials follow the Pascal-triangle
-convention: out-of-range indices give 0, never an error, so summation code can
-use the same index-free ranges as the closed formulas it implements.
+All counting functions return Python ints (arbitrary precision).  Binomials
+follow the Pascal-triangle convention: out-of-range indices give 0, never an
+error, so summation code can use the same index-free ranges as the closed
+formulas it implements.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 __all__ = [
@@ -16,8 +15,6 @@ __all__ = [
     "trinomial",
     "catalan",
     "ballot",
-    "falling_factorial",
-    "inverse_binomial_sum",
 ]
 
 
@@ -53,26 +50,3 @@ def ballot(a: int, h: int) -> int:
         return 0
     m = (a - h) // 2
     return comb(a, m) - (comb(a, m - 1) if m >= 1 else 0)
-
-
-def falling_factorial(x: Fraction | int, m: int) -> Fraction:
-    """x(x-1)...(x-m+1); empty product 1 for m = 0."""
-    if m < 0:
-        raise ValueError(f"falling_factorial undefined for m={m}")
-    out = Fraction(1)
-    x = Fraction(x)
-    for i in range(m):
-        out *= x - i
-    return out
-
-
-def inverse_binomial_sum(n: int, a: int) -> Fraction:
-    """Sum_{m=0}^{n} (-1)^m a/(m+a) C(n, m), equal to 1/C(n+a, a)."""
-    if a <= 0:
-        raise ValueError(f"requires a >= 1, got a={a}")
-    if n < 0:
-        raise ValueError(f"requires n >= 0, got n={n}")
-    total = Fraction(0)
-    for m in range(n + 1):
-        total += Fraction((-1) ** m * a, m + a) * comb(n, m)
-    return total

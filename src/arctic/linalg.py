@@ -12,7 +12,7 @@ are integral.
 Determinants are deliberately available through two independent routes
 (Bareiss elimination and the product of LU pivots) so the two can be
 cross-checked; a disagreement is treated as a test failure, never a
-warning.  One Bareiss loop gives determinants and leading minors.  Run on the
+warning.  One Bareiss loop gives determinants.  Run on the
 transpose and followed by a fraction-free back substitution, it gives the
 cofactor row of the last column, so every last-column minor (the matrix's own
 last column gives its determinant) is one integer dot product, without
@@ -33,7 +33,6 @@ __all__ = [
     "SingularMinorError",
     "det_bareiss",
     "last_column_minors",
-    "leading_principal_minors",
     "lu_exact",
     "det_ratio_last_column",
 ]
@@ -92,12 +91,6 @@ class ExactMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def truncate(self, size: int) -> "ExactMatrix":
-        """Leading size x size corner."""
-        if not (1 <= size <= min(self.rows, self.cols)):
-            raise ValueError(f"cannot truncate {self.rows}x{self.cols} to {size}")
-        return ExactMatrix.from_function(size, size, lambda i, j: self[i, j])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         """Exact product, summed in ``int`` where a left row's and a right column's nonzero
@@ -217,15 +210,6 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
     Returned as a Fraction so that quotients of determinants stay exact.
     """
     return Fraction(_bareiss_pivots(_rows(m), m.rows)[-1])
-
-
-def leading_principal_minors(m: ExactMatrix) -> list[int]:
-    """Determinants of all leading principal submatrices, in one elimination.
-
-    Only valid when no row swap is needed (all leading minors nonzero), which
-    holds for every model matrix in this package; a required swap raises.
-    """
-    return _bareiss_pivots(_rows(m), m.rows, swaps=False)
 
 
 def last_column_minors(m: ExactMatrix, columns: Sequence[Sequence[Scalar]]) -> list[int]:

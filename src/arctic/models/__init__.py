@@ -72,7 +72,6 @@ __all__ = [
     "MODEL_OPS",
     "aztec_entry",
     "aztec_matrix",
-    "aztec_closed_U",
     "aztec_b_column",
     "aztec_one_point",
     "aztec_escape",
@@ -306,7 +305,6 @@ def _log_path_escape(p: int) -> Callable[[int], float]:
 from .aztec import (
     AZTEC,
     aztec_b_column,
-    aztec_closed_U,
     aztec_entry,
     aztec_escape,
     aztec_matrix,

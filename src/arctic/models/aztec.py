@@ -12,8 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-# Called as models.binomial: tracers and tests replace that name on the hub.
-from .. import models
 from ..combinat import trinomial
 from ..curves import CIRCLE_ARC, circle
 from ..linalg import ExactMatrix
@@ -24,7 +22,6 @@ from .staircase import _pascal_prefix, _pascal_row_profiles, _pascal_verify_seco
 __all__ = [
     "aztec_entry",
     "aztec_matrix",
-    "aztec_closed_U",
     "aztec_b_column",
     "aztec_one_point",
     "aztec_escape",
@@ -52,11 +49,6 @@ def aztec_matrix(n: int) -> ExactMatrix:
             row.append(row[-1] + rows[-1][j] + rows[-1][j - 1])
         rows.append(row)
     return ExactMatrix.from_rows(rows)
-
-
-def aztec_closed_U(n: int) -> ExactMatrix:
-    """U = 2^i C(j, i), the upper factor of the diamond matrix under the Pascal L."""
-    return ExactMatrix.from_function(n + 1, n + 1, lambda i, j: 2**i * models.binomial(j, i))
 
 
 def aztec_b_column(n: int, ell: int) -> list[int]:

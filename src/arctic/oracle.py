@@ -36,7 +36,6 @@ __all__ = [
     "count_nilp",
     "enumerate_asm",
     "enumerate_vsasm",
-    "osculating_config_check",
     "model_path_spec",
     "model_exit_point",
     "DEFAULT_BUDGET",
@@ -458,52 +457,3 @@ def enumerate_vsasm(size: int) -> tuple[list[AsmMatrix], list[int]]:
     for m in out:
         hist[m.first_column_one_row() - 1] += 1
     return out, hist
-
-
-def osculating_config_check(m: AsmMatrix) -> bool:
-    """Rebuild the six-vertex path configuration of an ASM and audit it.
-
-    Edge occupancies are the row and column partial sums of the matrix (paths
-    enter at the top boundary and leave at the left one); the check verifies
-    that every occupancy is 0/1, that the ice rule (path conservation) holds
-    at every vertex, that the boundary arrows match the domain-wall pattern,
-    and that the vertex type at each cell maps back to the matrix element.
-    """
-    n = m.size
-    a = m.entries
-    # h[i][j]: horizontal edge left of cell (i, j); h[i][n] is the right boundary.
-    h = [[0] * (n + 1) for _ in range(n)]
-    for i in range(n):
-        acc = 0
-        for j in range(n - 1, -1, -1):
-            acc += a[i][j]
-            h[i][j] = acc
-    # v[i][j]: vertical edge above cell (i, j); v[n][j] is the bottom boundary.
-    v = [[0] * n for _ in range(n + 1)]
-    for j in range(n):
-        acc = 0
-        for i in range(n - 1, -1, -1):
-            acc += a[i][j]
-            v[i][j] = acc
-
-    for i in range(n):
-        for j in range(n):
-            edges = (v[i][j], h[i][j + 1], v[i + 1][j], h[i][j])
-            if any(e not in (0, 1) for e in edges):
-                return False
-            inbound, outbound = edges[0] + edges[1], edges[2] + edges[3]
-            if inbound != outbound:
-                return False
-            if edges == (1, 0, 0, 1):
-                element = 1
-            elif edges == (0, 1, 1, 0):
-                element = -1
-            else:
-                element = 0
-            if element != a[i][j]:
-                return False
-    top = all(v[0][j] == 1 for j in range(n))
-    bottom = all(v[n][j] == 0 for j in range(n))
-    left = all(h[i][0] == 1 for i in range(n))
-    right = all(h[i][n] == 0 for i in range(n))
-    return top and bottom and left and right

@@ -31,7 +31,6 @@ from .models import (
     log_escape_profile,
     log_one_point_profile,
 )
-from .oracle import PathFamilySpec
 
 __all__ = [
     "SaddleResult",
@@ -43,7 +42,6 @@ __all__ = [
     "action_components",
     "tangent_family",
     "envelope",
-    "free_path_midpoint",
     "PLATEAU_DEGENERATE_WIDTH",
 ]
 
@@ -263,65 +261,3 @@ def envelope(lines: Sequence[TangentLine]) -> list[tuple[float, float]]:
         y = lines[i].y_at(x)
         points.append((x, y))
     return points
-
-
-# ---------------------------------------------------------------------------
-# Free-path straightness check
-# ---------------------------------------------------------------------------
-
-
-def free_path_midpoint(
-    steps: Sequence[tuple[int, int]], endpoint: tuple[int, int], n: int
-) -> tuple[float, float]:
-    """Most likely visited point on the mid-progress cut, in scaled units.
-
-    For an unconstrained path ensemble from the origin, splits the
-    count at the cut where half of the progress toward ``endpoint`` is spent
-    and maximizes log Z(0 -> m) + log Z(m -> endpoint) over cut points m.
-    The argmax must approach the straight chord as n grows.
-    """
-    if n < 64:
-        raise ValueError(f"needs n >= 64, got {n}")
-    steps = sorted(set(steps))
-    if not steps:
-        raise ValueError("empty step set")
-    ex, ey = endpoint
-    progress = PathFamilySpec(tuple(steps), ((0, 0),), (endpoint,)).progress
-    total = progress[0] * ex + progress[1] * ey
-    if total <= 0:
-        raise ValueError(f"endpoint {endpoint} not ahead of the origin")
-
-    def counts_from(
-        origin: tuple[int, int], top: int, step_set: list[tuple[int, int]]
-    ) -> dict[int, dict[tuple[int, int], int]]:
-        """Path counts from origin to every point within 'top' progress."""
-        by_level: dict[int, dict[tuple[int, int], int]] = {0: {origin: 1}}
-        for level in range(1, top + 1):
-            nxt: dict[tuple[int, int], int] = {}
-            for sx, sy in step_set:
-                adv = abs(progress[0] * sx + progress[1] * sy)
-                src = by_level.get(level - adv)
-                if not src:
-                    continue
-                for (px, py), c in src.items():
-                    key = (px + sx, py + sy)
-                    nxt[key] = nxt.get(key, 0) + c
-            by_level[level] = nxt
-        return by_level
-
-    half = total // 2
-    mid = counts_from((0, 0), half, steps)[half]
-    # Backward counts: paths m -> endpoint equal reversed-step paths endpoint -> m.
-    far = counts_from(endpoint, total - half, [(-sx, -sy) for sx, sy in steps])[total - half]
-    best = None
-    best_pt = None
-    for pt, c in sorted(mid.items()):
-        c2 = far.get(pt)
-        if not c2:
-            continue
-        score = math.log(c) + math.log(c2)
-        if best is None or score > best + 1e-12:
-            best, best_pt = score, pt
-    if best_pt is None:
-        raise ValueError(f"endpoint {endpoint} unreachable")
-    return (best_pt[0] / n, best_pt[1] / n)

@@ -15,9 +15,9 @@ from math import comb, factorial
 from pathlib import Path
 
 import arctic
-from arctic.combinat import binomial, falling_factorial, inverse_binomial_sum
+from arctic.combinat import binomial
 from arctic.curves import residual, vsasm_parametric
-from arctic.linalg import det_bareiss, last_column_minors, leading_principal_minors, lu_exact
+from arctic.linalg import det_bareiss, last_column_minors, lu_exact
 from arctic.models import (
     MODEL_OPS,
     ModelId,
@@ -41,6 +41,7 @@ from arctic.oracle import (
     model_path_spec,
 )
 from arctic.tangent import analytic_saddle, envelope, finite_n_saddle, tangent_family
+from paper_checks import falling_factorial, inverse_binomial_sum, leading_principal_minors
 
 
 def _verdict(num: int, description: str, ok: bool, detail: str = "") -> None:

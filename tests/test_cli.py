@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import arctic
-from arctic import cli, linalg, models
+from arctic import cli, linalg, models, oracle
 from arctic.cli import GRID_MAX, Report, emit_svg, fraction_str, main
 from arctic.linalg import ExactMatrix, lu_exact
 from arctic.models import MODEL_OPS, ModelId
@@ -162,13 +162,41 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_oracle_makes_one_path_sweep(monkeypatch, capsys):
-    sweeps = _count_calls(monkeypatch, cli, "count_nilp")
+    sweeps = _count_calls(monkeypatch, oracle, "count_nilp")
     code, report = run(["oracle", "--model", "dyck", "--n", "2", "--k", "2"], capsys)
     assert code == 0 and all(c["pass"] for c in report["checks"])
     # The one sweep serves the family count and every exit mass.
     dyck = ModelId.DYCK_HALF_HEX
     exits = [model_exit_point(dyck, 2, ell, 2) for ell in MODEL_OPS[dyck].exits(2, 2)]
     assert [args[1:] for args in sweeps] == [(exits,)]
+
+
+@pytest.mark.parametrize("argv, size", [
+    ("verify --model vsasm --n 7", 7),
+    ("oracle --model vsasm --n 5", 5),
+])
+def test_vsasm_enumeration_is_called_through_the_cli_module(argv, size, monkeypatch, capsys):
+    """The commands call ``enumerate_vsasm`` as an attribute of ``arctic.cli``, where the
+    bench tracer wraps it, though the oracle is imported only when a command runs it."""
+    calls = _count_calls(monkeypatch, cli, "enumerate_vsasm")
+    code, report = run(argv.split(), capsys)
+    assert code == 0 and all(c["pass"] for c in report["checks"])
+    assert calls == [(size,)]
+
+
+def test_oracle_budget_refusal_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["oracle", "--model", "vsasm", "--n", "9"])
+    assert err.value.code == 2
+    assert "exceeds the oracle budget of 7" in capsys.readouterr().err
+
+
+def test_cli_leaves_count_nilp_on_the_oracle():
+    """``count_nilp`` is read from ``arctic.oracle`` only: were it also resolvable on
+    ``arctic.cli``, the bench tracer would wrap it twice and count each call twice."""
+    assert not hasattr(cli, "count_nilp")
+    with pytest.raises(AttributeError):
+        cli.no_such_name
 
 
 def test_verify_makes_one_elimination(monkeypatch, capsys):
@@ -226,6 +254,25 @@ def test_bench_traced_bindings_all_resolve():
     proc = subprocess.run([sys.executable, "-c", code, str(root / "perfbench"), str(root / "src")],
                           capture_output=True, text=True, timeout=60, check=True)
     assert json.loads(proc.stdout) == []
+
+
+def test_bench_traced_exact_verify_reads_every_oracle_layer():
+    """A traced tiny ``exact_verify`` pass sees both oracle layers and no metric goes absent,
+    though the commands load the oracle only when they run it."""
+    root = Path(__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "run.py"), "--workload", "exact_verify",
+         "--seed", "0", "--seconds", "1", "--trace", "1", "--tiny"],
+        cwd=root, capture_output=True, text=True, timeout=120, check=True,
+    )
+    result = json.loads(proc.stdout.splitlines()[-1])
+    metrics = result["metrics"]
+    per_layer = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+    assert result["correct"] and result["failed"] == 0
+    assert "absent" not in proc.stderr
+    assert sorted(m["name"] for m in per_layer if m["name"] not in metrics) == []
+    assert metrics["oracle.count_nilp.calls"]["value"] == 2
+    assert metrics["oracle.enumerate.self_s"]["value"] > 0
 
 
 
@@ -451,18 +498,42 @@ def test_saddle_refusal_names_the_limit(args, limit, capsys):
     assert limit in capsys.readouterr().err
 
 
-def test_cli_import_leaves_numpy_out():
-    package_root = str(Path(arctic.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": package_root}
-    code = "import sys, arctic.cli; sys.exit('numpy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+# Run in a fresh interpreter: how many parsers importing arctic.cli built, and which
+# watched modules are loaded after the import and one command (if given).
+_FRESH_CLI = """
+import contextlib, io, json, sys
+import arctic.cli
+parsers = arctic.cli.build_parser.cache_info().currsize
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert arctic.cli.main(sys.argv[1:]) == 0
+watched = ("numpy", "scipy", "sympy", "arctic.oracle")
+print(json.dumps({"parsers": parsers, "loaded": [m for m in watched if m in sys.modules]}))
+"""
 
 
-def test_cli_import_builds_no_parser():
+_FRESH_RUNS = [
+    ("", []),
+    ("saddle --model aztec --n 4096 --z 2.0", []),
+    ("envelope --model staircase --z-min 1.05 --z-max 6 --count 16", []),
+    ("curve --model vsasm --samples 10", []),
+    ("onepoint --model staircase --n 12", []),
+    ("verify --model aztec --n 4", []),
+    ("oracle --model aztec --n 3", ["arctic.oracle"]),
+    ("verify --model vsasm --n 7", ["arctic.oracle"]),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", _FRESH_RUNS, ids=[a or "import only" for a, _ in _FRESH_RUNS])
+def test_fresh_cli_loads_only_what_it_runs(argv, loaded):
+    """The import builds no parser and leaves numpy, scipy and sympy out (sympy checked
+    the Dyck recurrence's certificate offline; none is a dependency), and only the
+    commands that run the brute-force oracle load it."""
     package_root = str(Path(arctic.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": package_root}
-    code = "import sys, arctic.cli as c; sys.exit(c.build_parser.cache_info().currsize)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    proc = subprocess.run([sys.executable, "-c", _FRESH_CLI, *argv.split()], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert json.loads(proc.stdout) == {"parsers": 0, "loaded": loaded}
 
 
 def test_report_without_checks_fails():
@@ -470,14 +541,6 @@ def test_report_without_checks_fails():
     assert not rep.passed
     rep.add("one check", 1, 1)
     assert rep.passed
-
-
-def test_cli_import_leaves_scipy_unloaded():
-    package_root = str(Path(arctic.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": package_root}
-    # sympy checked the Dyck recurrence's certificate offline; neither is a dependency.
-    code = "import sys, arctic.cli; sys.exit(any(m in sys.modules for m in ('scipy', 'sympy')))"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_curve_command_and_failure_exit(tmp_path, capsys):

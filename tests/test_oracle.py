@@ -18,8 +18,8 @@ from arctic.oracle import (
     enumerate_vsasm,
     model_exit_point,
     model_path_spec,
-    osculating_config_check,
 )
+from paper_checks import osculating_config_check
 
 
 def test_spec_validation():

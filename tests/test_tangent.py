@@ -17,9 +17,9 @@ from arctic.tangent import (
     analytic_saddle,
     envelope,
     finite_n_saddle,
-    free_path_midpoint,
     tangent_family,
 )
+from paper_checks import free_path_midpoint
 
 
 def test_r_asm_values():
