@@ -15,10 +15,9 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from . import __version__
 from .curves import ImplicitCurve, residual
@@ -83,12 +82,11 @@ def fraction_str(f: Fraction) -> str:
         return f"{f.numerator}/{f.denominator}"
 
 
-@dataclass
 class Check:
-    name: str
-    expected: Any
-    actual: Any
-    tolerance: Any = "exact"
+    __slots__ = ("name", "expected", "actual", "tolerance")
+
+    def __init__(self, name: str, expected: Any, actual: Any, tolerance: Any = "exact") -> None:
+        self.name, self.expected, self.actual, self.tolerance = name, expected, actual, tolerance
 
     @property
     def passed(self) -> bool:
@@ -106,13 +104,15 @@ class Check:
         }
 
 
-@dataclass
 class Report:
-    command: str
-    model: str
-    params: dict
-    checks: list[Check] = field(default_factory=list)
-    artifacts: list[str] = field(default_factory=list)
+    __slots__ = ("command", "model", "params", "checks", "artifacts")
+
+    def __init__(
+        self, command: str, model: str, params: dict,
+        checks: Iterable[Check] = (), artifacts: Iterable[str] = (),
+    ) -> None:
+        self.command, self.model, self.params = command, model, params
+        self.checks, self.artifacts = list(checks), list(artifacts)
 
     def add(self, name: str, expected: Any, actual: Any, tolerance: Any = "exact") -> None:
         self.checks.append(Check(name, expected, actual, tolerance))

@@ -11,9 +11,8 @@ here depends on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 __all__ = [
     "ImplicitCurve",
@@ -30,20 +29,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ImplicitCurve:
-    """P(x, y) = 0 with coefficients indexed by (x power, y power)."""
-
+class _CurveFields(NamedTuple):
     name: str
     coefficients: tuple[tuple[tuple[int, int], float], ...]
     window: tuple[tuple[float, float], tuple[float, float]]
 
-    def __post_init__(self) -> None:
-        if not any(c != 0 for _, c in self.coefficients):
+
+class ImplicitCurve(_CurveFields):
+    """P(x, y) = 0 with coefficients indexed by (x power, y power)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ImplicitCurve:
+        curve = super().__new__(cls, *args, **kwargs)
+        if not any(c != 0 for _, c in curve.coefficients):
             raise ValueError("identically zero polynomial")
-        (x0, x1), (y0, y1) = self.window
+        (x0, x1), (y0, y1) = curve.window
         if not (x0 < x1 and y0 < y1):
-            raise ValueError(f"empty window {self.window}")
+            raise ValueError(f"empty window {curve.window}")
+        return curve
 
     def value(self, x: float, y: float) -> float:
         return sum(c * x**i * y**j for (i, j), c in self.coefficients)
@@ -59,8 +63,7 @@ class ImplicitCurve:
         return x0 <= x <= x1 and y0 <= y <= y1
 
 
-@dataclass(frozen=True)
-class ParametricCurve:
+class ParametricCurve(NamedTuple):
     name: str
     t_range: tuple[float, float]
     point: Callable[[float], tuple[float, float]]

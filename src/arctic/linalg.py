@@ -21,11 +21,10 @@ reading an LU factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 __all__ = [
     "ExactMatrix",
@@ -144,8 +143,7 @@ def _whole(x: Scalar) -> Scalar:
     return x.numerator if x.denominator == 1 else x
 
 
-@dataclass(frozen=True)
-class LUPair:
+class LUPair(NamedTuple):
     """Unit-lower-triangular L and upper-triangular U with L @ U exact."""
 
     L: ExactMatrix

@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 # The families call binomial through this module, where tracers replace it.
 from ..combinat import binomial
@@ -128,8 +128,7 @@ class ModelId(Enum):
     VSASM = "vsasm"
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(NamedTuple):
     """How a path model is drawn on Z^2, for the brute-force oracle.
 
     Path i of the size-(n, k) family runs from ``starts(n, k)[i]`` to
@@ -146,7 +145,7 @@ class Lattice:
     constraint: str = "none"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Model:
     """Everything the pipeline knows about one model.
 
@@ -177,6 +176,9 @@ class Model:
     model, and so is ``verify_seconds(n, k)``: the in-process time of the
     ``verify`` command, fitted to timings on a 2-core Xeon, by which the CLI
     refuses an input before any work.
+
+    The one dataclass of the package: tracers rebuild registry entries with
+    ``dataclasses.replace``.  Records are compared by identity.
     """
 
     model: ModelId

@@ -22,10 +22,9 @@ loudly instead of truncating.  A path sweep's budget counts work units (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .models import MODEL_OPS, Lattice, ModelId
 
@@ -59,34 +58,41 @@ class BudgetExceededError(RuntimeError):
 DEFAULT_BUDGET = 3 * 10**6
 
 
-@dataclass(frozen=True)
-class PathFamilySpec:
+class _SpecFields(NamedTuple):
+    steps: tuple[Step, ...]
+    starts: tuple[Point, ...]
+    ends: tuple[Point, ...]
+    constraint: str
+    progress: Step
+
+
+class PathFamilySpec(_SpecFields):
     """A family of vertex-disjoint directed paths on Z^2.
 
     ``constraint`` restricts the vertices every path may visit: ``none``,
     ``upper-half`` (y >= 0) or ``first-quadrant`` (x >= 0 and y >= 0).  Path i
     runs from ``starts[i]`` to ``ends[i]``; the distinguished escaping path is
-    by convention the last one.
+    by convention the last one.  ``progress`` is derived, not passed: the first
+    candidate direction along which every step gains.
     """
 
-    steps: tuple[Step, ...]
-    starts: tuple[Point, ...]
-    ends: tuple[Point, ...]
-    constraint: str = "none"
-    progress: Step = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.starts) != len(self.ends):
-            raise ValueError(
-                f"{len(self.starts)} starts but {len(self.ends)} ends"
-            )
-        if self.constraint not in ("none", "upper-half", "first-quadrant"):
-            raise ValueError(f"unknown constraint {self.constraint!r}")
+    def __new__(
+        cls, steps: tuple[Step, ...], starts: tuple[Point, ...], ends: tuple[Point, ...],
+        constraint: str = "none",
+    ) -> PathFamilySpec:
+        if len(starts) != len(ends):
+            raise ValueError(f"{len(starts)} starts but {len(ends)} ends")
+        if constraint not in ("none", "upper-half", "first-quadrant"):
+            raise ValueError(f"unknown constraint {constraint!r}")
         for w in _PROGRESS_CANDIDATES:
-            if all(w[0] * s[0] + w[1] * s[1] > 0 for s in self.steps):
-                object.__setattr__(self, "progress", w)
-                return
-        raise ValueError(f"steps {self.steps} admit no strict progress direction")
+            if all(w[0] * s[0] + w[1] * s[1] > 0 for s in steps):
+                return super().__new__(cls, steps, starts, ends, constraint, w)
+        raise ValueError(f"steps {steps} admit no strict progress direction")
+
+    def __getnewargs__(self) -> tuple:
+        return self[:4]  # copy and pickle rebuild the spec without its derived progress
 
     def allows(self, p: Point) -> bool:
         if self.constraint == "upper-half":
@@ -315,18 +321,22 @@ ASM_ENUM_MAX = 6
 VSASM_ENUM_MAX = 7
 
 
-@dataclass(frozen=True)
-class AsmMatrix:
-    """An alternating sign matrix, validated on construction."""
-
+class _AsmFields(NamedTuple):
     size: int
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        n = self.size
-        if len(self.entries) != n or any(len(r) != n for r in self.entries):
+
+class AsmMatrix(_AsmFields):
+    """An alternating sign matrix, validated on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> AsmMatrix:
+        m = super().__new__(cls, *args, **kwargs)
+        n = m.size
+        if len(m.entries) != n or any(len(r) != n for r in m.entries):
             raise ValueError("entry grid does not match size")
-        for line in list(self.entries) + [tuple(col) for col in zip(*self.entries)]:
+        for line in list(m.entries) + [tuple(col) for col in zip(*m.entries)]:
             nonzero = [e for e in line if e != 0]
             if sum(line) != 1:
                 raise ValueError(f"line {line} does not sum to 1")
@@ -334,6 +344,7 @@ class AsmMatrix:
                 raise ValueError(f"line {line} has entries outside -1, 0, 1")
             if any(a == b for a, b in zip(nonzero, nonzero[1:])):
                 raise ValueError(f"non-alternating line {line}")
+        return m
 
     def first_column_one_row(self) -> int:
         """1-indexed row of the unique 1 in the first column."""

@@ -20,8 +20,7 @@ holds only the machinery shared by all models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .models import (
     LOG_FACTORIAL_CAP,
@@ -48,8 +47,7 @@ __all__ = [
 PLATEAU_DEGENERATE_WIDTH = 3
 
 
-@dataclass(frozen=True)
-class SaddleResult:
+class SaddleResult(NamedTuple):
     z: float
     xi_hat: float
     log_mass: float
@@ -58,8 +56,7 @@ class SaddleResult:
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class ActionValue:
+class ActionValue(NamedTuple):
     """Scaled large-n exponents: escape piece s0, profile piece s1.
 
     For the red-path model s1 is the primed action of the reformulated
@@ -74,13 +71,7 @@ class ActionValue:
         return self.s0 + self.s1
 
 
-@dataclass(frozen=True)
-class TangentLine:
-    """Line through the scaled exit point and the scaled target.
-
-    ``xi`` is the saddle exit fraction behind the exit point (nan if not given).
-    """
-
+class _LineFields(NamedTuple):
     z: float
     slope: float
     intercept: float
@@ -88,10 +79,22 @@ class TangentLine:
     target_point: tuple[float, float]
     xi: float = math.nan
 
-    def __post_init__(self) -> None:
-        for px, py in (self.exit_point, self.target_point):
-            if abs(py - (self.slope * px + self.intercept)) > 1e-12 * max(1.0, abs(py)):
+
+class TangentLine(_LineFields):
+    """Line through the scaled exit point and the scaled target.
+
+    ``xi`` is the saddle exit fraction behind the exit point (nan if not given).
+    Both points are checked to lie on the line when it is built.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> TangentLine:
+        line = super().__new__(cls, *args, **kwargs)
+        for px, py in (line.exit_point, line.target_point):
+            if abs(py - (line.slope * px + line.intercept)) > 1e-12 * max(1.0, abs(py)):
                 raise ValueError(f"line does not pass through ({px}, {py})")
+        return line
 
     def y_at(self, x: float) -> float:
         return self.slope * x + self.intercept

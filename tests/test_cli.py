@@ -78,7 +78,7 @@ def test_verify_factor_checks_catch_one_perturbed_entry(factor, entry, reconstru
     else:
         def perturbed_lu(m):
             lu = lu_exact(m)
-            return dataclasses.replace(lu, **{factor: bump(getattr(lu, factor))})
+            return lu._replace(**{factor: bump(getattr(lu, factor))})
 
         monkeypatch.setattr(cli, "lu_exact", perturbed_lu)
     code, report = run(["verify", "--model", "aztec", "--n", "6"], capsys)

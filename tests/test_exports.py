@@ -1,10 +1,13 @@
 """Each library module's ``__all__`` names exactly its public definitions, the
-brute-force oracle reads only the lattice off a model record, and the package
-is laid out so that no one module's compile sets the memory peak."""
+brute-force oracle reads only the lattice off a model record, ``Model`` is the
+only dataclass, and the package is laid out so that no one module's compile
+sets the memory peak."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +45,22 @@ def test_all_lists_every_public_definition(name):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     }
     assert sorted(public - set(exported)) == []
+
+
+def test_model_is_the_only_dataclass():
+    """``Model`` stays a dataclass because the bench tracer rebuilds each
+    ``MODEL_OPS`` entry with ``dataclasses.replace``.  Every other record is a
+    NamedTuple or a slotted class: a dataclass generates and compiles its
+    methods at every import, which every command would pay for."""
+    names = [info.name for info in pkgutil.walk_packages(arctic.__path__, "arctic.")]
+    assert {"arctic.cli", *(f"arctic.{name}" for name in MODULES)} <= set(names)
+    found = {
+        f"{module.__name__}.{name}"
+        for module in map(importlib.import_module, names)
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and obj.__module__ == module.__name__ and dataclasses.is_dataclass(obj)
+    }
+    assert found == {"arctic.models.Model"}
 
 
 @pytest.mark.parametrize("family", FAMILIES)

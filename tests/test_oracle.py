@@ -375,7 +375,5 @@ def test_osculating_check_on_known_symmetric_matrix():
 
 def test_osculating_check_rejects_invalid_grid():
     # Bypass constructor validation to feed the checker a non-ASM grid.
-    bad = object.__new__(AsmMatrix)
-    object.__setattr__(bad, "size", 2)
-    object.__setattr__(bad, "entries", ((1, 1), (0, -1)))
+    bad = tuple.__new__(AsmMatrix, (2, ((1, 1), (0, -1))))
     assert not osculating_config_check(bad)
