@@ -17,20 +17,13 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from . import __version__
 from .curves import ImplicitCurve, residual
 from .linalg import ExactMatrix, det_bareiss, det_ratio_last_column, last_column_minors, lu_exact
-from .models import (
-    EXACT_PROFILE_MAX,
-    MODEL_OPS,
-    ModelId,
-    n_vsasm,
-    n_vsasm_refined_counts,
-    one_point_profile,
-    raz_strog_check,
-)
+from .models import EXACT_PROFILE_MAX, MODEL_OPS, ModelId, one_point_profile
+from .models.vsasm import n_vsasm, n_vsasm_refined_counts, raz_strog_check
 from .tangent import TangentLine, analytic_saddle, envelope, finite_n_saddle, tangent_family
 
 # The commands call the oracle's `enumerate_vsasm` as an attribute of this module,
@@ -107,12 +100,9 @@ class Check:
 class Report:
     __slots__ = ("command", "model", "params", "checks", "artifacts")
 
-    def __init__(
-        self, command: str, model: str, params: dict,
-        checks: Iterable[Check] = (), artifacts: Iterable[str] = (),
-    ) -> None:
+    def __init__(self, command: str, model: str, params: dict) -> None:
         self.command, self.model, self.params = command, model, params
-        self.checks, self.artifacts = list(checks), list(artifacts)
+        self.checks, self.artifacts = [], []
 
     def add(self, name: str, expected: Any, actual: Any, tolerance: Any = "exact") -> None:
         self.checks.append(Check(name, expected, actual, tolerance))
@@ -145,15 +135,17 @@ def _write(path: Path, content: str) -> None:
 # ---------------------------------------------------------------------------
 
 _VIEW = 1000.0
+_BRANCH_SAMPLES = 256
 
 
-def _implicit_branches(curve: ImplicitCurve, samples: int = 256) -> list[list[tuple[float, float]]]:
-    """Sample the (degree <= 2 in y) curve over its window, one or two branches."""
+def _implicit_branches(curve: ImplicitCurve) -> list[list[tuple[float, float]]]:
+    """Sample the (degree <= 2 in y) curve at ``_BRANCH_SAMPLES`` + 1 abscissae over
+    its window, one or two branches."""
     coeff = dict(curve.coefficients)
     (x0, x1), (y0, y1) = curve.window
     branches: list[list[tuple[float, float]]] = [[], []]
-    for i in range(samples + 1):
-        x = x0 + (x1 - x0) * i / samples
+    for i in range(_BRANCH_SAMPLES + 1):
+        x = x0 + (x1 - x0) * i / _BRANCH_SAMPLES
         a = coeff.get((0, 2), 0.0)
         b = coeff.get((0, 1), 0.0) + coeff.get((1, 1), 0.0) * x
         c = sum(cv * x**ix for (ix, iy), cv in coeff.items() if iy == 0)

@@ -26,10 +26,10 @@ brute-force reference :mod:`arctic.oracle` reads and no closed form uses.
 Each family is one module that ends with its records: :mod:`.aztec` (the
 diamond), :mod:`.halfhex` (Dyck and red half-hexagon), :mod:`.staircase` (both
 staircases, with the Pascal-row helpers the diamond shares) and :mod:`.vsasm`
-(the ASM and VSASM counts and the osculating model).  Their public names
-stay readable here.  Adding a model means naming it in :class:`ModelId`,
-writing its functions and record in a family module, and listing the record
-in :data:`MODEL_OPS`.
+(the ASM and VSASM counts and the osculating model); a family's functions
+are imported from its own module.  Adding a model means naming it in
+:class:`ModelId`, writing its functions and record in a family module, and
+listing the record in :data:`MODEL_OPS`.
 
 Conventions.  Out-of-range binomials vanish (see :mod:`arctic.combinat`), so
 every summation uses the same index-free range as the closed formula it
@@ -52,67 +52,17 @@ from typing import Callable, Iterable, NamedTuple
 from ..combinat import binomial
 from ..curves import ImplicitCurve, ParametricCurve
 from ..linalg import ExactMatrix
-# The log layer's names stay readable as attributes of this module, as before it moved.
-from ..logspace import (
-    _LN2,
-    LOG_FACTORIAL_CAP,
-    _grow_log_factorials,
-    _log_comb,
-    _log_comb_run,
-    _log_cumsum,
-    _log_factorial,
-    _log_factorials,
-    _logaddexp,
-)
+from ..logspace import _log_comb
 
 __all__ = [
     "ModelId",
     "Lattice",
     "Model",
     "MODEL_OPS",
-    "aztec_entry",
-    "aztec_matrix",
-    "aztec_b_column",
-    "aztec_one_point",
-    "aztec_escape",
-    "dyck_entry",
-    "dyck_matrix",
-    "dyck_closed_L",
-    "dyck_u_diagonal",
-    "dyck_partition",
-    "dyck_b_column",
-    "dyck_one_point",
-    "dyck_escape",
-    "red_entry",
-    "red_matrix",
-    "red_closed_L",
-    "red_u_diagonal",
-    "red_partition",
-    "red_b_column",
-    "red_one_point",
-    "staircase_entry",
-    "staircase_alt_entry",
-    "staircase_matrix",
-    "staircase_alt_matrix",
-    "pascal_closed_L",
-    "staircase_b_column",
-    "staircase_alt_b_column",
-    "staircase_one_point",
-    "staircase_alt_one_point",
-    "staircase_escape",
-    "staircase_alt_escape",
-    "n_asm",
-    "n_asm_refined",
-    "n_vsasm",
-    "n_vsasm_refined",
-    "n_vsasm_refined_counts",
-    "raz_strog_check",
-    "vsasm_escape",
-    "r_asm",
+    "EXACT_PROFILE_MAX",
     "one_point_profile",
     "log_one_point_profile",
     "log_escape_profile",
-    "EXACT_PROFILE_MAX",
 ]
 
 Point = tuple[float, float]
@@ -234,13 +184,13 @@ class Model:
 # ---------------------------------------------------------------------------
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, iters: int = 200) -> float:
+def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of f in [lo, hi] by halving until the midpoint is an end of the bracket; every
-    later halving would repeat that state, so the result is that of ``iters`` halvings."""
+    later halving would repeat that state, so the result is that of 200 halvings."""
     flo = f(lo)
     if flo == 0:
         return lo
-    for _ in range(iters):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -304,68 +254,11 @@ def _log_path_escape(p: int) -> Callable[[int], float]:
 
 
 # The families import the types and numerics above from this module, so they load here.
-from .aztec import (
-    AZTEC,
-    aztec_b_column,
-    aztec_entry,
-    aztec_escape,
-    aztec_matrix,
-    aztec_one_point,
-)
-from .halfhex import (
-    DYCK_HALF_HEX,
-    RED_HALF_HEX,
-    _dyck_log_profile,
-    _dyck_profile,
-    _dyck_recurrence,
-    _red_log_profile,
-    _red_profile,
-    dyck_b_column,
-    dyck_closed_L,
-    dyck_entry,
-    dyck_escape,
-    dyck_matrix,
-    dyck_one_point,
-    dyck_partition,
-    dyck_u_diagonal,
-    red_b_column,
-    red_closed_L,
-    red_entry,
-    red_matrix,
-    red_one_point,
-    red_partition,
-    red_u_diagonal,
-)
-from .staircase import (
-    STAIRCASE,
-    STAIRCASE_ALT,
-    _log_pascal_row,
-    _staircase_prefixes,
-    pascal_closed_L,
-    staircase_alt_b_column,
-    staircase_alt_entry,
-    staircase_alt_escape,
-    staircase_alt_matrix,
-    staircase_alt_one_point,
-    staircase_b_column,
-    staircase_entry,
-    staircase_escape,
-    staircase_matrix,
-    staircase_one_point,
-)
-from .vsasm import (
-    VSASM,
-    _factorial_ratio,
-    _vsasm_log_profile,
-    n_asm,
-    n_asm_refined,
-    n_vsasm,
-    n_vsasm_refined,
-    n_vsasm_refined_counts,
-    r_asm,
-    raz_strog_check,
-    vsasm_escape,
-)
+from .aztec import AZTEC
+from .halfhex import DYCK_HALF_HEX, RED_HALF_HEX
+from .staircase import STAIRCASE, STAIRCASE_ALT
+# Tracers replace n_vsasm and n_vsasm_refined on this module, where the VSASM record calls them.
+from .vsasm import VSASM, n_vsasm, n_vsasm_refined
 
 MODEL_OPS: dict[ModelId, Model] = {
     ops.model: ops for ops in (AZTEC, DYCK_HALF_HEX, RED_HALF_HEX, STAIRCASE, STAIRCASE_ALT, VSASM)

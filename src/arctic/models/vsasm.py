@@ -11,13 +11,14 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb, factorial, gcd
 from operator import add, sub
+from typing import Callable, Iterator
 
 # Called as models.binomial, models.n_vsasm, models.n_vsasm_refined, models._bisect:
 # tracers and tests replace those names on the hub.
 from .. import models
 from ..curves import VSASM_ARC, vsasm_curve
 from ..logspace import _grow_log_factorials, _log_comb, _log_comb_run
-from . import Model, ModelId, _binom_exponent, _exact_int
+from . import Model, ModelId, _binom_exponent, _exact_int, _log_path_escape
 
 __all__ = [
     "n_asm",
@@ -118,22 +119,31 @@ def _vsasm_term(n: int, i: int) -> int:
     return num // (factorial(i - 1) * factorial(2 * n - i))
 
 
+def _refined_asm_walk(n: int, first: int) -> Iterator[int]:
+    """``first`` times the refined ASM ratios N_ASM(2n, i) / N_ASM(2n, 1), i = 1..2n.
+
+    Each step multiplies by (2n+i-1)(2n-i) / (i (4n-1-i)), an exact quotient
+    whenever ``first`` is N_ASM(2n-1) = N_ASM(2n, 1) or (4n-2)!.
+    """
+    return accumulate(range(1, 2 * n), lambda t, i: _exact_int(
+        t * (2 * n + i - 1) * (2 * n - i), i * (4 * n - 1 - i)), initial=first)
+
+
 def n_vsasm_refined_counts(size: int) -> list[int]:
     """``n_vsasm_refined(size, ell)`` for every exit ell = 1..size, in one pass.
 
     The count of exit ell is scale / den times sum_{i < ell} (-1)^(ell-1-i) t_i,
     t_i = ``_vsasm_term(n, i)``, so each alternating sum is t_{ell-1} minus the
-    one before it.  The terms walk from t_1 = (4n-2)! by the ratio
-    (2n+i-1)(2n-i) / (i (4n-i-1)), each step an exact quotient.  Each count is
-    an integer, so once scale and denominator are reduced to coprime
-    numbers the reduced denominator divides the alternating sum itself.
+    one before it.  The terms walk from t_1 = (4n-2)! by the refined ASM ratio
+    (``_refined_asm_walk``).  Each count is an integer, so once scale and
+    denominator are reduced to coprime numbers the reduced denominator divides
+    the alternating sum itself.
     """
     if size < 3 or size % 2 == 0:
         raise ValueError(f"size must be odd and >= 3, got {size}")
     n = (size - 1) // 2
     scale, den = models.n_vsasm(2 * n - 1), factorial(4 * n - 2)  # the walk starts from t_1 = den
-    terms = accumulate(range(1, 2 * n), lambda t, i: _exact_int(
-        t * (2 * n + i - 1) * (2 * n - i), i * (4 * n - i - 1)), initial=den)
+    terms = _refined_asm_walk(n, den)
     g = gcd(scale, den)
     scale, den = scale // g, den // g
     return [scale * _exact_int(acc, den)
@@ -153,8 +163,8 @@ def raz_strog_check(size: int, t: Fraction | int, counts: list[int] | None = Non
     rhs: t/(t+1) * sum_ell N_ASM(2n, ell) t^(ell-1) / N_ASM(2n-1)
 
     ``counts`` are ``n_vsasm_refined_counts(size)`` if the caller has them.
-    N_ASM(2n, 1) = N_ASM(2n-1), and each next refined count is an exact quotient,
-    N_ASM(2n, i+1) = N_ASM(2n, i) (2n+i-1)(2n-i) / (i (4n-1-i)).  With t = p/q,
+    N_ASM(2n, 1) = N_ASM(2n-1), and the refined counts walk from it
+    (``_refined_asm_walk``).  With t = p/q,
     both sides times q^(2n-1) (p+q) N_VSASM(2n-1) N_ASM(2n-1) are integers.
     """
     if size < 3 or size % 2 == 0:
@@ -165,9 +175,7 @@ def raz_strog_check(size: int, t: Fraction | int, counts: list[int] | None = Non
     n = (size - 1) // 2
     if counts is None:
         counts = n_vsasm_refined_counts(size)
-    asm = [n_asm(2 * n - 1)]
-    for i in range(1, 2 * n):
-        asm.append(_exact_int(asm[-1] * (2 * n + i - 1) * (2 * n - i), i * (4 * n - 1 - i)))
+    asm = list(_refined_asm_walk(n, n_asm(2 * n - 1)))
     p, q = t.numerator, t.denominator
 
     def cleared(coeffs: list[int]) -> int:  # q^(2n-1) sum_e coeffs[e] t^e
@@ -199,6 +207,12 @@ def _vsasm_log_profile(size: int, k: int | None) -> tuple[float, ...]:
     rising = _log_comb_run(size - 1, 1, size - 1, 0, size)  # C(size+ell-2, size-1), ell = 1..size
     falling = _log_comb_run(2 * size - 2, -1, size - 1, 0, size)  # C(2 size-1-ell, size-1)
     return tuple(map(sub, map(add, rising, falling), repeat(norm)))
+
+
+def _vsasm_log_escape(size: int, target: int, k: int | None) -> Callable[[int], float]:
+    """The i-th exit ell = i + 1 escapes with C(target + j - 1, j), j = size - ell."""
+    path = _log_path_escape(target)
+    return lambda i: path(size - 1 - i)
 
 
 def r_asm(t: float) -> float:
@@ -237,8 +251,7 @@ VSASM = Model(
     exact_profile=_vsasm_profile,
     escape=lambda n, k, target, ell: vsasm_escape(ell, target, n),
     log_profile=_vsasm_log_profile,
-    # The i-th exit ell = i + 1 escapes with C(target + j - 1, j), j = size - ell.
-    log_escape=lambda size, target, k: lambda i: _log_comb(target + size - i - 2, size - i - 1),
+    log_escape=_vsasm_log_escape,
     z_range=(0.0, math.inf),
     saddle=_vsasm_saddle,
     action=_vsasm_action,

@@ -22,14 +22,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .models import (
-    LOG_FACTORIAL_CAP,
-    MODEL_OPS,
-    Model,
-    ModelId,
-    log_escape_profile,
-    log_one_point_profile,
-)
+from .logspace import LOG_FACTORIAL_CAP
+from .models import MODEL_OPS, Model, ModelId, log_escape_profile, log_one_point_profile
 
 __all__ = [
     "SaddleResult",

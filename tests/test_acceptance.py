@@ -18,21 +18,11 @@ import arctic
 from arctic.combinat import binomial
 from arctic.curves import residual, vsasm_parametric
 from arctic.linalg import det_bareiss, last_column_minors, lu_exact
-from arctic.models import (
-    MODEL_OPS,
-    ModelId,
-    aztec_matrix,
-    dyck_matrix,
-    dyck_partition,
-    n_asm,
-    n_vsasm,
-    n_vsasm_refined,
-    raz_strog_check,
-    red_matrix,
-    red_partition,
-    staircase_alt_matrix,
-    staircase_matrix,
-)
+from arctic.models import MODEL_OPS, ModelId
+from arctic.models.aztec import aztec_matrix
+from arctic.models.halfhex import dyck_matrix, dyck_partition, red_matrix, red_partition
+from arctic.models.staircase import staircase_alt_matrix, staircase_matrix
+from arctic.models.vsasm import n_asm, n_vsasm, n_vsasm_refined, raz_strog_check
 from arctic.oracle import (
     count_nilp,
     enumerate_asm,

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from arctic import combinat as cb
-from arctic.models import _log_comb
+from arctic.logspace import _log_comb
 from paper_checks import falling_factorial, inverse_binomial_sum
 
 

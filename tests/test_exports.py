@@ -1,4 +1,5 @@
 """Each library module's ``__all__`` names exactly its public definitions, the
+model hub re-exports no family function but the two traced counts, the
 brute-force oracle reads only the lattice off a model record, ``Model`` is the
 only dataclass, and the package is laid out so that no one module's compile
 sets the memory peak."""
@@ -45,6 +46,39 @@ def test_all_lists_every_public_definition(name):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     }
     assert sorted(public - set(exported)) == []
+
+
+def _top_level_names(module) -> set[str]:
+    """Names a module's own top-level statements define, dunders aside."""
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {n for n in names if not n.startswith("__")}
+
+
+def test_hub_reexports_only_the_records_and_the_traced_counts():
+    """Each name has one import path: a family's functions are read from their
+    own module.  The hub keeps the six records it lists in ``MODEL_OPS``, and
+    ``n_vsasm`` and ``n_vsasm_refined``, which the VSASM record calls through
+    the hub so that a tracer can replace them there; of the log layer it binds
+    only the ``_log_comb`` its own escape helper calls."""
+    hub = importlib.import_module("arctic.models")
+    assert hub.__all__ == ["ModelId", "Lattice", "Model", "MODEL_OPS", "EXACT_PROFILE_MAX",
+                           "one_point_profile", "log_one_point_profile", "log_escape_profile"]
+    readable = {
+        name
+        for family in FAMILIES
+        for name in _top_level_names(importlib.import_module(f"arctic.models.{family}"))
+        if hasattr(hub, name)
+    }
+    records = {"AZTEC", "DYCK_HALF_HEX", "RED_HALF_HEX", "STAIRCASE", "STAIRCASE_ALT", "VSASM"}
+    assert readable == records | {"n_vsasm", "n_vsasm_refined"}
+    log_layer = _top_level_names(importlib.import_module("arctic.logspace"))
+    assert {name for name in log_layer if hasattr(hub, name)} == {"_log_comb"}
 
 
 def test_model_is_the_only_dataclass():

@@ -18,16 +18,10 @@ from arctic.linalg import (
     last_column_minors,
     lu_exact,
 )
-from arctic.models import (
-    ModelId,
-    MODEL_OPS,
-    aztec_matrix,
-    dyck_closed_L,
-    dyck_matrix,
-    pascal_closed_L,
-    red_closed_L,
-    staircase_matrix,
-)
+from arctic.models import ModelId, MODEL_OPS
+from arctic.models.aztec import aztec_matrix
+from arctic.models.halfhex import dyck_closed_L, dyck_matrix, red_closed_L
+from arctic.models.staircase import pascal_closed_L, staircase_matrix
 from paper_checks import leading_corner, leading_principal_minors
 
 
@@ -323,7 +317,7 @@ def test_det_ratio_with_original_column_is_one():
 
 @pytest.mark.parametrize("ell,want", [(1, Fraction(3, 4)), (0, Fraction(1, 4))])
 def test_det_ratio_matches_full_determinant_ratio(ell, want):
-    from arctic.models import aztec_b_column
+    from arctic.models.aztec import aztec_b_column
 
     n = 2
     m = aztec_matrix(n)

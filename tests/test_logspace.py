@@ -12,8 +12,10 @@ from itertools import accumulate
 import pytest
 
 from arctic import logspace as ls
-from arctic import models as md
 from arctic.logspace import _LN2, _log_comb, _logaddexp
+from arctic.models.halfhex import _dyck_log_profile, _dyck_recurrence, _red_log_profile
+from arctic.models.staircase import _log_pascal_row
+from arctic.models.vsasm import _vsasm_log_profile
 
 
 def _ref_pascal(n):
@@ -34,7 +36,7 @@ def _ref_dyck(n, k):
     log_next = _logaddexp(_log_comb(m, 2 * n + 1) + math.log(m), _log_comb(m, k + 1))
     rhos = [math.exp(log_next - log_top)]
     for ell in range(n + k - 2, n, -1):
-        a, b, c = md._dyck_recurrence(n, k, ell)
+        a, b, c = _dyck_recurrence(n, k, ell)
         rhos.append(-(a / rhos[-1] + b) / c)
     log_sums = [log_top + v for v in accumulate(map(math.log, [1.0] + rhos[: k - 1]))]
     tail = zip(range(2 * n + 1, 2 * n + k + 1), reversed(log_sums))
@@ -50,18 +52,18 @@ def _ref_vsasm(size):
 
 
 ROWS = [
-    *[(md._log_pascal_row.__wrapped__, _ref_pascal, (n,)) for n in (0, 1, 2, 64, 65, 4096)],
-    *[(md._red_log_profile, _ref_red, (n, k)) for n in (0, 5, 4096) for k in (2, 3, 4096)],
-    *[(md._dyck_log_profile, _ref_dyck, (n, k)) for n in (0, 5, 4096) for k in (1, 2, 4096)],
-    *[(lambda s: md._vsasm_log_profile(s, None), _ref_vsasm, (s,)) for s in (3, 5, 4097)],
+    *[(_log_pascal_row.__wrapped__, _ref_pascal, (n,)) for n in (0, 1, 2, 64, 65, 4096)],
+    *[(_red_log_profile, _ref_red, (n, k)) for n in (0, 5, 4096) for k in (2, 3, 4096)],
+    *[(_dyck_log_profile, _ref_dyck, (n, k)) for n in (0, 5, 4096) for k in (1, 2, 4096)],
+    *[(lambda s: _vsasm_log_profile(s, None), _ref_vsasm, (s,)) for s in (3, 5, 4097)],
 ]
 
 # Small enough that every row below reads past the table, some runs crossing its end.
 PAST_END = [
-    (md._log_pascal_row.__wrapped__, _ref_pascal, (64,)),
-    (md._red_log_profile, _ref_red, (30, 4)),
-    (md._dyck_log_profile, _ref_dyck, (5, 30)),
-    (lambda s: md._vsasm_log_profile(s, None), _ref_vsasm, (33,)),
+    (_log_pascal_row.__wrapped__, _ref_pascal, (64,)),
+    (_red_log_profile, _ref_red, (30, 4)),
+    (_dyck_log_profile, _ref_dyck, (5, 30)),
+    (lambda s: _vsasm_log_profile(s, None), _ref_vsasm, (33,)),
 ]
 
 
@@ -81,11 +83,10 @@ def test_rows_match_per_element_reference():
 
 
 def test_grown_table_holds_lgamma_doubles():
-    md._dyck_log_profile(4096, 4096)
+    _dyck_log_profile(4096, 4096)
     table = ls._log_factorials
     assert len(table) >= 4 * 4096 + 1
     assert _bits(table) == _bits(math.lgamma(m + 1.0) for m in range(len(table)))
-    assert md._log_factorials is table and md.LOG_FACTORIAL_CAP == ls.LOG_FACTORIAL_CAP
 
 
 @pytest.mark.parametrize("cap", [1, 20, 50])

@@ -14,7 +14,47 @@ from hypothesis import strategies as st
 from arctic import models as md
 from arctic.combinat import binomial
 from arctic.linalg import ExactMatrix, det_bareiss, last_column_minors, lu_exact
+from arctic.logspace import LOG_FACTORIAL_CAP, _log_factorial, _log_factorials
 from arctic.models import ModelId
+from arctic.models.aztec import aztec_entry, aztec_escape, aztec_matrix, aztec_one_point
+from arctic.models.halfhex import (
+    _dyck_profile,
+    _dyck_recurrence,
+    _red_profile,
+    dyck_b_column,
+    dyck_closed_L,
+    dyck_entry,
+    dyck_escape,
+    dyck_matrix,
+    dyck_one_point,
+    dyck_partition,
+    dyck_u_diagonal,
+    red_entry,
+    red_matrix,
+    red_one_point,
+    red_partition,
+)
+from arctic.models.staircase import (
+    _staircase_prefixes,
+    pascal_closed_L,
+    staircase_alt_escape,
+    staircase_alt_matrix,
+    staircase_alt_one_point,
+    staircase_entry,
+    staircase_escape,
+    staircase_matrix,
+    staircase_one_point,
+)
+from arctic.models.vsasm import (
+    _factorial_ratio,
+    n_asm,
+    n_asm_refined,
+    n_vsasm,
+    n_vsasm_refined,
+    n_vsasm_refined_counts,
+    raz_strog_check,
+    vsasm_escape,
+)
 from arctic.oracle import enumerate_asm, enumerate_vsasm
 from arctic.tangent import finite_n_saddle
 from paper_checks import aztec_closed_U, falling_factorial
@@ -67,47 +107,47 @@ SCHROEDER = ((1, 1), (1, -1), (2, 0))
 
 
 def test_aztec_entry_counts_schroeder_paths():
-    assert md.aztec_entry(0, 5) == 1
-    assert md.aztec_entry(1, 1) == count_paths(SCHROEDER, (-1, 1), (1, 1)) == 3
-    assert md.aztec_entry(2, 2) == count_paths(SCHROEDER, (-2, 2), (2, 2)) == 13
+    assert aztec_entry(0, 5) == 1
+    assert aztec_entry(1, 1) == count_paths(SCHROEDER, (-1, 1), (1, 1)) == 3
+    assert aztec_entry(2, 2) == count_paths(SCHROEDER, (-2, 2), (2, 2)) == 13
     for i in range(4):
         for j in range(4):
-            assert md.aztec_entry(i, j) == count_paths(SCHROEDER, (-i, i), (j, j))
+            assert aztec_entry(i, j) == count_paths(SCHROEDER, (-i, i), (j, j))
 
 
 def test_aztec_entry_symmetry():
     for i in range(21):
         for j in range(i, 21):
-            assert md.aztec_entry(i, j) == md.aztec_entry(j, i)
+            assert aztec_entry(i, j) == aztec_entry(j, i)
 
 
 def test_aztec_matrix_delannoy_table_matches_entry_sums():
     for n in range(0, 41):
-        assert md.aztec_matrix(n) == ExactMatrix.from_function(n + 1, n + 1, md.aztec_entry)
+        assert aztec_matrix(n) == ExactMatrix.from_function(n + 1, n + 1, aztec_entry)
 
 
 def test_aztec_closed_lu_reconstructs():
     for n in range(0, 9):
-        L, L_inv = md.pascal_closed_L(n)
+        L, L_inv = pascal_closed_L(n)
         U = aztec_closed_U(n)
-        assert L @ U == md.aztec_matrix(n)
+        assert L @ U == aztec_matrix(n)
         assert L_inv @ L == ExactMatrix.identity(n + 1)
         assert U[n, n] == 2**n
 
 
 def test_aztec_one_point_values():
-    assert md.aztec_one_point(5, 5) == 1
-    assert md.aztec_one_point(2, 0) == Fraction(1, 4)
-    assert md.aztec_one_point(2, 1) == Fraction(3, 4)
+    assert aztec_one_point(5, 5) == 1
+    assert aztec_one_point(2, 0) == Fraction(1, 4)
+    assert aztec_one_point(2, 1) == Fraction(3, 4)
     with pytest.raises(ValueError):
-        md.aztec_one_point(3, 4)
+        aztec_one_point(3, 4)
 
 
 def test_aztec_escape_values():
     n = 5
-    assert md.aztec_escape(n, n + 1, n) == 1
-    assert md.aztec_escape(n - 1, n + 1, n) == 2
-    assert md.aztec_escape(0, 4, 2) == 8
+    assert aztec_escape(n, n + 1, n) == 1
+    assert aztec_escape(n - 1, n + 1, n) == 2
+    assert aztec_escape(0, 4, 2) == 8
     # Enumeration oracle: continuations leave through an up or horizontal step.
     up = count_paths(SCHROEDER, (1, 5), (4, 4))
     horiz = count_paths(SCHROEDER, (2, 4), (4, 4))
@@ -120,24 +160,24 @@ def test_aztec_escape_values():
 
 
 def test_dyck_entry_is_catalan():
-    assert md.dyck_entry(0, 0, 1) == 1
-    assert md.dyck_entry(1, 1, 1) == 5
-    assert md.dyck_entry(1, 0, 2) == 5
-    assert md.dyck_entry(2, 1, 1) == count_paths(((1, 1), (1, -1)), (-4, 0), (4, 0), floor_y=0)
+    assert dyck_entry(0, 0, 1) == 1
+    assert dyck_entry(1, 1, 1) == 5
+    assert dyck_entry(1, 0, 2) == 5
+    assert dyck_entry(2, 1, 1) == count_paths(((1, 1), (1, -1)), (-4, 0), (4, 0), floor_y=0)
 
 
 def test_dyck_closed_l_gives_upper_triangle():
     for n in range(0, 6):
         for k in range(1, 5):
-            L, Linv = md.dyck_closed_L(n, k)
+            L, Linv = dyck_closed_L(n, k)
             assert L @ Linv == ExactMatrix.identity(n + 1)
-            u = Linv @ md.dyck_matrix(n, k)
-            diag = md.dyck_u_diagonal(n, k)
+            u = Linv @ dyck_matrix(n, k)
+            diag = dyck_u_diagonal(n, k)
             for i in range(n + 1):
                 assert u[i, i] == diag[i]
                 for j in range(i):
                     assert u[i, j] == 0
-            assert L @ u == md.dyck_matrix(n, k)
+            assert L @ u == dyck_matrix(n, k)
 
 
 def test_integer_quotient_raises_on_remainder():
@@ -147,24 +187,24 @@ def test_integer_quotient_raises_on_remainder():
         md._exact_int(7, 2)
     with pytest.raises(ArithmeticError):
         md._exact_int(Fraction(1, 3))
-    assert md._factorial_ratio([5, 4], [2, 3]) == 240
+    assert _factorial_ratio([5, 4], [2, 3]) == 240
     with pytest.raises(ArithmeticError):
-        md._factorial_ratio([2], [3])
+        _factorial_ratio([2], [3])
 
 
 def test_dyck_partition_examples():
     # Hankel matrix of Catalan numbers starting at c_1 has determinant 1.
-    assert md.dyck_partition(2, 1) == 1
-    assert md.dyck_partition(1, 2) == 3
-    assert md.dyck_partition(3, 3) == det_bareiss(md.dyck_matrix(3, 3))
+    assert dyck_partition(2, 1) == 1
+    assert dyck_partition(1, 2) == 3
+    assert dyck_partition(3, 3) == det_bareiss(dyck_matrix(3, 3))
 
 
 def test_dyck_b_column_values():
-    assert md.dyck_b_column(1, 1, 2) == [0, 1]
-    assert md.dyck_b_column(1, 1, 0)[1] == 5
+    assert dyck_b_column(1, 1, 2) == [0, 1]
+    assert dyck_b_column(1, 1, 0)[1] == 5
     # Exit at the reference height reproduces the determinant, not the column.
-    m = md.dyck_matrix(2, 2)
-    b = md.dyck_b_column(2, 2, 0)
+    m = dyck_matrix(2, 2)
+    b = dyck_b_column(2, 2, 0)
     assert last_column_minors(m, [b]) == [det_bareiss(m)]
 
 
@@ -172,18 +212,18 @@ def test_dyck_one_point_values():
     for n in range(0, 4):
         for k in range(1, 4):
             for ell in range(0, n + 1):
-                assert md.dyck_one_point(n, k, ell) == 1
-    assert md.dyck_one_point(1, 2, 3) == Fraction(2, 3)
-    assert md.dyck_one_point(1, 1, 2) == 1
+                assert dyck_one_point(n, k, ell) == 1
+    assert dyck_one_point(1, 2, 3) == Fraction(2, 3)
+    assert dyck_one_point(1, 1, 2) == 1
     with pytest.raises(ValueError):
-        md.dyck_one_point(1, 1, 3)
+        dyck_one_point(1, 1, 3)
 
 
 def test_dyck_escape_counts_single_paths():
-    assert md.dyck_escape(4, 0) == 1
-    assert md.dyck_escape(1, 7) == 1
+    assert dyck_escape(4, 0) == 1
+    assert dyck_escape(1, 7) == 1
     # Up/down continuations with ell descents and p-1 ascents.
-    assert md.dyck_escape(3, 2) == count_paths(((1, 1), (1, -1)), (0, 0), (4, 0)) == 6
+    assert dyck_escape(3, 2) == count_paths(((1, 1), (1, -1)), (0, 0), (4, 0)) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -192,34 +232,34 @@ def test_dyck_escape_counts_single_paths():
 
 
 def test_red_entry_counts_paths():
-    assert md.red_entry(0, 0, 3) == 1
-    assert md.red_entry(2, 0, 3) == 0
+    assert red_entry(0, 0, 3) == 1
+    assert red_entry(2, 0, 3) == 0
     n = 1
-    assert md.red_entry(1, 1, n) == count_paths(((0, -2), (1, -1)), (1, 1 + 2 * n + 2), (2, 0)) == 3
+    assert red_entry(1, 1, n) == count_paths(((0, -2), (1, -1)), (1, 1 + 2 * n + 2), (2, 0)) == 3
     for i in range(3):
         for j in range(3):
-            assert md.red_entry(i, j, n) == count_paths(
+            assert red_entry(i, j, n) == count_paths(
                 ((0, -2), (1, -1)), (i, i + 2 * n + 2), (2 * j, 0)
             )
 
 
 def test_red_partition_and_remark_identity():
-    assert md.red_partition(4, 1) == 1
-    assert md.red_partition(1, 2) == det_bareiss(md.red_matrix(1, 2)) == 3
+    assert red_partition(4, 1) == 1
+    assert red_partition(1, 2) == det_bareiss(red_matrix(1, 2)) == 3
     for n in range(0, 21):
         for k in range(1, 21):
-            assert md.dyck_partition(n, k) == md.red_partition(n, k)
+            assert dyck_partition(n, k) == red_partition(n, k)
 
 
 def test_red_one_point_normalization_and_errors():
     for n in range(0, 5):
         for k in range(2, 6):
-            assert md.red_one_point(n, k, 0) == 1
-    assert md.red_one_point(1, 2, 2) == Fraction(1, 3)
+            assert red_one_point(n, k, 0) == 1
+    assert red_one_point(1, 2, 2) == Fraction(1, 3)
     with pytest.raises(ValueError):
-        md.red_one_point(2, 3, 4)
+        red_one_point(2, 3, 4)
     with pytest.raises(ValueError):
-        md.red_one_point(2, 1, 0)
+        red_one_point(2, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -228,19 +268,19 @@ def test_red_one_point_normalization_and_errors():
 
 
 def test_staircase_entries_count_paths():
-    assert md.staircase_entry(0, 7) == 1
+    assert staircase_entry(0, 7) == 1
     for i in range(4):
         for j in range(4):
-            assert md.staircase_entry(i, j) == count_paths(((-1, 0), (0, 1)), (2 * i, 0), (0, j))
-    assert det_bareiss(md.staircase_matrix(3)) == 64
-    assert det_bareiss(md.staircase_alt_matrix(3)) == 64
+            assert staircase_entry(i, j) == count_paths(((-1, 0), (0, 1)), (2 * i, 0), (0, j))
+    assert det_bareiss(staircase_matrix(3)) == 64
+    assert det_bareiss(staircase_alt_matrix(3)) == 64
 
 
 def test_staircase_closed_factors():
     for n in range(0, 8):
-        L, L_inv = md.pascal_closed_L(n)
+        L, L_inv = pascal_closed_L(n)
         assert L_inv @ L == ExactMatrix.identity(n + 1)
-        for matrix in (md.staircase_matrix(n), md.staircase_alt_matrix(n)):
+        for matrix in (staircase_matrix(n), staircase_alt_matrix(n)):
             u = L_inv @ matrix
             for i in range(n + 1):
                 assert u[i, i] == 2**i
@@ -249,30 +289,30 @@ def test_staircase_closed_factors():
 
 
 def test_staircase_one_point_values():
-    assert md.staircase_one_point(4, 0) == 1
-    assert md.staircase_one_point(2, 3) == Fraction(3, 4)
-    assert md.staircase_alt_one_point(5, 10) == 1
+    assert staircase_one_point(4, 0) == 1
+    assert staircase_one_point(2, 3) == Fraction(3, 4)
+    assert staircase_alt_one_point(5, 10) == 1
     for n in range(1, 6):
         for ell in range(0, n):
-            assert md.staircase_alt_one_point(n, ell) == 0
+            assert staircase_alt_one_point(n, ell) == 0
     with pytest.raises(ValueError):
-        md.staircase_one_point(2, 5)
+        staircase_one_point(2, 5)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 64, 4096])
 def test_staircase_prefix_map_is_min_n_and_2n_minus_ell(n):
-    assert md._staircase_prefixes(n) == [min(n, m) for m in range(2 * n, -1, -1)]
+    assert _staircase_prefixes(n) == [min(n, m) for m in range(2 * n, -1, -1)]
 
 
 def test_staircase_escapes():
-    assert md.staircase_escape(3, 4, 0) == 1
-    assert md.staircase_escape(2, 4, 3) == 4
+    assert staircase_escape(3, 4, 0) == 1
+    assert staircase_escape(2, 4, 3) == 4
     # Oracle: first step up, then left/up paths (3, 3) -> (0, 4).
     assert count_paths(((-1, 0), (0, 1)), (3, 3), (0, 4)) == 4
-    assert md.staircase_alt_escape(2, 3, 2) == 1
+    assert staircase_alt_escape(2, 3, 2) == 1
     assert count_paths(((1, 0), (1, 1)), (3, 3), (4, 3)) == 1
     with pytest.raises(ValueError):
-        md.staircase_escape(3, 2, 0)
+        staircase_escape(3, 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +397,7 @@ def test_log_profiles_match_exact_values(model, n, k, offsets):
     k = k if ops.needs_k else None
     if model is ModelId.VSASM:
         # The scan's profile is the plain ASM ratio (see log_one_point_profile).
-        exact = [Fraction(md.n_asm_refined(n, ell), md.n_asm(n)) for ell in ops.exits(n, k)]
+        exact = [Fraction(n_asm_refined(n, ell), n_asm(n)) for ell in ops.exits(n, k)]
     else:
         exact = [ops.one_point(n, k, ell) for ell in ops.exits(n, k)]
     _assert_log_close(md.log_one_point_profile(model, n, k), exact, (model, n, k))
@@ -407,7 +447,7 @@ def test_aztec_log_escape_within_derived_bound(n, z):
     exact = _exact_aztec_escapes(n, t)
     if n == 512:
         assert [exact[ell] for ell in (0, 1, n // 2, n)] == [
-            md.aztec_escape(ell, t, n) for ell in (0, 1, n // 2, n)
+            aztec_escape(ell, t, n) for ell in (0, 1, n // 2, n)
         ]
     for ell in range(n + 1):
         want, k = math.log(exact[ell]), 4 * (n - ell) + 2
@@ -456,7 +496,7 @@ def test_dyck_recurrence_certificate_telescopes():
     for n in range(21):
         for k in range(1, 33):
             for ell in range(n + 1, n + k - 1):
-                a, b, c = md._dyck_recurrence(n, k, ell)
+                a, b, c = _dyck_recurrence(n, k, ell)
                 assert c > 0, (n, k, ell)
                 ss = range(-2, n + 5)
                 t = {j: [_dyck_term(n, k, j, s) for s in ss] for j in (ell, ell + 1, ell + 2)}
@@ -476,7 +516,7 @@ def test_dyck_recurrence_log_profile_matches_exact(n, k):
     """The downward ratio walk agrees with the exact walk, and H = 1 rows are exactly 0."""
     logs = md.log_one_point_profile(ModelId.DYCK_HALF_HEX, n, k)
     assert all(v == 0.0 for v in logs[: n + 1])
-    _assert_log_close(logs, md._dyck_profile(n, k), (n, k))
+    _assert_log_close(logs, _dyck_profile(n, k), (n, k))
 
 
 def _log_concave(seq):
@@ -493,9 +533,9 @@ def test_sampled_log_concavity_holds_exactly():
     """
     for n in range(24):
         for k in range(1, 33):
-            assert _log_concave(md._dyck_profile(n, k)), ("dyck", n, k)
+            assert _log_concave(_dyck_profile(n, k)), ("dyck", n, k)
             if k >= 2:
-                assert _log_concave(md._red_profile(n, k)), ("red", n, k)
+                assert _log_concave(_red_profile(n, k)), ("red", n, k)
     for n in range(60):
         for target in range(n + 1, n + 61):
             assert _log_concave(_exact_aztec_escapes(n, target)), ("aztec", n, target)
@@ -539,12 +579,12 @@ def test_log_factorial_table_is_capped_at_far_targets():
     start = time.perf_counter()
     for model in (ModelId.VSASM, ModelId.AZTEC, ModelId.DYCK_HALF_HEX):
         finite_n_saddle(model, 64, 1e6, 1.0)
-        assert len(md._log_factorials) <= md.LOG_FACTORIAL_CAP, model
+        assert len(_log_factorials) <= LOG_FACTORIAL_CAP, model
     assert time.perf_counter() - start < 10.0
-    beyond = [[md.LOG_FACTORIAL_CAP + v for v in row] for row in ([7, 0], [7, 3])]
+    beyond = [[LOG_FACTORIAL_CAP + v for v in row] for row in ([7, 0], [7, 3])]
     want = [[math.lgamma(v + 1.0) for v in row] for row in beyond]
-    assert [[md._log_factorial(v) for v in row] for row in beyond] == want
-    assert md._log_factorial(md.LOG_FACTORIAL_CAP + 3) == want[1][1]
+    assert [[_log_factorial(v) for v in row] for row in beyond] == want
+    assert _log_factorial(LOG_FACTORIAL_CAP + 3) == want[1][1]
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +660,8 @@ def test_interpolation_polynomials_share_special_values():
 
 def test_asm_product_formula_against_enumeration():
     for n, want in [(1, 1), (2, 2), (3, 7), (4, 42)]:
-        assert md.n_asm(n) == want == len(enumerate_asm(n))
-    assert md.n_asm(5) == 429
+        assert n_asm(n) == want == len(enumerate_asm(n))
+    assert n_asm(5) == 429
 
 
 def test_stepped_asm_count_equals_product_formula():
@@ -629,7 +669,7 @@ def test_stepped_asm_count_equals_product_formula():
         num = math.prod(factorial(3 * i + 1) for i in range(n))
         den = math.prod(factorial(n + i) for i in range(n))
         assert num % den == 0
-        assert md.n_asm(n) == num // den
+        assert n_asm(n) == num // den
 
 
 def test_asm_refined_against_enumeration():
@@ -637,63 +677,63 @@ def test_asm_refined_against_enumeration():
         matrices = enumerate_asm(n)
         for ell in range(1, n + 1):
             filtered = sum(1 for m in matrices if m.entries[0][ell - 1] == 1)
-            assert md.n_asm_refined(n, ell) == filtered
-    assert md.n_asm_refined(3, 1) == 2
-    assert sum(md.n_asm_refined(5, ell) for ell in range(1, 6)) == md.n_asm(5)
+            assert n_asm_refined(n, ell) == filtered
+    assert n_asm_refined(3, 1) == 2
+    assert sum(n_asm_refined(5, ell) for ell in range(1, 6)) == n_asm(5)
 
 
 def test_vsasm_product_formula_against_enumeration():
     for size, want in [(1, 1), (3, 1), (5, 3), (7, 26)]:
-        assert md.n_vsasm(size) == want
+        assert n_vsasm(size) == want
     for size in (3, 5):
         matrices, _ = enumerate_vsasm(size)
-        assert len(matrices) == md.n_vsasm(size)
+        assert len(matrices) == n_vsasm(size)
     for size in range(1, 62, 2):
         ms = range(1, (size - 1) // 2 + 1)
         num = math.prod(factorial(6 * m - 2) * factorial(2 * m - 1) for m in ms)
         den = math.prod(2 * factorial(4 * m - 1) * factorial(4 * m - 2) for m in ms)
-        assert md.n_vsasm(size) == Fraction(num, den)
+        assert n_vsasm(size) == Fraction(num, den)
 
 
 def test_vsasm_refined_alternating_formula():
-    assert [md.n_vsasm_refined(5, ell) for ell in range(1, 6)] == [0, 1, 1, 1, 0]
+    assert [n_vsasm_refined(5, ell) for ell in range(1, 6)] == [0, 1, 1, 1, 0]
     _, hist5 = enumerate_vsasm(5)
-    assert hist5 == [md.n_vsasm_refined(5, ell) for ell in range(1, 6)]
+    assert hist5 == [n_vsasm_refined(5, ell) for ell in range(1, 6)]
     for size in (3, 5, 7, 9):
-        refined = [md.n_vsasm_refined(size, ell) for ell in range(1, size + 1)]
+        refined = [n_vsasm_refined(size, ell) for ell in range(1, size + 1)]
         assert refined[0] == 0 and refined[-1] == 0
         assert all(v >= 0 for v in refined)
-        assert sum(refined) == md.n_vsasm(size)
+        assert sum(refined) == n_vsasm(size)
 
 
 def test_one_pass_vsasm_counts_equal_per_exit_formula():
     for size in range(3, 42, 2):
-        want = [md.n_vsasm_refined(size, ell) for ell in range(1, size + 1)]
-        assert md.n_vsasm_refined_counts(size) == want
+        want = [n_vsasm_refined(size, ell) for ell in range(1, size + 1)]
+        assert n_vsasm_refined_counts(size) == want
     for size in (1, 4):
         with pytest.raises(ValueError):
-            md.n_vsasm_refined_counts(size)
+            n_vsasm_refined_counts(size)
 
 
 def test_refined_generating_identity():
     for size in (3, 5, 7, 9, 21):
         for t in (Fraction(1, 3), Fraction(1, 2), Fraction(-2, 5), 0, 1, 2, 3):
-            assert md.raz_strog_check(size, t)
-    counts = md.n_vsasm_refined_counts(21)
-    assert md.raz_strog_check(21, Fraction(1, 2), counts)
+            assert raz_strog_check(size, t)
+    counts = n_vsasm_refined_counts(21)
+    assert raz_strog_check(21, Fraction(1, 2), counts)
     counts[4] += 1
-    assert not md.raz_strog_check(21, Fraction(1, 2), counts)
+    assert not raz_strog_check(21, Fraction(1, 2), counts)
     with pytest.raises(ValueError):
-        md.raz_strog_check(5, -1)
+        raz_strog_check(5, -1)
     with pytest.raises(ValueError):
-        md.raz_strog_check(4, 1)
+        raz_strog_check(4, 1)
 
 
 def test_vsasm_escape_values():
     size = 9
-    assert md.vsasm_escape(size, 5, size) == 1
-    assert md.vsasm_escape(3, 1, size) == 1
-    assert md.vsasm_escape(size - 1, 3, size) == 3
+    assert vsasm_escape(size, 5, size) == 1
+    assert vsasm_escape(3, 1, size) == 1
+    assert vsasm_escape(size - 1, 3, size) == 3
     # Oracle: monotone right/up staircases with k-1 columns and size-ell rises.
     assert count_paths(((1, 0), (0, 1)), (0, 0), (2, 1)) == 3
 

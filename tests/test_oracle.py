@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arctic.linalg import det_bareiss, last_column_minors
-from arctic.models import MODEL_OPS, ModelId, n_asm, n_vsasm, n_vsasm_refined
+from arctic.models import MODEL_OPS, ModelId
+from arctic.models.vsasm import n_asm, n_vsasm, n_vsasm_refined
 from arctic.oracle import (
     AsmMatrix,
     BudgetExceededError,

@@ -9,7 +9,8 @@ import pytest
 
 from arctic import cli, models, tangent
 from arctic.curves import residual
-from arctic.models import MODEL_OPS, ModelId, r_asm
+from arctic.models import MODEL_OPS, ModelId
+from arctic.models.vsasm import r_asm
 from arctic.tangent import (
     EnvelopeError,
     TangentLine,
