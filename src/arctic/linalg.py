@@ -3,12 +3,13 @@
 Everything here is exact: entries are ``int`` or ``fractions.Fraction`` and no
 operation introduces rounding.  Integer matrices stay integer; a ``Fraction``
 appears only where a true ratio is formed (LU pivots, last-column ratios).
-Every whole entry that LU or a product forms is stored as an ``int``, so a
-matrix whose factors are integral (the diamond and both staircases) is
-factored by Doolittle sums in ``int`` alone.  Products clear denominators per
-left row and right column, sum integer dot products where the left row's and
-right column's nonzero spans overlap, and divide once per entry unless both
-are integral.
+Every whole entry that LU or a product forms is stored as an ``int``, and an
+exact ``int`` quotient never passes through a ``Fraction``, so a matrix whose
+factors are integral (the diamond and both staircases) is factored by
+Doolittle sums in ``int`` alone.  LU keeps each row of L and each column of U
+with its denominators cleared, and products clear them per left row and right
+column, so every sum is an integer dot product (a product's over the left
+row's nonzero span) divided once unless both sides are integral.
 Determinants are deliberately available through two independent routes
 (Bareiss elimination and the product of LU pivots) so the two can be
 cross-checked; a disagreement is treated as a test failure, never a
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 Scalar = Fraction | int
+_EXACT_TYPES = {int, Fraction}
 
 
 class SingularMinorError(ValueError):
@@ -53,7 +55,9 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Scalar]):
-        data = tuple(e if isinstance(e, (int, Fraction)) else Fraction(e) for e in entries)
+        data = tuple(entries)
+        if not {*map(type, data)} <= _EXACT_TYPES:
+            data = tuple(e if isinstance(e, (int, Fraction)) else Fraction(e) for e in data)
         if rows < 1 or cols < 1:
             raise ValueError(f"matrix dimensions must be >= 1, got {rows}x{cols}")
         if len(data) != rows * cols:
@@ -92,26 +96,23 @@ class ExactMatrix:
         return self.rows == self.cols
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Exact product, summed in ``int`` where a left row's and a right column's nonzero
-        spans overlap.
+        """Exact product, summed in ``int`` over each left row's nonzero span.
 
         Each right column is scaled once by the lcm e of its denominators and
         each left row by the lcm d of its own, so entry (i, j) is an integer dot
-        product s over the overlap, stored as s when d e = 1 and otherwise as
-        ``Fraction(s, d * e)``, an ``int`` when it is whole.
+        product s over the row's span, stored as s when d e = 1 and otherwise
+        as s / (d e) by :func:`_quotient`.
         """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cleared = (_cleared(other._data[j::other.cols]) for j in range(other.cols))
-        columns = [(e, col, *_span(col)) for e, col in cleared]
+        dens, cols = zip(*(_cleared(other._data[j::other.cols]) for j in range(other.cols)))
         out = []
         for i in range(self.rows):
             d, row = _cleared(self.row(i))
-            row_lo, row_hi = _span(row)
-            for e, col, col_lo, col_hi in columns:
-                lo, hi = max(row_lo, col_lo), min(row_hi, col_hi)
-                s = sum(map(mul, row[lo:hi], col[lo:hi]))
-                out.append(s if d * e == 1 else _whole(Fraction(s, d * e)))
+            lo, hi = _span(row)
+            part = row[lo:hi]
+            sums = [sum(map(mul, part, col[lo:hi])) for col in cols]
+            out += [s if d * e == 1 else _quotient(s, d * e) for e, s in zip(dens, sums)]
         return ExactMatrix(self.rows, other.cols, out)
 
     def __eq__(self, other: object) -> bool:
@@ -126,10 +127,25 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
 
-def _cleared(entries: Sequence[Scalar]) -> tuple[int, list[int]]:
-    """The lcm of the entries' denominators and the entries times it, as ints."""
+def _cleared(entries: Sequence[Scalar]) -> tuple[int, Sequence[int]]:
+    """The lcm of the entries' denominators and the entries times it, as ints;
+    all-``int`` entries come back as they are, with lcm 1."""
+    if {*map(type, entries)} == {int}:
+        return 1, entries
     den = lcm(*(e.denominator for e in entries))
     return den, [e.numerator * (den // e.denominator) for e in entries]
+
+
+def _push(cleared: list, x: Scalar) -> None:
+    """Append x to ``cleared`` = [lcm d of the denominators, the entries times d],
+    raising d, and rescaling the entries, when x's denominator does not divide it."""
+    d, ints = cleared
+    q = x.denominator
+    if d % q:
+        scale = lcm(d, q) // d
+        ints[:] = [e * scale for e in ints]
+        cleared[0] = d = d * scale
+    ints.append(x.numerator * (d // q))
 
 
 def _span(entries: Sequence[int]) -> tuple[int, int]:
@@ -141,6 +157,16 @@ def _span(entries: Sequence[int]) -> tuple[int, int]:
 def _whole(x: Scalar) -> Scalar:
     """``x`` as an ``int`` when it is whole, so later sums stay in ``int``."""
     return x.numerator if x.denominator == 1 else x
+
+
+def _quotient(s: Scalar, d: Scalar) -> Scalar:
+    """s / d exactly: an ``int`` quotient when both are ints and d divides s, without
+    forming a ``Fraction``; otherwise the reduced ``Fraction``, an ``int`` when whole."""
+    if type(s) is int and type(d) is int:
+        q, r = divmod(s, d)
+        if not r:
+            return q
+    return _whole(Fraction(s, d))
 
 
 class LUPair(NamedTuple):
@@ -230,8 +256,8 @@ def last_column_minors(m: ExactMatrix, columns: Sequence[Sequence[Scalar]]) -> l
     x = [0] * (n - 1) + [pivots[-1] if pivots else 1]
     for i in reversed(range(n - 1)):
         row = a[i]
-        x[i] = -sum(row[j] * x[j] for j in range(i + 1, n)) // row[i]
-    return [sum(ci * xi for ci, xi in zip(c, x)) for c in columns]
+        x[i] = -sum(map(mul, row[i + 1:], x[i + 1:])) // row[i]
+    return [sum(map(mul, c, x)) for c in columns]
 
 
 def lu_exact(m: ExactMatrix) -> LUPair:
@@ -239,7 +265,10 @@ def lu_exact(m: ExactMatrix) -> LUPair:
 
     The model matrices are totally-positive-like and never need pivoting; a
     vanishing leading minor of order < n is reported with its index, not
-    repaired.  Whole entries of L and U are stored as ``int``.
+    repaired.  Whole entries of L and U are stored as ``int``.  Row i of U and
+    column i of L are Doolittle sums over the finished rows of L and columns of
+    U, kept cleared of denominators as each entry is formed, so each sum is one
+    integer dot product.
     """
     if not m.is_square:
         raise ValueError(f"LU of non-square {m.rows}x{m.cols} matrix")
@@ -247,15 +276,33 @@ def lu_exact(m: ExactMatrix) -> LUPair:
     n = len(a)
     u = [[0] * n for _ in range(n)]
     low = [[int(i == j) for j in range(n)] for i in range(n)]
+    # U's columns and L's rows so far, each kept cleared as [lcm of denominators, ints].
+    u_cols = [[1, []] for _ in range(n)]
+    l_rows = [[1, []] for _ in range(n)]
     for i in range(n):
-        a_i, low_i, u_i = a[i], low[i], u[i]
+        a_i, u_i = a[i], u[i]
+        d, head = l_rows[i]
         for j in range(i, n):
-            u_i[j] = _whole(a_i[j] - sum(low_i[k] * u[k][j] for k in range(i)))
-        if i < n - 1 and u_i[i] == 0:
+            e, col = u_cols[j]
+            s = sum(map(mul, head, col))
+            u_i[j] = _whole(a_i[j] - (s if d * e == 1 else _quotient(s, d * e)))
+        pivot = u_i[i]
+        if i < n - 1 and pivot == 0:
             raise SingularMinorError(i)
+        e, col = u_cols[i]
         for r in range(i + 1, n):
-            low_r = low[r]
-            low_r[i] = _whole(Fraction(a[r][i] - sum(low_r[k] * u[k][i] for k in range(i)), u_i[i]))
+            d, row = cleared = l_rows[r]
+            s = sum(map(mul, row, col))
+            low[r][i] = x = _quotient(a[r][i] - (s if d * e == 1 else _quotient(s, d * e)), pivot)
+            if d == 1 and type(x) is int:
+                row.append(x)
+            else:
+                _push(cleared, x)
+        for cleared, x in zip(u_cols[i:], u_i[i:]):
+            if cleared[0] == 1 and type(x) is int:
+                cleared[1].append(x)
+            else:
+                _push(cleared, x)
     return LUPair(ExactMatrix.from_rows(low), ExactMatrix.from_rows(u))
 
 
@@ -273,5 +320,5 @@ def det_ratio_last_column(
         raise ValueError(f"length mismatch {len(l_inv_last_row)} vs {len(b)}")
     if u_nn == 0:
         raise ZeroDivisionError("U_{n,n} is zero")
-    return Fraction(sum(li * bi for li, bi in zip(l_inv_last_row, b)), u_nn)
+    return Fraction(sum(map(mul, l_inv_last_row, b)), u_nn)
 

@@ -17,7 +17,7 @@ from ..curves import CIRCLE_ARC, circle
 from ..linalg import ExactMatrix
 from ..logspace import _LN2
 from . import Lattice, Model, ModelId, _entropy, _xlogx
-from .staircase import _pascal_prefix, _pascal_row_profiles, _pascal_verify_seconds, pascal_closed_L
+from .staircase import _pascal_prefix, _pascal_row_profiles, _pascal_verify_seconds, pascal_closed_L_inv
 
 __all__ = [
     "aztec_entry",
@@ -153,7 +153,7 @@ AZTEC = Model(
     tangency=lambda x: [(0.5, 1.5), (-0.5, 1.5), (0.5, 0.5), (-0.5, 0.5)],
     parametric=CIRCLE_ARC,
     matrix=lambda n, k: aztec_matrix(n),
-    closed_l_inv=lambda n, k: pascal_closed_L(n)[1],
+    closed_l_inv=lambda n, k: pascal_closed_L_inv(n),
     b_column=lambda n, k, ell: aztec_b_column(n, ell),
     partition=lambda n, k: 2 ** (n * (n + 1) // 2),
     reference_ell=lambda n, k: n,

@@ -32,6 +32,7 @@ __all__ = [
     "dyck_entry",
     "dyck_matrix",
     "dyck_closed_L",
+    "dyck_closed_L_inv",
     "dyck_u_diagonal",
     "dyck_partition",
     "dyck_b_column",
@@ -40,6 +41,7 @@ __all__ = [
     "red_entry",
     "red_matrix",
     "red_closed_L",
+    "red_closed_L_inv",
     "red_u_diagonal",
     "red_partition",
     "red_b_column",
@@ -58,26 +60,30 @@ def dyck_matrix(n: int, k: int) -> ExactMatrix:
     return ExactMatrix.from_function(n + 1, n + 1, lambda i, j: dyck_entry(i, j, k))
 
 
-def dyck_closed_L(n: int, k: int) -> tuple[ExactMatrix, ExactMatrix]:
-    """Closed lower factor of the Catalan-Hankel matrix and its inverse."""
+def dyck_closed_L(n: int, k: int) -> ExactMatrix:
+    """Closed lower factor of the Catalan-Hankel matrix."""
 
-    def lentry(i: int, j: int) -> Fraction:
+    def entry(i: int, j: int) -> Fraction:
         if j > i:
             return Fraction(0)
         num = factorial(2 * k + 2 * i) * factorial(k + j) * factorial(k + 2 * j + 1)
         den = factorial(2 * k + 2 * j) * factorial(k + i) * factorial(k + i + j + 1)
         return Fraction(num, den) * comb(i, j)
 
-    def linv_entry(i: int, j: int) -> Fraction:
+    return ExactMatrix.from_function(n + 1, n + 1, entry)
+
+
+def dyck_closed_L_inv(n: int, k: int) -> ExactMatrix:
+    """The inverse of :func:`dyck_closed_L`."""
+
+    def entry(i: int, j: int) -> Fraction:
         if j > i:
             return Fraction(0)
         num = factorial(2 * k + 2 * i) * factorial(k + j) * factorial(k + i + j)
         den = factorial(2 * k + 2 * j) * factorial(k + i) * factorial(k + 2 * i)
         return Fraction((-1) ** (i + j) * num, den) * comb(i, j)
 
-    L = ExactMatrix.from_function(n + 1, n + 1, lentry)
-    Linv = ExactMatrix.from_function(n + 1, n + 1, linv_entry)
-    return L, Linv
+    return ExactMatrix.from_function(n + 1, n + 1, entry)
 
 
 def dyck_u_diagonal(n: int, k: int) -> list[Fraction]:
@@ -215,17 +221,23 @@ def red_matrix(n: int, k: int) -> ExactMatrix:
     return ExactMatrix.from_function(k, k, lambda i, j: red_entry(i, j, n))
 
 
-def red_closed_L(n: int, k: int) -> tuple[ExactMatrix, ExactMatrix]:
-    """Banded lower factor of the red-path matrix and its inverse."""
+def red_closed_L(n: int, k: int) -> ExactMatrix:
+    """Banded lower factor of the red-path matrix."""
 
-    def lentry(i: int, j: int) -> Fraction:
+    def entry(i: int, j: int) -> Fraction:
         if j > i or 2 * j < i:
             return Fraction(0)
         num = factorial(i) * factorial(j + 2 * n + 2)
         den = factorial(i - j) * factorial(2 * j - i) * factorial(i + 2 * n + 2)
         return Fraction(num, den)
 
-    def linv_entry(i: int, j: int) -> Fraction:
+    return ExactMatrix.from_function(k, k, entry)
+
+
+def red_closed_L_inv(n: int, k: int) -> ExactMatrix:
+    """The inverse of :func:`red_closed_L`."""
+
+    def entry(i: int, j: int) -> Fraction:
         if j > i:
             return Fraction(0)
         if i == j:
@@ -236,9 +248,7 @@ def red_closed_L(n: int, k: int) -> tuple[ExactMatrix, ExactMatrix]:
         den = factorial(i + 2 * n + 2) * factorial(i - j) * factorial(j - 1)
         return Fraction((-1) ** (i + j) * num, den)
 
-    L = ExactMatrix.from_function(k, k, lentry)
-    Linv = ExactMatrix.from_function(k, k, linv_entry)
-    return L, Linv
+    return ExactMatrix.from_function(k, k, entry)
 
 
 def red_u_diagonal(n: int, k: int) -> list[Fraction]:
@@ -345,7 +355,7 @@ DYCK_HALF_HEX = Model(
     tangency=_dyck_tangency,
     needs_k=True,
     matrix=lambda n, k: dyck_matrix(n, k),
-    closed_l_inv=lambda n, k: dyck_closed_L(n, k)[1],
+    closed_l_inv=lambda n, k: dyck_closed_L_inv(n, k),
     b_column=lambda n, k, ell: dyck_b_column(n, k, ell),
     partition=lambda n, k: dyck_partition(n, k),
     reference_ell=lambda n, k: 0,
@@ -379,7 +389,7 @@ RED_HALF_HEX = Model(
     tangency=lambda x: [(2 * x * (1 + x) / (2 + x), 4 * (1 + x) / (2 + x)), (2 * x, 0.0)],
     needs_k=True,
     matrix=lambda n, k: red_matrix(n, k),
-    closed_l_inv=lambda n, k: red_closed_L(n, k)[1],
+    closed_l_inv=lambda n, k: red_closed_L_inv(n, k),
     b_column=lambda n, k, ell: red_b_column(n, k, ell),
     partition=lambda n, k: red_partition(n, k),
     reference_ell=lambda n, k: 0,

@@ -27,6 +27,7 @@ from . import Lattice, Model, ModelId, _binom_exponent, _binomial_row, _entropy,
 
 __all__ = [
     "pascal_closed_L",
+    "pascal_closed_L_inv",
     "staircase_entry",
     "staircase_alt_entry",
     "staircase_matrix",
@@ -85,11 +86,14 @@ def _pascal_verify_seconds(n: int, k: int | None) -> float:
     return 52 * ((n + 1) / 181) ** 6
 
 
-def pascal_closed_L(n: int) -> tuple[ExactMatrix, ExactMatrix]:
-    """The Pascal lower factor C(i, j) of the diamond and staircase matrices, and its inverse."""
-    L = ExactMatrix.from_function(n + 1, n + 1, lambda i, j: models.binomial(i, j))
-    Linv = ExactMatrix.from_function(n + 1, n + 1, lambda i, j: (-1) ** (i + j) * models.binomial(i, j))
-    return L, Linv
+def pascal_closed_L(n: int) -> ExactMatrix:
+    """The Pascal lower factor C(i, j) of the diamond and staircase matrices."""
+    return ExactMatrix.from_function(n + 1, n + 1, lambda i, j: models.binomial(i, j))
+
+
+def pascal_closed_L_inv(n: int) -> ExactMatrix:
+    """The inverse (-1)^(i+j) C(i, j) of :func:`pascal_closed_L`."""
+    return ExactMatrix.from_function(n + 1, n + 1, lambda i, j: (-1) ** (i + j) * models.binomial(i, j))
 
 
 def staircase_entry(i: int, j: int) -> int:
@@ -192,7 +196,7 @@ STAIRCASE = Model(
     limit_curve=lambda x: parabola(),
     tangency=lambda x: [(0.0, 0.0), (2.0, 0.0)],
     matrix=lambda n, k: staircase_matrix(n),
-    closed_l_inv=lambda n, k: pascal_closed_L(n)[1],
+    closed_l_inv=lambda n, k: pascal_closed_L_inv(n),
     b_column=lambda n, k, ell: staircase_b_column(n, ell),
     partition=lambda n, k: 2 ** (n * (n + 1) // 2),
     reference_ell=lambda n, k: 0,
@@ -223,7 +227,7 @@ STAIRCASE_ALT = Model(
     limit_curve=lambda x: parabola(),
     tangency=lambda x: [(0.0, 0.0), (2.0, 0.0)],
     matrix=lambda n, k: staircase_alt_matrix(n),
-    closed_l_inv=lambda n, k: pascal_closed_L(n)[1],
+    closed_l_inv=lambda n, k: pascal_closed_L_inv(n),
     b_column=lambda n, k, ell: staircase_alt_b_column(n, ell),
     partition=lambda n, k: 2 ** (n * (n + 1) // 2),
     reference_ell=lambda n, k: 2 * n,

@@ -20,8 +20,8 @@ from arctic.linalg import (
 )
 from arctic.models import ModelId, MODEL_OPS
 from arctic.models.aztec import aztec_matrix
-from arctic.models.halfhex import dyck_closed_L, dyck_matrix, red_closed_L
-from arctic.models.staircase import pascal_closed_L, staircase_matrix
+from arctic.models.halfhex import dyck_closed_L, dyck_closed_L_inv, dyck_matrix, red_closed_L, red_closed_L_inv
+from arctic.models.staircase import pascal_closed_L, pascal_closed_L_inv, staircase_matrix
 from paper_checks import leading_corner, leading_principal_minors
 
 
@@ -32,6 +32,11 @@ def test_matrix_validation():
         ExactMatrix(0, 1, [])
     with pytest.raises(ValueError):
         ExactMatrix.from_rows([[1, 2], [3]])
+
+
+def test_matrix_keeps_exact_entries_and_converts_the_rest():
+    m = ExactMatrix(1, 3, [True, 0.5, Fraction(1, 3)])
+    assert [(type(e), e) for e in m.row(0)] == [(bool, True), (Fraction, Fraction(1, 2)), (Fraction, Fraction(1, 3))]
 
 
 def test_matrix_basic_ops():
@@ -96,18 +101,24 @@ def test_matmul_matches_naive_fraction_product(drawn):
     ],
 )
 def test_matmul_matches_naive_product_at_model_scale(model, n, k):
-    """Products of the triangular factors, whose nonzero spans overlap only in part,
-    equal the naive product in value and in type: ``int`` exactly when whole."""
+    """The LU factors, and products of triangular factors whose nonzero spans overlap
+    only in part, equal the naive ones in value and in type: ``int`` exactly when whole."""
     ops = MODEL_OPS[model]
     m = ops.matrix(n, k)
     lu = lu_exact(m)
+    for got, want in zip(lu, _naive_doolittle([list(m.row(i)) for i in range(m.rows)])):
+        assert [(type(e), e) for e in got._data] == _typed(want)
     pairs = [(lu.L, lu.U), (lu.U, lu.L), (m, lu.U), (ops.closed_l_inv(n, k), lu.L)]
     for left, right in pairs:
         want = _naive_product(*([list(x.row(i)) for i in range(x.rows)] for x in (left, right)))
         got = left @ right
-        assert [(type(e), e) for e in got._data] == [
-            (int, e.numerator) if e.denominator == 1 else (Fraction, e) for row in want for e in row
-        ]
+        assert [(type(e), e) for e in got._data] == _typed(want)
+
+
+def _typed(rows):
+    """(type, value) of each entry of ``rows``, typed as the exact layer stores it:
+    ``int`` when whole, ``Fraction`` otherwise."""
+    return [(int, e.numerator) if e.denominator == 1 else (Fraction, e) for row in rows for e in row]
 
 
 def test_det_identity():
@@ -309,7 +320,7 @@ def test_lu_reports_failing_minor():
 def test_det_ratio_with_original_column_is_one():
     m = aztec_matrix(3)
     lu = lu_exact(m)
-    l_inv = pascal_closed_L(3)[1]
+    l_inv = pascal_closed_L_inv(3)
     b = [m[i, 3] for i in range(4)]
     got = det_ratio_last_column(l_inv.row(3), b, lu.U[3, 3])
     assert got == 1
@@ -326,7 +337,7 @@ def test_det_ratio_matches_full_determinant_ratio(ell, want):
     oracle = last_column_minors(m, [b])[0] / det_bareiss(m)
     assert oracle == want
     lu = lu_exact(m)
-    got = det_ratio_last_column(pascal_closed_L(n)[1].row(n), b, lu.U[n, n])
+    got = det_ratio_last_column(pascal_closed_L_inv(n).row(n), b, lu.U[n, n])
     assert got == oracle
 
 
@@ -383,6 +394,30 @@ def test_lu_commutes_with_truncation(family):
 
 
 def test_closed_l_inverses_at_size_thirty():
-    for L, Linv in (pascal_closed_L(30), dyck_closed_L(30, 3), red_closed_L(2, 31)):
+    pairs = [
+        (pascal_closed_L(30), pascal_closed_L_inv(30)),
+        (dyck_closed_L(30, 3), dyck_closed_L_inv(30, 3)),
+        (red_closed_L(2, 31), red_closed_L_inv(2, 31)),
+    ]
+    for L, Linv in pairs:
         assert Linv @ L == ExactMatrix.identity(31)
 
+
+# The closed L of each path family, by model; the records carry only its inverse.
+_CLOSED_L = {
+    ModelId.AZTEC: lambda n, k: pascal_closed_L(n),
+    ModelId.STAIRCASE: lambda n, k: pascal_closed_L(n),
+    ModelId.STAIRCASE_ALT: lambda n, k: pascal_closed_L(n),
+    ModelId.DYCK_HALF_HEX: dyck_closed_L,
+    ModelId.RED_HALF_HEX: red_closed_L,
+}
+
+
+def test_every_path_record_closed_l_inv_inverts_its_family_closed_l():
+    assert set(_CLOSED_L) == {m for m in ModelId if MODEL_OPS[m].has_paths}
+    for model, closed_l in _CLOSED_L.items():
+        ops = MODEL_OPS[model]
+        for n in range(5):
+            for k in (range(ops.k_min, 5) if ops.needs_k else [None]):
+                size = ops.matrix(n, k).rows
+                assert ops.closed_l_inv(n, k) @ closed_l(n, k) == ExactMatrix.identity(size), (model, n, k)

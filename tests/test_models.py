@@ -23,6 +23,7 @@ from arctic.models.halfhex import (
     _red_profile,
     dyck_b_column,
     dyck_closed_L,
+    dyck_closed_L_inv,
     dyck_entry,
     dyck_escape,
     dyck_matrix,
@@ -37,6 +38,7 @@ from arctic.models.halfhex import (
 from arctic.models.staircase import (
     _staircase_prefixes,
     pascal_closed_L,
+    pascal_closed_L_inv,
     staircase_alt_escape,
     staircase_alt_matrix,
     staircase_alt_one_point,
@@ -128,7 +130,7 @@ def test_aztec_matrix_delannoy_table_matches_entry_sums():
 
 def test_aztec_closed_lu_reconstructs():
     for n in range(0, 9):
-        L, L_inv = pascal_closed_L(n)
+        L, L_inv = pascal_closed_L(n), pascal_closed_L_inv(n)
         U = aztec_closed_U(n)
         assert L @ U == aztec_matrix(n)
         assert L_inv @ L == ExactMatrix.identity(n + 1)
@@ -169,7 +171,7 @@ def test_dyck_entry_is_catalan():
 def test_dyck_closed_l_gives_upper_triangle():
     for n in range(0, 6):
         for k in range(1, 5):
-            L, Linv = dyck_closed_L(n, k)
+            L, Linv = dyck_closed_L(n, k), dyck_closed_L_inv(n, k)
             assert L @ Linv == ExactMatrix.identity(n + 1)
             u = Linv @ dyck_matrix(n, k)
             diag = dyck_u_diagonal(n, k)
@@ -278,7 +280,7 @@ def test_staircase_entries_count_paths():
 
 def test_staircase_closed_factors():
     for n in range(0, 8):
-        L, L_inv = pascal_closed_L(n)
+        L, L_inv = pascal_closed_L(n), pascal_closed_L_inv(n)
         assert L_inv @ L == ExactMatrix.identity(n + 1)
         for matrix in (staircase_matrix(n), staircase_alt_matrix(n)):
             u = L_inv @ matrix
