@@ -9,9 +9,10 @@ vertically symmetric alternating sign matrices.
 Each path model provides:
 
 * the single-path weight ``*_entry`` that fills its counting matrix,
-* the closed-form L / U / L^-1 factors where they are known,
+* the inverse ``*_closed_L_inv`` of the closed-form L factor of its LU
+  decomposition, each row walked by its term ratio,
 * the replacement last column ``*_b_column`` for a path exiting at height
-  ``ell``,
+  ``ell``, walked from one seed,
 * the positive-sum one-point function ``*_one_point``,
 * the escape weight counting continuations to the distant target.
 
@@ -45,10 +46,9 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb
 from typing import Callable, Iterable, NamedTuple
 
-# The families call binomial through this module, where tracers replace it.
+# The families and the binomial walks call binomial through this module, where tracers replace it.
 from ..combinat import binomial
 from ..curves import ImplicitCurve, ParametricCurve
 from ..linalg import ExactMatrix
@@ -239,8 +239,15 @@ def _exact_int(num: int | Fraction, den: int = 1) -> int:
 
 
 def _binomial_row(n: int, lo: int, hi: int) -> list[int]:
-    """C(n, j) for j = lo..hi, walked by C(n, j+1) = C(n, j) (n-j) / (j+1) from C(n, lo)."""
-    return list(accumulate(range(lo, hi), lambda c, j: c * (n - j) // (j + 1), initial=comb(n, lo)))
+    """C(n, j) for j = lo..hi (0 past j = n), walked by C(n, j+1) = C(n, j) (n-j) / (j+1) from C(n, lo)."""
+    return list(accumulate(range(lo, hi), lambda c, j: c * (n - j) // (j + 1), initial=binomial(n, lo)))
+
+
+def _binomial_column(k: int, lo: int, hi: int) -> list[int]:
+    """C(a, k) for a = lo..hi: 0 below a = k, then walked by C(a+1, k) = C(a, k) (a+1) / (a+1-k)."""
+    start = max(lo, k)
+    walk = accumulate(range(start, hi), lambda c, a: c * (a + 1) // (a + 1 - k), initial=binomial(start, k))
+    return ([0] * (start - lo) + list(walk))[: hi + 1 - lo]
 
 
 def _log_path_escape(p: int) -> Callable[[int], float]:

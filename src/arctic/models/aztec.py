@@ -1,15 +1,15 @@
 """The diamond tiling: large Schroeder paths and the Delannoy matrix, whose
 arctic curve is the circle.
 
-Its one-point function, profiles, closed L and verify-time fit are the
-Pascal-row ones of :mod:`arctic.models.staircase`.
+Its matrix and b-columns walk Delannoy recurrences, checked against the trinomial
+sum :func:`aztec_entry`.  Its one-point function, profiles, closed L^-1 and
+verify-time fit are the Pascal-row ones of :mod:`arctic.models.staircase`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
 from ..combinat import trinomial
@@ -29,12 +29,8 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
 def aztec_entry(i: int, j: int) -> int:
-    """Large Schroeder paths (-i, i) -> (j, j): sum over horizontal counts p.
-
-    Cached: the b-columns of an exit profile re-read the matrix's column n.
-    """
+    """Large Schroeder paths (-i, i) -> (j, j): sum over horizontal counts p."""
     if i < 0 or j < 0:
         raise ValueError(f"indices must be >= 0, got ({i}, {j})")
     return sum(trinomial(i + j - p, p, i - p, j - p) for p in range(min(i, j) + 1))
@@ -52,10 +48,17 @@ def aztec_matrix(n: int) -> ExactMatrix:
 
 
 def aztec_b_column(n: int, ell: int) -> list[int]:
-    """Weights of paths (-i, i) -> (ell, 2n - ell); ell = n restores column n."""
+    """Weights D(i + ell - n, n) of paths (-i, i) -> (ell, 2n - ell); ell = n restores column n.
+
+    Column n of the Delannoy table, walked from D(0, n) = 1 by the recurrence
+    (m+1) D(m+1, n) = (2n+1) D(m, n) + m D(m-1, n) that :func:`_aztec_log_escape` walks in doubles.
+    """
     if not 0 <= ell <= n:
         raise ValueError(f"ell={ell} outside [0, {n}]")
-    return [aztec_entry(i + ell - n, n) if i + ell - n >= 0 else 0 for i in range(n + 1)]
+    column = [1]
+    for m in range(ell):  # at m = 0 the term m D(m-1, n) is 0, whatever column[-1] reads
+        column.append(((2 * n + 1) * column[m] + m * column[m - 1]) // (m + 1))
+    return [0] * (n - ell) + column
 
 
 def aztec_one_point(n: int, ell: int) -> Fraction:

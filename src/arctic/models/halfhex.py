@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, factorial, prod
 from operator import add, sub
+from typing import Callable
 
 # Called as models.binomial, models._bisect, models._ternary_max: tracers and tests
 # replace those names on the hub.
@@ -23,6 +24,7 @@ from . import (
     ModelId,
     Point,
     _binom_exponent,
+    _binomial_column,
     _binomial_row,
     _exact_int,
     _log_path_escape,
@@ -31,7 +33,6 @@ from . import (
 __all__ = [
     "dyck_entry",
     "dyck_matrix",
-    "dyck_closed_L",
     "dyck_closed_L_inv",
     "dyck_u_diagonal",
     "dyck_partition",
@@ -40,7 +41,6 @@ __all__ = [
     "dyck_escape",
     "red_entry",
     "red_matrix",
-    "red_closed_L",
     "red_closed_L_inv",
     "red_u_diagonal",
     "red_partition",
@@ -60,30 +60,23 @@ def dyck_matrix(n: int, k: int) -> ExactMatrix:
     return ExactMatrix.from_function(n + 1, n + 1, lambda i, j: dyck_entry(i, j, k))
 
 
-def dyck_closed_L(n: int, k: int) -> ExactMatrix:
-    """Closed lower factor of the Catalan-Hankel matrix."""
-
-    def entry(i: int, j: int) -> Fraction:
-        if j > i:
-            return Fraction(0)
-        num = factorial(2 * k + 2 * i) * factorial(k + j) * factorial(k + 2 * j + 1)
-        den = factorial(2 * k + 2 * j) * factorial(k + i) * factorial(k + i + j + 1)
-        return Fraction(num, den) * comb(i, j)
-
-    return ExactMatrix.from_function(n + 1, n + 1, entry)
+def _unit_lower_walk(size: int, ratio: Callable[[int, int], Fraction]) -> ExactMatrix:
+    """A unit lower-triangular matrix of Fractions, row i walked leftward from its diagonal 1
+    by entry (i, j-1) = entry (i, j) ratio(i, j) for j = i..1; 0 above the diagonal."""
+    zero, data = Fraction(0), []
+    for i in range(size):
+        row = list(accumulate(range(i, 0, -1), lambda e, j: e * ratio(i, j), initial=Fraction(1)))
+        data += row[::-1] + [zero] * (size - 1 - i)
+    return ExactMatrix(size, size, data)
 
 
 def dyck_closed_L_inv(n: int, k: int) -> ExactMatrix:
-    """The inverse of :func:`dyck_closed_L`."""
-
-    def entry(i: int, j: int) -> Fraction:
-        if j > i:
-            return Fraction(0)
-        num = factorial(2 * k + 2 * i) * factorial(k + j) * factorial(k + i + j)
-        den = factorial(2 * k + 2 * j) * factorial(k + i) * factorial(k + 2 * i)
-        return Fraction((-1) ** (i + j) * num, den) * comb(i, j)
-
-    return ExactMatrix.from_function(n + 1, n + 1, entry)
+    """Inverse of the closed lower factor of the Catalan-Hankel matrix,
+    (-1)^(i+j) C(i, j) (2k+2i)! (k+j)! (k+i+j)! / ((2k+2j)! (k+i)! (k+2i)!) for j <= i;
+    each row walks by the ratio -(2k+2j)(2k+2j-1) j / ((k+j)(k+i+j)(i-j+1)) of column j-1 to j.
+    """
+    return _unit_lower_walk(n + 1, lambda i, j: Fraction(
+        -(2 * k + 2 * j) * (2 * k + 2 * j - 1) * j, (k + j) * (k + i + j) * (i - j + 1)))
 
 
 def dyck_u_diagonal(n: int, k: int) -> list[Fraction]:
@@ -102,10 +95,17 @@ def dyck_partition(n: int, k: int) -> int:
 
 
 def dyck_b_column(n: int, k: int, ell: int) -> list[int]:
-    """Weights of Dyck paths (-2i, 0) -> (2k + n - ell, n + ell)."""
+    """Weights b(a, h) of Dyck paths (-2i, 0) -> (2k + n - ell, n + ell): ballot numbers with
+    h = n + ell and a = h + 2m, m = k - ell + i, zero for m < 0, then walked by
+    b(a+2, h) = b(a, h) (a+2)(a+1) / ((m+1)(m+h+2)).
+    """
     if not 0 <= ell <= n + k:
         raise ValueError(f"ell={ell} outside [0, {n + k}]")
-    return [ballot(2 * k + 2 * i + n - ell, n + ell) for i in range(n + 1)]
+    h, zeros = n + ell, max(ell - k, 0)
+    column = [0] * zeros + [ballot(h + 2 * (k - ell + zeros), h)]
+    for m in range(k - ell + zeros, k - ell + n):
+        column.append(column[-1] * (h + 2 * m + 2) * (h + 2 * m + 1) // ((m + 1) * (m + h + 2)))
+    return column
 
 
 def dyck_one_point(n: int, k: int, ell: int) -> Fraction:
@@ -221,34 +221,12 @@ def red_matrix(n: int, k: int) -> ExactMatrix:
     return ExactMatrix.from_function(k, k, lambda i, j: red_entry(i, j, n))
 
 
-def red_closed_L(n: int, k: int) -> ExactMatrix:
-    """Banded lower factor of the red-path matrix."""
-
-    def entry(i: int, j: int) -> Fraction:
-        if j > i or 2 * j < i:
-            return Fraction(0)
-        num = factorial(i) * factorial(j + 2 * n + 2)
-        den = factorial(i - j) * factorial(2 * j - i) * factorial(i + 2 * n + 2)
-        return Fraction(num, den)
-
-    return ExactMatrix.from_function(k, k, entry)
-
-
 def red_closed_L_inv(n: int, k: int) -> ExactMatrix:
-    """The inverse of :func:`red_closed_L`."""
-
-    def entry(i: int, j: int) -> Fraction:
-        if j > i:
-            return Fraction(0)
-        if i == j:
-            return Fraction(1)
-        if j == 0:
-            return Fraction(0)
-        num = factorial(j + 2 * n + 2) * factorial(2 * i - j - 1)
-        den = factorial(i + 2 * n + 2) * factorial(i - j) * factorial(j - 1)
-        return Fraction((-1) ** (i + j) * num, den)
-
-    return ExactMatrix.from_function(k, k, entry)
+    """Inverse of the banded closed lower factor of the red-path matrix: 1 on the diagonal,
+    (-1)^(i+j) (j+2n+2)! (2i-j-1)! / ((i+2n+2)! (i-j)! (j-1)!) for 1 <= j < i, and 0 at j = 0 < i;
+    each row walks by the ratio -(2i-j)(j-1) / ((j+2n+2)(i-j+1)) of column j-1 to j (0 at j = 1).
+    """
+    return _unit_lower_walk(k, lambda i, j: Fraction(-(2 * i - j) * (j - 1), (j + 2 * n + 2) * (i - j + 1)))
 
 
 def red_u_diagonal(n: int, k: int) -> list[Fraction]:
@@ -268,10 +246,11 @@ def red_partition(n: int, k: int) -> int:
 
 
 def red_b_column(n: int, k: int, ell: int) -> list[int]:
-    """Weights of red paths (i, i + 2n + 2) -> (2k - 2, 2 ell)."""
+    """Weights C(n + k - ell, 2k - 2 - i) of red paths (i, i + 2n + 2) -> (2k - 2, 2 ell):
+    one walked binomial row, read backward."""
     if not 0 <= ell <= n + 1:
         raise ValueError(f"ell={ell} outside [0, {n + 1}]")
-    return [models.binomial(n + k - ell, 2 * k - 2 - i) for i in range(k)]
+    return _binomial_row(n + k - ell, k - 1, 2 * k - 2)[::-1]
 
 
 def red_one_point(n: int, k: int, ell: int) -> Fraction:
@@ -296,10 +275,10 @@ def red_one_point(n: int, k: int, ell: int) -> Fraction:
 def _red_profile(n: int, k: int) -> tuple[Fraction, ...]:
     """:func:`red_one_point` over every exit ell = 0..n+1: suffix sums of one term list.
 
-    Both factors of term s are entries col[m] = C(k-2+m, k-2) of one column,
-    m = n+1-s and n+2+s, walked by col[m+1] = col[m] (k-1+m) / (m+1).
+    Both factors of term s are entries col[m] = C(k-2+m, k-2) of one walked
+    binomial column, m = n+1-s and n+2+s.
     """
-    col = list(accumulate(range(2 * n + 3), lambda c, m: c * (k - 1 + m) // (m + 1), initial=1))
+    col = _binomial_column(k - 2, k - 2, k + 2 * n + 1)
     suffix = accumulate(col[n + 1 - s] * col[n + 2 + s] for s in range(n + 1, -1, -1))
     norm = comb(2 * n + 2 * k, 2 * n + 3)
     return tuple(Fraction(2 * t, norm) for t in reversed(list(suffix)))

@@ -23,10 +23,18 @@ from .. import models
 from ..curves import parabola
 from ..linalg import ExactMatrix
 from ..logspace import _LN2, _grow_log_factorials, _log_comb, _log_comb_run, _log_cumsum
-from . import Lattice, Model, ModelId, _binom_exponent, _binomial_row, _entropy, _log_path_escape
+from . import (
+    Lattice,
+    Model,
+    ModelId,
+    _binom_exponent,
+    _binomial_column,
+    _binomial_row,
+    _entropy,
+    _log_path_escape,
+)
 
 __all__ = [
-    "pascal_closed_L",
     "pascal_closed_L_inv",
     "staircase_entry",
     "staircase_alt_entry",
@@ -86,14 +94,11 @@ def _pascal_verify_seconds(n: int, k: int | None) -> float:
     return 52 * ((n + 1) / 181) ** 6
 
 
-def pascal_closed_L(n: int) -> ExactMatrix:
-    """The Pascal lower factor C(i, j) of the diamond and staircase matrices."""
-    return ExactMatrix.from_function(n + 1, n + 1, lambda i, j: models.binomial(i, j))
-
-
 def pascal_closed_L_inv(n: int) -> ExactMatrix:
-    """The inverse (-1)^(i+j) C(i, j) of :func:`pascal_closed_L`."""
-    return ExactMatrix.from_function(n + 1, n + 1, lambda i, j: (-1) ** (i + j) * models.binomial(i, j))
+    """(-1)^(i+j) C(i, j): the inverse of the Pascal lower factor C(i, j) of the diamond and
+    staircase matrices, row i walked by :func:`_binomial_row` (0 past j = i)."""
+    rows = enumerate(_binomial_row(i, 0, n) for i in range(n + 1))
+    return ExactMatrix(n + 1, n + 1, [-c if (i + j) % 2 else c for i, row in rows for j, c in enumerate(row)])
 
 
 def staircase_entry(i: int, j: int) -> int:
@@ -119,15 +124,17 @@ def staircase_alt_matrix(n: int) -> ExactMatrix:
 
 
 def staircase_b_column(n: int, ell: int) -> list[int]:
+    """C(n + 2i - ell, n) for i = 0..n: every other entry of one walked binomial column."""
     if not 0 <= ell <= 2 * n:
         raise ValueError(f"ell={ell} outside [0, {2 * n}]")
-    return [models.binomial(n + 2 * i - ell, n) for i in range(n + 1)]
+    return _binomial_column(n, n - ell, 3 * n - ell)[::2]
 
 
 def staircase_alt_b_column(n: int, ell: int) -> list[int]:
+    """C(ell + 2i - 2n, n) for i = 0..n: every other entry of one walked binomial column."""
     if not 0 <= ell <= 2 * n:
         raise ValueError(f"ell={ell} outside [0, {2 * n}]")
-    return [models.binomial(ell + 2 * i - 2 * n, n) for i in range(n + 1)]
+    return _binomial_column(n, ell - 2 * n, ell)[::2]
 
 
 def _staircase_prefixes(n: int) -> list[int]:

@@ -13,17 +13,19 @@ the package compiles only what its commands run:
 - :func:`leading_principal_minors` and :func:`leading_corner`: partition
   functions as leading minors, and the truncation property of the LU
   factorizations of the infinite matrices;
-- :func:`aztec_closed_U`: the closed upper factor of the diamond matrix.
+- :func:`aztec_closed_U`: the closed upper factor of the diamond matrix;
+- :func:`pascal_closed_L`, :func:`dyck_closed_L` and :func:`red_closed_L`: the
+  closed lower factors whose inverses the path models' records carry.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Sequence
 
-from arctic import linalg
+from arctic import linalg, models
 from arctic.combinat import binomial
 from arctic.linalg import ExactMatrix
 from arctic.oracle import AsmMatrix, PathFamilySpec
@@ -71,6 +73,37 @@ def leading_principal_minors(m: ExactMatrix) -> list[int]:
 def aztec_closed_U(n: int) -> ExactMatrix:
     """U = 2^i C(j, i), the upper factor of the diamond matrix under the Pascal L."""
     return ExactMatrix.from_function(n + 1, n + 1, lambda i, j: 2**i * binomial(j, i))
+
+
+def pascal_closed_L(n: int) -> ExactMatrix:
+    """The Pascal lower factor C(i, j) of the diamond and staircase matrices."""
+    return ExactMatrix.from_function(n + 1, n + 1, lambda i, j: models.binomial(i, j))
+
+
+def dyck_closed_L(n: int, k: int) -> ExactMatrix:
+    """Closed lower factor of the Catalan-Hankel matrix."""
+
+    def entry(i: int, j: int) -> Fraction:
+        if j > i:
+            return Fraction(0)
+        num = factorial(2 * k + 2 * i) * factorial(k + j) * factorial(k + 2 * j + 1)
+        den = factorial(2 * k + 2 * j) * factorial(k + i) * factorial(k + i + j + 1)
+        return Fraction(num, den) * comb(i, j)
+
+    return ExactMatrix.from_function(n + 1, n + 1, entry)
+
+
+def red_closed_L(n: int, k: int) -> ExactMatrix:
+    """Banded lower factor of the red-path matrix."""
+
+    def entry(i: int, j: int) -> Fraction:
+        if j > i or 2 * j < i:
+            return Fraction(0)
+        num = factorial(i) * factorial(j + 2 * n + 2)
+        den = factorial(i - j) * factorial(2 * j - i) * factorial(i + 2 * n + 2)
+        return Fraction(num, den)
+
+    return ExactMatrix.from_function(k, k, entry)
 
 
 def osculating_config_check(m: AsmMatrix) -> bool:

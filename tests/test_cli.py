@@ -596,12 +596,9 @@ def test_emit_svg_deterministic_and_curve_only():
     assert "<path" in curve_only and "<line" not in curve_only
 
 
-def test_emit_svg_rejects_empty_and_degenerate():
-    curve = MODEL_OPS[ModelId.AZTEC].limit_curve(1.0)
+def test_emit_svg_rejects_empty_figure():
     with pytest.raises(ValueError):
         emit_svg([], [], None)
-    with pytest.raises(ValueError):
-        emit_svg([], [(0.0, 0.0)], curve, frame=(1.0, 1.0, 0.0, 2.0))
 
 
 def test_consecutive_runs_are_byte_identical(tmp_path, capsys):

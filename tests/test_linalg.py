@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arctic.combinat import catalan
+from arctic.combinat import ballot, binomial, catalan
 from arctic.linalg import (
     ExactMatrix,
     SingularMinorError,
@@ -19,10 +19,16 @@ from arctic.linalg import (
     lu_exact,
 )
 from arctic.models import ModelId, MODEL_OPS
-from arctic.models.aztec import aztec_matrix
-from arctic.models.halfhex import dyck_closed_L, dyck_closed_L_inv, dyck_matrix, red_closed_L, red_closed_L_inv
-from arctic.models.staircase import pascal_closed_L, pascal_closed_L_inv, staircase_matrix
-from paper_checks import leading_corner, leading_principal_minors
+from arctic.models.aztec import aztec_entry, aztec_matrix
+from arctic.models.halfhex import dyck_closed_L_inv, dyck_matrix, red_closed_L_inv
+from arctic.models.staircase import pascal_closed_L_inv, staircase_matrix
+from paper_checks import (
+    dyck_closed_L,
+    leading_corner,
+    leading_principal_minors,
+    pascal_closed_L,
+    red_closed_L,
+)
 
 
 def test_matrix_validation():
@@ -91,15 +97,16 @@ def test_matmul_matches_naive_fraction_product(drawn):
         ExactMatrix.from_rows(a) @ ExactMatrix.from_rows(b + [b[0]])
 
 
-@pytest.mark.parametrize(
-    "model,n,k",
-    [
-        (ModelId.AZTEC, 24, None),
-        (ModelId.STAIRCASE, 24, None),
-        (ModelId.DYCK_HALF_HEX, 20, 17),
-        (ModelId.RED_HALF_HEX, 17, 16),
-    ],
-)
+# Path-model sizes at which the exact layer is checked against per-entry references.
+_MODEL_SCALE = [
+    (ModelId.AZTEC, 24, None),
+    (ModelId.STAIRCASE, 24, None),
+    (ModelId.DYCK_HALF_HEX, 20, 17),
+    (ModelId.RED_HALF_HEX, 17, 16),
+]
+
+
+@pytest.mark.parametrize("model,n,k", _MODEL_SCALE)
 def test_matmul_matches_naive_product_at_model_scale(model, n, k):
     """The LU factors, and products of triangular factors whose nonzero spans overlap
     only in part, equal the naive ones in value and in type: ``int`` exactly when whole."""
@@ -113,6 +120,71 @@ def test_matmul_matches_naive_product_at_model_scale(model, n, k):
         want = _naive_product(*([list(x.row(i)) for i in range(x.rows)] for x in (left, right)))
         got = left @ right
         assert [(type(e), e) for e in got._data] == _typed(want)
+
+
+# Entry i of each path record's replacement column at exit ell, one closed form per entry.
+_B_ENTRY = {
+    ModelId.AZTEC: lambda n, k, ell, i: aztec_entry(i + ell - n, n) if i + ell - n >= 0 else 0,
+    ModelId.STAIRCASE: lambda n, k, ell, i: binomial(n + 2 * i - ell, n),
+    ModelId.STAIRCASE_ALT: lambda n, k, ell, i: binomial(ell + 2 * i - 2 * n, n),
+    ModelId.DYCK_HALF_HEX: lambda n, k, ell, i: ballot(2 * k + 2 * i + n - ell, n + ell),
+    ModelId.RED_HALF_HEX: lambda n, k, ell, i: binomial(n + k - ell, 2 * k - 2 - i),
+}
+
+
+def _pascal_l_inv_entry(n, k, i, j):
+    return (-1) ** (i + j) * binomial(i, j)
+
+
+def _dyck_l_inv_entry(n, k, i, j):
+    if j > i:
+        return Fraction(0)
+    f = math.factorial
+    num = f(2 * k + 2 * i) * f(k + j) * f(k + i + j)
+    den = f(2 * k + 2 * j) * f(k + i) * f(k + 2 * i)
+    return Fraction((-1) ** (i + j) * num, den) * math.comb(i, j)
+
+
+def _red_l_inv_entry(n, k, i, j):
+    if j > i or (j == 0 < i):
+        return Fraction(0)
+    if i == j:
+        return Fraction(1)
+    f = math.factorial
+    num = f(j + 2 * n + 2) * f(2 * i - j - 1)
+    den = f(i + 2 * n + 2) * f(i - j) * f(j - 1)
+    return Fraction((-1) ** (i + j) * num, den)
+
+
+# Entry (i, j) of each path record's closed L^-1, one closed form per entry.
+_L_INV_ENTRY = {
+    ModelId.AZTEC: _pascal_l_inv_entry,
+    ModelId.STAIRCASE: _pascal_l_inv_entry,
+    ModelId.STAIRCASE_ALT: _pascal_l_inv_entry,
+    ModelId.DYCK_HALF_HEX: _dyck_l_inv_entry,
+    ModelId.RED_HALF_HEX: _red_l_inv_entry,
+}
+
+
+@pytest.mark.parametrize("model,n,k", _MODEL_SCALE + [
+    (ModelId.STAIRCASE_ALT, 24, None),
+    (ModelId.DYCK_HALF_HEX, 60, 64),
+    (ModelId.DYCK_HALF_HEX, 20, 512),
+])
+def test_walked_columns_and_closed_l_inv_match_their_entry_forms(model, n, k):
+    """Each record's b-columns at every exit, leading zeros included, and its closed L^-1, walked
+    from one seed per column or row, equal the per-entry closed forms in value and in type."""
+    assert set(_B_ENTRY) == set(_L_INV_ENTRY) == {m for m in ModelId if MODEL_OPS[m].has_paths}
+    ops = MODEL_OPS[model]
+    size = ops.matrix(n, k).rows
+    leading_zeros = 0
+    for ell in ops.exits(n, k):
+        want = [_B_ENTRY[model](n, k, ell, i) for i in range(size)]
+        assert [(type(e), e) for e in ops.b_column(n, k, ell)] == [(int, e) for e in want], ell
+        leading_zeros += want[0] == 0
+    assert leading_zeros > 0
+    want = [_L_INV_ENTRY[model](n, k, i, j) for i in range(size) for j in range(size)]
+    assert [(type(e), e) for e in ops.closed_l_inv(n, k)._data] == [(type(e), e) for e in want]
 
 
 def _typed(rows):

@@ -22,7 +22,6 @@ from arctic.models.halfhex import (
     _dyck_recurrence,
     _red_profile,
     dyck_b_column,
-    dyck_closed_L,
     dyck_closed_L_inv,
     dyck_entry,
     dyck_escape,
@@ -37,7 +36,6 @@ from arctic.models.halfhex import (
 )
 from arctic.models.staircase import (
     _staircase_prefixes,
-    pascal_closed_L,
     pascal_closed_L_inv,
     staircase_alt_escape,
     staircase_alt_matrix,
@@ -59,7 +57,7 @@ from arctic.models.vsasm import (
 )
 from arctic.oracle import enumerate_asm, enumerate_vsasm
 from arctic.tangent import finite_n_saddle
-from paper_checks import aztec_closed_U, falling_factorial
+from paper_checks import aztec_closed_U, dyck_closed_L, falling_factorial, pascal_closed_L
 
 
 # ---------------------------------------------------------------------------
