@@ -1,23 +1,23 @@
 """Command-line front end: verification suites, pipelines, and artifacts.
 
+``main`` reads argv against one table of commands and flags, ``GRAMMAR``.
 Every command writes a machine-readable JSON report with one entry per check
 (name, expected, actual, tolerance, pass) and exits 0 only if all checks
-pass; invalid invocations exit 2.  Exact rationals are serialized as
-"num/den" strings, never floats, and all artifacts (JSON, CSV, SVG) are
-byte-identical across runs for identical inputs.
+pass; usage errors exit 2.  Exact rationals are serialized as "num/den"
+strings, never floats, and all artifacts (JSON, CSV, SVG) are byte-identical
+across runs for identical inputs.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from types import SimpleNamespace
+from typing import Any, Iterator, NoReturn, Sequence
 
 from . import __version__
 from .curves import ImplicitCurve, residual
@@ -222,31 +222,29 @@ def emit_svg(
 # ---------------------------------------------------------------------------
 
 
-def _sized_model(args, parser: argparse.ArgumentParser) -> tuple[ModelId, int | None]:
+def _sized_model(args) -> tuple[ModelId, int | None]:
     """The model named by --model and its k, after checking --n and --k."""
     model = ModelId(args.model)
     ops = MODEL_OPS[model]
     if args.k is not None and not ops.needs_k:
-        parser.error(f"model {model.value} takes no --k, got --k {args.k}")
+        error(f"model {model.value} takes no --k, got --k {args.k}", args.command)
     try:
         ops.check_size(args.n, args.k)
     except ValueError as exc:
-        parser.error(str(exc))
+        error(str(exc), args.command)
     if max(args.n, args.k or 0) > EXACT_PROFILE_MAX:
-        parser.error(f"exact sizes go up to {EXACT_PROFILE_MAX}, got n={args.n}, k={args.k}")
+        error(f"exact sizes go up to {EXACT_PROFILE_MAX}, got n={args.n}, k={args.k}", args.command)
     return model, args.k
 
 
-def cmd_verify(args, parser) -> Report:
-    model, k = _sized_model(args, parser)
+def cmd_verify(args) -> Report:
+    model, k = _sized_model(args)
     rep = Report("verify", model.value, {"n": args.n, "k": args.k})
     ops = MODEL_OPS[model]
     fitted = ops.verify_seconds(args.n, k) if ops.verify_seconds else 0.0
     if fitted > VERIFY_SECONDS_MAX:
-        parser.error(
-            f"verify --model {model.value} at n={args.n}, k={k} is fitted at {fitted:.0f} s,"
-            f" above the verify cost bound of {VERIFY_SECONDS_MAX:.0f} s"
-        )
+        error(f"verify --model {model.value} at n={args.n}, k={k} is fitted at {fitted:.0f} s,"
+              f" above the verify cost bound of {VERIFY_SECONDS_MAX:.0f} s", args.command)
     if not ops.has_paths:
         size = args.n
         counts = n_vsasm_refined_counts(size)
@@ -289,8 +287,8 @@ def cmd_verify(args, parser) -> Report:
     return rep
 
 
-def cmd_onepoint(args, parser) -> Report:
-    model, k = _sized_model(args, parser)
+def cmd_onepoint(args) -> Report:
+    model, k = _sized_model(args)
     rep = Report("onepoint", model.value, {"n": args.n, "k": args.k})
     profile = one_point_profile(model, args.n, k)
     with _all_digits():
@@ -307,16 +305,16 @@ def cmd_onepoint(args, parser) -> Report:
     return rep
 
 
-def cmd_oracle(args, parser) -> Report:
-    model, k = _sized_model(args, parser)
+def cmd_oracle(args) -> Report:
+    model, k = _sized_model(args)
     if args.dump and MODEL_OPS[model].has_paths:
-        parser.error(f"--dump lists enumerated objects; the path model {model.value} has none")
+        error(f"--dump lists enumerated objects; the path model {model.value} has none", args.command)
     from . import oracle
 
     try:
         return _oracle_report(oracle, args, model, k)
     except oracle.BudgetExceededError as exc:  # input too large to enumerate
-        parser.error(str(exc))
+        error(str(exc), args.command)
 
 
 def _oracle_report(oracle, args, model: ModelId, k: int | None) -> Report:
@@ -352,61 +350,47 @@ def _oracle_report(oracle, args, model: ModelId, k: int | None) -> Report:
     return rep
 
 
-def _tangents(args, parser) -> tuple[list[TangentLine], list[tuple[float, float]]]:
+def _tangents(args) -> tuple[list[TangentLine], list[tuple[float, float]]]:
     """The tangent family over the --z-min/--z-max grid and its envelope points."""
     zmin, zmax, count = args.z_min, args.z_max, args.count
     if not 8 <= count <= GRID_MAX:
-        parser.error(f"--count must be between 8 and {GRID_MAX}, got {count}")
+        error(f"--count must be between 8 and {GRID_MAX}, got {count}", args.command)
     if not (math.isfinite(zmin) and math.isfinite(zmax)):
-        parser.error(f"--z-min and --z-max must be finite, got {zmin}, {zmax}")
+        error(f"--z-min and --z-max must be finite, got {zmin}, {zmax}", args.command)
     if not zmin < zmax or (args.spacing == "log" and not zmin > 0):
-        parser.error(f"need z_min < z_max, and z_min > 0 for log spacing; got {zmin}, {zmax}")
+        error(f"need z_min < z_max, and z_min > 0 for log spacing; got {zmin}, {zmax}", args.command)
     if args.spacing == "log":
         grid = [zmin * (zmax / zmin) ** (i / (count - 1)) for i in range(count)]
     else:
         grid = [zmin + (zmax - zmin) * i / (count - 1) for i in range(count)]
     if not all(map(math.isfinite, grid)):
-        parser.error(f"the {args.spacing} grid from --z-min {zmin} to --z-max {zmax} overflows")
+        error(f"the {args.spacing} grid from --z-min {zmin} to --z-max {zmax} overflows", args.command)
     try:
         lines = tangent_family(ModelId(args.model), grid, args.x_model)
         points = envelope(lines)
     except ValueError as exc:
-        parser.error(str(exc))
+        error(str(exc), args.command)
     return lines, points
 
 
-def cmd_saddle(args, parser) -> Report:
+def cmd_saddle(args) -> Report:
     model = ModelId(args.model)
-    rep = Report(
-        "saddle",
-        model.value,
-        {"n": args.n, "z": args.z, "x_model": args.x_model, "tolerance": args.tol},
-    )
+    rep = Report("saddle", model.value, {"n": args.n, "z": args.z, "x_model": args.x_model, "tolerance": args.tol})
     try:
         result = finite_n_saddle(model, args.n, args.z, args.x_model)
         target = analytic_saddle(model, args.z, args.x_model)
     except ValueError as exc:
-        parser.error(str(exc))
+        error(str(exc), args.command)
     rep.add("finite-n argmax matches analytic saddle", target, result.xi_hat, args.tol)
     rep.add("argmax plateau is non-degenerate", False, result.degenerate)
     return rep
 
 
-def cmd_envelope(args, parser) -> Report:
+def cmd_envelope(args) -> Report:
     model = ModelId(args.model)
-    rep = Report(
-        "envelope",
-        model.value,
-        {
-            "z_min": args.z_min,
-            "z_max": args.z_max,
-            "count": args.count,
-            "spacing": args.spacing,
-            "x_model": args.x_model,
-            "tolerance": args.tol,
-        },
-    )
-    lines, points = _tangents(args, parser)
+    rep = Report("envelope", model.value, {"z_min": args.z_min, "z_max": args.z_max, "count": args.count,
+                                           "spacing": args.spacing, "x_model": args.x_model, "tolerance": args.tol})
+    lines, points = _tangents(args)
     curve = MODEL_OPS[model].limit_curve(args.x_model)
     residuals = [residual(curve, p) for p in points]
     rep.add("max envelope residual within tolerance", 0.0, max(residuals), args.tol)
@@ -426,15 +410,15 @@ def cmd_envelope(args, parser) -> Report:
     return rep
 
 
-def cmd_curve(args, parser) -> Report:
+def cmd_curve(args) -> Report:
     model = ModelId(args.model)
     rep = Report("curve", model.value, {"samples": args.samples})
     par = MODEL_OPS[model].parametric
     if par is None:
-        parser.error(f"no parametric form for {model.value}; available: "
-                     + ", ".join(sorted(m.value for m, ops in MODEL_OPS.items() if ops.parametric)))
+        error(f"no parametric form for {model.value}; available: "
+              + ", ".join(sorted(m.value for m, ops in MODEL_OPS.items() if ops.parametric)), args.command)
     if not 2 <= args.samples <= GRID_MAX:
-        parser.error(f"--samples must be between 2 and {GRID_MAX}, got {args.samples}")
+        error(f"--samples must be between 2 and {GRID_MAX}, got {args.samples}", args.command)
     t0, t1 = par.t_range
     rows = ["t,x,y,residual"]
     worst = 0.0
@@ -451,14 +435,11 @@ def cmd_curve(args, parser) -> Report:
     return rep
 
 
-def cmd_plot(args, parser) -> Report:
+def cmd_plot(args) -> Report:
     model = ModelId(args.model)
-    rep = Report(
-        "plot",
-        model.value,
-        {"z_min": args.z_min, "z_max": args.z_max, "count": args.count, "x_model": args.x_model},
-    )
-    lines, points = _tangents(args, parser)
+    rep = Report("plot", model.value,
+                 {"z_min": args.z_min, "z_max": args.z_max, "count": args.count, "x_model": args.x_model})
+    lines, points = _tangents(args)
     curve = MODEL_OPS[model].limit_curve(args.x_model)
     _write(Path(args.out), emit_svg(lines, points, curve))
     rep.artifacts.append(args.out)
@@ -469,97 +450,116 @@ def cmd_plot(args, parser) -> Report:
 def _positive(text: str) -> float:
     value = float(text)
     if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+        raise ValueError(f"must be finite and > 0, got {text}")
     return value
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first call and shared by every later one.
-
-    It is only read once built: ``parse_args`` returns a fresh namespace per
-    call and the commands only call ``parser.error``.
-    """
-    parser = argparse.ArgumentParser(
-        prog="arctic",
-        description="Exact lattice-path verification and arctic-curve extraction.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    model_names = [m.value for m in ModelId]
-
-    def add_common(p, with_n=True, with_k=True):
-        p.add_argument("--model", required=True, choices=model_names)
-        if with_n:
-            p.add_argument("--n", type=int, required=True)
-        if with_n and with_k:
-            p.add_argument("--k", type=int, default=None)
-        p.add_argument("--json-out", default=None, help="write the JSON report here")
-
-    p = sub.add_parser("verify", help="exact det/LU/one-point verification")
-    add_common(p)
-
-    p = sub.add_parser("onepoint", help="exact one-point profile as CSV")
-    add_common(p)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("oracle", help="brute-force counts against determinants")
-    add_common(p)
-    p.add_argument("--dump", default=None, help="newline-delimited JSON dump of enumerated objects")
-
-    p = sub.add_parser("saddle", help="finite-n saddle scan against the analytic saddle")
-    add_common(p, with_k=False)
-    p.add_argument("--z", type=float, required=True)
-    p.add_argument("--x-model", type=float, default=1.0)
-    p.add_argument("--tol", type=_positive, default=0.01)
-
-    p = sub.add_parser("envelope", help="tangent family, envelope, and residuals")
-    add_common(p, with_n=False)
-    p.add_argument("--z-min", type=float, required=True)
-    p.add_argument("--z-max", type=float, required=True)
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--spacing", choices=["linear", "log"], default="linear")
-    p.add_argument("--x-model", type=float, default=1.0)
-    p.add_argument("--tol", type=_positive, default=1e-3)
-    p.add_argument("--out-prefix", default=None)
-
-    p = sub.add_parser("curve", help="parametric curve samples and residuals")
-    add_common(p, with_n=False)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--tol", type=_positive, default=1e-12)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("plot", help="SVG figure of tangents, envelope, and curve")
-    add_common(p, with_n=False)
-    p.add_argument("--z-min", type=float, required=True)
-    p.add_argument("--z-max", type=float, required=True)
-    p.add_argument("--count", type=int, default=24)
-    p.add_argument("--spacing", choices=["linear", "log"], default="linear")
-    p.add_argument("--x-model", type=float, default=1.0)
-    p.add_argument("--out", required=True)
-    return parser
-
-
-_COMMANDS = {
-    "verify": cmd_verify,
-    "onepoint": cmd_onepoint,
-    "oracle": cmd_oracle,
-    "saddle": cmd_saddle,
-    "envelope": cmd_envelope,
-    "curve": cmd_curve,
-    "plot": cmd_plot,
+# The command-line grammar: each command's handler, help line and flags.  A flag
+# maps to (type, default, help): the type is a converter that raises ValueError
+# or a tuple of choices, and the default REQUIRED marks a flag that must be given.
+REQUIRED = object()
+_MODEL = {"--model": (tuple(m.value for m in ModelId), REQUIRED, "lattice model"),
+          "--json-out": (str, None, "path of a copy of the JSON report")}
+_SIZED = {**_MODEL, "--n": (int, REQUIRED, "size n"), "--k": (int, None, "size k (dyck and red)")}
+_GRID = {**_MODEL, "--z-min": (float, REQUIRED, "least z of the grid"), "--z-max": (float, REQUIRED, "largest z"),
+         "--spacing": (("linear", "log"), "linear", "grid spacing"), "--x-model": (float, 1.0, "model weight x")}
+GRAMMAR = {
+    "verify": (cmd_verify, "exact det/LU/one-point verification", _SIZED),
+    "onepoint": (cmd_onepoint, "exact one-point profile as CSV", {**_SIZED, "--out": (str, None, "CSV path")}),
+    "oracle": (cmd_oracle, "brute-force counts against determinants",
+               {**_SIZED, "--dump": (str, None, "NDJSON path of the enumerated objects")}),
+    "saddle": (cmd_saddle, "finite-n saddle scan against the analytic saddle",
+               {**_MODEL, "--n": _SIZED["--n"], "--z": (float, REQUIRED, "tangent parameter z"),
+                "--x-model": _GRID["--x-model"], "--tol": (_positive, 0.01, "tolerance of the check")}),
+    "envelope": (cmd_envelope, "tangent family, envelope, and residuals",
+                 {**_GRID, "--count": (int, 200, "tangent lines"), "--tol": (_positive, 1e-3, "tolerance of the check"),
+                  "--out-prefix": (str, None, "path prefix of the CSV and SVG")}),
+    "curve": (cmd_curve, "parametric curve samples and residuals", {**_MODEL, "--samples": (int, 1000, "samples"),
+              "--tol": (_positive, 1e-12, "tolerance of the check"), "--out": (str, None, "CSV path")}),
+    "plot": (cmd_plot, "SVG figure of tangents, envelope, and curve",
+             {**_GRID, "--count": (int, 24, "tangent lines"), "--out": (str, REQUIRED, "SVG path")}),
 }
 
 
+def _usage(command: str | None) -> str:
+    """The usage of ``command``, or of the program and its commands when None."""
+    if command is None:
+        commands = "".join(f"\n  {name:<10} {text}" for name, (_, text, _) in GRAMMAR.items())
+        return f"usage: arctic [-h] COMMAND [flags]; 'arctic COMMAND --help' lists them{commands}\n"
+    shown = []
+    for flag, (kind, default, _) in GRAMMAR[command][2].items():
+        text = f"{flag} {{{','.join(kind)}}}" if isinstance(kind, tuple) else f"{flag} {flag[2:].upper()}"
+        shown.append(text if default is REQUIRED else f"[{text}]")
+    return f"usage: arctic {command} [-h] {' '.join(shown)}\n"
+
+
+def _help(command: str | None) -> NoReturn:
+    """Print the usage of ``command`` (of the program when None) and the help of its flags; exit 0."""
+    rows = [] if command is None else [GRAMMAR[command][1], *(
+        f"  {flag:<12} {text} ({'required' if default is REQUIRED else f'default: {default}'})"
+        for flag, (_, default, text) in GRAMMAR[command][2].items())]
+    sys.stdout.write(_usage(command) + "".join(row + "\n" for row in rows))
+    raise SystemExit(0)
+
+
+def error(message: str, command: str | None = None) -> NoReturn:
+    """Print the usage (of ``command`` when given) and ``message`` to standard error; exit 2."""
+    sys.stderr.write(f"{_usage(command)}arctic{f' {command}' if command else ''}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """Read ``argv`` against ``GRAMMAR``: a command, then its flags in any order.
+
+    A flag is named in full (no prefixes) and takes one value, as ``--flag value``
+    or ``--flag=value``; a token starting with ``--`` is never a value, and a
+    repeated flag keeps its last value.  ``-h``/``--help`` prints usage and exits
+    0; any other fault is a usage error.
+    """
+    command, tokens = argv[0] if argv else None, iter(argv[1:])
+    if command in ("-h", "--help"):
+        _help(None)
+    if command not in GRAMMAR:
+        error(f"unknown command {command!r}" if command else "no command given")
+    flags, given = GRAMMAR[command][2], {}
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _help(command)
+        flag, eq, text = token.partition("=")
+        if flag not in flags:
+            error(f"unrecognized argument {token!r}", command)
+        if not eq and (text := next(tokens, "--")).startswith("--"):
+            error(f"argument {flag} expects a value", command)
+        given[flag] = text
+    args = SimpleNamespace(command=command)
+    for flag, (kind, default, _) in flags.items():
+        text = given.get(flag)
+        if text is None:
+            if default is REQUIRED:
+                error(f"argument {flag} is required", command)
+            value = default
+        elif isinstance(kind, tuple):
+            if text not in kind:
+                error(f"argument {flag}: invalid choice {text!r} (choose from {', '.join(kind)})", command)
+            value = text
+        else:
+            try:
+                value = kind(text)
+            except ValueError as exc:
+                error(f"argument {flag}: {exc}", command)
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        report = _COMMANDS[args.command](args, parser)
+        report = GRAMMAR[args.command][0](args)
         text = report.to_json()
-        if getattr(args, "json_out", None):
+        if args.json_out:
             _write(Path(args.json_out), text)
     except OSError as exc:  # an artifact path that cannot be written
-        parser.error(str(exc))
+        error(str(exc), args.command)
     sys.stdout.write(text)
     return 0 if report.passed else 1
 
