@@ -57,11 +57,6 @@ class ImplicitCurve(_CurveFields):
         gy = sum(c * j * x**i * y ** (j - 1) for (i, j), c in self.coefficients if j > 0)
         return gx, gy
 
-    def contains(self, point: tuple[float, float]) -> bool:
-        (x0, x1), (y0, y1) = self.window
-        x, y = point
-        return x0 <= x <= x1 and y0 <= y <= y1
-
 
 class ParametricCurve(NamedTuple):
     name: str
@@ -74,7 +69,7 @@ def residual(curve: ImplicitCurve, point: tuple[float, float]) -> float:
     """|P| / max(|grad P|, 1): a first-order distance proxy.
 
     Points outside the curve's window are still evaluated; window membership
-    is the caller's concern (see :meth:`ImplicitCurve.contains`).
+    is the caller's concern.
     """
     x, y = point
     gx, gy = curve.gradient(x, y)

@@ -13,11 +13,12 @@ row's nonzero span) divided once unless both sides are integral.
 Determinants are deliberately available through two independent routes
 (Bareiss elimination and the product of LU pivots) so the two can be
 cross-checked; a disagreement is treated as a test failure, never a
-warning.  One Bareiss loop gives determinants.  Run on the
-transpose and followed by a fraction-free back substitution, it gives the
-cofactor row of the last column, so every last-column minor (the matrix's own
-last column gives its determinant) is one integer dot product, without
-reading an LU factor.
+warning.  One Bareiss loop gives determinants, without row swaps: a leading
+minor of a model matrix counts a path family, so one of order < n that vanishes
+raises.  Run on the transpose and followed by a fraction-free back substitution,
+it gives the cofactor row of the last column, so every last-column minor (the
+matrix's own last column gives its determinant) is one integer dot product,
+without reading an LU factor.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ _EXACT_TYPES = {int, Fraction}
 
 
 class SingularMinorError(ValueError):
-    """A leading principal minor needed by pivot-free LU vanished."""
+    """A leading principal minor needed by pivot-free LU or Bareiss elimination vanished."""
 
     def __init__(self, index: int):
         self.index = index
@@ -192,39 +193,30 @@ def _rows(m: ExactMatrix) -> list[list[Scalar]]:
     return [list(m.row(i)) for i in range(m.rows)]
 
 
-def _bareiss_pivots(a: list[list[Scalar]], steps: int, swaps: bool = True) -> list[int]:
+def _bareiss_pivots(a: list[list[Scalar]], steps: int) -> list[int]:
     """Bareiss elimination of the first ``steps`` columns of the square ``a``, in place.
 
     After step k, entry (i, j) with i, j > k is the minor on rows 0..k, i and
     columns 0..k, j (Sylvester's identity): pivot k is the order-(k+1) leading
     minor and each division is an exact ``//`` in ``int`` (TypeError otherwise).
-    Row swaps, made only when a leading minor vanishes, flip the sign of later
-    pivots so that the last one is det; with ``swaps`` false they raise instead.
+    No row is swapped: a zero pivot that a later step would divide by raises
+    :class:`SingularMinorError` with its index; only pivot len(a) - 1 may be 0.
     """
     if not all(isinstance(e, int) for row in a for e in row):
         raise TypeError("Bareiss elimination needs int entries")
-    n = len(a)
-    sign = prev = 1
-    pivots: list[int] = []
+    prev, pivots = 1, []
     for k in range(steps):
-        if a[k][k] == 0:
-            if not swaps:
-                raise SingularMinorError(k)
-            pivot_row = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if pivot_row is None:
-                # Entire lower column zero: determinant is zero.
-                return pivots + [0] * (steps - k)
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
         top = a[k]
         pivot = top[k]
+        if pivot == 0 and k < len(a) - 1:
+            raise SingularMinorError(k)
         for row in a[k + 1:]:
             factor, row[k] = row[k], 0
             row[k + 1:] = [
                 (x * pivot - factor * y) // prev for x, y in zip(row[k + 1:], top[k + 1:])
             ]
         prev = pivot
-        pivots.append(sign * pivot)
+        pivots.append(pivot)
     return pivots
 
 
@@ -252,7 +244,7 @@ def last_column_minors(m: ExactMatrix, columns: Sequence[Sequence[Scalar]]) -> l
         raise ValueError(f"replacement column of another height than {m.rows}")
     a = [list(col) for col in zip(*_rows(m))]
     n = len(a)
-    pivots = _bareiss_pivots(a, n - 1, swaps=False)
+    pivots = _bareiss_pivots(a, n - 1)
     x = [0] * (n - 1) + [pivots[-1] if pivots else 1]
     for i in reversed(range(n - 1)):
         row = a[i]

@@ -13,7 +13,10 @@ Each path model provides:
   decomposition, each row walked by its term ratio,
 * the replacement last column ``*_b_column`` for a path exiting at height
   ``ell``, walked from one seed,
-* the positive-sum one-point function ``*_one_point``,
+* the positive-sum one-point function, ``*_one_point`` for the half-hexagon;
+  the diamond and both staircases read prefixes of one Pascal row, and their
+  shared fields (one-point function, profiles, inverse Pascal L, partition
+  function) come from one builder given each model's exit-to-prefix map,
 * the escape weight counting continuations to the distant target.
 
 Every model, the osculating one included, also has log-space versions of the

@@ -2,14 +2,14 @@
 arctic curve is the circle.
 
 Its matrix and b-columns walk Delannoy recurrences, checked against the trinomial
-sum :func:`aztec_entry`.  Its one-point function, profiles, closed L^-1 and
-verify-time fit are the Pascal-row ones of :mod:`arctic.models.staircase`.
+sum :func:`aztec_entry`.  Its one-point function, profiles, closed L^-1,
+partition function and verify-time fit are the Pascal-row fields of
+:mod:`arctic.models.staircase`, with exit ell reading prefix ell.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Callable
 
 from ..combinat import trinomial
@@ -17,13 +17,12 @@ from ..curves import CIRCLE_ARC, circle
 from ..linalg import ExactMatrix
 from ..logspace import _LN2
 from . import Lattice, Model, ModelId, _entropy, _xlogx
-from .staircase import _pascal_prefix, _pascal_row_profiles, _pascal_verify_seconds, pascal_closed_L_inv
+from .staircase import _pascal_fields
 
 __all__ = [
     "aztec_entry",
     "aztec_matrix",
     "aztec_b_column",
-    "aztec_one_point",
     "aztec_escape",
     "AZTEC",
 ]
@@ -59,13 +58,6 @@ def aztec_b_column(n: int, ell: int) -> list[int]:
     for m in range(ell):  # at m = 0 the term m D(m-1, n) is 0, whatever column[-1] reads
         column.append(((2 * n + 1) * column[m] + m * column[m - 1]) // (m + 1))
     return [0] * (n - ell) + column
-
-
-def aztec_one_point(n: int, ell: int) -> Fraction:
-    """H(n, ell) = 2^-n sum_{p<=ell} C(n, p)."""
-    if not 0 <= ell <= n:
-        raise ValueError(f"ell={ell} outside [0, {n}]")
-    return _pascal_prefix(n, ell)
 
 
 def aztec_escape(ell: int, k: int, n: int) -> int:
@@ -144,8 +136,7 @@ def _aztec_action(z: float, xi: float, x: float | None) -> tuple[float, float]:
 AZTEC = Model(
     model=ModelId.AZTEC,
     exits=lambda n, k: range(n + 1),
-    one_point=lambda n, k, ell: aztec_one_point(n, ell),
-    **_pascal_row_profiles(lambda n: range(n + 1)),
+    **_pascal_fields(lambda n: range(n + 1)),
     escape=lambda n, k, target, ell: aztec_escape(ell, target, n),
     log_escape=_aztec_log_escape,
     z_range=(1.0, math.inf),
@@ -156,11 +147,8 @@ AZTEC = Model(
     tangency=lambda x: [(0.5, 1.5), (-0.5, 1.5), (0.5, 0.5), (-0.5, 0.5)],
     parametric=CIRCLE_ARC,
     matrix=lambda n, k: aztec_matrix(n),
-    closed_l_inv=lambda n, k: pascal_closed_L_inv(n),
     b_column=lambda n, k, ell: aztec_b_column(n, ell),
-    partition=lambda n, k: 2 ** (n * (n + 1) // 2),
     reference_ell=lambda n, k: n,
-    verify_seconds=_pascal_verify_seconds,
     lattice=Lattice(
         steps=((1, 1), (1, -1), (2, 0)),
         starts=lambda n, k: ((-i, i) for i in range(n + 1)),

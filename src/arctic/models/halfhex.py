@@ -320,7 +320,7 @@ def _red_action(z: float, xi: float, x: float | None) -> tuple[float, float]:
 DYCK_HALF_HEX = Model(
     model=ModelId.DYCK_HALF_HEX,
     exits=lambda n, k: range(n + k + 1),
-    one_point=lambda n, k, ell: dyck_one_point(n, k, ell),
+    one_point=dyck_one_point,
     exact_profile=_dyck_profile,
     escape=lambda n, k, target, ell: dyck_escape(target, ell),
     log_profile=_dyck_log_profile,
@@ -333,10 +333,10 @@ DYCK_HALF_HEX = Model(
     limit_curve=ellipse,
     tangency=_dyck_tangency,
     needs_k=True,
-    matrix=lambda n, k: dyck_matrix(n, k),
-    closed_l_inv=lambda n, k: dyck_closed_L_inv(n, k),
-    b_column=lambda n, k, ell: dyck_b_column(n, k, ell),
-    partition=lambda n, k: dyck_partition(n, k),
+    matrix=dyck_matrix,
+    closed_l_inv=dyck_closed_L_inv,
+    b_column=dyck_b_column,
+    partition=dyck_partition,
     reference_ell=lambda n, k: 0,
     # Fitted to 22 timings of 0.7-70 s; the elimination of an (n+1)-square
     # matrix whose entries grow by 2 bits per unit of k.
@@ -355,7 +355,7 @@ DYCK_HALF_HEX = Model(
 RED_HALF_HEX = Model(
     model=ModelId.RED_HALF_HEX,
     exits=lambda n, k: range(n + 2),
-    one_point=lambda n, k, ell: red_one_point(n, k, ell),
+    one_point=red_one_point,
     exact_profile=_red_profile,
     escape=lambda n, k, target, ell: dyck_escape(target, ell),
     log_profile=_red_log_profile,
@@ -367,10 +367,10 @@ RED_HALF_HEX = Model(
     limit_curve=ellipse,
     tangency=lambda x: [(2 * x * (1 + x) / (2 + x), 4 * (1 + x) / (2 + x)), (2 * x, 0.0)],
     needs_k=True,
-    matrix=lambda n, k: red_matrix(n, k),
-    closed_l_inv=lambda n, k: red_closed_L_inv(n, k),
-    b_column=lambda n, k, ell: red_b_column(n, k, ell),
-    partition=lambda n, k: red_partition(n, k),
+    matrix=red_matrix,
+    closed_l_inv=red_closed_L_inv,
+    b_column=red_b_column,
+    partition=red_partition,
     reference_ell=lambda n, k: 0,
     # Fitted to the 16 timings of 10-256 s; the elimination of a k-square
     # matrix whose entries vanish more than n + 1 places right of the diagonal.

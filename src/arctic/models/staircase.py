@@ -1,5 +1,8 @@
 """The staircase model in both formulations, whose arctic curve is the
-parabola, and the Pascal-row helpers it shares with the diamond.
+parabola, and the Pascal-row record fields it shares with the diamond.
+
+The three Pascal-row models differ only in the prefix m of 2^-n sum_{j <= m} C(n, j)
+that each exit reads; :func:`_pascal_fields` builds their shared fields from that map.
 
 Note on the staircase model: its saddle relation is z(xi) = 2(1-xi)^2/(2-xi).
 The factor 2 matters; dropping it (an easy slip when eliminating the inner
@@ -16,7 +19,7 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb
 from operator import sub
-from typing import Callable, Iterable
+from typing import Callable, Sequence
 
 # Called as models.binomial: tracers and tests replace that name on the hub.
 from .. import models
@@ -42,8 +45,6 @@ __all__ = [
     "staircase_alt_matrix",
     "staircase_b_column",
     "staircase_alt_b_column",
-    "staircase_one_point",
-    "staircase_alt_one_point",
     "staircase_escape",
     "staircase_alt_escape",
     "STAIRCASE",
@@ -70,28 +71,39 @@ def _log_pascal_row(n: int) -> tuple[float, ...]:
     return tuple(map(sub, _log_cumsum(_log_comb_run(n, 0, 0, 1, n + 1)), repeat(n * _LN2)))
 
 
-def _pascal_row_profiles(ms: Callable[[int], Iterable[int]]) -> dict[str, Callable]:
-    """Exact and log profile fields of a Pascal-row model whose exits read prefixes ms(n).
+def _pascal_fields(prefixes: Callable[[int], Sequence[int]]) -> dict[str, Callable]:
+    """The record fields of a Pascal-row model whose exit ell reads prefix m = prefixes(n)[ell].
 
-    The exact profile is :func:`_pascal_prefix` at each m (0 for m < 0), one Fraction
-    per prefix of one walked row; the log profile reads the same prefixes of
-    :func:`_log_pascal_row` (-inf for m < 0).
+    Its matrix has the Pascal lower factor C(i, j) and the U diagonal 2^i, so the
+    closed L^-1, the partition function and the verify-time fit are shared.  The
+    one-point function is :func:`_pascal_prefix` at m, 0 for m < 0; the exact
+    profile reads every prefix of one walked row, the log profile the same
+    prefixes of :func:`_log_pascal_row` (-inf for m < 0).
     """
+
+    def one_point(n: int, k: int | None, ell: int) -> Fraction:
+        ms = prefixes(n)
+        if not 0 <= ell < len(ms):
+            raise ValueError(f"ell={ell} outside [0, {len(ms) - 1}]")
+        return _pascal_prefix(n, ms[ell])
 
     def exact_profile(n: int, k: int | None) -> tuple[Fraction, ...]:
         row, zero = [Fraction(p, 1 << n) for p in accumulate(_binomial_row(n, 0, n))], Fraction(0)
-        return tuple(row[m] if m >= 0 else zero for m in ms(n))
+        return tuple(row[m] if m >= 0 else zero for m in prefixes(n))
 
     def log_profile(n: int, k: int | None) -> tuple[float, ...]:
         row = _log_pascal_row(n)
-        return tuple(row[m] if m >= 0 else -math.inf for m in ms(n))
+        return tuple(row[m] if m >= 0 else -math.inf for m in prefixes(n))
 
-    return {"exact_profile": exact_profile, "log_profile": log_profile}
-
-
-def _pascal_verify_seconds(n: int, k: int | None) -> float:
-    """Fitted ``verify`` time of the diamond and both staircases (13 timings of 0.8-131 s)."""
-    return 52 * ((n + 1) / 181) ** 6
+    return {
+        "one_point": one_point,
+        "exact_profile": exact_profile,
+        "log_profile": log_profile,
+        "closed_l_inv": lambda n, k: pascal_closed_L_inv(n),
+        "partition": lambda n, k: 2 ** (n * (n + 1) // 2),
+        # Fitted to 13 timings of 0.8-131 s.
+        "verify_seconds": lambda n, k: 52 * ((n + 1) / 181) ** 6,
+    }
 
 
 def pascal_closed_L_inv(n: int) -> ExactMatrix:
@@ -142,20 +154,6 @@ def _staircase_prefixes(n: int) -> list[int]:
     return [n] * n + list(range(n, -1, -1))
 
 
-def staircase_one_point(n: int, ell: int) -> Fraction:
-    """H(n; ell) = 2^-n sum_{j <= min(n, 2n-ell)} C(n, j)."""
-    if not 0 <= ell <= 2 * n:
-        raise ValueError(f"ell={ell} outside [0, {2 * n}]")
-    return _pascal_prefix(n, min(n, 2 * n - ell))
-
-
-def staircase_alt_one_point(n: int, ell: int) -> Fraction:
-    """H_2(n; ell) = 2^-n sum_{j <= ell-n} C(n, j); zero for ell < n."""
-    if not 0 <= ell <= 2 * n:
-        raise ValueError(f"ell={ell} outside [0, {2 * n}]")
-    return _pascal_prefix(n, ell - n)
-
-
 def staircase_escape(n: int, p: int, ell: int) -> int:
     """Single path (ell, n) -> (0, p) whose first step is up."""
     if p < n:
@@ -192,8 +190,7 @@ def _staircase_alt_action(z: float, xi: float, x: float | None) -> tuple[float, 
 STAIRCASE = Model(
     model=ModelId.STAIRCASE,
     exits=lambda n, k: range(2 * n + 1),
-    one_point=lambda n, k, ell: staircase_one_point(n, ell),
-    **_pascal_row_profiles(_staircase_prefixes),
+    **_pascal_fields(_staircase_prefixes),
     escape=lambda n, k, target, ell: staircase_escape(n, target, ell),
     log_escape=lambda n, target, k: _log_path_escape(target - n),
     z_range=(1.0, math.inf),
@@ -203,11 +200,8 @@ STAIRCASE = Model(
     limit_curve=lambda x: parabola(),
     tangency=lambda x: [(0.0, 0.0), (2.0, 0.0)],
     matrix=lambda n, k: staircase_matrix(n),
-    closed_l_inv=lambda n, k: pascal_closed_L_inv(n),
     b_column=lambda n, k, ell: staircase_b_column(n, ell),
-    partition=lambda n, k: 2 ** (n * (n + 1) // 2),
     reference_ell=lambda n, k: 0,
-    verify_seconds=_pascal_verify_seconds,
     lattice=Lattice(
         steps=((-1, 0), (0, 1)),
         starts=lambda n, k: ((2 * i, 0) for i in range(n + 1)),
@@ -220,8 +214,7 @@ STAIRCASE = Model(
 STAIRCASE_ALT = Model(
     model=ModelId.STAIRCASE_ALT,
     exits=lambda n, k: range(2 * n + 1),
-    one_point=lambda n, k, ell: staircase_alt_one_point(n, ell),
-    **_pascal_row_profiles(lambda n: range(-n, n + 1)),  # m = ell - n
+    **_pascal_fields(lambda n: range(-n, n + 1)),  # m = ell - n
     escape=lambda n, k, target, ell: staircase_alt_escape(n, target, ell),
     # C(m, c) is log-concave in m = 2n-1-ell: C(m+1, c) / C(m, c) = (m+1) / (m+1-c) falls.
     log_escape=lambda n, target, k: lambda ell: _log_comb(2 * n - ell - 1, target - n - 1),
@@ -234,11 +227,8 @@ STAIRCASE_ALT = Model(
     limit_curve=lambda x: parabola(),
     tangency=lambda x: [(0.0, 0.0), (2.0, 0.0)],
     matrix=lambda n, k: staircase_alt_matrix(n),
-    closed_l_inv=lambda n, k: pascal_closed_L_inv(n),
     b_column=lambda n, k, ell: staircase_alt_b_column(n, ell),
-    partition=lambda n, k: 2 ** (n * (n + 1) // 2),
     reference_ell=lambda n, k: 2 * n,
-    verify_seconds=_pascal_verify_seconds,
     # Row i of the counting matrix is the start (2(n-i), 0): the leftmost
     # start must reach the topmost end for the family to be non-crossing.
     lattice=Lattice(

@@ -64,10 +64,10 @@ def leading_corner(m: ExactMatrix, size: int) -> ExactMatrix:
 def leading_principal_minors(m: ExactMatrix) -> list[int]:
     """Determinants of all leading principal submatrices, in one elimination.
 
-    Only valid when no row swap is needed (all leading minors nonzero), which
-    holds for every model matrix in this package; a required swap raises.
+    Only valid when all leading minors of order < n are nonzero, which holds for
+    every model matrix in this package; a vanishing one raises with its index.
     """
-    return linalg._bareiss_pivots(linalg._rows(m), m.rows, swaps=False)
+    return linalg._bareiss_pivots(linalg._rows(m), m.rows)
 
 
 def aztec_closed_U(n: int) -> ExactMatrix:

@@ -37,12 +37,6 @@ def test_curve_validation():
         MODEL_OPS[ModelId.DYCK_HALF_HEX].limit_curve(0.0)
 
 
-def test_window_membership():
-    circle = MODEL_OPS[ModelId.AZTEC].limit_curve(1.0)
-    assert circle.contains((0.0, 1.0))
-    assert not circle.contains((2.0, 1.0))
-
-
 def test_vsasm_parametric_endpoints():
     assert vsasm_parametric(0.0) == (0.5, 0.0)
     x1, y1 = vsasm_parametric(1.0)

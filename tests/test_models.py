@@ -15,8 +15,8 @@ from arctic import models as md
 from arctic.combinat import binomial
 from arctic.linalg import ExactMatrix, det_bareiss, last_column_minors, lu_exact
 from arctic.logspace import LOG_FACTORIAL_CAP, _log_factorial, _log_factorials
-from arctic.models import ModelId
-from arctic.models.aztec import aztec_entry, aztec_escape, aztec_matrix, aztec_one_point
+from arctic.models import MODEL_OPS, ModelId
+from arctic.models.aztec import aztec_entry, aztec_escape, aztec_matrix
 from arctic.models.halfhex import (
     _dyck_profile,
     _dyck_recurrence,
@@ -39,11 +39,9 @@ from arctic.models.staircase import (
     pascal_closed_L_inv,
     staircase_alt_escape,
     staircase_alt_matrix,
-    staircase_alt_one_point,
     staircase_entry,
     staircase_escape,
     staircase_matrix,
-    staircase_one_point,
 )
 from arctic.models.vsasm import (
     _factorial_ratio,
@@ -136,11 +134,12 @@ def test_aztec_closed_lu_reconstructs():
 
 
 def test_aztec_one_point_values():
-    assert aztec_one_point(5, 5) == 1
-    assert aztec_one_point(2, 0) == Fraction(1, 4)
-    assert aztec_one_point(2, 1) == Fraction(3, 4)
-    with pytest.raises(ValueError):
-        aztec_one_point(3, 4)
+    one_point = MODEL_OPS[ModelId.AZTEC].one_point
+    assert one_point(5, None, 5) == 1
+    assert one_point(2, None, 0) == Fraction(1, 4)
+    assert one_point(2, None, 1) == Fraction(3, 4)
+    with pytest.raises(ValueError, match="outside"):
+        one_point(3, None, 4)
 
 
 def test_aztec_escape_values():
@@ -289,14 +288,16 @@ def test_staircase_closed_factors():
 
 
 def test_staircase_one_point_values():
-    assert staircase_one_point(4, 0) == 1
-    assert staircase_one_point(2, 3) == Fraction(3, 4)
-    assert staircase_alt_one_point(5, 10) == 1
+    one_point = MODEL_OPS[ModelId.STAIRCASE].one_point
+    alt_one_point = MODEL_OPS[ModelId.STAIRCASE_ALT].one_point
+    assert one_point(4, None, 0) == 1
+    assert one_point(2, None, 3) == Fraction(3, 4)
+    assert alt_one_point(5, None, 10) == 1
     for n in range(1, 6):
         for ell in range(0, n):
-            assert staircase_alt_one_point(n, ell) == 0
-    with pytest.raises(ValueError):
-        staircase_one_point(2, 5)
+            assert alt_one_point(n, None, ell) == 0
+    with pytest.raises(ValueError, match="outside"):
+        one_point(2, None, 5)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 64, 4096])
