@@ -28,6 +28,14 @@ def test_residual_is_gradient_normalized():
     assert residual(circle, (0.0, 1 + 1 / math.sqrt(2))) < 1e-15
 
 
+def test_residual_evaluates_points_outside_window():
+    circle = MODEL_OPS[ModelId.AZTEC].limit_curve(1.0)
+    (x0, x1), _ = circle.window
+    assert not x0 <= 2.0 <= x1
+    # P(2, 1) = 4 - 1/2 = 7/2 and grad P(2, 1) = (4, 0): no clipping to the window.
+    assert residual(circle, (2.0, 1.0)) == 0.875
+
+
 def test_curve_validation():
     with pytest.raises(ValueError):
         ImplicitCurve("zero", (((0, 0), 0.0),), ((0, 1), (0, 1)))
