@@ -26,10 +26,6 @@ from .models import EXACT_PROFILE_MAX, MODEL_OPS, ModelId, one_point_profile
 from .models.vsasm import n_vsasm, n_vsasm_refined_counts, raz_strog_check
 from .tangent import TangentLine, analytic_saddle, envelope, finite_n_saddle, tangent_family
 
-# The commands call the oracle's `enumerate_vsasm` as an attribute of this module,
-# where tests and the bench tracer replace it; `__getattr__` loads it on first use.
-_this = sys.modules[__name__]
-
 # Most tangent lines (--count) or curve samples (--samples) one command builds;
 # an unbounded value would be built as one list and could exhaust memory.
 GRID_MAX = 2**20
@@ -57,45 +53,22 @@ def _all_digits() -> Iterator[None]:
             sys.set_int_max_str_digits(limit)
 
 
-def __getattr__(name: str) -> Any:
-    """``enumerate_vsasm``, read from :mod:`arctic.oracle` when first asked for (PEP 562).
+def enumerate_vsasm(size: int) -> tuple[list, list[int]]:
+    """:func:`arctic.oracle.enumerate_vsasm`, its module loaded at the first call.
 
     Only ``oracle`` and ``verify`` at VSASM sizes up to 7 run the brute-force
     oracle, so no other command imports (and, without a bytecode cache,
-    compiles) it.
+    compiles) it.  The commands call this as a global of this module, where
+    tests and the bench tracer replace it.
     """
-    if name == "enumerate_vsasm":
-        from .oracle import enumerate_vsasm
+    from . import oracle
 
-        return enumerate_vsasm
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return oracle.enumerate_vsasm(size)
 
 
 def fraction_str(f: Fraction) -> str:
     with _all_digits():
         return f"{f.numerator}/{f.denominator}"
-
-
-class Check:
-    __slots__ = ("name", "expected", "actual", "tolerance")
-
-    def __init__(self, name: str, expected: Any, actual: Any, tolerance: Any = "exact") -> None:
-        self.name, self.expected, self.actual, self.tolerance = name, expected, actual, tolerance
-
-    @property
-    def passed(self) -> bool:
-        if self.tolerance == "exact":
-            return self.expected == self.actual
-        return abs(float(self.expected) - float(self.actual)) <= float(self.tolerance)
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "expected": self.expected,
-            "actual": self.actual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
 
 
 class Report:
@@ -106,12 +79,19 @@ class Report:
         self.checks, self.artifacts = [], []
 
     def add(self, name: str, expected: Any, actual: Any, tolerance: Any = "exact") -> None:
-        self.checks.append(Check(name, expected, actual, tolerance))
+        """Record one check as the dict the report prints, its verdict taken now."""
+        if tolerance == "exact":
+            ok = expected == actual
+        else:
+            ok = abs(float(expected) - float(actual)) <= float(tolerance)
+        self.checks.append(
+            {"name": name, "expected": expected, "actual": actual, "tolerance": tolerance, "pass": ok}
+        )
 
     @property
     def passed(self) -> bool:
         """True when there are checks and all of them pass; no checks fail."""
-        return bool(self.checks) and all(c.passed for c in self.checks)
+        return bool(self.checks) and all(c["pass"] for c in self.checks)
 
     def to_json(self) -> str:
         payload = {
@@ -119,7 +99,7 @@ class Report:
             "model": self.model,
             "params": self.params,
             "version": __version__,
-            "checks": [c.as_dict() for c in self.checks],
+            "checks": self.checks,
             "artifacts": self.artifacts,
         }
         with _all_digits():
@@ -249,7 +229,7 @@ def cmd_verify(args) -> Report:
         size = args.n
         counts = n_vsasm_refined_counts(size)
         if size <= 7:
-            matrices, hist = _this.enumerate_vsasm(size)
+            matrices, hist = enumerate_vsasm(size)
             rep.add("vsasm count equals product formula", n_vsasm(size), len(matrices))
             rep.add("refined formula equals brute-force histogram", counts, hist)
         if size >= 5:
@@ -311,32 +291,28 @@ def cmd_oracle(args) -> Report:
         error(f"--dump lists enumerated objects; the path model {model.value} has none", args.command)
     from . import oracle
 
+    ops = MODEL_OPS[model]
     try:
-        return _oracle_report(oracle, args, model, k)
+        if not ops.has_paths:
+            size = args.n
+            rep = Report("oracle", model.value, {"size": size})
+            matrices, hist = enumerate_vsasm(size)
+            rep.add("brute-force count equals product formula", n_vsasm(size), len(matrices))
+            rep.add("histogram equals refined formula", n_vsasm_refined_counts(size), hist)
+            if args.dump:
+                payload = "\n".join(json.dumps({"entries": m.entries}) for m in matrices)
+                _write(Path(args.dump), payload + "\n")
+                rep.artifacts.append(args.dump)
+            return rep
+        rep = Report("oracle", model.value, {"n": args.n, "k": args.k})
+        # The oracle's functions are read at call time, where tests replace them.
+        spec = oracle.model_path_spec(model, args.n, k)
+        exits = {ell: oracle.model_exit_point(model, args.n, ell, k) for ell in ops.exits(args.n, k)}
+        # The sweep goes first: it refuses an input too large for its budget
+        # before an elimination of the same size runs.
+        masses = oracle.count_nilp(spec, list(exits.values()))
     except oracle.BudgetExceededError as exc:  # input too large to enumerate
         error(str(exc), args.command)
-
-
-def _oracle_report(oracle, args, model: ModelId, k: int | None) -> Report:
-    """Brute-force counts of the ``oracle`` command; the oracle's functions are read at call time."""
-    ops = MODEL_OPS[model]
-    if not ops.has_paths:
-        size = args.n
-        rep = Report("oracle", model.value, {"size": size})
-        matrices, hist = _this.enumerate_vsasm(size)
-        rep.add("brute-force count equals product formula", n_vsasm(size), len(matrices))
-        rep.add("histogram equals refined formula", n_vsasm_refined_counts(size), hist)
-        if args.dump:
-            payload = "\n".join(json.dumps({"entries": m.entries}) for m in matrices)
-            _write(Path(args.dump), payload + "\n")
-            rep.artifacts.append(args.dump)
-        return rep
-    rep = Report("oracle", model.value, {"n": args.n, "k": args.k})
-    spec = oracle.model_path_spec(model, args.n, k)
-    exits = {ell: oracle.model_exit_point(model, args.n, ell, k) for ell in ops.exits(args.n, k)}
-    # The sweep goes first: it refuses an input too large for its budget
-    # before an elimination of the same size runs.
-    masses = oracle.count_nilp(spec, list(exits.values()))
     det = det_bareiss(ops.matrix(args.n, k))
     count = Fraction(masses[spec.ends[-1]])  # the last path stopped at its own end
     rep.add("brute-force family count equals determinant", fraction_str(det), fraction_str(count))

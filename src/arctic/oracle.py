@@ -394,27 +394,46 @@ def _alternating_rows(
     yield from rec(0, 1, 0, 0)
 
 
+def _row_grids(
+    height: int, width: int, fits: Callable[[int], Callable[[int, int], bool]]
+) -> Iterable[tuple[tuple[int, ...], ...]]:
+    """Every ``height`` x ``width`` grid whose row i is one of
+    ``_alternating_rows(partial, fits(i))`` and whose columns all sum to 1,
+    in lexicographic order by rows."""
+    rows: list[tuple[int, ...]] = []
+
+    def rec(partial: tuple[int, ...]):
+        if len(rows) == height:
+            if all(s == 1 for s in partial):
+                yield tuple(rows)
+            return
+        for row in _alternating_rows(partial, fits(len(rows))):
+            rows.append(row)
+            yield from rec(tuple(p + r for p, r in zip(partial, row)))
+            rows.pop()
+
+    yield from rec((0,) * width)
+
+
+def _half_row_fits(mid_sign: int) -> Callable[[int, int], bool]:
+    """Whether a left half fits the forced middle entry ``mid_sign``.
+
+    The full row reads (left, mid, reversed(left)); it alternates iff the
+    left part's last nonzero differs from ``mid_sign`` (an empty left part
+    needs ``mid_sign`` = +1), and it sums to 1 iff the left part sums to
+    (1 - mid_sign) / 2.
+    """
+    need, lasts = (0, (-1, 0)) if mid_sign == 1 else (1, (1,))
+    return lambda net, last: net == need and last in lasts
+
+
 def enumerate_asm(n: int) -> list[AsmMatrix]:
     """All ASMs of size n, lexicographically ordered by rows."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > ASM_ENUM_MAX:
         raise BudgetExceededError(f"ASM enumeration at n={n}", ASM_ENUM_MAX)
-    out: list[AsmMatrix] = []
-    rows: list[tuple[int, ...]] = []
-
-    def rec(partial: tuple[int, ...]):
-        if len(rows) == n:
-            if all(s == 1 for s in partial):
-                out.append(AsmMatrix(n, tuple(rows)))
-            return
-        for row in _alternating_rows(partial, lambda net, last: net == 1):
-            rows.append(row)
-            rec(tuple(p + r for p, r in zip(partial, row)))
-            rows.pop()
-
-    rec(tuple([0] * n))
-    return out
+    return [AsmMatrix(n, rows) for rows in _row_grids(n, n, lambda i: lambda net, last: net == 1)]
 
 
 def enumerate_vsasm(size: int) -> tuple[list[AsmMatrix], list[int]]:
@@ -431,39 +450,10 @@ def enumerate_vsasm(size: int) -> tuple[list[AsmMatrix], list[int]]:
         raise ValueError(f"size must be >= 1, got {size}")
     if size > VSASM_ENUM_MAX:
         raise BudgetExceededError(f"VSASM enumeration at size={size}", VSASM_ENUM_MAX)
-    if size == 1:
-        m = AsmMatrix(1, ((1,),))
-        return [m], [1]
-    half = (size - 1) // 2
-    out: list[AsmMatrix] = []
-    lefts: list[tuple[int, ...]] = []
-
-    def half_row_fits(mid_sign: int) -> Callable[[int, int], bool]:
-        """Whether a left half fits the forced middle entry ``mid_sign``.
-
-        The full row reads (left, mid, reversed(left)); it alternates iff the
-        left part's last nonzero differs from ``mid_sign`` (an empty left part
-        needs ``mid_sign`` = +1), and it sums to 1 iff the left part sums to
-        (1 - mid_sign) / 2.
-        """
-        need, lasts = (0, (-1, 0)) if mid_sign == 1 else (1, (1,))
-        return lambda net, last: net == need and last in lasts
-
-    def rec(partial: tuple[int, ...]):
-        i = len(lefts)
-        if i == size:
-            if all(s == 1 for s in partial):
-                full = tuple(
-                    left + ((-1) ** r,) + left[::-1] for r, left in enumerate(lefts)
-                )
-                out.append(AsmMatrix(size, full))
-            return
-        for left in _alternating_rows(partial, half_row_fits((-1) ** i)):
-            lefts.append(left)
-            rec(tuple(p + r for p, r in zip(partial, left)))
-            lefts.pop()
-
-    rec(tuple([0] * half))
+    out = [
+        AsmMatrix(size, tuple(left + ((-1) ** r,) + left[::-1] for r, left in enumerate(lefts)))
+        for lefts in _row_grids(size, (size - 1) // 2, lambda i: _half_row_fits((-1) ** i))
+    ]
     hist = [0] * size
     for m in out:
         hist[m.first_column_one_row() - 1] += 1

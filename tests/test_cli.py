@@ -191,6 +191,21 @@ def test_oracle_budget_refusal_is_a_usage_error(capsys):
     assert "exceeds the oracle budget of 7" in capsys.readouterr().err
 
 
+_BRUTE_FORCE_CHECKS = ["vsasm count equals product formula", "refined formula equals brute-force histogram"]
+
+
+@pytest.mark.parametrize("size, held", [
+    (oracle.VSASM_ENUM_MAX, _BRUTE_FORCE_CHECKS),
+    (oracle.VSASM_ENUM_MAX + 2, []),
+])
+def test_verify_enumerates_vsasms_up_to_the_oracle_cap(size, held, capsys):
+    """``verify`` runs the brute-force VSASM checks at every size the oracle enumerates
+    and at no larger one, so raising the oracle's cap cannot leave the CLI behind."""
+    code, report = run(["verify", "--model", "vsasm", "--n", str(size)], capsys)
+    assert code == 0
+    assert [c["name"] for c in report["checks"] if c["name"] in _BRUTE_FORCE_CHECKS] == held
+
+
 def test_cli_leaves_count_nilp_on_the_oracle():
     """``count_nilp`` is read from ``arctic.oracle`` only: were it also resolvable on
     ``arctic.cli``, the bench tracer would wrap it twice and count each call twice."""
@@ -521,6 +536,8 @@ _FRESH_RUNS = [
     ("verify --model aztec --n 4", []),
     ("oracle --model aztec --n 3", ["arctic.oracle"]),
     ("verify --model vsasm --n 7", ["arctic.oracle"]),
+    ("verify --model vsasm --n 9", []),
+    ("oracle --model vsasm --n 5", ["arctic.oracle"]),
 ]
 
 
@@ -616,6 +633,105 @@ def test_consecutive_runs_are_byte_identical(tmp_path, capsys):
             tuple((tmp_path / f"env{ext}").read_bytes() for ext in (".csv", ".svg", ".json"))
         )
     assert outs[0] == outs[1]
+
+
+# Whole reports of two exact commands: the digests hash only "checks", so these
+# pin every other field and the layout.
+_VERIFY_AZTEC_2 = """{
+  "artifacts": [],
+  "checks": [
+    {
+      "actual": "8/1",
+      "expected": "8/1",
+      "name": "bareiss det equals closed partition",
+      "pass": true,
+      "tolerance": "exact"
+    },
+    {
+      "actual": "8/1",
+      "expected": "8/1",
+      "name": "lu pivot product equals bareiss det",
+      "pass": true,
+      "tolerance": "exact"
+    },
+    {
+      "actual": true,
+      "expected": true,
+      "name": "lu factors reconstruct the matrix",
+      "pass": true,
+      "tolerance": "exact"
+    },
+    {
+      "actual": true,
+      "expected": true,
+      "name": "closed L inverse inverts lu L",
+      "pass": true,
+      "tolerance": "exact"
+    },
+    {
+      "actual": [],
+      "expected": [],
+      "name": "one-point closed form equals det ratio for every exit",
+      "pass": true,
+      "tolerance": "exact"
+    }
+  ],
+  "command": "verify",
+  "model": "aztec",
+  "params": {
+    "k": null,
+    "n": 2
+  },
+  "version": "VERSION"
+}
+"""
+_ORACLE_VSASM_3 = """{
+  "artifacts": [
+    "d.ndjson"
+  ],
+  "checks": [
+    {
+      "actual": 1,
+      "expected": 1,
+      "name": "brute-force count equals product formula",
+      "pass": true,
+      "tolerance": "exact"
+    },
+    {
+      "actual": [
+        0,
+        1,
+        0
+      ],
+      "expected": [
+        0,
+        1,
+        0
+      ],
+      "name": "histogram equals refined formula",
+      "pass": true,
+      "tolerance": "exact"
+    }
+  ],
+  "command": "oracle",
+  "model": "vsasm",
+  "params": {
+    "size": 3
+  },
+  "version": "VERSION"
+}
+"""
+
+
+def test_exact_reports_and_dump_keep_their_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv, want in [
+        ("verify --model aztec --n 2", _VERIFY_AZTEC_2),
+        ("oracle --model vsasm --n 3 --dump d.ndjson", _ORACLE_VSASM_3),
+    ]:
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().out == want.replace("VERSION", arctic.__version__)
+    assert (tmp_path / "d.ndjson").read_bytes() == b'{"entries": [[0, 1, 0], [1, -1, 1], [0, 1, 0]]}\n'
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="git is needed to make a work tree")
