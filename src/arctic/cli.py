@@ -23,7 +23,7 @@ from . import __version__
 from .curves import ImplicitCurve, residual
 from .linalg import ExactMatrix, det_bareiss, det_ratio_last_column, last_column_minors, lu_exact
 from .models import EXACT_PROFILE_MAX, MODEL_OPS, ModelId, one_point_profile
-from .models.vsasm import n_vsasm, n_vsasm_refined_counts, raz_strog_check
+from .models.vsasm import VSASM_ENUM_MAX, n_vsasm, n_vsasm_refined_counts, raz_strog_check
 from .tangent import TangentLine, analytic_saddle, envelope, finite_n_saddle, tangent_family
 
 # Most tangent lines (--count) or curve samples (--samples) one command builds;
@@ -56,10 +56,10 @@ def _all_digits() -> Iterator[None]:
 def enumerate_vsasm(size: int) -> tuple[list, list[int]]:
     """:func:`arctic.oracle.enumerate_vsasm`, its module loaded at the first call.
 
-    Only ``oracle`` and ``verify`` at VSASM sizes up to 7 run the brute-force
-    oracle, so no other command imports (and, without a bytecode cache,
-    compiles) it.  The commands call this as a global of this module, where
-    tests and the bench tracer replace it.
+    Only ``oracle`` and ``verify`` at VSASM sizes up to ``VSASM_ENUM_MAX`` run
+    the brute-force oracle, so no other command imports (and, without a bytecode
+    cache, compiles) it.  The commands call this as a global of this module,
+    where tests and the bench tracer replace it.
     """
     from . import oracle
 
@@ -116,32 +116,6 @@ def _write(path: Path, content: str) -> None:
 # ---------------------------------------------------------------------------
 
 _VIEW = 1000.0
-_BRANCH_SAMPLES = 256
-
-
-def _implicit_branches(curve: ImplicitCurve) -> list[list[tuple[float, float]]]:
-    """Sample the (degree <= 2 in y) curve at ``_BRANCH_SAMPLES`` + 1 abscissae over
-    its window, one or two branches."""
-    coeff = dict(curve.coefficients)
-    (x0, x1), (y0, y1) = curve.window
-    branches: list[list[tuple[float, float]]] = [[], []]
-    for i in range(_BRANCH_SAMPLES + 1):
-        x = x0 + (x1 - x0) * i / _BRANCH_SAMPLES
-        a = coeff.get((0, 2), 0.0)
-        b = coeff.get((0, 1), 0.0) + coeff.get((1, 1), 0.0) * x
-        c = sum(cv * x**ix for (ix, iy), cv in coeff.items() if iy == 0)
-        if a == 0:
-            ys = [-c / b] if b else []
-        else:
-            disc = b * b - 4 * a * c
-            if disc < 0:
-                continue
-            r = math.sqrt(disc)
-            ys = [(-b - r) / (2 * a), (-b + r) / (2 * a)]
-        for branch, y in zip(branches, sorted(ys)):
-            if y0 - 1e-9 <= y <= y1 + 1e-9:
-                branch.append((x, y))
-    return [b for b in branches if len(b) >= 2]
 
 
 def emit_svg(
@@ -184,7 +158,7 @@ def emit_svg(
             'stroke="#9ecae1" stroke-width="1"/>'
         )
     if curve is not None:
-        for branch in _implicit_branches(curve):
+        for branch in curve.branches():
             d = " ".join(
                 ("M" if i == 0 else "L") + f"{fmt(vx)},{fmt(vy)}"
                 for i, (vx, vy) in enumerate(to_view(p) for p in branch)
@@ -228,7 +202,7 @@ def cmd_verify(args) -> Report:
     if not ops.has_paths:
         size = args.n
         counts = n_vsasm_refined_counts(size)
-        if size <= 7:
+        if size <= VSASM_ENUM_MAX:
             matrices, hist = enumerate_vsasm(size)
             rep.add("vsasm count equals product formula", n_vsasm(size), len(matrices))
             rep.add("refined formula equals brute-force histogram", counts, hist)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 __all__ = [
     "ImplicitCurve",
@@ -50,12 +50,44 @@ class ImplicitCurve(_CurveFields):
         return curve
 
     def value(self, x: float, y: float) -> float:
-        return sum(c * x**i * y**j for (i, j), c in self.coefficients)
+        return _sum(c * x**i * y**j for (i, j), c in self.coefficients)
 
     def gradient(self, x: float, y: float) -> tuple[float, float]:
-        gx = sum(c * i * x ** (i - 1) * y**j for (i, j), c in self.coefficients if i > 0)
-        gy = sum(c * j * x**i * y ** (j - 1) for (i, j), c in self.coefficients if j > 0)
+        gx = _sum(c * i * x ** (i - 1) * y**j for (i, j), c in self.coefficients if i > 0)
+        gy = _sum(c * j * x**i * y ** (j - 1) for (i, j), c in self.coefficients if j > 0)
         return gx, gy
+
+    def branches(self) -> list[list[tuple[float, float]]]:
+        """One or two branches, each sampled at 257 evenly spaced abscissae across the window.
+        Reads the y^2, y, x y and pure-x terms only: every curve here has no other."""
+        coeff = dict(self.coefficients)
+        a, b0, b1 = (coeff.get(key, 0.0) for key in ((0, 2), (0, 1), (1, 1)))
+        (x0, x1), (y0, y1) = self.window
+        branches: list[list[tuple[float, float]]] = [[], []]
+        for i in range(257):
+            x = x0 + (x1 - x0) * i / 256
+            b = b0 + b1 * x
+            c = _sum(cv * x**ix for (ix, iy), cv in coeff.items() if iy == 0)
+            if a == 0:
+                ys = [-c / b] if b else []
+            else:
+                disc = b * b - 4 * a * c
+                if disc < 0:
+                    continue
+                r = math.sqrt(disc)
+                ys = [(-b - r) / (2 * a), (-b + r) / (2 * a)]
+            for branch, y in zip(branches, sorted(ys)):
+                if y0 - 1e-9 <= y <= y1 + 1e-9:
+                    branch.append((x, y))
+        return [b for b in branches if len(b) >= 2]
+
+
+def _sum(terms: Iterable[float]) -> float:
+    """The terms added left to right, as float ``sum`` did before Python 3.12 compensated it."""
+    total = 0
+    for term in terms:
+        total += term
+    return total
 
 
 class ParametricCurve(NamedTuple):

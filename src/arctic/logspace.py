@@ -1,13 +1,14 @@
 """Log-space arithmetic shared by the cached log profiles and the pointwise escapes.
 
 One ``array`` table of log(m!) = lgamma(m + 1) doubles, grown only by the
-profile rows and capped at ``LOG_FACTORIAL_CAP`` entries; past the table every
-read is the same ``math.lgamma`` double, so a value never depends on how far
-the table has grown.  A whole profile row is built without a Python call per
-element: :func:`_log_comb_run` reads log C(a_i, b_i) for indices in
-arithmetic progression from three slices of the table, and :func:`_log_cumsum`
-is an inlined running log-sum-exp.  Both give the doubles that the per-element
-:func:`_log_comb` and :func:`_logaddexp` give, in the same operation order.
+runs that the profile rows read and capped at ``LOG_FACTORIAL_CAP`` entries;
+past the table every read is the same ``math.lgamma`` double, so a value never
+depends on how far the table has grown.  A whole profile row is built without
+a Python call per element: :func:`_log_comb_run` reads log C(a_i, b_i) for
+indices in arithmetic progression from three slices of the table, and
+:func:`_log_cumsum` is an inlined running log-sum-exp.  Both give the doubles
+that the per-element :func:`_log_comb` and :func:`_logaddexp` give, in the
+same operation order.
 """
 
 from __future__ import annotations
@@ -22,16 +23,6 @@ from typing import Iterable, Iterator
 _log_factorials = array("d", [0.0])
 LOG_FACTORIAL_CAP = 2**20
 _LN2 = math.log(2)
-
-
-def _grow_log_factorials(top: int) -> None:
-    """Extend the math.lgamma table of log(m!) through m = top, capped at LOG_FACTORIAL_CAP.
-
-    Only the cached profile rows grow it; a far target would ask for a table
-    linear in z, so escapes read past the table through :func:`_log_factorial`.
-    """
-    stop = min(top + 1, LOG_FACTORIAL_CAP)
-    _log_factorials.extend(map(lgamma, range(len(_log_factorials) + 1, stop + 1)))
 
 
 def _log_factorial(m: int) -> float:
@@ -59,13 +50,15 @@ def _logaddexp(x: float, y: float) -> float:
 def _log_factorial_run(m: int, step: int, count: int) -> Iterable[float]:
     """log(m!), log((m + step)!), ... (count >= 1 terms, all arguments >= 0).
 
-    A slice of the table when every argument is in it; otherwise the whole run
-    is lgamma, the same doubles, so a run that passes the table end is never
-    cut short.
+    First grows the table through the largest argument (escapes never grow it: a far
+    target would ask for a table linear in z).  A slice of the table when every argument
+    is in it; otherwise the whole run is lgamma, the same doubles, never cut short.
     """
+    last = m + (count - 1) * step
+    top = min(max(m, last) + 1, LOG_FACTORIAL_CAP)
+    _log_factorials.extend(map(lgamma, range(len(_log_factorials) + 1, top + 1)))
     if step == 0:
         return repeat(_log_factorial(m), count)
-    last = m + (count - 1) * step
     if max(m, last) >= len(_log_factorials):
         return map(lgamma, range(m + 1, last + 1 + step, step))
     stop = last + step

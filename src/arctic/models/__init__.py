@@ -17,10 +17,11 @@ Each path model provides:
   the diamond and both staircases read prefixes of one Pascal row, and their
   shared fields (one-point function, profiles, inverse Pascal L, partition
   function) come from one builder given each model's exit-to-prefix map,
-* the escape weight counting continuations to the distant target.
+* the escape weight ``escape(n, target, ell)``, continuations to the target.
 
 Every model, the osculating one included, also has log-space versions of the
-last two and its large-n limits: analytic saddle, action, tangent geometry
+last two (profile rows read the lgamma table through ``_log_comb_run``, which
+grows it) and its large-n limits: analytic saddle, action, tangent geometry
 and limit curve.  :data:`MODEL_OPS` holds all of it, one :class:`Model`
 record per model; the scan, envelope and command-line layers look a model up
 there and never branch on which model it is.  A path model's record also
@@ -111,24 +112,26 @@ class Model:
     value and ``xi`` a scaled exit.
 
     ``exits(n, k)`` is the range of exit positions ell.  Exact values
-    ``one_point(n, k, ell)`` and ``escape(n, k, target, ell)`` have log-space
-    forms: ``log_profile(n, k)``, a tuple over all exits, and
-    ``log_escape(n, target, k)``, a function of the exit's index in
-    ``exits(n, k)``.  Both logs are concave in ell wherever they are finite (each
-    model's log functions say why), and ``live_exits(n, k, target)`` is the
+    ``one_point(n, k, ell)`` and ``escape(n, target, ell)`` (no escape reads k)
+    have log-space forms: ``log_profile(n, k)``, a tuple over all exits, and
+    ``log_escape(n, target)``, a function of the exit's index in
+    ``exits(n, k)``.  Both logs are concave in ell wherever they are finite
+    (each model's log functions say why), and ``live_exits(n, target)`` is the
     range of exits where both are finite (None: every exit).
     ``exact_profile(n, k)`` gives the ``one_point`` values of all exits in one
     sweep; verification keeps to the closed form ``one_point``.  A finite-n
-    scan of size n uses the size n (n | 1 for ``odd_n``), k = round(x n) and the
-    target round(z size), which must exceed ``z_range[0]`` times the size.  The
-    large-n limits are ``saddle(z, x)`` for z in
-    ``z_range``, ``action(z, xi, x) -> (s0, s1)``, ``geometry(xi, z, x) ->
-    (exit point, target point)``, ``limit_curve(x)``, ``tangency(x)`` and
-    ``parametric``.  The Gessel-Viennot fields (``matrix`` to
-    ``reference_ell``) and the path ``lattice`` are None for the osculating
-    model, and so is ``verify_seconds(n, k)``: the in-process time of the
-    ``verify`` command, fitted to timings on a 2-core Xeon, by which the CLI
-    refuses an input before any work.
+    scan of size n uses the size n (n | 1 for ``odd_n``), k = round(x n) and
+    the target round(z size), which must exceed ``z_range[0]`` times the size.
+    The large-n limits are ``saddle(z, x)`` for z in ``z_range``,
+    ``action(z, xi, x) -> (s0, s1)``, ``geometry(xi, z, x) -> (exit point,
+    target point)``, ``limit_curve(x)``, ``tangency(x)`` and ``parametric``.
+    The Gessel-Viennot fields (``matrix`` to ``reference_ell``) and the path
+    ``lattice`` are None for the osculating model, and so is
+    ``verify_seconds(n, k)``: the in-process time of the ``verify`` command,
+    fitted to timings on a 2-core Xeon, by which the CLI refuses an input
+    before any work.  Only tests read ``escape`` (the exact reference of each
+    log escape, and ROADMAP item 10's exact tie-break), ``action`` (item 1
+    gives it a caller) and ``tangency`` (item 8).
 
     The one dataclass of the package: tracers rebuild registry entries with
     ``dataclasses.replace``.  Records are compared by identity.
@@ -138,9 +141,9 @@ class Model:
     exits: Callable[[int, int | None], range]
     one_point: Callable[[int, int | None, int], Fraction]
     exact_profile: Callable[[int, int | None], tuple[Fraction, ...]]
-    escape: Callable[[int, int | None, int, int], int]
+    escape: Callable[[int, int, int], int]
     log_profile: Callable[[int, int | None], tuple[float, ...]]
-    log_escape: Callable[[int, int, int | None], Callable[[int], float]]
+    log_escape: Callable[[int, int], Callable[[int], float]]
     z_range: tuple[float, float]
     saddle: Callable[[float, float | None], float]
     action: Callable[[float, float, float | None], tuple[float, float]]
@@ -156,7 +159,7 @@ class Model:
     reference_ell: Callable[[int, int | None], int] | None = None
     verify_seconds: Callable[[int, int | None], float] | None = None
     lattice: Lattice | None = None
-    live_exits: Callable[[int, int | None, int], range] | None = None
+    live_exits: Callable[[int, int], range] | None = None
     n_min: int = 0
     k_min: int = 1
     odd_n: bool = False
@@ -325,4 +328,4 @@ def log_escape_profile(
     """
     ops = MODEL_OPS[model]
     ops.check_size(n, k)
-    return ops.log_escape(n, target, k)
+    return ops.log_escape(n, target)

@@ -60,20 +60,17 @@ def aztec_b_column(n: int, ell: int) -> list[int]:
     return [0] * (n - ell) + column
 
 
-def aztec_escape(ell: int, k: int, n: int) -> int:
+def aztec_escape(n: int, k: int, ell: int) -> int:
     """Continuations from the exit (ell, 2n - ell) to the corner (k, k)."""
     if not 0 <= ell <= n:
         raise ValueError(f"ell={ell} outside [0, {n}]")
     if k <= n:
         raise ValueError(f"target k={k} must exceed n={n}")
-
-    def entry0(i: int, j: int) -> int:
-        return aztec_entry(i, j) if i >= 0 and j >= 0 else 0
-
-    return entry0(n - ell, k - n - 1) + entry0(n - ell - 1, k - n - 1)
+    j = k - n - 1  # the Delannoy numbers D(n - ell, j) + D(n - ell - 1, j), with D(-1, j) = 0
+    return aztec_entry(n - ell, j) + (aztec_entry(n - ell - 1, j) if ell < n else 0)
 
 
-def _aztec_log_escape(n: int, target: int, k: int | None) -> Callable[[int], float]:
+def _aztec_log_escape(n: int, target: int) -> Callable[[int], float]:
     """log :func:`aztec_escape` at exit ell = 0..n, read from one rescaled float Delannoy column.
 
     The path weight A(m, j) is the Delannoy number D(m, j), and with
@@ -137,7 +134,7 @@ AZTEC = Model(
     model=ModelId.AZTEC,
     exits=lambda n, k: range(n + 1),
     **_pascal_fields(lambda n: range(n + 1)),
-    escape=lambda n, k, target, ell: aztec_escape(ell, target, n),
+    escape=aztec_escape,
     log_escape=_aztec_log_escape,
     z_range=(1.0, math.inf),
     saddle=lambda z, x: 1.0 / (2.0 * z),

@@ -17,7 +17,7 @@ from .. import models
 from ..combinat import ballot, catalan
 from ..curves import ellipse
 from ..linalg import ExactMatrix
-from ..logspace import _LN2, _grow_log_factorials, _log_comb, _log_comb_run, _log_cumsum, _logaddexp
+from ..logspace import _LN2, _log_comb, _log_comb_run, _log_cumsum, _logaddexp
 from . import (
     Lattice,
     Model,
@@ -173,7 +173,6 @@ def _dyck_log_profile(n: int, k: int) -> tuple[float, ...]:
     test checks a smaller grid.
     """
     m = 2 * n + k
-    _grow_log_factorials(2 * n + 2 * k)
     log_top = _log_comb(m + 1, 2 * n + 1)
     log_next = _logaddexp(_log_comb(m, 2 * n + 1) + math.log(m), _log_comb(m, k + 1))
     rho = math.exp(log_next - log_top)
@@ -292,7 +291,6 @@ def _red_log_profile(n: int, k: int) -> tuple[float, ...]:
     a convolution with the all-ones sequence, which keeps log-concavity (see
     :func:`_log_pascal_row`).
     """
-    _grow_log_factorials(2 * n + 2 * k)
     # log C(k+n-1-s, k-2) + log C(k+n+s, k-2), summed from s = n+1 down to 0
     terms = map(
         add, _log_comb_run(k - 2, 1, k - 2, 0, n + 2), _log_comb_run(k + 2 * n + 1, -1, k - 2, 0, n + 2)
@@ -322,9 +320,9 @@ DYCK_HALF_HEX = Model(
     exits=lambda n, k: range(n + k + 1),
     one_point=dyck_one_point,
     exact_profile=_dyck_profile,
-    escape=lambda n, k, target, ell: dyck_escape(target, ell),
+    escape=lambda n, target, ell: dyck_escape(target, ell),
     log_profile=_dyck_log_profile,
-    log_escape=lambda n, target, k: _log_path_escape(target),
+    log_escape=lambda n, target: _log_path_escape(target),
     z_range=(0.0, math.inf),
     saddle=lambda z, x: models._bisect(lambda xi: _dyck_cubic(x, z, xi), (2 + 3 * x) / (2 + x),
                                 1 + x - 1e-15),
@@ -357,9 +355,9 @@ RED_HALF_HEX = Model(
     exits=lambda n, k: range(n + 2),
     one_point=red_one_point,
     exact_profile=_red_profile,
-    escape=lambda n, k, target, ell: dyck_escape(target, ell),
+    escape=lambda n, target, ell: dyck_escape(target, ell),
     log_profile=_red_log_profile,
-    log_escape=lambda n, target, k: _log_path_escape(target),
+    log_escape=lambda n, target: _log_path_escape(target),
     z_range=(0.0, math.inf),
     saddle=lambda z, x: models._bisect(lambda xi: _red_y(x, xi) - z, 1e-15, 1 - 1e-15),
     action=_red_action,

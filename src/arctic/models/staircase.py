@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 from .. import models
 from ..curves import parabola
 from ..linalg import ExactMatrix
-from ..logspace import _LN2, _grow_log_factorials, _log_comb, _log_comb_run, _log_cumsum
+from ..logspace import _LN2, _log_comb, _log_comb_run, _log_cumsum
 from . import (
     Lattice,
     Model,
@@ -67,7 +67,6 @@ def _log_pascal_row(n: int) -> tuple[float, ...]:
     of log-concave sequences without internal zeros is log-concave (Menon, Proc.
     AMS 23 (1969)).  So the row is log-concave in m, and so is its reversal.
     """
-    _grow_log_factorials(n)
     return tuple(map(sub, _log_cumsum(_log_comb_run(n, 0, 0, 1, n + 1)), repeat(n * _LN2)))
 
 
@@ -191,8 +190,8 @@ STAIRCASE = Model(
     model=ModelId.STAIRCASE,
     exits=lambda n, k: range(2 * n + 1),
     **_pascal_fields(_staircase_prefixes),
-    escape=lambda n, k, target, ell: staircase_escape(n, target, ell),
-    log_escape=lambda n, target, k: _log_path_escape(target - n),
+    escape=staircase_escape,
+    log_escape=lambda n, target: _log_path_escape(target - n),
     z_range=(1.0, math.inf),
     saddle=lambda z, x: _staircase_xi(z),
     action=_staircase_action,
@@ -215,11 +214,11 @@ STAIRCASE_ALT = Model(
     model=ModelId.STAIRCASE_ALT,
     exits=lambda n, k: range(2 * n + 1),
     **_pascal_fields(lambda n: range(-n, n + 1)),  # m = ell - n
-    escape=lambda n, k, target, ell: staircase_alt_escape(n, target, ell),
+    escape=staircase_alt_escape,
     # C(m, c) is log-concave in m = 2n-1-ell: C(m+1, c) / C(m, c) = (m+1) / (m+1-c) falls.
-    log_escape=lambda n, target, k: lambda ell: _log_comb(2 * n - ell - 1, target - n - 1),
+    log_escape=lambda n, target: lambda ell: _log_comb(2 * n - ell - 1, target - n - 1),
     # H > 0 from ell = n on, and Y > 0 while target - n - 1 <= 2n - 1 - ell.
-    live_exits=lambda n, k, target: range(n, 3 * n - target + 1),
+    live_exits=lambda n, target: range(n, 3 * n - target + 1),
     z_range=(1.0, 2.0),
     saddle=lambda z, x: 2.0 - z / 2.0,
     action=_staircase_alt_action,

@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 # tracers and tests replace those names on the hub.
 from .. import models
 from ..curves import VSASM_ARC, vsasm_curve
-from ..logspace import _grow_log_factorials, _log_comb, _log_comb_run
+from ..logspace import _log_comb, _log_comb_run
 from . import Model, ModelId, _binom_exponent, _exact_int, _log_path_escape
 
 __all__ = [
@@ -82,6 +82,10 @@ def n_asm_refined(n: int, ell: int) -> int:
         raise ValueError(f"ell={ell} outside [1, {n}]")
     num = comb(n + ell - 2, n - 1) * comb(2 * n - 1 - ell, n - 1) * n_asm(n)
     return _exact_int(num, comb(3 * n - 2, n - 1))
+
+
+# Largest size at which the brute-force oracle enumerates VSASMs, and ``verify`` with it.
+VSASM_ENUM_MAX = 7
 
 
 @lru_cache(maxsize=None)
@@ -184,7 +188,7 @@ def raz_strog_check(size: int, t: Fraction | int, counts: list[int] | None = Non
     return (p + q) * asm[0] * cleared(counts[: 2 * n]) == p * models.n_vsasm(2 * n - 1) * cleared(asm)
 
 
-def vsasm_escape(ell: int, k: int, size: int) -> int:
+def vsasm_escape(size: int, k: int, ell: int) -> int:
     """Single six-vertex path continuations, summed over north-east corners."""
     if not 1 <= ell <= size:
         raise ValueError(f"ell={ell} outside [1, {size}]")
@@ -202,14 +206,13 @@ def _vsasm_log_profile(size: int, k: int | None) -> tuple[float, ...]:
     The ratio is C(size+ell-2, size-1) C(2 size-1-ell, size-1) / C(3 size-2, size-1),
     log-concave in ell as a product of two binomials each log-concave in ell.
     """
-    _grow_log_factorials(3 * size)
     norm = _log_comb(3 * size - 2, size - 1)
     rising = _log_comb_run(size - 1, 1, size - 1, 0, size)  # C(size+ell-2, size-1), ell = 1..size
     falling = _log_comb_run(2 * size - 2, -1, size - 1, 0, size)  # C(2 size-1-ell, size-1)
     return tuple(map(sub, map(add, rising, falling), repeat(norm)))
 
 
-def _vsasm_log_escape(size: int, target: int, k: int | None) -> Callable[[int], float]:
+def _vsasm_log_escape(size: int, target: int) -> Callable[[int], float]:
     """The i-th exit ell = i + 1 escapes with C(target + j - 1, j), j = size - ell."""
     path = _log_path_escape(target)
     return lambda i: path(size - 1 - i)
@@ -249,7 +252,7 @@ VSASM = Model(
     exits=lambda n, k: range(1, n + 1),
     one_point=lambda n, k, ell: Fraction(models.n_vsasm_refined(n, ell), models.n_vsasm(n)),
     exact_profile=_vsasm_profile,
-    escape=lambda n, k, target, ell: vsasm_escape(ell, target, n),
+    escape=vsasm_escape,
     log_profile=_vsasm_log_profile,
     log_escape=_vsasm_log_escape,
     z_range=(0.0, math.inf),

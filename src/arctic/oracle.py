@@ -27,6 +27,7 @@ from itertools import product
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .models import MODEL_OPS, Lattice, ModelId
+from .models.vsasm import VSASM_ENUM_MAX
 
 __all__ = [
     "PathFamilySpec",
@@ -318,7 +319,6 @@ def model_exit_point(model: ModelId, n: int, ell: int, k: int | None = None) -> 
 # ---------------------------------------------------------------------------
 
 ASM_ENUM_MAX = 6
-VSASM_ENUM_MAX = 7
 
 
 class _AsmFields(NamedTuple):

@@ -177,7 +177,7 @@ def finite_n_saddle(model: ModelId, n: int, z: float, x: float | None = None) ->
         )
     log_h = log_one_point_profile(model, size, k)
     log_y = log_escape_profile(model, size, target, k)
-    live = exits if ops.live_exits is None else ops.live_exits(size, k, target)
+    live = exits if ops.live_exits is None else ops.live_exits(size, target)
     first, last = live.start - exits.start, live.stop - 1 - exits.start
     if first > last:
         raise ValueError(f"empty scan domain for {model.value} at n={n}, z={z}")

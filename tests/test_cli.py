@@ -334,6 +334,65 @@ def test_onepoint_csvs_match_recorded_digests(key, tmp_path, monkeypatch, capsys
     assert hashlib.sha256((tmp_path / out).read_bytes()).hexdigest() == _DIGESTS[key]
 
 
+# sha256 of every CSV and SVG that the float commands write: the seven ENVELOPES
+# grids of perfbench/workloads.py at their unjittered ends, both parametric
+# curves and the plot of the profile_artifacts workload.  Recorded on Python 3.11;
+# the curve sums add left to right, so 3.12 and later write the same bytes.
+_FLOAT_ARTIFACTS = {
+    "envelope --model aztec --z-min 1.05 --z-max 6.0 --count 200 --spacing linear --out-prefix env_aztec": {
+        "env_aztec.csv": "29c37aced186337b7ac0b65770875d7f52c71d5a6ba1f7711cce61a77e7cd9ec",
+        "env_aztec.svg": "dac549e699960f67af326e14be610c38c0e9f3f780f20a804edff9133ee039fc",
+    },
+    "envelope --model staircase --z-min 1.02 --z-max 8.0 --count 200 --spacing linear --out-prefix env_staircase": {
+        "env_staircase.csv": "2ab81fcfe7b06140f9281bd8422a8df1dfb2185b62c61267386c0bf247d85a67",
+        "env_staircase.svg": "cfc52d65988bb1cbd3cdfc534b285e75982f961ba920e19b3d56af2da3d92892",
+    },
+    "envelope --model staircase-alt --z-min 1.01 --z-max 1.99 --count 200 --spacing linear"
+    " --out-prefix env_staircase-alt": {
+        "env_staircase-alt.csv": "d5ffdfb24ec12d8ad529cad97de4860d230979dc31226243873ff4fd7d485b91",
+        "env_staircase-alt.svg": "3b725c8603cc4aa6be8356e024cfd8111d714e43c221f7be9092299665d6f23c",
+    },
+    "envelope --model vsasm --z-min 0.02 --z-max 0.96 --count 200 --spacing linear --out-prefix env_vsasm": {
+        "env_vsasm.csv": "ce0669d17e8d006788131d0ecfea332404e5bd7783cc141148d73a0621d59857",
+        "env_vsasm.svg": "0fb3bf6b4bb2826460de265b1d81fe7880ea631ac2dd8271a5ca603232fa375c",
+    },
+    "envelope --model dyck --z-min 0.02 --z-max 50.0 --count 200 --spacing log --x-model 0.5"
+    " --out-prefix env_dyck_x0.5": {
+        "env_dyck_x0.5.csv": "6c9b2e0f2315a092314ecf42f630eadfb64da33be2a160670e44ff9bfc113a6c",
+        "env_dyck_x0.5.svg": "c5bbbb5cda8b926f915d80561a8399deb919ff10b535155ea730faecb61105f4",
+    },
+    "envelope --model dyck --z-min 0.02 --z-max 50.0 --count 200 --spacing log --x-model 2.0"
+    " --out-prefix env_dyck_x2": {
+        "env_dyck_x2.csv": "3e6de815424d209931d2f997ea9c77c1d75278282fd6725a10256c04b205b6ea",
+        "env_dyck_x2.svg": "36c821f79286fd11f7679aa76b61a42dea4503d1777002cfc7dc68cae484a70b",
+    },
+    "envelope --model red --z-min 0.02 --z-max 50.0 --count 200 --spacing log --x-model 1.0"
+    " --out-prefix env_red_x1": {
+        "env_red_x1.csv": "c62e6075438a83a94ab30ea48224e71a0cc79a9fcf6485839737a7345140437a",
+        "env_red_x1.svg": "3df6592f47b17cbc711bc1017d09cd1ea965abe70e635a869f2da4c61b3a5239",
+    },
+    "curve --model aztec --samples 1000 --out curve_aztec.csv": {
+        "curve_aztec.csv": "47b149f6b1338bc1d9610af2b6b25ef02a3b5934c136a68aa322568bad42153f",
+    },
+    "curve --model vsasm --samples 1000 --out curve_vsasm.csv": {
+        "curve_vsasm.csv": "7df8663826698670a6d5f0c452c4cf0771a023ff844a992ea30be130ddc695f3",
+    },
+    "plot --model aztec --z-min 1.1 --z-max 5 --count 24 --out plot_aztec.svg": {
+        "plot_aztec.svg": "48548e383167515b886557dc87da462ee067a9edc0c80cd6ac1dc619c8ec426e",
+    },
+}
+
+
+@pytest.mark.parametrize("key", list(_FLOAT_ARTIFACTS))
+def test_float_artifacts_match_recorded_digests(key, tmp_path, monkeypatch, capsys):
+    """Each envelope, curve and plot op writes its CSV and SVG files byte for byte."""
+    monkeypatch.chdir(tmp_path)
+    code, report = run(key.split(), capsys)
+    assert code == 0 and sorted(report["artifacts"]) == sorted(_FLOAT_ARTIFACTS[key])
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in report["artifacts"]}
+    assert digests == _FLOAT_ARTIFACTS[key]
+
+
 @pytest.mark.parametrize("bad", [Fraction(3, 2), Fraction(-1, 2)])
 def test_onepoint_bound_check_fails_outside_unit_interval(bad, monkeypatch, capsys):
     """The integer check 0 <= numerator <= denominator rejects a value above 1 or below 0."""

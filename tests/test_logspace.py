@@ -102,6 +102,27 @@ def test_rows_past_the_table_end_read_lgamma(cap, monkeypatch):
         ls._log_factorials[:] = saved
 
 
+@pytest.mark.parametrize("cap", [40, 2**20])
+@pytest.mark.parametrize(
+    "run, largest",
+    [((30, 2, 0, 1, 10), 48), ((60, 0, 5, 0, 3), 60), ((45, -1, 20, -1, 6), 45)],
+)
+def test_log_comb_run_grows_the_table_to_its_largest_argument(run, largest, cap, monkeypatch):
+    """A run on its own grows the table through its largest argument, capped at
+    ``LOG_FACTORIAL_CAP`` entries, and reads the doubles of ``_log_comb``."""
+    saved = ls._log_factorials[:]
+    monkeypatch.setattr(ls, "LOG_FACTORIAL_CAP", cap)
+    try:
+        del ls._log_factorials[1:]
+        a, da, b, db, count = run
+        got = list(ls._log_comb_run(*run))
+        assert len(ls._log_factorials) == min(largest + 1, cap)
+        assert _bits(ls._log_factorials) == _bits(math.lgamma(m + 1.0) for m in range(len(ls._log_factorials)))
+        assert _bits(got) == _bits(_log_comb(a + i * da, b + i * db) for i in range(count))
+    finally:
+        ls._log_factorials[:] = saved
+
+
 def test_log_cumsum_keeps_logaddexp_branches():
     """Ties, -inf and both signs of the difference, against ``accumulate``."""
     xs = [-math.inf, -math.inf, 0.0, 0.0, -1.0, 3.0, 3.0 + 2**-50, -700.0, 40.0, -math.inf]

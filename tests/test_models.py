@@ -145,8 +145,8 @@ def test_aztec_one_point_values():
 def test_aztec_escape_values():
     n = 5
     assert aztec_escape(n, n + 1, n) == 1
-    assert aztec_escape(n - 1, n + 1, n) == 2
-    assert aztec_escape(0, 4, 2) == 8
+    assert aztec_escape(n, n + 1, n - 1) == 2
+    assert aztec_escape(2, 4, 0) == 8
     # Enumeration oracle: continuations leave through an up or horizontal step.
     up = count_paths(SCHROEDER, (1, 5), (4, 4))
     horiz = count_paths(SCHROEDER, (2, 4), (4, 4))
@@ -405,7 +405,7 @@ def test_log_profiles_match_exact_values(model, n, k, offsets):
     # Small targets and targets beyond n; each model rejects those outside its range.
     for target in sorted(set(offsets) | {n + d for d in offsets}):
         try:
-            exact = [ops.escape(n, k, target, ell) for ell in ops.exits(n, k)]
+            exact = [ops.escape(n, target, ell) for ell in ops.exits(n, k)]
         except ValueError:
             continue
         log_y = md.log_escape_profile(model, n, target, k)
@@ -448,7 +448,7 @@ def test_aztec_log_escape_within_derived_bound(n, z):
     exact = _exact_aztec_escapes(n, t)
     if n == 512:
         assert [exact[ell] for ell in (0, 1, n // 2, n)] == [
-            aztec_escape(ell, t, n) for ell in (0, 1, n // 2, n)
+            aztec_escape(n, t, ell) for ell in (0, 1, n // 2, n)
         ]
     for ell in range(n + 1):
         want, k = math.log(exact[ell]), 4 * (n - ell) + 2
@@ -733,8 +733,8 @@ def test_refined_generating_identity():
 def test_vsasm_escape_values():
     size = 9
     assert vsasm_escape(size, 5, size) == 1
-    assert vsasm_escape(3, 1, size) == 1
-    assert vsasm_escape(size - 1, 3, size) == 3
+    assert vsasm_escape(size, 1, 3) == 1
+    assert vsasm_escape(size, 3, size - 1) == 3
     # Oracle: monotone right/up staircases with k-1 columns and size-ell rises.
     assert count_paths(((1, 0), (0, 1)), (0, 0), (2, 1)) == 3
 
