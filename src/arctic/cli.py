@@ -21,7 +21,7 @@ from typing import Any, Iterator, NoReturn, Sequence
 
 from . import __version__
 from .curves import ImplicitCurve, residual
-from .linalg import ExactMatrix, det_bareiss, det_ratio_last_column, last_column_minors, lu_exact
+from .linalg import ExactMatrix, det_bareiss, det_ratio_last_column, last_column_minors, last_column_work, lu_exact
 from .models import EXACT_PROFILE_MAX, MODEL_OPS, ModelId, one_point_profile
 from .models.vsasm import VSASM_ENUM_MAX, n_vsasm, n_vsasm_refined_counts, raz_strog_check
 from .tangent import TangentLine, analytic_saddle, envelope, finite_n_saddle, tangent_family
@@ -29,11 +29,9 @@ from .tangent import TangentLine, analytic_saddle, envelope, finite_n_saddle, ta
 # Most tangent lines (--count) or curve samples (--samples) one command builds;
 # an unbounded value would be built as one list and could exhaust memory.
 GRID_MAX = 2**20
-# Longest fitted `verify` time (``Model.verify_seconds``) accepted.  Near this
-# bound the fits under-estimate measured times by up to about 1.7x, so every
-# accepted input still ends well inside 10 minutes.  The fits predate the walked
-# b-columns and closed L^-1, so they over-estimate dyck, red and diamond inputs.
-VERIFY_SECONDS_MAX = 120.0
+# Most elimination work (``linalg.last_column_work``) that `verify` accepts: 120 s
+# at 2.5 ns per unit, within the 1.5-3.3 ns measured in-process on a 2-core Xeon.
+VERIFY_WORK_MAX = 48_000_000_000
 
 
 @contextmanager
@@ -195,10 +193,6 @@ def cmd_verify(args) -> Report:
     model, k = _sized_model(args)
     rep = Report("verify", model.value, {"n": args.n, "k": args.k})
     ops = MODEL_OPS[model]
-    fitted = ops.verify_seconds(args.n, k) if ops.verify_seconds else 0.0
-    if fitted > VERIFY_SECONDS_MAX:
-        error(f"verify --model {model.value} at n={args.n}, k={k} is fitted at {fitted:.0f} s,"
-              f" above the verify cost bound of {VERIFY_SECONDS_MAX:.0f} s", args.command)
     if not ops.has_paths:
         size = args.n
         counts = n_vsasm_refined_counts(size)
@@ -215,12 +209,17 @@ def cmd_verify(args) -> Report:
         rep.add("refined counts sum to total", n_vsasm(size), sum(counts))
         return rep
     matrix = ops.matrix(args.n, k)
+    u = ops.u_diagonal(args.n, k)
+    work = last_column_work(matrix, u)
+    if work > VERIFY_WORK_MAX:
+        error(f"verify --model {model.value} at n={args.n}, k={k} counts {work} units of elimination"
+              f" work, above the verify work bound of {VERIFY_WORK_MAX}", args.command)
     exits = ops.exits(args.n, k)
     columns = [ops.b_column(args.n, k, ell) for ell in exits]
     # Bordered by A's own last column first, the elimination's first minor is det(A).
     own = [matrix[i, matrix.cols - 1] for i in range(matrix.rows)]
     det, *minors = map(Fraction, last_column_minors(matrix, [own, *columns]))
-    rep.add("bareiss det equals closed partition", fraction_str(Fraction(ops.partition(args.n, k))), fraction_str(det))
+    rep.add("bareiss det equals closed partition", fraction_str(Fraction(math.prod(u))), fraction_str(det))
     lu = lu_exact(matrix)
     rep.add("lu pivot product equals bareiss det", fraction_str(det), fraction_str(lu.determinant()))
     rep.add("lu factors reconstruct the matrix", True, lu.reconstruct() == matrix)

@@ -18,12 +18,14 @@ minor of a model matrix counts a path family, so one of order < n that vanishes
 raises.  Run on the transpose and followed by a fraction-free back substitution,
 it gives the cofactor row of the last column, so every last-column minor (the
 matrix's own last column gives its determinant) is one integer dot product,
-without reading an LU factor.
+without reading an LU factor.  The size of every number that elimination forms
+is known beforehand from the leading minors, so its work is counted before it runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm, prod
 from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -34,6 +36,7 @@ __all__ = [
     "SingularMinorError",
     "det_bareiss",
     "last_column_minors",
+    "last_column_work",
     "lu_exact",
     "det_ratio_last_column",
 ]
@@ -250,6 +253,21 @@ def last_column_minors(m: ExactMatrix, columns: Sequence[Sequence[Scalar]]) -> l
         row = a[i]
         x[i] = -sum(map(mul, row[i + 1:], x[i + 1:])) // row[i]
     return [sum(map(mul, c, x)) for c in columns]
+
+
+def last_column_work(m: ExactMatrix, u_diagonal: Sequence[Scalar]) -> int:
+    """The work of :func:`last_column_minors` on m, in products of 30-bit digits.
+
+    ``u_diagonal`` is the U diagonal of m's LU decomposition, so its prefix
+    products are the leading minors.  Elimination step s = 0..N-2 updates
+    (N-1-s)^2 entries, each by products and an exact division of numbers of
+    about beta_{s+2} + E bits: beta_m bits for the order-m leading minor, E for
+    m's largest entry.  Each is charged the square of its digit count.
+    """
+    entry_bits = max(map(abs, m._data)).bit_length()
+    minors = [int(x).bit_length() for x in accumulate(u_diagonal, mul)]
+    n = len(minors)
+    return sum((n - 1 - s) ** 2 * (-(-(minors[s + 1] + entry_bits) // 30)) ** 2 for s in range(n - 1))
 
 
 def lu_exact(m: ExactMatrix) -> LUPair:

@@ -8,15 +8,16 @@ vertically symmetric alternating sign matrices.
 
 Each path model provides:
 
-* the single-path weight ``*_entry`` that fills its counting matrix,
+* the single-path weight ``*_entry``, the reference for its counting matrix,
+  which is walked from one seed per row or column,
 * the inverse ``*_closed_L_inv`` of the closed-form L factor of its LU
   decomposition, each row walked by its term ratio,
 * the replacement last column ``*_b_column`` for a path exiting at height
   ``ell``, walked from one seed,
 * the positive-sum one-point function, ``*_one_point`` for the half-hexagon;
   the diamond and both staircases read prefixes of one Pascal row, and their
-  shared fields (one-point function, profiles, inverse Pascal L, partition
-  function) come from one builder given each model's exit-to-prefix map,
+  shared fields (one-point function, profiles, inverse Pascal L, U diagonal)
+  come from one builder given each model's exit-to-prefix map,
 * the escape weight ``escape(n, target, ell)``, continuations to the target.
 
 Every model, the osculating one included, also has log-space versions of the
@@ -126,12 +127,13 @@ class Model:
     ``action(z, xi, x) -> (s0, s1)``, ``geometry(xi, z, x) -> (exit point,
     target point)``, ``limit_curve(x)``, ``tangency(x)`` and ``parametric``.
     The Gessel-Viennot fields (``matrix`` to ``reference_ell``) and the path
-    ``lattice`` are None for the osculating model, and so is
-    ``verify_seconds(n, k)``: the in-process time of the ``verify`` command,
-    fitted to timings on a 2-core Xeon, by which the CLI refuses an input
-    before any work.  Only tests read ``escape`` (the exact reference of each
-    log escape, and ROADMAP item 10's exact tie-break), ``action`` (item 1
-    gives it a caller) and ``tangency`` (item 8).
+    ``lattice`` are None for the osculating model.  ``u_diagonal(n, k)`` is the
+    closed U diagonal of the matrix's LU decomposition: its product is the
+    partition function, and its prefix products are the leading minors, whose
+    sizes give the CLI the work of ``verify`` before any elimination.  Only
+    tests read ``escape`` (the exact reference of each log escape, and ROADMAP
+    item 10's exact tie-break), ``action`` (item 1 gives it a caller) and
+    ``tangency`` (item 8).
 
     The one dataclass of the package: tracers rebuild registry entries with
     ``dataclasses.replace``.  Records are compared by identity.
@@ -155,9 +157,8 @@ class Model:
     matrix: Callable[[int, int | None], ExactMatrix] | None = None
     closed_l_inv: Callable[[int, int | None], ExactMatrix] | None = None
     b_column: Callable[[int, int | None, int], list[int]] | None = None
-    partition: Callable[[int, int | None], int] | None = None
+    u_diagonal: Callable[[int, int | None], list[int | Fraction]] | None = None
     reference_ell: Callable[[int, int | None], int] | None = None
-    verify_seconds: Callable[[int, int | None], float] | None = None
     lattice: Lattice | None = None
     live_exits: Callable[[int, int], range] | None = None
     n_min: int = 0
@@ -168,10 +169,10 @@ class Model:
     def has_paths(self) -> bool:
         """Whether the model is a Gessel-Viennot path family.
 
-        Read from ``partition``: tracers may wrap ``matrix``,
-        ``closed_l_inv``, ``b_column`` and ``one_point``, never ``partition``.
+        Read from ``u_diagonal``: tracers may wrap ``matrix``,
+        ``closed_l_inv``, ``b_column`` and ``one_point``, never ``u_diagonal``.
         """
-        return self.partition is not None
+        return self.u_diagonal is not None
 
     def check_size(self, n: int, k: int | None) -> None:
         """Raise ValueError unless the exact formulas accept sizes (n, k)."""

@@ -2,8 +2,8 @@
 arctic curve is the circle.
 
 Its matrix and b-columns walk Delannoy recurrences, checked against the trinomial
-sum :func:`aztec_entry`.  Its one-point function, profiles, closed L^-1,
-partition function and verify-time fit are the Pascal-row fields of
+sum :func:`aztec_entry`.  Its one-point function, profiles, closed L^-1
+and U diagonal are the Pascal-row fields of
 :mod:`arctic.models.staircase`, with exit ell reading prefix ell.
 """
 

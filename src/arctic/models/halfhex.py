@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import comb, factorial, prod
+from math import comb, factorial
 from operator import add, sub
 from typing import Callable
 
@@ -35,7 +35,6 @@ __all__ = [
     "dyck_matrix",
     "dyck_closed_L_inv",
     "dyck_u_diagonal",
-    "dyck_partition",
     "dyck_b_column",
     "dyck_one_point",
     "dyck_escape",
@@ -43,7 +42,6 @@ __all__ = [
     "red_matrix",
     "red_closed_L_inv",
     "red_u_diagonal",
-    "red_partition",
     "red_b_column",
     "red_one_point",
     "DYCK_HALF_HEX",
@@ -57,7 +55,10 @@ def dyck_entry(i: int, j: int, k: int) -> int:
 
 
 def dyck_matrix(n: int, k: int) -> ExactMatrix:
-    return ExactMatrix.from_function(n + 1, n + 1, lambda i, j: dyck_entry(i, j, k))
+    """The Hankel matrix c_{k+i+j} of :func:`dyck_entry`, read from one Catalan walk
+    c_{m+1} = c_m 2(2m+1) / (m+2) over m = k..k+2n."""
+    cats = list(accumulate(range(k, k + 2 * n), lambda c, m: c * 2 * (2 * m + 1) // (m + 2), initial=catalan(k)))
+    return ExactMatrix(n + 1, n + 1, [c for i in range(n + 1) for c in cats[i:i + n + 1]])
 
 
 def _unit_lower_walk(size: int, ratio: Callable[[int, int], Fraction]) -> ExactMatrix:
@@ -81,17 +82,8 @@ def dyck_closed_L_inv(n: int, k: int) -> ExactMatrix:
 
 def dyck_u_diagonal(n: int, k: int) -> list[Fraction]:
     """U_{i,i} = (2i+1)! (2k+2i)! / ((k+2i+1)! (k+2i)!)."""
-    return [
-        Fraction(
-            factorial(2 * i + 1) * factorial(2 * k + 2 * i),
-            factorial(k + 2 * i + 1) * factorial(k + 2 * i),
-        )
-        for i in range(n + 1)
-    ]
-
-
-def dyck_partition(n: int, k: int) -> int:
-    return _exact_int(prod(dyck_u_diagonal(n, k)))
+    return [Fraction(factorial(2 * i + 1) * factorial(2 * k + 2 * i), factorial(k + 2 * i + 1) * factorial(k + 2 * i))
+            for i in range(n + 1)]
 
 
 def dyck_b_column(n: int, k: int, ell: int) -> list[int]:
@@ -215,9 +207,11 @@ def red_entry(i: int, j: int, n: int) -> int:
 
 
 def red_matrix(n: int, k: int) -> ExactMatrix:
+    """:func:`red_entry` C(j + n + 1, 2j - i), column j one walked binomial row read backward."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return ExactMatrix.from_function(k, k, lambda i, j: red_entry(i, j, n))
+    cols = [_binomial_row(j + n + 1, max(2 * j - k + 1, 0), 2 * j)[::-1] for j in range(k)]
+    return ExactMatrix.from_rows([[col[i] if i < len(col) else 0 for col in cols] for i in range(k)])
 
 
 def red_closed_L_inv(n: int, k: int) -> ExactMatrix:
@@ -229,19 +223,9 @@ def red_closed_L_inv(n: int, k: int) -> ExactMatrix:
 
 
 def red_u_diagonal(n: int, k: int) -> list[Fraction]:
-    return [
-        Fraction(
-            factorial(2 * n + 2 + 2 * i) * factorial(i),
-            factorial(2 * n + 2 + i) * factorial(2 * i),
-        )
-        for i in range(k)
-    ]
-
-
-def red_partition(n: int, k: int) -> int:
-    if n < 0 or k < 1:
-        raise ValueError(f"requires n >= 0 and k >= 1, got ({n}, {k})")
-    return _exact_int(prod(red_u_diagonal(n, k)))
+    """U_{i,i} = (2n+2+2i)! i! / ((2n+2+i)! (2i)!)."""
+    return [Fraction(factorial(2 * n + 2 + 2 * i) * factorial(i), factorial(2 * n + 2 + i) * factorial(2 * i))
+            for i in range(k)]
 
 
 def red_b_column(n: int, k: int, ell: int) -> list[int]:
@@ -334,12 +318,8 @@ DYCK_HALF_HEX = Model(
     matrix=dyck_matrix,
     closed_l_inv=dyck_closed_L_inv,
     b_column=dyck_b_column,
-    partition=dyck_partition,
+    u_diagonal=dyck_u_diagonal,
     reference_ell=lambda n, k: 0,
-    # Fitted to 22 timings of 0.7-70 s; the elimination of an (n+1)-square
-    # matrix whose entries grow by 2 bits per unit of k.
-    verify_seconds=lambda n, k: 53 * ((n + 1) / 351) ** 3.5
-    + 91 * ((n + 1) / 61) ** 4 * (k / 512) ** 2,
     lattice=Lattice(
         steps=((1, 1), (1, -1)),
         starts=lambda n, k: ((-2 * i, 0) for i in range(n + 1)),
@@ -368,11 +348,8 @@ RED_HALF_HEX = Model(
     matrix=red_matrix,
     closed_l_inv=red_closed_L_inv,
     b_column=red_b_column,
-    partition=red_partition,
+    u_diagonal=red_u_diagonal,
     reference_ell=lambda n, k: 0,
-    # Fitted to the 16 timings of 10-256 s; the elimination of a k-square
-    # matrix whose entries vanish more than n + 1 places right of the diagonal.
-    verify_seconds=lambda n, k: 70 * (k / 200) ** 3.3 * min(n + 2, k) / 32,
     lattice=Lattice(
         steps=((0, -2), (1, -1)),
         starts=lambda n, k: ((i, i + 2 * n + 2) for i in range(k)),

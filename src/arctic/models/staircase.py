@@ -74,10 +74,10 @@ def _pascal_fields(prefixes: Callable[[int], Sequence[int]]) -> dict[str, Callab
     """The record fields of a Pascal-row model whose exit ell reads prefix m = prefixes(n)[ell].
 
     Its matrix has the Pascal lower factor C(i, j) and the U diagonal 2^i, so the
-    closed L^-1, the partition function and the verify-time fit are shared.  The
-    one-point function is :func:`_pascal_prefix` at m, 0 for m < 0; the exact
-    profile reads every prefix of one walked row, the log profile the same
-    prefixes of :func:`_log_pascal_row` (-inf for m < 0).
+    closed L^-1 and the U diagonal are shared.  The one-point function is
+    :func:`_pascal_prefix` at m, 0 for m < 0; the exact profile reads every
+    prefix of one walked row, the log profile the same prefixes of
+    :func:`_log_pascal_row` (-inf for m < 0).
     """
 
     def one_point(n: int, k: int | None, ell: int) -> Fraction:
@@ -99,9 +99,7 @@ def _pascal_fields(prefixes: Callable[[int], Sequence[int]]) -> dict[str, Callab
         "exact_profile": exact_profile,
         "log_profile": log_profile,
         "closed_l_inv": lambda n, k: pascal_closed_L_inv(n),
-        "partition": lambda n, k: 2 ** (n * (n + 1) // 2),
-        # Fitted to 13 timings of 0.8-131 s.
-        "verify_seconds": lambda n, k: 52 * ((n + 1) / 181) ** 6,
+        "u_diagonal": lambda n, k: [1 << i for i in range(n + 1)],
     }
 
 
@@ -127,11 +125,13 @@ def staircase_alt_entry(i: int, j: int) -> int:
 
 
 def staircase_matrix(n: int) -> ExactMatrix:
-    return ExactMatrix.from_function(n + 1, n + 1, staircase_entry)
+    """:func:`staircase_entry` C(2i + j, 2i), row i one walked binomial column."""
+    return ExactMatrix.from_rows([_binomial_column(2 * i, 2 * i, 2 * i + n) for i in range(n + 1)])
 
 
 def staircase_alt_matrix(n: int) -> ExactMatrix:
-    return ExactMatrix.from_function(n + 1, n + 1, staircase_alt_entry)
+    """:func:`staircase_alt_entry` C(2i, j), row i one walked binomial row."""
+    return ExactMatrix.from_rows([_binomial_row(2 * i, 0, n) for i in range(n + 1)])
 
 
 def staircase_b_column(n: int, ell: int) -> list[int]:

@@ -223,8 +223,10 @@ def _tangent_line(model: ModelId, z: float, x: float | None) -> TangentLine:
     if abs(x1 - x0) < 1e-14:
         raise EnvelopeError(f"vertical tangent at parameter {z}")
     slope = (y1 - y0) / (x1 - x0)
-    intercept = y0 - slope * x0
-    return TangentLine(z, slope, intercept, exit_point, target, xi)
+    try:
+        return TangentLine(z, slope, y0 - slope * x0, exit_point, target, xi)
+    except ValueError:  # so steep that rounding moves the line off its own points
+        raise EnvelopeError(f"near-vertical tangent at parameter {z}") from None
 
 
 def tangent_family(

@@ -13,6 +13,8 @@ the package compiles only what its commands run:
 - :func:`leading_principal_minors` and :func:`leading_corner`: partition
   functions as leading minors, and the truncation property of the LU
   factorizations of the infinite matrices;
+- :func:`dyck_partition` and :func:`red_partition`: the half-hexagon partition
+  functions as products of the closed U diagonals;
 - :func:`aztec_closed_U`: the closed upper factor of the diamond matrix;
 - :func:`pascal_closed_L`, :func:`dyck_closed_L` and :func:`red_closed_L`: the
   closed lower factors whose inverses the path models' records carry.
@@ -22,12 +24,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Sequence
 
 from arctic import linalg, models
 from arctic.combinat import binomial
 from arctic.linalg import ExactMatrix
+from arctic.models.halfhex import dyck_u_diagonal, red_u_diagonal
 from arctic.oracle import AsmMatrix, PathFamilySpec
 
 
@@ -68,6 +71,14 @@ def leading_principal_minors(m: ExactMatrix) -> list[int]:
     every model matrix in this package; a vanishing one raises with its index.
     """
     return linalg._bareiss_pivots(linalg._rows(m), m.rows)
+
+
+def dyck_partition(n: int, k: int) -> int:
+    return models._exact_int(prod(dyck_u_diagonal(n, k)))
+
+
+def red_partition(n: int, k: int) -> int:
+    return models._exact_int(prod(red_u_diagonal(n, k)))
 
 
 def aztec_closed_U(n: int) -> ExactMatrix:

@@ -20,7 +20,7 @@ from arctic.curves import residual, vsasm_parametric
 from arctic.linalg import det_bareiss, last_column_minors, lu_exact
 from arctic.models import MODEL_OPS, ModelId
 from arctic.models.aztec import aztec_matrix
-from arctic.models.halfhex import dyck_matrix, dyck_partition, red_matrix, red_partition
+from arctic.models.halfhex import dyck_matrix, red_matrix
 from arctic.models.staircase import staircase_alt_matrix, staircase_matrix
 from arctic.models.vsasm import n_asm, n_vsasm, n_vsasm_refined, raz_strog_check
 from arctic.oracle import (
@@ -31,7 +31,13 @@ from arctic.oracle import (
     model_path_spec,
 )
 from arctic.tangent import analytic_saddle, envelope, finite_n_saddle, tangent_family
-from paper_checks import falling_factorial, inverse_binomial_sum, leading_principal_minors
+from paper_checks import (
+    dyck_partition,
+    falling_factorial,
+    inverse_binomial_sum,
+    leading_principal_minors,
+    red_partition,
+)
 
 
 def _verdict(num: int, description: str, ok: bool, detail: str = "") -> None:

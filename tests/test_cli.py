@@ -222,27 +222,28 @@ def test_verify_makes_one_elimination(monkeypatch, capsys):
     assert len(eliminations) == 1 and dets == []
 
 
-# Largest inputs the verify cost bound accepts, each timed in-process (see
+# Largest inputs the verify work bound accepts, each timed in-process (see
 # CHANGES.md); one more in n or in k is refused before any elimination.
 @pytest.mark.parametrize(
     "model,n,k",
     [
-        ("aztec", 207, None),
-        ("staircase", 207, None),
-        ("staircase-alt", 207, None),
-        ("dyck", 441, 1),
-        ("dyck", 250, 32),
-        ("dyck", 129, 128),
-        ("dyck", 64, 512),
-        ("red", 0, 512),
-        ("red", 2, 442),
-        ("red", 32, 231),
-        ("red", 80, 177),
-        ("red", 512, 148),
+        ("aztec", 203, None),
+        ("staircase", 202, None),
+        ("staircase-alt", 204, None),
+        ("dyck", 380, 2),
+        ("dyck", 282, 32),
+        ("dyck", 135, 129),
+        ("dyck", 66, 512),
+        ("red", 1, 512),
+        ("red", 2, 467),
+        ("red", 32, 229),
+        ("red", 81, 185),
+        ("red", 512, 139),
     ],
 )
 def test_verify_cost_bound_refuses_past_the_timed_edge(model, n, k, monkeypatch, capsys):
-    assert MODEL_OPS[ModelId(model)].verify_seconds(n, k) <= cli.VERIFY_SECONDS_MAX
+    ops = MODEL_OPS[ModelId(model)]
+    assert linalg.last_column_work(ops.matrix(n, k), ops.u_diagonal(n, k)) <= cli.VERIFY_WORK_MAX
     eliminations = _count_calls(monkeypatch, linalg, "_bareiss_pivots")
     past = [(n + 1, k), *([(n, k + 1)] if k is not None else [])]
     for n_past, k_past in past:
@@ -252,7 +253,7 @@ def test_verify_cost_bound_refuses_past_the_timed_edge(model, n, k, monkeypatch,
         with pytest.raises(SystemExit) as err:
             main(argv + (["--k", str(k_past)] if k_past is not None else []))
         assert err.value.code == 2
-        assert "above the verify cost bound of 120 s" in capsys.readouterr().err
+        assert f"above the verify work bound of {cli.VERIFY_WORK_MAX}" in capsys.readouterr().err
     assert eliminations == []
 
 
@@ -460,6 +461,9 @@ def test_envelope_rejects_small_grid(capsys):
         ["envelope", "--model", "aztec", "--z-min", "3", "--z-max", "2"],
         ["envelope", "--model", "aztec", "--z-min", "0", "--z-max", "3", "--spacing", "log"],
         ["envelope", "--model", "aztec", "--z-min", "1.1", "--z-max", "1e300", "--spacing", "log"],
+        ["envelope", "--model", "vsasm", "--z-min", "1e-9", "--z-max", "2e-9", "--count", "8"],
+        ["envelope", "--model", "red", "--z-min", "1e-12", "--z-max", "1e12", "--spacing", "log",
+         "--count", "64"],
         ["saddle", "--model", "aztec", "--n", "512", "--z", "2.0", "--tol", "0"],
         ["curve", "--model", "vsasm", "--samples", "1"],
         ["curve", "--model", "vsasm", "--samples", "0"],

@@ -16,6 +16,7 @@ from arctic.linalg import (
     det_bareiss,
     det_ratio_last_column,
     last_column_minors,
+    last_column_work,
     lu_exact,
 )
 from arctic.models import ModelId, MODEL_OPS
@@ -313,6 +314,14 @@ def test_cofactor_minors_match_replaced_determinants_at_model_scale(model, n, k)
     for c, minor in zip(columns, minors):
         replaced = ExactMatrix.from_function(m.rows, m.cols, lambda i, j: c[i] if j == last else m[i, j])
         assert minor == det_bareiss(replaced)
+
+
+def test_last_column_work_charges_squared_digits_per_updated_entry():
+    # Delannoy 3x3: minors 1, 2, 8 and largest entry 13 (4 bits); steps update 4 then 1 entries.
+    assert last_column_work(aztec_matrix(2), [1, 2, 4]) == 4 * 1 + 1 * 1
+    # Order-2 minor and largest entry of 41 bits: one update of 82 bits, three 30-bit digits.
+    assert last_column_work(ExactMatrix.from_rows([[1, 0], [0, 2**40]]), [1, 2**40]) == 9
+    assert last_column_work(ExactMatrix.from_rows([[5]]), [5]) == 0
 
 
 def test_bareiss_rejects_non_integer_entries():

@@ -27,16 +27,15 @@ from arctic.models.halfhex import (
     dyck_escape,
     dyck_matrix,
     dyck_one_point,
-    dyck_partition,
     dyck_u_diagonal,
     red_entry,
     red_matrix,
     red_one_point,
-    red_partition,
 )
 from arctic.models.staircase import (
     _staircase_prefixes,
     pascal_closed_L_inv,
+    staircase_alt_entry,
     staircase_alt_escape,
     staircase_alt_matrix,
     staircase_entry,
@@ -55,7 +54,14 @@ from arctic.models.vsasm import (
 )
 from arctic.oracle import enumerate_asm, enumerate_vsasm
 from arctic.tangent import finite_n_saddle
-from paper_checks import aztec_closed_U, dyck_closed_L, falling_factorial, pascal_closed_L
+from paper_checks import (
+    aztec_closed_U,
+    dyck_closed_L,
+    dyck_partition,
+    falling_factorial,
+    pascal_closed_L,
+    red_partition,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +128,23 @@ def test_aztec_entry_symmetry():
 def test_aztec_matrix_delannoy_table_matches_entry_sums():
     for n in range(0, 41):
         assert aztec_matrix(n) == ExactMatrix.from_function(n + 1, n + 1, aztec_entry)
+
+
+@pytest.mark.parametrize("n", range(21))
+def test_walked_matrices_match_entry_references(n):
+    assert staircase_matrix(n) == ExactMatrix.from_function(n + 1, n + 1, staircase_entry)
+    assert staircase_alt_matrix(n) == ExactMatrix.from_function(n + 1, n + 1, staircase_alt_entry)
+    for k in range(1, 21):
+        assert dyck_matrix(n, k) == ExactMatrix.from_function(n + 1, n + 1, lambda i, j: dyck_entry(i, j, k))
+        assert red_matrix(n, k) == ExactMatrix.from_function(k, k, lambda i, j: red_entry(i, j, n))
+
+
+@pytest.mark.parametrize("model", [m for m in ModelId if MODEL_OPS[m].has_paths])
+def test_closed_u_diagonal_matches_lu(model):
+    ops = MODEL_OPS[model]
+    for n in range(ops.n_min, 9):
+        for k in range(ops.k_min, 9) if ops.needs_k else [None]:
+            assert tuple(ops.u_diagonal(n, k)) == lu_exact(ops.matrix(n, k)).u_diagonal()
 
 
 def test_aztec_closed_lu_reconstructs():

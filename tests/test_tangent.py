@@ -391,6 +391,13 @@ def test_envelope_rejects_parallel_and_unsorted():
         envelope([mk(1.0, 0.0), mk(2.0, 1.0)])
 
 
+@pytest.mark.parametrize("model,z,x", [(ModelId.VSASM, 1e-9, None), (ModelId.RED_HALF_HEX, 1e-12, 1.0)])
+def test_near_vertical_tangent_names_its_parameter(model, z, x):
+    """A line too steep to pass through its own points in doubles is refused as vertical."""
+    with pytest.raises(EnvelopeError, match=f"tangent at parameter {z}$"):
+        tangent_family(model, [z * (1 + i / 8) for i in range(8)], x)
+
+
 def test_aztec_envelope_lands_on_circle():
     grid = [1.1 + (5 - 1.1) * i / 199 for i in range(200)]
     lines = tangent_family(ModelId.AZTEC, grid)
