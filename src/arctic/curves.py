@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 __all__ = [
     "ImplicitCurve",
@@ -49,25 +49,33 @@ class ImplicitCurve(_CurveFields):
             raise ValueError(f"empty window {curve.window}")
         return curve
 
-    def value(self, x: float, y: float) -> float:
-        return _sum(c * x**i * y**j for (i, j), c in self.coefficients)
-
-    def gradient(self, x: float, y: float) -> tuple[float, float]:
-        gx = _sum(c * i * x ** (i - 1) * y**j for (i, j), c in self.coefficients if i > 0)
-        gy = _sum(c * j * x**i * y ** (j - 1) for (i, j), c in self.coefficients if j > 0)
-        return gx, gy
+    def evaluate(self, x: float, y: float) -> tuple[float, float, float]:
+        """P, P_x and P_y at (x, y) in one pass, each sum added left to right from 0 in coefficient
+        order (float ``sum`` is compensated from Python 3.12 on, so it would vary by version)."""
+        xs, ys = (1.0, x, x**2), (1.0, y, y**2)  # every curve here has total degree <= 2
+        p = px = py = 0
+        for (i, j), c in self.coefficients:
+            p += c * xs[i] * ys[j]
+            if i:
+                px += c * i * xs[i - 1] * ys[j]
+            if j:
+                py += c * j * xs[i] * ys[j - 1]
+        return p, px, py
 
     def branches(self) -> list[list[tuple[float, float]]]:
         """One or two branches, each sampled at 257 evenly spaced abscissae across the window.
         Reads the y^2, y, x y and pure-x terms only: every curve here has no other."""
         coeff = dict(self.coefficients)
         a, b0, b1 = (coeff.get(key, 0.0) for key in ((0, 2), (0, 1), (1, 1)))
+        pure_x = [(ix, cv) for (ix, iy), cv in self.coefficients if iy == 0]
         (x0, x1), (y0, y1) = self.window
         branches: list[list[tuple[float, float]]] = [[], []]
         for i in range(257):
             x = x0 + (x1 - x0) * i / 256
             b = b0 + b1 * x
-            c = _sum(cv * x**ix for (ix, iy), cv in coeff.items() if iy == 0)
+            c = 0
+            for ix, cv in pure_x:
+                c += cv * x**ix
             if a == 0:
                 ys = [-c / b] if b else []
             else:
@@ -80,14 +88,6 @@ class ImplicitCurve(_CurveFields):
                 if y0 - 1e-9 <= y <= y1 + 1e-9:
                     branch.append((x, y))
         return [b for b in branches if len(b) >= 2]
-
-
-def _sum(terms: Iterable[float]) -> float:
-    """The terms added left to right, as float ``sum`` did before Python 3.12 compensated it."""
-    total = 0
-    for term in terms:
-        total += term
-    return total
 
 
 class ParametricCurve(NamedTuple):
@@ -103,9 +103,8 @@ def residual(curve: ImplicitCurve, point: tuple[float, float]) -> float:
     Points outside the curve's window are still evaluated; window membership
     is the caller's concern.
     """
-    x, y = point
-    gx, gy = curve.gradient(x, y)
-    return abs(curve.value(x, y)) / max(math.hypot(gx, gy), 1.0)
+    p, gx, gy = curve.evaluate(*point)
+    return abs(p) / max(math.hypot(gx, gy), 1.0)
 
 
 # Curves are immutable, so each constructor hands out one shared instance per

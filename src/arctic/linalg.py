@@ -262,10 +262,22 @@ def last_column_work(m: ExactMatrix, u_diagonal: Sequence[Scalar]) -> int:
     products are the leading minors.  Elimination step s = 0..N-2 updates
     (N-1-s)^2 entries, each by products and an exact division of numbers of
     about beta_{s+2} + E bits: beta_m bits for the order-m leading minor, E for
-    m's largest entry.  Each is charged the square of its digit count.
+    m's largest entry.  Each is charged the square of its digit count.  beta is read
+    from the floor and ceiling lo <= hi of |minor| / 2^shift, kept to 64 bits, while
+    they have one bit length, else (just above a power of two) from exact minors.
     """
     entry_bits = max(map(abs, m._data)).bit_length()
-    minors = [int(x).bit_length() for x in accumulate(u_diagonal, mul)]
+    minors, lo, hi, shift = [], 1, 1, 0
+    for u in u_diagonal:
+        a, b, e = abs(u.numerator), u.denominator, u.denominator.bit_length()
+        lo, hi = (lo << e) * a // b, -(-(hi << e) * a // b)
+        cut = max(hi.bit_length() - 64, 0)
+        lo, hi, shift = lo >> cut, -(-hi >> cut), shift + cut - e
+        if lo.bit_length() != hi.bit_length():
+            exact = accumulate(u_diagonal, lambda x, u: x * u.numerator // u.denominator, initial=1)
+            minors = [x.bit_length() for x in exact][1:]
+            break
+        minors.append(hi.bit_length() + shift if hi else 0)
     n = len(minors)
     return sum((n - 1 - s) ** 2 * (-(-(minors[s + 1] + entry_bits) // 30)) ** 2 for s in range(n - 1))
 

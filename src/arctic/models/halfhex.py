@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import comb, factorial
+from math import comb
 from operator import add, sub
 from typing import Callable
 
@@ -81,9 +81,11 @@ def dyck_closed_L_inv(n: int, k: int) -> ExactMatrix:
 
 
 def dyck_u_diagonal(n: int, k: int) -> list[Fraction]:
-    """U_{i,i} = (2i+1)! (2k+2i)! / ((k+2i+1)! (k+2i)!)."""
-    return [Fraction(factorial(2 * i + 1) * factorial(2 * k + 2 * i), factorial(k + 2 * i + 1) * factorial(k + 2 * i))
-            for i in range(n + 1)]
+    """U_{i,i} = (2i+1)! (2k+2i)! / ((k+2i+1)! (k+2i)!), walked from U_{0,0} = c_k by the ratio
+    U_{i+1,i+1} / U_{i,i} = (2i+3)(2i+2)(2k+2i+2)(2k+2i+1) / ((k+2i+3)(k+2i+2)^2 (k+2i+1))."""
+    return list(accumulate(range(n), lambda u, i: u * Fraction(
+        (2 * i + 3) * (2 * i + 2) * (2 * k + 2 * i + 2) * (2 * k + 2 * i + 1),
+        (k + 2 * i + 3) * (k + 2 * i + 2) ** 2 * (k + 2 * i + 1)), initial=Fraction(catalan(k))))
 
 
 def dyck_b_column(n: int, k: int, ell: int) -> list[int]:
@@ -180,10 +182,6 @@ def _dyck_log_profile(n: int, k: int) -> tuple[float, ...]:
     return (0.0,) * (n + 1) + tuple(tail)
 
 
-def _dyck_cubic(x: float, y: float, xi: float) -> float:
-    return (y + xi) * (1 + xi) * (1 + x - xi) - xi * (2 * x + 1 - xi) * (xi - 1)
-
-
 def _dyck_action(z: float, xi: float, x: float | None) -> tuple[float, float]:
     if x is None or not 0 <= xi <= 1 + x:
         raise ValueError(f"need x and 0 <= xi <= 1 + x, got xi={xi}, x={x}")
@@ -211,7 +209,7 @@ def red_matrix(n: int, k: int) -> ExactMatrix:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     cols = [_binomial_row(j + n + 1, max(2 * j - k + 1, 0), 2 * j)[::-1] for j in range(k)]
-    return ExactMatrix.from_rows([[col[i] if i < len(col) else 0 for col in cols] for i in range(k)])
+    return ExactMatrix(k, k, [e for row in zip(*(col + [0] * (k - len(col)) for col in cols)) for e in row])
 
 
 def red_closed_L_inv(n: int, k: int) -> ExactMatrix:
@@ -223,9 +221,10 @@ def red_closed_L_inv(n: int, k: int) -> ExactMatrix:
 
 
 def red_u_diagonal(n: int, k: int) -> list[Fraction]:
-    """U_{i,i} = (2n+2+2i)! i! / ((2n+2+i)! (2i)!)."""
-    return [Fraction(factorial(2 * n + 2 + 2 * i) * factorial(i), factorial(2 * n + 2 + i) * factorial(2 * i))
-            for i in range(k)]
+    """U_{i,i} = (2n+2+2i)! i! / ((2n+2+i)! (2i)!), walked from U_{0,0} = 1 by the ratio
+    U_{i+1,i+1} / U_{i,i} = (n+i+2)(2n+2i+3) / ((2n+i+3)(2i+1))."""
+    return list(accumulate(range(k - 1), lambda u, i: u * Fraction(
+        (n + i + 2) * (2 * n + 2 * i + 3), (2 * n + i + 3) * (2 * i + 1)), initial=Fraction(1)))
 
 
 def red_b_column(n: int, k: int, ell: int) -> list[int]:
@@ -284,10 +283,6 @@ def _red_log_profile(n: int, k: int) -> tuple[float, ...]:
     return tuple(map(sub, map(add, reversed(suffix), repeat(_LN2)), repeat(norm)))
 
 
-def _red_y(x: float, xi: float) -> float:
-    return 2 * x * xi * xi / ((1 - xi) * (1 + x + xi))
-
-
 def _red_action(z: float, xi: float, x: float | None) -> tuple[float, float]:
     if x is None or not 0 <= xi <= 1:
         raise ValueError(f"need x and 0 <= xi <= 1, got xi={xi}, x={x}")
@@ -308,8 +303,9 @@ DYCK_HALF_HEX = Model(
     log_profile=_dyck_log_profile,
     log_escape=lambda n, target: _log_path_escape(target),
     z_range=(0.0, math.inf),
-    saddle=lambda z, x: models._bisect(lambda xi: _dyck_cubic(x, z, xi), (2 + 3 * x) / (2 + x),
-                                1 + x - 1e-15),
+    saddle=lambda z, x: models._bisect(
+        lambda xi: (z + xi) * (1 + xi) * (1 + x - xi) - xi * (2 * x + 1 - xi) * (xi - 1),
+        (2 + 3 * x) / (2 + x), 1 + x - 1e-15),
     action=_dyck_action,
     geometry=lambda xi, z, x: ((2 * x + 1 - xi, 1 + xi), (2 * x + 1 + z, 1 + z)),
     limit_curve=ellipse,
@@ -339,7 +335,8 @@ RED_HALF_HEX = Model(
     log_profile=_red_log_profile,
     log_escape=lambda n, target: _log_path_escape(target),
     z_range=(0.0, math.inf),
-    saddle=lambda z, x: models._bisect(lambda xi: _red_y(x, xi) - z, 1e-15, 1 - 1e-15),
+    saddle=lambda z, x: models._bisect(lambda xi: 2 * x * xi * xi / ((1 - xi) * (1 + x + xi)) - z,
+                                       1e-15, 1 - 1e-15),
     action=_red_action,
     geometry=lambda xi, z, x: ((2 * x, 2 * xi), (2 * x + z, -z)),
     limit_curve=ellipse,

@@ -58,6 +58,12 @@ def _pascal_prefix(n: int, m: int) -> Fraction:
 
 
 @lru_cache(maxsize=4)
+def _pascal_row(n: int) -> tuple[Fraction, ...]:
+    """2^-n sum_{j <= m} C(n, j) for m = 0..n, one exact row shared by the three Pascal-row models."""
+    return tuple(Fraction(p, 1 << n) for p in accumulate(_binomial_row(n, 0, n)))
+
+
+@lru_cache(maxsize=4)
 def _log_pascal_row(n: int) -> tuple[float, ...]:
     """log 2^-n sum_{j <= m} C(n, j) for m = 0..n, one accumulated log row shared by the
     three Pascal-row models.
@@ -75,9 +81,9 @@ def _pascal_fields(prefixes: Callable[[int], Sequence[int]]) -> dict[str, Callab
 
     Its matrix has the Pascal lower factor C(i, j) and the U diagonal 2^i, so the
     closed L^-1 and the U diagonal are shared.  The one-point function is
-    :func:`_pascal_prefix` at m, 0 for m < 0; the exact profile reads every
-    prefix of one walked row, the log profile the same prefixes of
-    :func:`_log_pascal_row` (-inf for m < 0).
+    :func:`_pascal_prefix` at m, 0 for m < 0; the exact profile reads the prefixes of
+    :func:`_pascal_row`, the log profile the same prefixes of :func:`_log_pascal_row`
+    (-inf for m < 0).
     """
 
     def one_point(n: int, k: int | None, ell: int) -> Fraction:
@@ -87,7 +93,7 @@ def _pascal_fields(prefixes: Callable[[int], Sequence[int]]) -> dict[str, Callab
         return _pascal_prefix(n, ms[ell])
 
     def exact_profile(n: int, k: int | None) -> tuple[Fraction, ...]:
-        row, zero = [Fraction(p, 1 << n) for p in accumulate(_binomial_row(n, 0, n))], Fraction(0)
+        row, zero = _pascal_row(n), Fraction(0)
         return tuple(row[m] if m >= 0 else zero for m in prefixes(n))
 
     def log_profile(n: int, k: int | None) -> tuple[float, ...]:

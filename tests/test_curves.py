@@ -3,20 +3,31 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arctic.curves import ImplicitCurve, aztec_parametric, residual, vsasm_parametric
+from arctic.curves import (
+    ImplicitCurve,
+    aztec_parametric,
+    circle,
+    ellipse,
+    parabola,
+    residual,
+    vsasm_curve,
+    vsasm_parametric,
+)
 from arctic.models import MODEL_OPS, ModelId
 
 
 def test_catalog_values_on_known_points():
     cat = {model: ops.limit_curve(1.0) for model, ops in MODEL_OPS.items()}
     circle = cat[ModelId.AZTEC]
-    assert abs(circle.value(0.0, 1 + 1 / math.sqrt(2))) < 1e-15
+    assert abs(circle.evaluate(0.0, 1 + 1 / math.sqrt(2))[0]) < 1e-15
     parabola = cat[ModelId.STAIRCASE]
-    assert parabola.value(2.0, 0.0) == 0.0
-    assert parabola.value(0.0, 0.0) == 0.0
+    assert parabola.evaluate(2.0, 0.0)[0] == 0.0
+    assert parabola.evaluate(0.0, 0.0)[0] == 0.0
     ellipse = cat[ModelId.DYCK_HALF_HEX]
-    assert abs(ellipse.value(1.0, 2 * math.sqrt(2))) < 1e-12
+    assert abs(ellipse.evaluate(1.0, 2 * math.sqrt(2))[0]) < 1e-12
     assert cat[ModelId.STAIRCASE] is cat[ModelId.STAIRCASE_ALT]
     assert cat[ModelId.DYCK_HALF_HEX] is cat[ModelId.RED_HALF_HEX]
 
@@ -79,8 +90,8 @@ def test_ellipse_reflection_symmetry():
         for i in range(50):
             u = 2 * x_model * i / 49
             v = 0.3 + 0.02 * i
-            mirrored = ellipse.value(2 * x_model - u, v)
-            assert abs(ellipse.value(u, v) - mirrored) < 1e-9 * max(1, abs(mirrored))
+            mirrored = ellipse.evaluate(2 * x_model - u, v)[0]
+            assert abs(ellipse.evaluate(u, v)[0] - mirrored) < 1e-9 * max(1, abs(mirrored))
 
 
 def test_circle_mirror_symmetry():
@@ -88,7 +99,7 @@ def test_circle_mirror_symmetry():
     for i in range(50):
         x = -1 + 2 * i / 49
         y = 0.4 + 0.03 * i
-        assert circle.value(x, y) == circle.value(-x, y)
+        assert circle.evaluate(x, y)[0] == circle.evaluate(-x, y)[0]
 
 
 def test_tangency_points_sit_on_curves_and_boundaries():
@@ -108,5 +119,77 @@ def test_tangency_points_sit_on_curves_and_boundaries():
 
 def test_parabola_tangent_at_origin_has_slope_one():
     parabola = MODEL_OPS[ModelId.STAIRCASE].limit_curve(1.0)
-    gx, gy = parabola.gradient(0.0, 0.0)
+    _, gx, gy = parabola.evaluate(0.0, 0.0)
     assert abs(-gx / gy - 1.0) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# One-pass evaluation against the term-by-term sums
+# ---------------------------------------------------------------------------
+
+_CURVES = [circle(), parabola(), vsasm_curve(), ellipse(0.5), ellipse(1.0), ellipse(2.0)]
+
+
+def _added(terms):
+    """The terms added left to right from 0, one generator term at a time."""
+    total = 0
+    for term in terms:
+        total += term
+    return total
+
+
+def _ref_evaluate(curve, x, y):
+    """P, P_x and P_y as three separate generator sums, one term per coefficient."""
+    cs = curve.coefficients
+    return (
+        _added(c * x**i * y**j for (i, j), c in cs),
+        _added(c * i * x ** (i - 1) * y**j for (i, j), c in cs if i > 0),
+        _added(c * j * x**i * y ** (j - 1) for (i, j), c in cs if j > 0),
+    )
+
+
+def _ref_branches(curve):
+    """The branch sampler with its pure-x sum written as a generator sum."""
+    coeff = dict(curve.coefficients)
+    a, b0, b1 = (coeff.get(key, 0.0) for key in ((0, 2), (0, 1), (1, 1)))
+    (x0, x1), (y0, y1) = curve.window
+    branches = [[], []]
+    for i in range(257):
+        x = x0 + (x1 - x0) * i / 256
+        b = b0 + b1 * x
+        c = _added(cv * x**ix for (ix, iy), cv in coeff.items() if iy == 0)
+        if a == 0:
+            ys = [-c / b] if b else []
+        else:
+            disc = b * b - 4 * a * c
+            if disc < 0:
+                continue
+            r = math.sqrt(disc)
+            ys = [(-b - r) / (2 * a), (-b + r) / (2 * a)]
+        for branch, y in zip(branches, sorted(ys)):
+            if y0 - 1e-9 <= y <= y1 + 1e-9:
+                branch.append((x, y))
+    return [b for b in branches if len(b) >= 2]
+
+
+def _hexes(values):
+    return [v.hex() for v in values]
+
+
+_coordinate = st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(x=_coordinate, y=_coordinate)
+def test_evaluate_and_residual_match_term_sums_bit_for_bit(x, y):
+    for curve in _CURVES:
+        want = _ref_evaluate(curve, x, y)
+        assert _hexes(curve.evaluate(x, y)) == _hexes(want), curve.name
+        p, gx, gy = want
+        assert residual(curve, (x, y)).hex() == (abs(p) / max(math.hypot(gx, gy), 1.0)).hex()
+
+
+@pytest.mark.parametrize("curve", _CURVES, ids=lambda c: c.name)
+def test_branches_match_term_sums_bit_for_bit(curve):
+    got, want = curve.branches(), _ref_branches(curve)
+    assert [[_hexes(p) for p in b] for b in got] == [[_hexes(p) for p in b] for b in want]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arctic import linalg
 from arctic.combinat import ballot, binomial, catalan
 from arctic.linalg import (
     ExactMatrix,
@@ -322,6 +323,61 @@ def test_last_column_work_charges_squared_digits_per_updated_entry():
     # Order-2 minor and largest entry of 41 bits: one update of 82 bits, three 30-bit digits.
     assert last_column_work(ExactMatrix.from_rows([[1, 0], [0, 2**40]]), [1, 2**40]) == 9
     assert last_column_work(ExactMatrix.from_rows([[5]]), [5]) == 0
+
+
+def _work_from_exact_minors(m, u_diagonal):
+    """:func:`last_column_work`'s charge with every leading minor an exact product."""
+    entry_bits = max(map(abs, m._data)).bit_length()
+    minors = [int(x).bit_length() for x in itertools.accumulate(u_diagonal, lambda a, b: a * b)]
+    n = len(minors)
+    return sum((n - 1 - s) ** 2 * (-(-(minors[s + 1] + entry_bits) // 30)) ** 2 for s in range(n - 1))
+
+
+def _counting_accumulate(monkeypatch):
+    calls = []
+    real = linalg.accumulate
+    monkeypatch.setattr(linalg, "accumulate", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("model", [m for m in ModelId if MODEL_OPS[m].has_paths])
+def test_last_column_work_reads_model_minor_bits_without_exact_products(model, monkeypatch):
+    ops = MODEL_OPS[model]
+    calls = _counting_accumulate(monkeypatch)
+    for n in (1, 2, 7, 30, 120):
+        for k in (k for k in (1, 2, 9, 64) if k >= ops.k_min) if ops.needs_k else (None,):
+            m, u = ops.matrix(n, k), ops.u_diagonal(n, k)
+            calls.clear()
+            assert last_column_work(m, u) == _work_from_exact_minors(m, u), (n, k)
+            assert calls == [], (n, k)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    minors=st.lists(
+        st.builds(
+            lambda v, sign: sign * v,
+            st.integers(1, 2**400) | st.builds(lambda e, d: 2**e + d, st.integers(1, 400), st.sampled_from((-1, 0, 1))),
+            st.sampled_from((1, -1)),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_last_column_work_matches_exact_minor_bits(minors):
+    # Random integer minors, some a power of two or one off it, each U entry their ratio.
+    u = [Fraction(minors[0])] + [Fraction(b, a) for a, b in zip(minors, minors[1:])]
+    m = ExactMatrix.identity(len(u))
+    assert last_column_work(m, u) == _work_from_exact_minors(m, u)
+
+
+def test_last_column_work_forms_exact_minors_just_above_a_power_of_two(monkeypatch):
+    # Minors of 317, 401 and 403 bits: 3^200 (cut to 64 bits, so bracketed), then 2^400 + 1.
+    u = [3**200, Fraction(2**400 + 1, 3**200), 5]
+    m = ExactMatrix.identity(3)
+    calls = _counting_accumulate(monkeypatch)
+    assert last_column_work(m, u) == _work_from_exact_minors(m, u) == 4 * 14**2 + 14**2
+    assert len(calls) == 1
 
 
 def test_bareiss_rejects_non_integer_entries():

@@ -31,8 +31,10 @@ from arctic.models.halfhex import (
     red_entry,
     red_matrix,
     red_one_point,
+    red_u_diagonal,
 )
 from arctic.models.staircase import (
+    _pascal_row,
     _staircase_prefixes,
     pascal_closed_L_inv,
     staircase_alt_entry,
@@ -145,6 +147,29 @@ def test_closed_u_diagonal_matches_lu(model):
     for n in range(ops.n_min, 9):
         for k in range(ops.k_min, 9) if ops.needs_k else [None]:
             assert tuple(ops.u_diagonal(n, k)) == lu_exact(ops.matrix(n, k)).u_diagonal()
+
+
+def test_walked_u_diagonals_equal_their_factorial_forms():
+    for n, k in [(n, k) for n in range(12) for k in range(1, 12)] + [(40, 97), (97, 40)]:
+        assert dyck_u_diagonal(n, k) == [
+            Fraction(factorial(2 * i + 1) * factorial(2 * k + 2 * i), factorial(k + 2 * i + 1) * factorial(k + 2 * i))
+            for i in range(n + 1)
+        ]
+        assert red_u_diagonal(n, k) == [
+            Fraction(factorial(2 * n + 2 + 2 * i) * factorial(i), factorial(2 * n + 2 + i) * factorial(2 * i))
+            for i in range(k)
+        ]
+
+
+def test_pascal_row_models_read_one_cached_exact_row():
+    n = 41
+    _pascal_row.cache_clear()
+    models = (ModelId.AZTEC, ModelId.STAIRCASE, ModelId.STAIRCASE_ALT)
+    profiles = [MODEL_OPS[model].exact_profile(n, None) for model in models]
+    info = _pascal_row.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    row = {id(v) for v in _pascal_row(n)}
+    assert all(id(v) in row for profile in profiles for v in profile if v)
 
 
 def test_aztec_closed_lu_reconstructs():

@@ -297,6 +297,33 @@ def test_saddle_bisection_matches_fixed_200_halvings(model, monkeypatch):
     assert max(log) <= 110
 
 
+def _dyck_cubic(x, y, xi):
+    """The dyck saddle equation as a helper, as the saddle bisected it before it was inlined."""
+    return (y + xi) * (1 + xi) * (1 + x - xi) - xi * (2 * x + 1 - xi) * (xi - 1)
+
+
+def _red_y(x, xi):
+    """The red target offset as a helper, as the saddle bisected it before it was inlined."""
+    return 2 * x * xi * xi / ((1 - xi) * (1 + x + xi))
+
+
+_HELPER_SADDLES = {
+    ModelId.DYCK_HALF_HEX: lambda z, x: models._bisect(
+        lambda xi: _dyck_cubic(x, z, xi), (2 + 3 * x) / (2 + x), 1 + x - 1e-15),
+    ModelId.RED_HALF_HEX: lambda z, x: models._bisect(lambda xi: _red_y(x, xi) - z, 1e-15, 1 - 1e-15),
+}
+
+
+# The half-hexagon envelope grids: z from 0.02 to 50 (log spaced), at x = 0.5 and 2 (dyck), 1 (red).
+@pytest.mark.parametrize(
+    "model,x", [(ModelId.DYCK_HALF_HEX, 0.5), (ModelId.DYCK_HALF_HEX, 2.0), (ModelId.RED_HALF_HEX, 1.0)]
+)
+def test_inlined_saddles_match_helper_bisection_bit_for_bit(model, x):
+    zs = [0.02, 50.0] + [0.02 * 2500 ** (i / 49) for i in range(50)]
+    for z in zs:
+        assert analytic_saddle(model, z, x).hex() == _HELPER_SADDLES[model](z, x).hex(), z
+
+
 @pytest.mark.parametrize("model,x", [(ModelId.DYCK_HALF_HEX, 1.0), (ModelId.RED_HALF_HEX, 0.5)])
 def test_inner_ternary_search_matches_fixed_200_updates(model, x, monkeypatch):
     log = []
