@@ -124,11 +124,16 @@ def emit_svg(
     """Deterministic SVG 1.1 figure of tangents, envelope, and closed curve."""
     if not lines and not env_points and curve is None:
         raise ValueError("nothing to draw")
+    ends = [p for ln in lines for p in (ln.exit_point, ln.target_point)]
     corners = zip(*curve.window) if curve is not None else ()  # (x0, y0) and (x1, y1)
-    xs, ys = zip(*env_points, *corners, *(p for ln in lines for p in (ln.exit_point, ln.target_point)))
+    xs, ys = zip(*env_points, *corners, *ends)
     pad = 0.05 * max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
     fx0, fx1, fy0, fy1 = min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad
     scale = _VIEW / max(fx1 - fx0, fy1 - fy0)
+
+    def to_view(p: tuple[float, float]) -> tuple[str, str]:
+        """p in view coordinates, y pointing down, each to 3 decimals."""
+        return f"{(p[0] - fx0) * scale:.3f}", f"{_VIEW - (p[1] - fy0) * scale:.3f}"
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -136,16 +141,15 @@ def emit_svg(
         f'viewBox="0 0 {_VIEW:g} {_VIEW:g}">',
         f'<rect x="0" y="0" width="{_VIEW:g}" height="{_VIEW:g}" fill="white"/>',
     ]
-    for (x1, y1), (x2, y2) in ((ln.exit_point, ln.target_point) for ln in lines):
-        parts.append(f'<line x1="{(x1 - fx0) * scale:.3f}" y1="{_VIEW - (y1 - fy0) * scale:.3f}" '
-                     f'x2="{(x2 - fx0) * scale:.3f}" y2="{_VIEW - (y2 - fy0) * scale:.3f}" '
-                     'stroke="#9ecae1" stroke-width="1"/>')
+    for ln in lines:
+        (x1, y1), (x2, y2) = to_view(ln.exit_point), to_view(ln.target_point)
+        parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="#9ecae1" stroke-width="1"/>')
     if curve is not None:
         for branch in curve.branches():
-            d = " L".join(f"{(x - fx0) * scale:.3f},{_VIEW - (y - fy0) * scale:.3f}" for x, y in branch)
+            d = " L".join(",".join(to_view(p)) for p in branch)
             parts.append(f'<path d="M{d}" fill="none" stroke="#de2d26" stroke-width="2"/>')
     if env_points:
-        pts = " ".join(f"{(x - fx0) * scale:.3f},{_VIEW - (y - fy0) * scale:.3f}" for x, y in env_points)
+        pts = " ".join(",".join(to_view(p)) for p in env_points)
         parts.append(f'<polyline points="{pts}" fill="none" stroke="#31a354" stroke-width="2"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
