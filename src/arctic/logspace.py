@@ -37,6 +37,27 @@ def _log_comb(n: int, k: int) -> float:
     return _log_factorial(n) - _log_factorial(k) - _log_factorial(n - k)
 
 
+def _log_comb_stable(a: int, b: int) -> float:
+    """log C(a, b) for integers 0 <= b <= a < 2**53, to a few ulps of its own size.
+
+    :func:`_log_comb` subtracts log-factorials near log(a!), so it is off by about
+    u log(a!), u = 2^-53: up to thousands of ulps of log C(a, b) when b is far from a/2.
+    Here, with c = a - b, log C = b log1p(c/b) + c log1p(b/c) + log(a / (2 pi b c)) / 2
+    plus three Stirling remainders, no term much larger than the result; a side
+    below 32 is read from the exact ``math.comb``.
+    """
+    c = a - b
+    if min(b, c) < 32:
+        return math.log(math.comb(a, min(b, c)))
+
+    def remainder(x: int) -> float:  # log(x!) - (x log x - x + log(2 pi x) / 2), to 3e-17 at x >= 32
+        y = 1.0 / (x * x)
+        return (1.0 / 12 - y * (1.0 / 360 - y * (1.0 / 1260 - y / 1680))) / x
+
+    main = b * log1p(c / b) + c * log1p(b / c) + 0.5 * math.log(a / (2 * math.pi * (b * c)))
+    return main + (remainder(a) - remainder(b) - remainder(c))
+
+
 def _logaddexp(x: float, y: float) -> float:
     """log(e^x + e^y): x + log 2 if x == y, else the larger plus log1p(exp(-|x - y|))."""
     if x == y:

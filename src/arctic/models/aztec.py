@@ -15,7 +15,7 @@ from typing import Callable
 from ..combinat import trinomial
 from ..curves import CIRCLE_ARC, circle
 from ..linalg import ExactMatrix
-from ..logspace import _LN2
+from ..logspace import _LN2, _log_comb_stable
 from . import Lattice, Model, ModelId, _entropy, _xlogx
 from .staircase import _pascal_fields
 
@@ -70,21 +70,58 @@ def aztec_escape(n: int, k: int, ell: int) -> int:
     return aztec_entry(n - ell, j) + (aztec_entry(n - ell - 1, j) if ell < n else 0)
 
 
+def _delannoy_seed(m: int, j: int) -> tuple[float, float, int]:
+    """(D(m-1, j), D(m, j)) times 2^-shift, and the shift, from one windowed sum.
+
+    D(m, j) = sum_p t(p), t(p) = C(m, p) C(j, p) 2^p, and D(m-1, j) weights it by
+    (m-p)/m.  The ratio t(p+1)/t(p) = 2(m-p)(j-p)/(p+1)^2 falls, so t is log-concave:
+    the window grows from the peak, one ratio per term, until each edge term is
+    2^-60/(min(m, j)+1) of the running sum, and the tails it drops weigh under 2^-60.
+    """
+    if m == 0:
+        return 0.0, 1.0, 0
+    # The peak, the first p with t(p+1) <= t(p): the ceiling of the smaller root of 2(m-p)(j-p) = (p+1)^2.
+    top = min(m, j)
+    p = min(top, m + j + 1 - math.isqrt((m + j + 1) ** 2 - 2 * m * j + 1))
+    edge, total, weighted = 2.0**-60 / (top + 1), 1.0, float(m - p)
+    t, q = 1.0, p
+    while q < top and t >= edge * total:  # up from the peak t(p) = 1
+        t, q = t * (2 * (m - q) * (j - q) / (q + 1) ** 2), q + 1
+        total, weighted = total + t, weighted + t * (m - q)
+    t, q = 1.0, p
+    while q > 0 and t >= edge * total:  # and down from it
+        t, q = t * (q * q / (2 * (m - q + 1) * (j - q + 1))), q - 1
+        total, weighted = total + t, weighted + t * (m - q)
+    log_peak = _log_comb_stable(m, p) + _log_comb_stable(j, p) + p * _LN2
+    shift = int(log_peak / _LN2)
+    scale = math.exp(log_peak - shift * _LN2)  # shift * _LN2 is the offset every read adds
+    return weighted / m * scale, total * scale, shift
+
+
 def _aztec_log_escape(n: int, target: int) -> Callable[[int], float]:
-    """log :func:`aztec_escape` at exit ell = 0..n, read from one rescaled float Delannoy column.
+    """log :func:`aztec_escape` at exit ell = 0..n, read from two rescaled float Delannoy walks.
 
     The path weight A(m, j) is the Delannoy number D(m, j), and with
     j = target - n - 1 exit ell escapes through D(n-ell, j) + D(n-ell-1, j).
-    The column obeys (m+1) D(m+1, j) = (2j+1) D(m, j) + m D(m-1, j) from
-    D(-1, j) = 0 and D(0, j) = 1. It is walked in doubles times 2^shift: once
-    D(m, j) passes 2^512 both kept values are scaled by the exact 2^-512.
-    D grows in m by at most 2j+1 per step, so nothing overflows or turns
-    subnormal. Every coefficient is positive, so each step adds at most four
-    roundings (two products, a sum, a quotient) to the relative error of its
-    terms: D(m, j) is within gamma(4m) and the escape D(m) + D(m-1) within
-    gamma(4m+1), gamma(k) = k u / (1 - k u) with u = 2^-53, as long as 2j+1
-    is a double (target below 2^52). Its log is then within about
-    gamma(4m+1) + 4 u log(escape) of the exact one.
+    The column obeys (m+1) D(m+1, j) = (2j+1) D(m, j) + m D(m-1, j).  It is
+    walked in doubles times 2^shift: once D(m, j) passes 2^512 both kept values
+    are scaled by the exact 2^-512.  D grows in m by at most 2j+1 per step, so
+    nothing overflows or turns subnormal.  The search reads first at the exit
+    ell = n//2 + 1, m_s = n - n//2 - 1, and for z > 1 mostly above it.  So
+    reads at m >= m_s walk up from the pair (D(m_s - 1, j), D(m_s, j)) that
+    :func:`_delannoy_seed` sums; reads below m_s walk from D(-1, j) = 0 and
+    D(0, j) = 1.  Each walk goes only as far as it is read, and each value
+    depends on (n, target, ell) alone, whatever order the exits are read in.
+
+    Forward error, u = 2^-53, gamma(k) = k u / (1 - k u), target below 2^52:
+    every coefficient is positive, so a step adds at most four roundings (two
+    products, a sum, a quotient) to its terms' relative error.  From m = 0,
+    D(m, j) is within gamma(4m).  From the seed it is within
+    e_s + gamma(4(m - m_s)): e_s, the seed's error, is about 6 u L0 for its
+    peak log L0 (two :func:`_log_comb_stable` values, p ln 2, their sums),
+    u for the exp and gamma(2d) on window terms d ratios out, so it spends
+    about 6 u L0 where the walk from 0 spent 4 m_s u.  The escape D(m) + D(m-1)
+    adds u, and a read's log adds about 4 u log(escape).
 
     Log-concave in ell: the column's generating function is
     sum_m D(m, j) x^m = (1+x)^j / (1-x)^(j+1), so D(., j) is the convolution of
@@ -94,23 +131,25 @@ def _aztec_log_escape(n: int, target: int) -> Callable[[int], float]:
     """
     if target <= n:
         raise ValueError(f"target k={target} must exceed n={n}")
-    a, log, sums, offsets = float(2 * (target - n - 1) + 1), math.log, [], []
-    prev, cur, shift, offset = 0.0, 1.0, 0, 0.0  # the walk's state at m = len(sums)
+    j = target - n - 1
+    a, log, seed = float(2 * j + 1), math.log, max(n - n // 2 - 1, 0)
+    # Per walk: its first m, (D(m-1), D(m)) * 2^-shift at its next m, shift, escape sums, log offsets.
+    walks = tuple([start, *_delannoy_seed(start, j), [], []] for start in (0, seed))
 
-    # The search reads a few dozen exits, none with m = n - ell much past
-    # n (1 - 1/(2z)), so the column is walked only as far as it is read.
     def log_escape(ell: int) -> float:
-        nonlocal prev, cur, shift, offset
         m = n - ell
-        if m >= len(sums):
-            for j in range(len(sums), m + 1):
+        start, prev, cur, shift, sums, offsets = walk = walks[m >= seed]
+        if m - start >= len(sums):
+            offset = shift * _LN2
+            for k in range(start + len(sums), m + 1):
                 sums.append(cur + prev)
                 offsets.append(offset)
-                prev, cur = cur, (a * cur + j * prev) / (j + 1)
+                prev, cur = cur, (a * cur + k * prev) / (k + 1)
                 if cur > 2.0**512:
                     prev, cur, shift = math.ldexp(prev, -512), math.ldexp(cur, -512), shift + 512
                     offset = shift * _LN2
-        return log(sums[m]) + offsets[m]
+            walk[1:4] = prev, cur, shift
+        return log(sums[m - start]) + offsets[m - start]
 
     return log_escape
 

@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial
 
 import pytest
@@ -14,9 +15,9 @@ from hypothesis import strategies as st
 from arctic import models as md
 from arctic.combinat import binomial
 from arctic.linalg import ExactMatrix, det_bareiss, last_column_minors, lu_exact
-from arctic.logspace import LOG_FACTORIAL_CAP, _log_factorial, _log_factorials
+from arctic.logspace import LOG_FACTORIAL_CAP, _log_comb_stable, _log_factorial, _log_factorials
 from arctic.models import MODEL_OPS, ModelId
-from arctic.models.aztec import aztec_entry, aztec_escape, aztec_matrix
+from arctic.models.aztec import _delannoy_seed, aztec_entry, aztec_escape, aztec_matrix
 from arctic.models.halfhex import (
     _dyck_profile,
     _dyck_recurrence,
@@ -489,6 +490,19 @@ def test_aztec_log_escape_within_derived_bound(n, z):
     * the reference math.log(E) rounds E's mantissa (u), takes its log (2u ln 2)
       and adds e fl(ln 2) (2u e ln 2, then u L): <= 3u + 3u L.
     One more u (1 + L) covers the second-order products.
+
+    Reads at m >= m_s = n - n//2 - 1 walk from the seeded pair instead: it is
+    within e_s of the exact pair, and the walk adds gamma(4(m - m_s) + 1), so
+    e_s takes the place of the gamma(4 m_s) spent reaching m_s from 0.  e_s is
+    the error of the seed's peak log L0 <= log D(m_s, j) <= L: two
+    cancellation-free log-binomials of a few u L0 each, p ln 2 and the sums,
+    about 6u L0 in the worst case, plus u for the exp of its reduced part and
+    gamma(2d) on the window terms d ratios from the peak.  That fits the
+    gamma(4 m_s) slot only while 6 L0 <= 4 m_s, i.e. near z = 1; at z = 6,
+    L0 is about 4 m_s.  There the tolerance rests on the slack of its other
+    worst-case terms: the seed measures within 1-3 ulps of L0 for n <= 16384
+    and z <= 20, and the seeded reads use at most half of the tolerance
+    (0.50 at n = 16384, z = 20; 0.26 for the walk from 0).
     """
     u = 2.0**-53
     t = round(z * n)
@@ -505,28 +519,68 @@ def test_aztec_log_escape_within_derived_bound(n, z):
 
 
 def _eager_aztec_log_escapes(n, target):
-    """Every exit's log escape from one full walk of the rescaled float Delannoy column."""
-    a, logs, prev, cur, shift = float(2 * (target - n - 1) + 1), [], 0.0, 1.0, 0
-    for m in range(n + 1):
-        logs.append(math.log(cur + prev) + shift * math.log(2))
-        prev, cur = cur, (a * cur + m * prev) / (m + 1)
-        if cur > 2.0**512:
-            prev, cur, shift = math.ldexp(prev, -512), math.ldexp(cur, -512), shift + 512
+    """Every exit's log escape from two full walks of the rescaled float Delannoy column:
+    m < m_s from (D(-1), D(0)) = (0, 1), and m >= m_s from the seeded pair at m_s."""
+    a, logs, seed = float(2 * (target - n - 1) + 1), [], max(n - n // 2 - 1, 0)
+    for first, stop, (prev, cur, shift) in (
+        (0, seed, (0.0, 1.0, 0)),
+        (seed, n + 1, _delannoy_seed(seed, target - n - 1)),
+    ):
+        for m in range(first, stop):
+            logs.append(math.log(cur + prev) + shift * math.log(2))
+            prev, cur = cur, (a * cur + m * prev) / (m + 1)
+            if cur > 2.0**512:
+                prev, cur, shift = math.ldexp(prev, -512), math.ldexp(cur, -512), shift + 512
     return logs[::-1]
 
 
 @pytest.mark.parametrize("n", [64, 512, 4096])
 @pytest.mark.parametrize("z", [1.1, 2.5, 6.0])
 def test_aztec_log_escape_lazy_walk_is_bit_identical(n, z):
-    """Walking the column only as far as each read reaches gives the full walk's doubles,
-    whatever order the exits are read in."""
+    """Walking each segment only as far as each read reaches gives the full walks' doubles,
+    whatever order the exits are read in; the shuffled reads fall on both sides of m_s."""
     target = round(z * n)
     want = _eager_aztec_log_escapes(n, target)
     log_y = md.log_escape_profile(ModelId.AZTEC, n, target)
     ells = list(range(n + 1))
     random.Random(n).shuffle(ells)
+    assert min(ells[:8]) < n // 2 + 1 < max(ells[:8])  # early reads on both sides of the seed
     for ell in ells[: n // 2] + ells:  # the first half is read twice
         assert log_y(ell).hex() == want[ell].hex(), ell
+
+
+def test_log_comb_stable_matches_exact_logs():
+    """The cancellation-free log-binomial at its exact-comb edges and on its Stirling side."""
+    for a in (1, 2, 3, 31, 32, 63, 64, 65, 1000, 4097, 10**5):
+        for b in {0, 1, a - 1, a, a // 2, a // 3, 32, a - 32}:
+            if 0 <= b <= a:
+                want = math.log(math.comb(a, b)) if 0 < b < a else 0.0
+                assert abs(_log_comb_stable(a, b) - want) <= 8 * 2.0**-53 * max(1.0, want), (a, b)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 64])
+def test_aztec_seeded_escape_matches_exact_logs_at_the_edges(n):
+    """Tiny sizes, where the seed sits at m = 0 or 1, and the target n + 1 (j = 0, every D = 1)."""
+    for target in (n + 1, n + 2, 3 * n + 5):
+        log_y = md.log_escape_profile(ModelId.AZTEC, n, target)
+        for ell, want in enumerate(_exact_aztec_escapes(n, target)):
+            assert abs(log_y(ell) - math.log(want)) <= 1e-13 * max(1.0, math.log(want)), (target, ell)
+    assert _delannoy_seed(n, 0)[:2] == (1.0 if n else 0.0, 1.0)
+
+
+def test_aztec_scan_argmax_matches_exact_totals():
+    """At n = 512 the float scan's exit is the argmax of the exact totals, ties to smaller ell.
+
+    The totals are Pascal prefix sums times the exact Delannoy escapes.  Near z = 1 the
+    argmax lies past n/2, so the search reads on both sides of the seed m_s.
+    """
+    n = 512
+    prefix = list(accumulate(comb(n, i) for i in range(n + 1)))
+    for z in [1.05 + (6 - 1.05) * i / 63 for i in range(64)] + [1 + 2 / n, 1 + 5 / n]:
+        escapes = _exact_aztec_escapes(n, round(z * n))
+        totals = [h * y for h, y in zip(prefix, escapes)]
+        best = totals.index(max(totals))
+        assert round(finite_n_saddle(ModelId.AZTEC, n, z).xi_hat * n) == best, z
 
 
 def _dyck_term(n, k, ell, s):
