@@ -119,14 +119,11 @@ _VIEW = 1000.0
 def emit_svg(
     lines: Sequence[TangentLine],
     env_points: Sequence[tuple[float, float]],
-    curve: ImplicitCurve | None,
+    curve: ImplicitCurve,
 ) -> str:
     """Deterministic SVG 1.1 figure of tangents, envelope, and closed curve."""
-    if not lines and not env_points and curve is None:
-        raise ValueError("nothing to draw")
     ends = [p for ln in lines for p in (ln.exit_point, ln.target_point)]
-    corners = zip(*curve.window) if curve is not None else ()  # (x0, y0) and (x1, y1)
-    xs, ys = zip(*env_points, *corners, *ends)
+    xs, ys = zip(*env_points, *zip(*curve.window), *ends)  # window corners (x0, y0) and (x1, y1)
     pad = 0.05 * max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
     fx0, fx1, fy0, fy1 = min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad
     scale = _VIEW / max(fx1 - fx0, fy1 - fy0)
@@ -144,10 +141,9 @@ def emit_svg(
     for ln in lines:
         (x1, y1), (x2, y2) = to_view(ln.exit_point), to_view(ln.target_point)
         parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="#9ecae1" stroke-width="1"/>')
-    if curve is not None:
-        for branch in curve.branches():
-            d = " L".join(",".join(to_view(p)) for p in branch)
-            parts.append(f'<path d="M{d}" fill="none" stroke="#de2d26" stroke-width="2"/>')
+    for branch in curve.branches():
+        d = " L".join(",".join(to_view(p)) for p in branch)
+        parts.append(f'<path d="M{d}" fill="none" stroke="#de2d26" stroke-width="2"/>')
     if env_points:
         pts = " ".join(",".join(to_view(p)) for p in env_points)
         parts.append(f'<polyline points="{pts}" fill="none" stroke="#31a354" stroke-width="2"/>')
@@ -285,8 +281,8 @@ def cmd_oracle(args) -> Report:
     return rep
 
 
-def _tangents(args) -> tuple[list[TangentLine], list[tuple[float, float]]]:
-    """The tangent family over the --z-min/--z-max grid and its envelope points."""
+def _tangents(args) -> tuple[list[TangentLine], list[tuple[float, float]], ImplicitCurve]:
+    """The tangent family over the --z-min/--z-max grid, its envelope points and the model's curve."""
     zmin, zmax, count = args.z_min, args.z_max, args.count
     if not 8 <= count <= GRID_MAX:
         error(f"--count must be between 8 and {GRID_MAX}, got {count}", args.command)
@@ -300,12 +296,14 @@ def _tangents(args) -> tuple[list[TangentLine], list[tuple[float, float]]]:
         grid = [zmin + (zmax - zmin) * i / (count - 1) for i in range(count)]
     if not all(map(math.isfinite, grid)):
         error(f"the {args.spacing} grid from --z-min {zmin} to --z-max {zmax} overflows", args.command)
+    model = ModelId(args.model)
     try:
-        lines = tangent_family(ModelId(args.model), grid, args.x_model)
+        lines = tangent_family(model, grid, args.x_model)
         points = envelope(lines)
+        curve = MODEL_OPS[model].limit_curve(args.x_model)
     except ValueError as exc:
         error(str(exc), args.command)
-    return lines, points
+    return lines, points, curve
 
 
 def cmd_saddle(args) -> Report:
@@ -325,8 +323,7 @@ def cmd_envelope(args) -> Report:
     model = ModelId(args.model)
     rep = Report("envelope", model.value, {"z_min": args.z_min, "z_max": args.z_max, "count": args.count,
                                            "spacing": args.spacing, "x_model": args.x_model, "tolerance": args.tol})
-    lines, points = _tangents(args)
-    curve = MODEL_OPS[model].limit_curve(args.x_model)
+    lines, points, curve = _tangents(args)
     residuals = [residual(curve, p) for p in points]
     rep.add("max envelope residual within tolerance", 0.0, max(residuals), args.tol)
     if args.out_prefix:
@@ -374,8 +371,7 @@ def cmd_plot(args) -> Report:
     model = ModelId(args.model)
     rep = Report("plot", model.value,
                  {"z_min": args.z_min, "z_max": args.z_max, "count": args.count, "x_model": args.x_model})
-    lines, points = _tangents(args)
-    curve = MODEL_OPS[model].limit_curve(args.x_model)
+    lines, points, curve = _tangents(args)
     _write(Path(args.out), emit_svg(lines, points, curve))
     rep.artifacts.append(args.out)
     rep.add("figure written", True, Path(args.out).exists())

@@ -29,25 +29,12 @@ __all__ = [
 ]
 
 
-class _CurveFields(NamedTuple):
+class ImplicitCurve(NamedTuple):
+    """P(x, y) = 0 with coefficients indexed by (x power, y power)."""
+
     name: str
     coefficients: tuple[tuple[tuple[int, int], float], ...]
     window: tuple[tuple[float, float], tuple[float, float]]
-
-
-class ImplicitCurve(_CurveFields):
-    """P(x, y) = 0 with coefficients indexed by (x power, y power)."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> ImplicitCurve:
-        curve = super().__new__(cls, *args, **kwargs)
-        if not any(c != 0 for _, c in curve.coefficients):
-            raise ValueError("identically zero polynomial")
-        (x0, x1), (y0, y1) = curve.window
-        if not (x0 < x1 and y0 < y1):
-            raise ValueError(f"empty window {curve.window}")
-        return curve
 
     def evaluate(self, x: float, y: float) -> tuple[float, float, float]:
         """P, P_x and P_y at (x, y) in one pass, each sum added left to right from 0 in coefficient
@@ -123,9 +110,10 @@ def circle() -> ImplicitCurve:
 
 @lru_cache(maxsize=None)
 def ellipse(x_model: float) -> ImplicitCurve:
-    # x_model^2 v^2 - 4 (1 + x_model) u (2 x_model - u) = 0 in the (u, v) frame.
-    if x_model <= 0:
-        raise ValueError(f"x_model must be > 0, got {x_model}")
+    # x_model^2 v^2 - 4 (1 + x_model) u (2 x_model - u) = 0 in the (u, v) frame.  For
+    # x_model > 0, 8 x_model (1 + x_model) is the largest coefficient, or all are below 6.
+    if not (x_model > 0 and math.isfinite(8.0 * x_model * (1.0 + x_model))):
+        raise ValueError(f"x_model must be > 0 with finite ellipse coefficients, got {x_model}")
     return ImplicitCurve(
         f"ellipse(x={x_model:g})",
         (

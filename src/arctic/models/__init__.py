@@ -88,8 +88,8 @@ class Lattice(NamedTuple):
 
     Path i of the size-(n, k) family runs from ``starts(n, k)[i]`` to
     ``ends(n, k)[i]`` with ``steps``, visiting only vertices that
-    ``constraint`` allows (``none``, ``upper-half`` or ``first-quadrant``);
-    the escaping path is the last one and leaves at ``exit_point(n, k, ell)``.
+    ``constraint`` allows (``none`` or ``upper-half``); the escaping path is
+    the last one and leaves at ``exit_point(n, k, ell)``.
     Plain data: no closed form reads it.
     """
 
@@ -124,8 +124,11 @@ class Model:
     scan of size n uses the size n (n | 1 for ``odd_n``), k = round(x n) and
     the target round(z size), which must exceed ``z_range[0]`` times the size.
     The large-n limits are ``saddle(z, x)`` for z in ``z_range``,
-    ``action(z, xi, x) -> (s0, s1)``, ``geometry(xi, z, x) -> (exit point,
-    target point)``, ``limit_curve(x)``, ``tangency(x)`` and ``parametric``.
+    ``action(z, xi, x) -> (s0, s1)`` (the scaled escape and profile exponents
+    at exit fraction xi, inner summation variables maximized as the leading
+    Laplace evaluation prescribes; their sum is the scaled log mass),
+    ``geometry(xi, z, x) -> (exit point, target point)``, ``limit_curve(x)``,
+    ``tangency(x)`` and ``parametric``.
     The Gessel-Viennot fields (``matrix`` to ``reference_ell``) and the path
     ``lattice`` are None for the osculating model.  ``u_diagonal(n, k)`` is the
     closed U diagonal of the matrix's LU decomposition: its product is the

@@ -160,13 +160,14 @@ def _vsasm_profile(size: int, k: int | None) -> tuple[Fraction, ...]:
     return tuple(Fraction(count, total) for count in n_vsasm_refined_counts(size))
 
 
-def raz_strog_check(size: int, t: Fraction | int, counts: list[int] | None = None) -> bool:
+def raz_strog_check(size: int, t: Fraction | int, counts: list[int]) -> bool:
     """Exact identity tying refined VSASM counts to refined ASM counts.
 
     lhs: sum_ell N_VSASM(2n+1, ell) t^(ell-1) / N_VSASM(2n-1)
     rhs: t/(t+1) * sum_ell N_ASM(2n, ell) t^(ell-1) / N_ASM(2n-1)
 
-    ``counts`` are ``n_vsasm_refined_counts(size)`` if the caller has them.
+    ``counts`` are the refined counts under test (``n_vsasm_refined_counts(size)``
+    for the true ones).
     N_ASM(2n, 1) = N_ASM(2n-1), and the refined counts walk from it
     (``_refined_asm_walk``).  With t = p/q,
     both sides times q^(2n-1) (p+q) N_VSASM(2n-1) N_ASM(2n-1) are integers.
@@ -177,8 +178,6 @@ def raz_strog_check(size: int, t: Fraction | int, counts: list[int] | None = Non
     if t == -1:
         raise ValueError("t = -1 is outside the identity's domain")
     n = (size - 1) // 2
-    if counts is None:
-        counts = n_vsasm_refined_counts(size)
     asm = list(_refined_asm_walk(n, n_asm(2 * n - 1)))
     p, q = t.numerator, t.denominator
 

@@ -70,11 +70,11 @@ class _SpecFields(NamedTuple):
 class PathFamilySpec(_SpecFields):
     """A family of vertex-disjoint directed paths on Z^2.
 
-    ``constraint`` restricts the vertices every path may visit: ``none``,
-    ``upper-half`` (y >= 0) or ``first-quadrant`` (x >= 0 and y >= 0).  Path i
-    runs from ``starts[i]`` to ``ends[i]``; the distinguished escaping path is
-    by convention the last one.  ``progress`` is derived, not passed: the first
-    candidate direction along which every step gains.
+    ``constraint`` restricts the vertices every path may visit: ``none`` or
+    ``upper-half`` (y >= 0).  Path i runs from ``starts[i]`` to ``ends[i]``; the
+    distinguished escaping path is by convention the last one.  ``progress`` is
+    derived, not passed: the first candidate direction along which every step
+    gains.
     """
 
     __slots__ = ()
@@ -85,7 +85,7 @@ class PathFamilySpec(_SpecFields):
     ) -> PathFamilySpec:
         if len(starts) != len(ends):
             raise ValueError(f"{len(starts)} starts but {len(ends)} ends")
-        if constraint not in ("none", "upper-half", "first-quadrant"):
+        if constraint not in ("none", "upper-half"):
             raise ValueError(f"unknown constraint {constraint!r}")
         for w in _PROGRESS_CANDIDATES:
             if all(w[0] * s[0] + w[1] * s[1] > 0 for s in steps):
@@ -96,11 +96,7 @@ class PathFamilySpec(_SpecFields):
         return self[:4]  # copy and pickle rebuild the spec without its derived progress
 
     def allows(self, p: Point) -> bool:
-        if self.constraint == "upper-half":
-            return p[1] >= 0
-        if self.constraint == "first-quadrant":
-            return p[0] >= 0 and p[1] >= 0
-        return True
+        return self.constraint == "none" or p[1] >= 0
 
 
 def _reach_test(spec: PathFamilySpec) -> Callable[[int, int], bool]:

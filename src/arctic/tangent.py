@@ -27,12 +27,10 @@ from .models import MODEL_OPS, Model, ModelId, log_escape_profile, log_one_point
 
 __all__ = [
     "SaddleResult",
-    "ActionValue",
     "TangentLine",
     "EnvelopeError",
     "finite_n_saddle",
     "analytic_saddle",
-    "action_components",
     "tangent_family",
     "envelope",
     "PLATEAU_DEGENERATE_WIDTH",
@@ -50,45 +48,18 @@ class SaddleResult(NamedTuple):
     degenerate: bool
 
 
-class ActionValue(NamedTuple):
-    """Scaled large-n exponents: escape piece s0, profile piece s1.
+class TangentLine(NamedTuple):
+    """Line through the scaled exit point and the scaled target.
 
-    For the red-path model s1 is the primed action of the reformulated
-    family; the decomposition is the same either way.
+    ``xi`` is the saddle exit fraction behind the exit point (nan if not given).
     """
 
-    s0: float
-    s1: float
-
-    @property
-    def total(self) -> float:
-        return self.s0 + self.s1
-
-
-class _LineFields(NamedTuple):
     z: float
     slope: float
     intercept: float
     exit_point: tuple[float, float]
     target_point: tuple[float, float]
     xi: float = math.nan
-
-
-class TangentLine(_LineFields):
-    """Line through the scaled exit point and the scaled target.
-
-    ``xi`` is the saddle exit fraction behind the exit point (nan if not given).
-    Both points are checked to lie on the line when it is built.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> TangentLine:
-        line = super().__new__(cls, *args, **kwargs)
-        for px, py in (line.exit_point, line.target_point):
-            if abs(py - (line.slope * px + line.intercept)) > 1e-12 * max(1.0, abs(py)):
-                raise ValueError(f"line does not pass through ({px}, {py})")
-        return line
 
     def y_at(self, x: float) -> float:
         return self.slope * x + self.intercept
@@ -116,17 +87,6 @@ def analytic_saddle(model: ModelId, z: float, x: float | None = None) -> float:
     the scaled width ``x`` and read ``z`` as the scaled target offset y.
     """
     return _record(model, z, x).saddle(z, x)
-
-
-def action_components(model: ModelId, z: float, xi: float, x: float | None = None) -> ActionValue:
-    """Scaled action at exit fraction xi: escape exponent and profile exponent.
-
-    Inner summation variables (the horizontal-step fraction of the diamond
-    escape, the saturating index of the half-hexagon profiles) are maximized
-    here, exactly as the leading Laplace evaluation prescribes; saturated
-    cases land on the boundary of the inner interval automatically.
-    """
-    return ActionValue(*MODEL_OPS[model].action(z, xi, x))
 
 
 def finite_n_saddle(model: ModelId, n: int, z: float, x: float | None = None) -> SaddleResult:
@@ -223,10 +183,11 @@ def _tangent_line(model: ModelId, z: float, x: float | None) -> TangentLine:
     if abs(x1 - x0) < 1e-14:
         raise EnvelopeError(f"vertical tangent at parameter {z}")
     slope = (y1 - y0) / (x1 - x0)
-    try:
-        return TangentLine(z, slope, y0 - slope * x0, exit_point, target, xi)
-    except ValueError:  # so steep that rounding moves the line off its own points
-        raise EnvelopeError(f"near-vertical tangent at parameter {z}") from None
+    intercept = y0 - slope * x0
+    for px, py in exit_point, target:  # so steep that rounding moves the line off its own points
+        if abs(py - (slope * px + intercept)) > 1e-12 * max(1.0, abs(py)):
+            raise EnvelopeError(f"near-vertical tangent at parameter {z}")
+    return TangentLine(z, slope, intercept, exit_point, target, xi)
 
 
 def tangent_family(

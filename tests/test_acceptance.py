@@ -22,7 +22,7 @@ from arctic.models import MODEL_OPS, ModelId
 from arctic.models.aztec import aztec_matrix
 from arctic.models.halfhex import dyck_matrix, red_matrix
 from arctic.models.staircase import staircase_alt_matrix, staircase_matrix
-from arctic.models.vsasm import n_asm, n_vsasm, n_vsasm_refined, raz_strog_check
+from arctic.models.vsasm import n_asm, n_vsasm, n_vsasm_refined, n_vsasm_refined_counts, raz_strog_check
 from arctic.oracle import (
     count_nilp,
     enumerate_asm,
@@ -222,7 +222,7 @@ def test_criterion_5_asm_vsasm_numbers():
             ok = ok and hist == [n_vsasm_refined(size, ell) for ell in range(1, size + 1)]
     for size in (5, 7, 9):
         for t in (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)):
-            ok = ok and raz_strog_check(size, t)
+            ok = ok and raz_strog_check(size, t, n_vsasm_refined_counts(size))
     elapsed = time.time() - start
     _verdict(
         5,

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arctic.curves import (
-    ImplicitCurve,
     aztec_parametric,
     circle,
     ellipse,
@@ -48,12 +47,10 @@ def test_residual_evaluates_points_outside_window():
 
 
 def test_curve_validation():
-    with pytest.raises(ValueError):
-        ImplicitCurve("zero", (((0, 0), 0.0),), ((0, 1), (0, 1)))
-    with pytest.raises(ValueError):
-        ImplicitCurve("empty", (((0, 0), 1.0),), ((1, 0), (0, 1)))
-    with pytest.raises(ValueError):
-        MODEL_OPS[ModelId.DYCK_HALF_HEX].limit_curve(0.0)
+    # At 1.3e154 the x term's coefficient is -inf; at 1.4e154 x_model**2 overflows.
+    for x_model in (0.0, -1.0, math.nan, math.inf, 1.3e154, 1.4e154):
+        with pytest.raises(ValueError):
+            MODEL_OPS[ModelId.DYCK_HALF_HEX].limit_curve(x_model)
 
 
 def test_vsasm_parametric_endpoints():

@@ -821,15 +821,15 @@ def test_one_pass_vsasm_counts_equal_per_exit_formula():
 def test_refined_generating_identity():
     for size in (3, 5, 7, 9, 21):
         for t in (Fraction(1, 3), Fraction(1, 2), Fraction(-2, 5), 0, 1, 2, 3):
-            assert raz_strog_check(size, t)
+            assert raz_strog_check(size, t, n_vsasm_refined_counts(size))
     counts = n_vsasm_refined_counts(21)
     assert raz_strog_check(21, Fraction(1, 2), counts)
     counts[4] += 1
     assert not raz_strog_check(21, Fraction(1, 2), counts)
     with pytest.raises(ValueError):
-        raz_strog_check(5, -1)
-    with pytest.raises(ValueError):
-        raz_strog_check(4, 1)
+        raz_strog_check(5, -1, n_vsasm_refined_counts(5))
+    with pytest.raises(ValueError, match="size must be odd"):
+        raz_strog_check(4, 1, [])
 
 
 def test_vsasm_escape_values():

@@ -253,7 +253,7 @@ def _small_families(draw):
     starts = draw(st.lists(point, min_size=1, max_size=3))
     ends = [walk_from(a) for a in starts]
     exits = [walk_from(starts[-1]) for _ in range(draw(st.integers(0, 3)))]
-    constraint = draw(st.sampled_from(("none", "upper-half", "first-quadrant")))
+    constraint = draw(st.sampled_from(("none", "upper-half")))
     return PathFamilySpec(steps, tuple(starts), tuple(ends), constraint), exits
 
 
@@ -271,7 +271,7 @@ def _small_families(draw):
 )
 @example(
     drawn=(
-        PathFamilySpec(((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 2), (2, 1)), "first-quadrant"),
+        PathFamilySpec(((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 2), (2, 1))),
         [(3, 0), (2, 1), (1, 2)],
     )
 )

@@ -14,7 +14,7 @@ from arctic.curves import CIRCLE_ARC, ImplicitCurve, ParametricCurve, aztec_para
 from arctic.linalg import ExactMatrix, LUPair, lu_exact
 from arctic.models import MODEL_OPS, Lattice, ModelId
 from arctic.oracle import AsmMatrix, PathFamilySpec
-from arctic.tangent import ActionValue, SaddleResult, TangentLine
+from arctic.tangent import SaddleResult, TangentLine
 
 _starts = lambda n, k: ()  # noqa: E731
 _exit = lambda n, k, ell: (ell, 0)  # noqa: E731
@@ -27,7 +27,6 @@ LU = lu_exact(ExactMatrix.from_rows([[2, 1], [4, 3]]))
 BUILDS = [
     (SaddleResult, (0.5, 0.25, -3.0, 65, 1, False),
      dict(z=0.5, xi_hat=0.25, log_mass=-3.0, n_used=65, plateau=1, degenerate=False), {}),
-    (ActionValue, (1.0, -0.5), dict(s0=1.0, s1=-0.5), {}),
     (ParametricCurve, ("arc", (0.0, 1.0), aztec_parametric, circle()),
      dict(name="arc", t_range=(0.0, 1.0), point=aztec_parametric, implicit=circle()), {}),
     (LUPair, (LU.L, LU.U), dict(L=LU.L, U=LU.U), {}),
@@ -88,9 +87,6 @@ def test_mutable_cli_records_are_slotted_and_do_not_share_lists():
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: ImplicitCurve("zero", (((0, 0), 0.0),), ((0, 1), (0, 1))), "identically zero polynomial"),
-        (lambda: ImplicitCurve("empty", (((0, 0), 1.0),), ((1, 0), (0, 1))), "empty window ((1, 0), (0, 1))"),
-        (lambda: TangentLine(1.0, 1.0, 0.0, (0.0, 0.0), (1.0, 2.0)), "line does not pass through (1.0, 2.0)"),
         (lambda: PathFamilySpec(((1, 0),), ((0, 0),), ()), "1 starts but 0 ends"),
         (lambda: PathFamilySpec(((1, 0),), (), (), "bogus"), "unknown constraint 'bogus'"),
         (lambda: PathFamilySpec(((1, 0), (-1, 0)), (), ()),
@@ -111,7 +107,7 @@ def test_path_spec_derives_progress_and_takes_no_other():
     assert PathFamilySpec(((1, 1), (1, -1)), (), (), "upper-half").progress == (1, 0)
     with pytest.raises(TypeError):
         PathFamilySpec(((1, 0),), (), (), "none", (1, 0))
-    spec = PathFamilySpec(((1, 0), (0, 1)), ((0, 0),), ((1, 1),), "first-quadrant")
+    spec = PathFamilySpec(((1, 0), (0, 1)), ((0, 0),), ((1, 1),), "upper-half")
     assert copy.copy(spec) == spec == pickle.loads(pickle.dumps(spec))
 
 
