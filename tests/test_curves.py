@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arctic.curves import (
@@ -51,6 +51,22 @@ def test_curve_validation():
     for x_model in (0.0, -1.0, math.nan, math.inf, 1.3e154, 1.4e154):
         with pytest.raises(ValueError):
             MODEL_OPS[ModelId.DYCK_HALF_HEX].limit_curve(x_model)
+
+
+@given(st.floats(allow_nan=False))
+@example(4.740375954054588e153)  # the largest width whose coefficients are all finite
+@example(4.740375954054589e153)
+@example(5e-324)
+@settings(max_examples=200, deadline=None)
+def test_ellipse_is_built_exactly_when_its_coefficients_are_finite(x_model):
+    coefficients = (x_model * x_model, -8.0 * x_model * (1.0 + x_model), 4.0 * (1.0 + x_model))
+    if x_model > 0 and all(math.isfinite(c) for c in coefficients):
+        curve = ellipse(x_model)
+        assert tuple(c for _, c in curve.coefficients) == coefficients
+        assert all(math.isfinite(v) for side in curve.window for v in side)
+    else:
+        with pytest.raises(ValueError, match="x_model must be > 0"):
+            ellipse(x_model)
 
 
 def test_vsasm_parametric_endpoints():

@@ -89,6 +89,7 @@ def test_mutable_cli_records_are_slotted_and_do_not_share_lists():
     [
         (lambda: PathFamilySpec(((1, 0),), ((0, 0),), ()), "1 starts but 0 ends"),
         (lambda: PathFamilySpec(((1, 0),), (), (), "bogus"), "unknown constraint 'bogus'"),
+        (lambda: PathFamilySpec(((1, 0),), (), (), "first-quadrant"), "unknown constraint 'first-quadrant'"),
         (lambda: PathFamilySpec(((1, 0), (-1, 0)), (), ()),
          "steps ((1, 0), (-1, 0)) admit no strict progress direction"),
         (lambda: AsmMatrix(2, ((1, 0),)), "entry grid does not match size"),

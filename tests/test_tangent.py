@@ -1,5 +1,6 @@
 """Saddle scans, analytic saddles, tangent families, envelopes."""
 
+import dataclasses
 import importlib.util
 import math
 import sys
@@ -415,6 +416,24 @@ def test_near_vertical_tangent_names_its_parameter(model, z, x):
     """A line too steep to pass through its own points in doubles is refused as vertical."""
     with pytest.raises(EnvelopeError, match=f"tangent at parameter {z}$"):
         tangent_family(model, [z * (1 + i / 8) for i in range(8)], x)
+
+
+@pytest.mark.parametrize(
+    "target, refused",
+    [((1.0 + 2e-14, 1e6), True), ((2.0, 2.0), False)],
+)
+def test_tangent_line_is_refused_when_it_misses_its_own_points(target, refused, monkeypatch):
+    """The line through the exit (1, 0) and a target 2e-14 to its right rounds off the target."""
+    ops = MODEL_OPS[ModelId.AZTEC]
+    geometry = lambda xi, z, x: ((1.0, 0.0), target)  # noqa: E731
+    monkeypatch.setitem(tangent.MODEL_OPS, ModelId.AZTEC, dataclasses.replace(ops, geometry=geometry))
+    grid = [2.0 + i / 8 for i in range(8)]
+    if refused:
+        with pytest.raises(EnvelopeError, match="^near-vertical tangent at parameter 2.0$"):
+            tangent_family(ModelId.AZTEC, grid)
+    else:
+        line = tangent_family(ModelId.AZTEC, grid)[0]
+        assert (line.slope, line.intercept, line.exit_point, line.target_point) == (2.0, -2.0, (1.0, 0.0), target)
 
 
 def test_aztec_envelope_lands_on_circle():
