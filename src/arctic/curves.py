@@ -117,7 +117,7 @@ def ellipse(x_model: float) -> ImplicitCurve:
     return ImplicitCurve(
         f"ellipse(x={x_model:g})",
         (
-            ((0, 2), x_model**2),
+            ((0, 2), x_model * x_model),
             ((1, 0), -8.0 * x_model * (1.0 + x_model)),
             ((2, 0), 4.0 * (1.0 + x_model)),
         ),

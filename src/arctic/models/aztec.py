@@ -98,29 +98,33 @@ def _delannoy_seed(m: int, j: int) -> tuple[float, float, int]:
     return weighted / m * scale, total * scale, shift
 
 
+_SEED_STRIDE = 128  # a read at row m walks from the seed at m - m % _SEED_STRIDE
+
+
 def _aztec_log_escape(n: int, target: int) -> Callable[[int], float]:
-    """log :func:`aztec_escape` at exit ell = 0..n, read from two rescaled float Delannoy walks.
+    """log :func:`aztec_escape` at exit ell = 0..n, read from rescaled float Delannoy walks.
 
     The path weight A(m, j) is the Delannoy number D(m, j), and with
     j = target - n - 1 exit ell escapes through D(n-ell, j) + D(n-ell-1, j).
     The column obeys (m+1) D(m+1, j) = (2j+1) D(m, j) + m D(m-1, j).  It is
     walked in doubles times 2^shift: once D(m, j) passes 2^512 both kept values
     are scaled by the exact 2^-512.  D grows in m by at most 2j+1 per step, so
-    nothing overflows or turns subnormal.  The search reads first at the exit
-    ell = n//2 + 1, m_s = n - n//2 - 1, and for z > 1 mostly above it.  So
-    reads at m >= m_s walk up from the pair (D(m_s - 1, j), D(m_s, j)) that
-    :func:`_delannoy_seed` sums; reads below m_s walk from D(-1, j) = 0 and
-    D(0, j) = 1.  Each walk goes only as far as it is read, and each value
-    depends on (n, target, ell) alone, whatever order the exits are read in.
+    nothing overflows or turns subnormal.  The rows are cut into segments of
+    ``_SEED_STRIDE``: a read at row m = n - ell walks up from the pair
+    (D(s - 1, j), D(s, j)) at s = m - m % ``_SEED_STRIDE``, which
+    :func:`_delannoy_seed` sums the first time its segment is read; row 0
+    keeps the exact pair (D(-1, j), D(0, j)) = (0, 1).  Each segment's walk
+    goes only as far as it is read, and each value depends on (n, target, ell)
+    alone, whatever order the exits are read in.
 
     Forward error, u = 2^-53, gamma(k) = k u / (1 - k u), target below 2^52:
     every coefficient is positive, so a step adds at most four roundings (two
-    products, a sum, a quotient) to its terms' relative error.  From m = 0,
-    D(m, j) is within gamma(4m).  From the seed it is within
-    e_s + gamma(4(m - m_s)): e_s, the seed's error, is about 6 u L0 for its
+    products, a sum, a quotient) to its terms' relative error.  In segment 0,
+    D(m, j) is within gamma(4m).  From a seed at s > 0 it is within
+    e_s + gamma(4(m - s)): e_s, the seed's error, is about 6 u L0 for its
     peak log L0 (two :func:`_log_comb_stable` values, p ln 2, their sums),
     u for the exp and gamma(2d) on window terms d ratios out, so it spends
-    about 6 u L0 where the walk from 0 spent 4 m_s u.  The escape D(m) + D(m-1)
+    about 6 u L0 where a walk from 0 would spend 4 s u.  The escape D(m) + D(m-1)
     adds u, and a read's log adds about 4 u log(escape).
 
     Log-concave in ell: the column's generating function is
@@ -132,13 +136,17 @@ def _aztec_log_escape(n: int, target: int) -> Callable[[int], float]:
     if target <= n:
         raise ValueError(f"target k={target} must exceed n={n}")
     j = target - n - 1
-    a, log, seed = float(2 * j + 1), math.log, max(n - n // 2 - 1, 0)
-    # Per walk: its first m, (D(m-1), D(m)) * 2^-shift at its next m, shift, escape sums, log offsets.
-    walks = tuple([start, *_delannoy_seed(start, j), [], []] for start in (0, seed))
+    a, log = float(2 * j + 1), math.log
+    # Per segment start: (D(m-1), D(m)) * 2^-shift at its next m, shift, escape sums, log offsets.
+    segments: dict[int, list] = {}
 
     def log_escape(ell: int) -> float:
         m = n - ell
-        start, prev, cur, shift, sums, offsets = walk = walks[m >= seed]
+        start = m - m % _SEED_STRIDE
+        segment = segments.get(start)
+        if segment is None:
+            segment = segments[start] = [*_delannoy_seed(start, j), [], []]
+        prev, cur, shift, sums, offsets = segment
         if m - start >= len(sums):
             offset = shift * _LN2
             for k in range(start + len(sums), m + 1):
@@ -148,7 +156,7 @@ def _aztec_log_escape(n: int, target: int) -> Callable[[int], float]:
                 if cur > 2.0**512:
                     prev, cur, shift = math.ldexp(prev, -512), math.ldexp(cur, -512), shift + 512
                     offset = shift * _LN2
-            walk[1:4] = prev, cur, shift
+            segment[:3] = prev, cur, shift
         return log(sums[m - start]) + offsets[m - start]
 
     return log_escape

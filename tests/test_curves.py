@@ -57,6 +57,7 @@ def test_curve_validation():
 @example(4.740375954054588e153)  # the largest width whose coefficients are all finite
 @example(4.740375954054589e153)
 @example(5e-324)
+@example(4.7695693632312024e16)  # where x**2 and x * x differ by one ulp
 @settings(max_examples=200, deadline=None)
 def test_ellipse_is_built_exactly_when_its_coefficients_are_finite(x_model):
     coefficients = (x_model * x_model, -8.0 * x_model * (1.0 + x_model), 4.0 * (1.0 + x_model))

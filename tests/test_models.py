@@ -17,7 +17,7 @@ from arctic.combinat import binomial
 from arctic.linalg import ExactMatrix, det_bareiss, last_column_minors, lu_exact
 from arctic.logspace import LOG_FACTORIAL_CAP, _log_comb_stable, _log_factorial, _log_factorials
 from arctic.models import MODEL_OPS, ModelId
-from arctic.models.aztec import _delannoy_seed, aztec_entry, aztec_escape, aztec_matrix
+from arctic.models.aztec import _SEED_STRIDE, _delannoy_seed, aztec_entry, aztec_escape, aztec_matrix
 from arctic.models.halfhex import (
     _dyck_profile,
     _dyck_recurrence,
@@ -491,18 +491,19 @@ def test_aztec_log_escape_within_derived_bound(n, z):
       and adds e fl(ln 2) (2u e ln 2, then u L): <= 3u + 3u L.
     One more u (1 + L) covers the second-order products.
 
-    Reads at m >= m_s = n - n//2 - 1 walk from the seeded pair instead: it is
-    within e_s of the exact pair, and the walk adds gamma(4(m - m_s) + 1), so
-    e_s takes the place of the gamma(4 m_s) spent reaching m_s from 0.  e_s is
-    the error of the seed's peak log L0 <= log D(m_s, j) <= L: two
-    cancellation-free log-binomials of a few u L0 each, p ln 2 and the sums,
-    about 6u L0 in the worst case, plus u for the exp of its reduced part and
-    gamma(2d) on the window terms d ratios from the peak.  That fits the
-    gamma(4 m_s) slot only while 6 L0 <= 4 m_s, i.e. near z = 1; at z = 6,
-    L0 is about 4 m_s.  There the tolerance rests on the slack of its other
-    worst-case terms: the seed measures within 1-3 ulps of L0 for n <= 16384
-    and z <= 20, and the seeded reads use at most half of the tolerance
-    (0.50 at n = 16384, z = 20; 0.26 for the walk from 0).
+    Reads at m >= S = ``_SEED_STRIDE`` walk from the seeded pair at
+    s = m - m % S instead: it is within e_s of the exact pair, and the walk
+    adds gamma(4(m - s) + 1), so e_s takes the place of the gamma(4s) spent
+    reaching s from 0.  e_s is the error of the seed's peak log
+    L0 <= log D(s, j) <= L: two cancellation-free log-binomials of a few u L0
+    each, p ln 2 and the sums, about 6u L0 in the worst case, plus u for the
+    exp of its reduced part and gamma(2d) on the window terms d ratios from the
+    peak.  That fits the gamma(4s) slot only while 6 L0 <= 4s, i.e. near
+    z = 1; at z = 6, L0 is about 4s.  There the tolerance rests on the slack
+    of its other worst-case terms: the seeds' logs measure within 3.5u L0 of
+    log D(s, j) at n = 16384, and the seeded reads use at most 0.62 of the
+    tolerance for n <= 16384 and z <= 20 (0.59 at n = 16384, z = 6; 0.26 for
+    the reads of segment 0).
     """
     u = 2.0**-53
     t = round(z * n)
@@ -519,14 +520,12 @@ def test_aztec_log_escape_within_derived_bound(n, z):
 
 
 def _eager_aztec_log_escapes(n, target):
-    """Every exit's log escape from two full walks of the rescaled float Delannoy column:
-    m < m_s from (D(-1), D(0)) = (0, 1), and m >= m_s from the seeded pair at m_s."""
-    a, logs, seed = float(2 * (target - n - 1) + 1), [], max(n - n // 2 - 1, 0)
-    for first, stop, (prev, cur, shift) in (
-        (0, seed, (0.0, 1.0, 0)),
-        (seed, n + 1, _delannoy_seed(seed, target - n - 1)),
-    ):
-        for m in range(first, stop):
+    """Every exit's log escape from full walks of the rescaled float Delannoy column, one per
+    segment of rows [s, s + S): from (D(-1), D(0)) = (0, 1) at s = 0, from the seeded pair above."""
+    a, logs = float(2 * (target - n - 1) + 1), []
+    for first in range(0, n + 1, _SEED_STRIDE):
+        prev, cur, shift = _delannoy_seed(first, target - n - 1)
+        for m in range(first, min(first + _SEED_STRIDE, n + 1)):
             logs.append(math.log(cur + prev) + shift * math.log(2))
             prev, cur = cur, (a * cur + m * prev) / (m + 1)
             if cur > 2.0**512:
@@ -538,13 +537,16 @@ def _eager_aztec_log_escapes(n, target):
 @pytest.mark.parametrize("z", [1.1, 2.5, 6.0])
 def test_aztec_log_escape_lazy_walk_is_bit_identical(n, z):
     """Walking each segment only as far as each read reaches gives the full walks' doubles,
-    whatever order the exits are read in; the shuffled reads fall on both sides of m_s."""
+    whatever order the exits are read in; past one segment, the shuffled reads fall on both
+    sides of the segment boundary nearest the middle row."""
     target = round(z * n)
     want = _eager_aztec_log_escapes(n, target)
     log_y = md.log_escape_profile(ModelId.AZTEC, n, target)
     ells = list(range(n + 1))
     random.Random(n).shuffle(ells)
-    assert min(ells[:8]) < n // 2 + 1 < max(ells[:8])  # early reads on both sides of the seed
+    if n > _SEED_STRIDE:  # early reads on both sides of a seed
+        edge = round(n / 2 / _SEED_STRIDE) * _SEED_STRIDE
+        assert min(n - ell for ell in ells[:8]) < edge < max(n - ell for ell in ells[:8])
     for ell in ells[: n // 2] + ells:  # the first half is read twice
         assert log_y(ell).hex() == want[ell].hex(), ell
 
@@ -558,9 +560,10 @@ def test_log_comb_stable_matches_exact_logs():
                 assert abs(_log_comb_stable(a, b) - want) <= 8 * 2.0**-53 * max(1.0, want), (a, b)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 64])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 64, _SEED_STRIDE, _SEED_STRIDE + 1])
 def test_aztec_seeded_escape_matches_exact_logs_at_the_edges(n):
-    """Tiny sizes, where the seed sits at m = 0 or 1, and the target n + 1 (j = 0, every D = 1)."""
+    """Tiny sizes, read from row 0's pair, sizes whose last rows start the next segment's
+    seed, and the target n + 1 (j = 0, every D = 1)."""
     for target in (n + 1, n + 2, 3 * n + 5):
         log_y = md.log_escape_profile(ModelId.AZTEC, n, target)
         for ell, want in enumerate(_exact_aztec_escapes(n, target)):
@@ -571,8 +574,8 @@ def test_aztec_seeded_escape_matches_exact_logs_at_the_edges(n):
 def test_aztec_scan_argmax_matches_exact_totals():
     """At n = 512 the float scan's exit is the argmax of the exact totals, ties to smaller ell.
 
-    The totals are Pascal prefix sums times the exact Delannoy escapes.  Near z = 1 the
-    argmax lies past n/2, so the search reads on both sides of the seed m_s.
+    The totals are Pascal prefix sums times the exact Delannoy escapes.  Over these z
+    the argmax row m = n - ell runs from 233 to 470, across the seeds at 256 and 384.
     """
     n = 512
     prefix = list(accumulate(comb(n, i) for i in range(n + 1)))

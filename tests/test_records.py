@@ -25,8 +25,8 @@ LU = lu_exact(ExactMatrix.from_rows([[2, 1], [4, 3]]))
 
 # (record, positional arguments, the same as keywords, fields left at their defaults)
 BUILDS = [
-    (SaddleResult, (0.5, 0.25, -3.0, 65, 1, False),
-     dict(z=0.5, xi_hat=0.25, log_mass=-3.0, n_used=65, plateau=1, degenerate=False), {}),
+    (SaddleResult, (0.5, 0.25, -3.0, 65, 1, False, 0.3),
+     dict(z=0.5, xi_hat=0.25, log_mass=-3.0, n_used=65, plateau=1, degenerate=False, xi_star=0.3), {}),
     (ParametricCurve, ("arc", (0.0, 1.0), aztec_parametric, circle()),
      dict(name="arc", t_range=(0.0, 1.0), point=aztec_parametric, implicit=circle()), {}),
     (LUPair, (LU.L, LU.U), dict(L=LU.L, U=LU.U), {}),

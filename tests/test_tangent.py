@@ -226,6 +226,90 @@ def test_search_matches_full_argmax_on_the_bench_lattice(monkeypatch):
         assert (got.xi_hat, got.plateau, got.log_mass) == (xi_hat, plateau, top), (model, z)
 
 
+def _bisected_scan(model, n, z, x):
+    """(xi_hat, plateau, degenerate) as the scan gave them before it started at the
+    analytic exit: one bisection of the whole live range from its ends."""
+    ops = MODEL_OPS[model]
+    size = n | 1 if ops.odd_n else n
+    target, k = round(z * size), (round(x * n) if ops.needs_k else None)
+    exits = ops.exits(size, k)
+    live = exits if ops.live_exits is None else ops.live_exits(size, target)
+    log_h = models.log_one_point_profile(model, size, k)
+    log_y = models.log_escape_profile(model, size, target, k)
+    first, last = live.start - exits.start, live.stop - 1 - exits.start
+
+    def total(i):
+        return log_h[i] + log_y(i)
+
+    lo, hi = first, last
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if total(mid + 1) <= total(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    top = total(lo)
+    tol = 1e-12 * max(1.0, abs(top))
+    left = right = lo
+    while left > first and abs(total(left - 1) - top) <= tol:
+        left -= 1
+    while right < last and abs(total(right + 1) - top) <= tol:
+        right += 1
+    plateau = right - left + 1
+    return (lo + exits.start) / size, plateau, plateau > tangent.PLATEAU_DEGENERATE_WIDTH
+
+
+@pytest.mark.parametrize("n", [64, 100, 512, 1000, 9000])
+def test_warm_start_matches_the_whole_range_bisection_at_the_edges(n):
+    """Where the total is flattest: tiny dyck and red targets (z n = 1..60), z within
+    40/n of each model's lower edge and of staircase-alt's top."""
+    cases = [(model, t / n) for model in (ModelId.DYCK_HALF_HEX, ModelId.RED_HALF_HEX)
+             for t in range(1, 61)]
+    for model, ops in MODEL_OPS.items():
+        cases += [(model, ops.z_range[0] + d / n) for d in range(1, 41)]
+    cases += [(ModelId.STAIRCASE_ALT, 2.0 - d / n) for d in range(41)]
+    for model, z in cases:
+        got = finite_n_saddle(model, n, z, 1.0)
+        assert (got.xi_hat, got.plateau, got.degenerate) == _bisected_scan(model, n, z, 1.0), (model, z)
+
+
+def test_warm_start_keeps_a_noise_flat_total_degenerate():
+    """At this tiny dyck target the float total is flat to rounding across 1002 exits.
+    Kept without the guard, the first descent found near the analytic exit (xi* 1.667)
+    would be reported as a sharp argmax: xi_hat 1.542, plateau 2, not degenerate."""
+    z = 0.0011333961883817647
+    got = finite_n_saddle(ModelId.DYCK_HALF_HEX, 1000, z, 1.0)
+    assert (got.xi_hat, got.plateau, got.degenerate) == (0.0, 1002, True)
+    assert _bisected_scan(ModelId.DYCK_HALF_HEX, 1000, z, 1.0) == (0.0, 1002, True)
+
+
+@pytest.mark.parametrize("model,zs", [
+    (ModelId.AZTEC, (1.5, 3.0)),
+    (ModelId.DYCK_HALF_HEX, (0.5, 2.0)),
+    (ModelId.RED_HALF_HEX, (0.3, 1.0)),
+    (ModelId.STAIRCASE, (1.5, 3.0)),
+    (ModelId.STAIRCASE_ALT, (1.2, 1.6)),
+    (ModelId.VSASM, (0.5, 2.0)),
+])
+def test_scan_verdict_does_not_lean_on_its_start(model, zs, monkeypatch, capsys):
+    """A saddle shifted by 0.05 moves where the search starts and what it is checked
+    against, never what it finds: the check then fails on the moved expectation."""
+    ops = MODEL_OPS[model]
+    for z in zs:
+        want = finite_n_saddle(model, 1024, z, 1.0)
+        with monkeypatch.context() as patch:
+            patch.setitem(MODEL_OPS, model, dataclasses.replace(ops, saddle=lambda z, x: ops.saddle(z, x) + 0.05))
+            got = finite_n_saddle(model, 1024, z, 1.0)
+            argv = ["saddle", "--model", model.value, "--n", "1024", "--z", repr(z), "--x-model", "1.0"]
+            assert cli.main(argv) == 1
+        capsys.readouterr()
+        assert (got.xi_hat, got.plateau, got.degenerate) == (want.xi_hat, want.plateau, want.degenerate)
+        assert not got.degenerate
+        assert got.xi_star == want.xi_star + 0.05
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # Saddle bisection and inner ternary search
 # ---------------------------------------------------------------------------
