@@ -7,7 +7,8 @@ linear algebra (`linalg`), log-space sums (`logspace`), the model registry
 (`models.aztec`, `models.halfhex`, `models.staircase`, `models.vsasm`),
 independent brute-force enumerators (`oracle`), the saddle-point / tangent
 machinery (`tangent`), the closed-form limit curves (`curves`), and a
-command-line front end (`cli`).
+command-line front end (`cli`).  The paper's reference formulas that only the
+tests evaluate (`paper`) sit beside the registry; no command imports them.
 """
 
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ from math import comb
 
 __all__ = [
     "binomial",
-    "trinomial",
     "catalan",
     "ballot",
 ]
@@ -23,15 +22,6 @@ def binomial(n: int, k: int) -> int:
     if not 0 <= k <= n:
         return 0
     return comb(n, k)
-
-
-def trinomial(m: int, p1: int, p2: int, p3: int) -> int:
-    """m! / (p1! p2! p3!) for nonnegative parts summing to m, else 0."""
-    if p1 + p2 + p3 != m:
-        raise ValueError(f"parts {p1}+{p2}+{p3} do not sum to {m}")
-    if min(p1, p2, p3) < 0:
-        return 0
-    return comb(m, p1) * comb(m - p1, p2)
 
 
 def catalan(m: int) -> int:

@@ -11,6 +11,7 @@ here depends on it.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -51,7 +52,8 @@ class ImplicitCurve(NamedTuple):
 
     def branches(self) -> list[list[tuple[float, float]]]:
         """One or two branches, each sampled at 257 evenly spaced abscissae across the window.
-        Reads the y^2, y, x y and pure-x terms only: every curve here has no other."""
+        Reads the y^2, y, x y and pure-x terms only: every curve here has no other, and a
+        nonzero y^2 term (``ellipse`` refuses a width whose x * x is not a normal double)."""
         coeff = dict(self.coefficients)
         a, b0, b1 = (coeff.get(key, 0.0) for key in ((0, 2), (0, 1), (1, 1)))
         pure_x = [(ix, cv) for (ix, iy), cv in self.coefficients if iy == 0]
@@ -63,15 +65,11 @@ class ImplicitCurve(NamedTuple):
             c = 0
             for ix, cv in pure_x:
                 c += cv * x**ix
-            if a == 0:
-                ys = [-c / b] if b else []
-            else:
-                disc = b * b - 4 * a * c
-                if disc < 0:
-                    continue
-                r = math.sqrt(disc)
-                ys = [(-b - r) / (2 * a), (-b + r) / (2 * a)]
-            for branch, y in zip(branches, sorted(ys)):
+            disc = b * b - 4 * a * c
+            if disc < 0:
+                continue
+            r = math.sqrt(disc)
+            for branch, y in zip(branches, sorted(((-b - r) / (2 * a), (-b + r) / (2 * a)))):
                 if y0 - 1e-9 <= y <= y1 + 1e-9:
                     branch.append((x, y))
         return [b for b in branches if len(b) >= 2]
@@ -112,8 +110,12 @@ def circle() -> ImplicitCurve:
 def ellipse(x_model: float) -> ImplicitCurve:
     # x_model^2 v^2 - 4 (1 + x_model) u (2 x_model - u) = 0 in the (u, v) frame.  For
     # x_model > 0, 8 x_model (1 + x_model) is the largest coefficient, or all are below 6.
-    if not (x_model > 0 and math.isfinite(8.0 * x_model * (1.0 + x_model))):
-        raise ValueError(f"x_model must be > 0 with finite ellipse coefficients, got {x_model}")
+    # Below the least normal double the v^2 coefficient loses precision, then underflows
+    # to 0 (at 1e-170), and the envelope's residuals read 0 whatever its points.
+    if not (x_model > 0 and math.isfinite(8.0 * x_model * (1.0 + x_model))
+            and x_model * x_model >= sys.float_info.min):
+        raise ValueError(f"x_model must be > 0 with finite ellipse coefficients and x_model**2 "
+                         f"a normal double, got {x_model}")
     return ImplicitCurve(
         f"ellipse(x={x_model:g})",
         (

@@ -8,8 +8,7 @@ vertically symmetric alternating sign matrices.
 
 Each path model provides:
 
-* the single-path weight ``*_entry``, the reference for its counting matrix,
-  which is walked from one seed per row or column,
+* its counting matrix, walked from one seed per row or column,
 * the inverse ``*_closed_L_inv`` of the closed-form L factor of its LU
   decomposition, each row walked by its term ratio,
 * the replacement last column ``*_b_column`` for a path exiting at height
@@ -17,13 +16,15 @@ Each path model provides:
 * the positive-sum one-point function, ``*_one_point`` for the half-hexagon;
   the diamond and both staircases read prefixes of one Pascal row, and their
   shared fields (one-point function, profiles, inverse Pascal L, U diagonal)
-  come from one builder given each model's exit-to-prefix map,
-* the escape weight ``escape(n, target, ell)``, continuations to the target.
+  come from one builder given each model's exit-to-prefix map.
 
-Every model, the osculating one included, also has log-space versions of the
-last two (profile rows read the lgamma table through ``_log_comb_run``, which
-grows it) and its large-n limits: analytic saddle, action, tangent geometry
-and limit curve.  :data:`MODEL_OPS` holds all of it, one :class:`Model`
+Every model, the osculating one included, also has the log one-point profile
+and log escape weight (continuations to the target; profile rows read the
+lgamma table through ``_log_comb_run``, which grows it) and its large-n
+limits: analytic saddle, tangent geometry and limit curve.  The references
+that only tests evaluate (single-path weights, exact escapes, actions and
+tangency points) live in :mod:`arctic.paper`, which no command imports.
+:data:`MODEL_OPS` holds the rest, one :class:`Model`
 record per model; the scan, envelope and command-line layers look a model up
 there and never branch on which model it is.  A path model's record also
 carries its :class:`Lattice` (steps, endpoints, exit points), which only the
@@ -34,8 +35,9 @@ diamond), :mod:`.halfhex` (Dyck and red half-hexagon), :mod:`.staircase` (both
 staircases, with the Pascal-row helpers the diamond shares) and :mod:`.vsasm`
 (the ASM and VSASM counts and the osculating model); a family's functions
 are imported from its own module.  Adding a model means naming it in
-:class:`ModelId`, writing its functions and record in a family module, and
-listing the record in :data:`MODEL_OPS`.
+:class:`ModelId`, writing its functions and record in a family module,
+listing the record in :data:`MODEL_OPS` and adding its rows to the tables of
+:mod:`arctic.paper`.
 
 Conventions.  Out-of-range binomials vanish (see :mod:`arctic.combinat`), so
 every summation uses the same index-free range as the closed formula it
@@ -45,7 +47,6 @@ the model's reference exit, hence lie in [0, 1].
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -112,11 +113,11 @@ class Model:
     models, the extension width for the osculating model), ``z`` its scaled
     value and ``xi`` a scaled exit.
 
-    ``exits(n, k)`` is the range of exit positions ell.  Exact values
-    ``one_point(n, k, ell)`` and ``escape(n, target, ell)`` (no escape reads k)
-    have log-space forms: ``log_profile(n, k)``, a tuple over all exits, and
-    ``log_escape(n, target)``, a function of the exit's index in
-    ``exits(n, k)``.  Both logs are concave in ell wherever they are finite
+    ``exits(n, k)`` is the range of exit positions ell.  The exact values
+    ``one_point(n, k, ell)`` and :data:`arctic.paper.ESCAPE` have log-space
+    forms: ``log_profile(n, k)``, a tuple over all exits, and
+    ``log_escape(n, target)`` (no escape reads k), a function of the exit's
+    index in ``exits(n, k)``.  Both logs are concave in ell wherever they are finite
     (each model's log functions say why), and ``live_exits(n, target)`` is the
     range of exits where both are finite (None: every exit).
     ``exact_profile(n, k)`` gives the ``one_point`` values of all exits in one
@@ -124,19 +125,14 @@ class Model:
     scan of size n uses the size n (n | 1 for ``odd_n``), k = round(x n) and
     the target round(z size), which must exceed ``z_range[0]`` times the size.
     The large-n limits are ``saddle(z, x)`` for z in ``z_range``,
-    ``action(z, xi, x) -> (s0, s1)`` (the scaled escape and profile exponents
-    at exit fraction xi, inner summation variables maximized as the leading
-    Laplace evaluation prescribes; their sum is the scaled log mass),
-    ``geometry(xi, z, x) -> (exit point, target point)``, ``limit_curve(x)``,
-    ``tangency(x)`` and ``parametric``.
+    ``geometry(xi, z, x) -> (exit point, target point)``, ``limit_curve(x)``
+    and ``parametric``; each model's action and tangency points are rows of
+    the :mod:`arctic.paper` tables.
     The Gessel-Viennot fields (``matrix`` to ``reference_ell``) and the path
     ``lattice`` are None for the osculating model.  ``u_diagonal(n, k)`` is the
     closed U diagonal of the matrix's LU decomposition: its product is the
     partition function, and its prefix products are the leading minors, whose
-    sizes give the CLI the work of ``verify`` before any elimination.  Only
-    tests read ``escape`` (the exact reference of each log escape, and ROADMAP
-    item 10's exact tie-break), ``action`` (item 1 gives it a caller) and
-    ``tangency`` (item 8).
+    sizes give the CLI the work of ``verify`` before any elimination.
 
     The one dataclass of the package: tracers rebuild registry entries with
     ``dataclasses.replace``.  Records are compared by identity.
@@ -146,15 +142,12 @@ class Model:
     exits: Callable[[int, int | None], range]
     one_point: Callable[[int, int | None, int], Fraction]
     exact_profile: Callable[[int, int | None], tuple[Fraction, ...]]
-    escape: Callable[[int, int, int], int]
     log_profile: Callable[[int, int | None], tuple[float, ...]]
     log_escape: Callable[[int, int], Callable[[int], float]]
     z_range: tuple[float, float]
     saddle: Callable[[float, float | None], float]
-    action: Callable[[float, float, float | None], tuple[float, float]]
     geometry: Callable[[float, float, float | None], tuple[Point, Point]]
     limit_curve: Callable[[float], ImplicitCurve]
-    tangency: Callable[[float], list[Point]]
     parametric: ParametricCurve | None = None
     needs_k: bool = False
     matrix: Callable[[int, int | None], ExactMatrix] | None = None
@@ -190,7 +183,7 @@ class Model:
 
 
 # ---------------------------------------------------------------------------
-# Shared numerics: large-n exponents (log-space sums live in arctic.logspace)
+# Shared numerics (log-space sums live in arctic.logspace)
 # ---------------------------------------------------------------------------
 
 
@@ -210,34 +203,6 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)
-
-
-def _xlogx(v: float) -> float:
-    return 0.0 if v <= 0 else v * math.log(v)
-
-
-def _entropy(a: float) -> float:
-    return -_xlogx(a) - _xlogx(1 - a)
-
-
-def _binom_exponent(a: float, b: float) -> float:
-    """Scaled exponent of C(a n, b n): a log a - b log b - (a-b) log(a-b)."""
-    if b < -1e-15 or b > a + 1e-15:
-        return -math.inf
-    b = min(max(b, 0.0), a)
-    return _xlogx(a) - _xlogx(b) - _xlogx(a - b)
-
-
-def _ternary_max(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Max of a unimodal f on [lo, hi]; stops once an update leaves the bracket unchanged."""
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        bracket = (m1, hi) if f(m1) < f(m2) else (lo, m2)
-        if bracket == (lo, hi):
-            break
-        lo, hi = bracket
-    return f(0.5 * (lo + hi))
 
 
 def _exact_int(num: int | Fraction, den: int = 1) -> int:
@@ -261,7 +226,7 @@ def _binomial_column(k: int, lo: int, hi: int) -> list[int]:
 
 
 def _log_path_escape(p: int) -> Callable[[int], float]:
-    """log :func:`dyck_escape` C(p + j - 1, j) as a function of j >= 0, for p >= 1.
+    """log :func:`arctic.paper.dyck_escape` C(p + j - 1, j) as a function of j >= 0, for p >= 1.
 
     Log-concave in j: the ratio C(p + j, j + 1) / C(p + j - 1, j) = (p + j) / (j + 1)
     falls as j grows.  The escapes of both half-hexagon models, the staircase

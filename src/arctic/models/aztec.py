@@ -2,7 +2,7 @@
 arctic curve is the circle.
 
 Its matrix and b-columns walk Delannoy recurrences, checked against the trinomial
-sum :func:`aztec_entry`.  Its one-point function, profiles, closed L^-1
+sum :func:`arctic.paper.aztec_entry`.  Its one-point function, profiles, closed L^-1
 and U diagonal are the Pascal-row fields of
 :mod:`arctic.models.staircase`, with exit ell reading prefix ell.
 """
@@ -12,27 +12,17 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from ..combinat import trinomial
 from ..curves import CIRCLE_ARC, circle
 from ..linalg import ExactMatrix
 from ..logspace import _LN2, _log_comb_stable
-from . import Lattice, Model, ModelId, _entropy, _xlogx
+from . import Lattice, Model, ModelId
 from .staircase import _pascal_fields
 
 __all__ = [
-    "aztec_entry",
     "aztec_matrix",
     "aztec_b_column",
-    "aztec_escape",
     "AZTEC",
 ]
-
-
-def aztec_entry(i: int, j: int) -> int:
-    """Large Schroeder paths (-i, i) -> (j, j): sum over horizontal counts p."""
-    if i < 0 or j < 0:
-        raise ValueError(f"indices must be >= 0, got ({i}, {j})")
-    return sum(trinomial(i + j - p, p, i - p, j - p) for p in range(min(i, j) + 1))
 
 
 def aztec_matrix(n: int) -> ExactMatrix:
@@ -58,16 +48,6 @@ def aztec_b_column(n: int, ell: int) -> list[int]:
     for m in range(ell):  # at m = 0 the term m D(m-1, n) is 0, whatever column[-1] reads
         column.append(((2 * n + 1) * column[m] + m * column[m - 1]) // (m + 1))
     return [0] * (n - ell) + column
-
-
-def aztec_escape(n: int, k: int, ell: int) -> int:
-    """Continuations from the exit (ell, 2n - ell) to the corner (k, k)."""
-    if not 0 <= ell <= n:
-        raise ValueError(f"ell={ell} outside [0, {n}]")
-    if k <= n:
-        raise ValueError(f"target k={k} must exceed n={n}")
-    j = k - n - 1  # the Delannoy numbers D(n - ell, j) + D(n - ell - 1, j), with D(-1, j) = 0
-    return aztec_entry(n - ell, j) + (aztec_entry(n - ell - 1, j) if ell < n else 0)
 
 
 def _delannoy_seed(m: int, j: int) -> tuple[float, float, int]:
@@ -102,7 +82,7 @@ _SEED_STRIDE = 128  # a read at row m walks from the seed at m - m % _SEED_STRID
 
 
 def _aztec_log_escape(n: int, target: int) -> Callable[[int], float]:
-    """log :func:`aztec_escape` at exit ell = 0..n, read from rescaled float Delannoy walks.
+    """log :func:`arctic.paper.aztec_escape` at exit ell = 0..n, read from rescaled float Delannoy walks.
 
     The path weight A(m, j) is the Delannoy number D(m, j), and with
     j = target - n - 1 exit ell escapes through D(n-ell, j) + D(n-ell-1, j).
@@ -162,33 +142,15 @@ def _aztec_log_escape(n: int, target: int) -> Callable[[int], float]:
     return log_escape
 
 
-def _aztec_action(z: float, xi: float, x: float | None) -> tuple[float, float]:
-    if not 0 <= xi <= 1 or z <= 1:
-        raise ValueError(f"need 0 <= xi <= 1 < z, got xi={xi}, z={z}")
-    s1 = _entropy(min(xi, 0.5)) - math.log(2)
-    disc = (z - xi) ** 2 - 2 * (1 - xi) * (z - 1)
-    theta = ((z - xi) - math.sqrt(max(disc, 0.0))) / 2
-    s0 = (
-        _xlogx(z - xi - theta)
-        - _xlogx(theta)
-        - _xlogx(1 - xi - theta)
-        - _xlogx(z - 1 - theta)
-    )
-    return s0, s1
-
-
 AZTEC = Model(
     model=ModelId.AZTEC,
     exits=lambda n, k: range(n + 1),
     **_pascal_fields(lambda n: range(n + 1)),
-    escape=aztec_escape,
     log_escape=_aztec_log_escape,
     z_range=(1.0, math.inf),
     saddle=lambda z, x: 1.0 / (2.0 * z),
-    action=_aztec_action,
     geometry=lambda xi, z, x: ((xi, 2 - xi), (z, z)),
     limit_curve=lambda x: circle(),
-    tangency=lambda x: [(0.5, 1.5), (-0.5, 1.5), (0.5, 0.5), (-0.5, 0.5)],
     parametric=CIRCLE_ARC,
     matrix=lambda n, k: aztec_matrix(n),
     b_column=lambda n, k, ell: aztec_b_column(n, ell),

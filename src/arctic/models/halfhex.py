@@ -11,8 +11,7 @@ from math import comb
 from operator import add, sub
 from typing import Callable
 
-# Called as models.binomial, models._bisect, models._ternary_max: tracers and tests
-# replace those names on the hub.
+# Called as models.binomial, models._bisect: tracers and tests replace those names on the hub.
 from .. import models
 from ..combinat import ballot, catalan
 from ..curves import ellipse
@@ -22,8 +21,6 @@ from . import (
     Lattice,
     Model,
     ModelId,
-    Point,
-    _binom_exponent,
     _binomial_column,
     _binomial_row,
     _exact_int,
@@ -31,14 +28,11 @@ from . import (
 )
 
 __all__ = [
-    "dyck_entry",
     "dyck_matrix",
     "dyck_closed_L_inv",
     "dyck_u_diagonal",
     "dyck_b_column",
     "dyck_one_point",
-    "dyck_escape",
-    "red_entry",
     "red_matrix",
     "red_closed_L_inv",
     "red_u_diagonal",
@@ -49,13 +43,8 @@ __all__ = [
 ]
 
 
-def dyck_entry(i: int, j: int, k: int) -> int:
-    """Dyck paths (-2i, 0) -> (2k + 2j, 0): the Catalan number c_{k+i+j}."""
-    return catalan(k + i + j)
-
-
 def dyck_matrix(n: int, k: int) -> ExactMatrix:
-    """The Hankel matrix c_{k+i+j} of :func:`dyck_entry`, read from one Catalan walk
+    """The Hankel matrix c_{k+i+j} of :func:`arctic.paper.dyck_entry`, read from one Catalan walk
     c_{m+1} = c_m 2(2m+1) / (m+2) over m = k..k+2n."""
     cats = list(accumulate(range(k, k + 2 * n), lambda c, m: c * 2 * (2 * m + 1) // (m + 2), initial=catalan(k)))
     return ExactMatrix(n + 1, n + 1, [c for i in range(n + 1) for c in cats[i:i + n + 1]])
@@ -148,13 +137,6 @@ def _dyck_profile(n: int, k: int) -> tuple[Fraction, ...]:
     return (Fraction(1),) * (n + 1) + tuple(map(Fraction, reversed(sums[:k]), dens))
 
 
-def dyck_escape(p: int, ell: int) -> int:
-    """Single monotone path continuations: C(p + ell - 1, ell)."""
-    if p < 1 or ell < 0:
-        raise ValueError(f"requires p >= 1 and ell >= 0, got ({p}, {ell})")
-    return comb(p + ell - 1, ell)
-
-
 def _dyck_log_profile(n: int, k: int) -> tuple[float, ...]:
     """log :func:`dyck_one_point` over ell = 0..n+k; rows ell <= n are exactly 0 (H = 1).
 
@@ -165,6 +147,11 @@ def _dyck_log_profile(n: int, k: int) -> tuple[float, ...]:
     Log-concavity in ell is sampled, not proven: H(ell)^2 >= H(ell-1) H(ell+1)
     holds in exact arithmetic at every interior exit for n <= 39, k <= 57, and a
     test checks a smaller grid.
+
+    H is a probability, so log H <= 0, and each row above n is clamped at 0: the
+    walk's rounding lifts rows where H is within rounding of 1 above 0 (at
+    n = k = 4096, 1,413 rows between ell = n + 2 and n + 2494, by up to 3.3e-11),
+    which would make a total that is flat in exact arithmetic read as rising.
     """
     m = 2 * n + k
     log_top = _log_comb(m + 1, 2 * n + 1)
@@ -179,33 +166,11 @@ def _dyck_log_profile(n: int, k: int) -> tuple[float, ...]:
     log_sums = map(add, repeat(log_top), accumulate(map(math.log, rhos[:k])))
     # log S(ell) - log C(2n+2k, n+ell) for ell = n+1..n+k
     tail = map(sub, reversed(list(log_sums)), _log_comb_run(2 * n + 2 * k, 0, 2 * n + 1, 1, k))
-    return (0.0,) * (n + 1) + tuple(tail)
-
-
-def _dyck_action(z: float, xi: float, x: float | None) -> tuple[float, float]:
-    if x is None or not 0 <= xi <= 1 + x:
-        raise ValueError(f"need x and 0 <= xi <= 1 + x, got xi={xi}, x={x}")
-    lo, hi = max(0.0, (1 - xi) / 2), min(1.0, 1 + x - xi)
-    s1 = models._ternary_max(
-        lambda s: _binom_exponent(1 + xi, 2 - 2 * s) + _binom_exponent(2 + x - s, 1 + xi),
-        lo,
-        hi,
-    ) - _binom_exponent(2 + 2 * x, 1 + xi)
-    return _binom_exponent(z + xi, xi), s1
-
-
-def _dyck_tangency(x: float) -> list[Point]:
-    v = 4 * (1 + x) / (2 + x)
-    return [(2 * x / (2 + x), v), (2 * x * (1 + x) / (2 + x), v)]
-
-
-def red_entry(i: int, j: int, n: int) -> int:
-    """Paths (i, i + 2n + 2) -> (2j, 0) with steps (0,-2) and (1,-1)."""
-    return models.binomial(j + n + 1, 2 * j - i)
+    return (0.0,) * (n + 1) + tuple([v if v <= 0.0 else 0.0 for v in tail])
 
 
 def red_matrix(n: int, k: int) -> ExactMatrix:
-    """:func:`red_entry` C(j + n + 1, 2j - i), column j one walked binomial row read backward."""
+    """:func:`arctic.paper.red_entry` C(j + n + 1, 2j - i), column j one walked binomial row read backward."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     cols = [_binomial_row(j + n + 1, max(2 * j - k + 1, 0), 2 * j)[::-1] for j in range(k)]
@@ -272,7 +237,8 @@ def _red_log_profile(n: int, k: int) -> tuple[float, ...]:
     Log-concave in ell: each term C(k+n-1-s, k-2) C(k+n+s, k-2) is a product of
     two binomials log-concave in s, positive for s = 0..n+1, and a suffix sum is
     a convolution with the all-ones sequence, which keeps log-concavity (see
-    :func:`_log_pascal_row`).
+    :func:`_log_pascal_row`).  H is a probability, so each row is clamped at
+    log H <= 0: rounding lifts the exact 0 of row 0 (H = 1) by up to a few 1e-12.
     """
     # log C(k+n-1-s, k-2) + log C(k+n+s, k-2), summed from s = n+1 down to 0
     terms = map(
@@ -280,18 +246,8 @@ def _red_log_profile(n: int, k: int) -> tuple[float, ...]:
     )
     norm = _log_comb(2 * n + 2 * k, 2 * n + 3)
     suffix = _log_cumsum(terms)
-    return tuple(map(sub, map(add, reversed(suffix), repeat(_LN2)), repeat(norm)))
-
-
-def _red_action(z: float, xi: float, x: float | None) -> tuple[float, float]:
-    if x is None or not 0 <= xi <= 1:
-        raise ValueError(f"need x and 0 <= xi <= 1, got xi={xi}, x={x}")
-    s1 = models._ternary_max(
-        lambda s: _binom_exponent(1 + x - s, x) + _binom_exponent(1 + x + s, x),
-        xi,
-        1.0,
-    ) - _binom_exponent(2 + 2 * x, 2.0)
-    return _binom_exponent(z + xi, xi), s1
+    rows = map(sub, map(add, reversed(suffix), repeat(_LN2)), repeat(norm))
+    return tuple([v if v <= 0.0 else 0.0 for v in rows])
 
 
 DYCK_HALF_HEX = Model(
@@ -299,17 +255,14 @@ DYCK_HALF_HEX = Model(
     exits=lambda n, k: range(n + k + 1),
     one_point=dyck_one_point,
     exact_profile=_dyck_profile,
-    escape=lambda n, target, ell: dyck_escape(target, ell),
     log_profile=_dyck_log_profile,
     log_escape=lambda n, target: _log_path_escape(target),
     z_range=(0.0, math.inf),
     saddle=lambda z, x: models._bisect(
         lambda xi: (z + xi) * (1 + xi) * (1 + x - xi) - xi * (2 * x + 1 - xi) * (xi - 1),
         (2 + 3 * x) / (2 + x), 1 + x - 1e-15),
-    action=_dyck_action,
     geometry=lambda xi, z, x: ((2 * x + 1 - xi, 1 + xi), (2 * x + 1 + z, 1 + z)),
     limit_curve=ellipse,
-    tangency=_dyck_tangency,
     needs_k=True,
     matrix=dyck_matrix,
     closed_l_inv=dyck_closed_L_inv,
@@ -331,16 +284,13 @@ RED_HALF_HEX = Model(
     exits=lambda n, k: range(n + 2),
     one_point=red_one_point,
     exact_profile=_red_profile,
-    escape=lambda n, target, ell: dyck_escape(target, ell),
     log_profile=_red_log_profile,
     log_escape=lambda n, target: _log_path_escape(target),
     z_range=(0.0, math.inf),
     saddle=lambda z, x: models._bisect(lambda xi: 2 * x * xi * xi / ((1 - xi) * (1 + x + xi)) - z,
                                        1e-15, 1 - 1e-15),
-    action=_red_action,
     geometry=lambda xi, z, x: ((2 * x, 2 * xi), (2 * x + z, -z)),
     limit_curve=ellipse,
-    tangency=lambda x: [(2 * x * (1 + x) / (2 + x), 4 * (1 + x) / (2 + x)), (2 * x, 0.0)],
     needs_k=True,
     matrix=red_matrix,
     closed_l_inv=red_closed_L_inv,

@@ -21,8 +21,6 @@ from math import comb
 from operator import sub
 from typing import Callable, Sequence
 
-# Called as models.binomial: tracers and tests replace that name on the hub.
-from .. import models
 from ..curves import parabola
 from ..linalg import ExactMatrix
 from ..logspace import _LN2, _log_comb, _log_comb_run, _log_cumsum
@@ -30,23 +28,17 @@ from . import (
     Lattice,
     Model,
     ModelId,
-    _binom_exponent,
     _binomial_column,
     _binomial_row,
-    _entropy,
     _log_path_escape,
 )
 
 __all__ = [
     "pascal_closed_L_inv",
-    "staircase_entry",
-    "staircase_alt_entry",
     "staircase_matrix",
     "staircase_alt_matrix",
     "staircase_b_column",
     "staircase_alt_b_column",
-    "staircase_escape",
-    "staircase_alt_escape",
     "STAIRCASE",
     "STAIRCASE_ALT",
 ]
@@ -116,27 +108,13 @@ def pascal_closed_L_inv(n: int) -> ExactMatrix:
     return ExactMatrix(n + 1, n + 1, [-c if (i + j) % 2 else c for i, row in rows for j, c in enumerate(row)])
 
 
-def staircase_entry(i: int, j: int) -> int:
-    """Left/up paths (2i, 0) -> (0, j): C(2i + j, j)."""
-    if i < 0 or j < 0:
-        raise ValueError(f"indices must be >= 0, got ({i}, {j})")
-    return comb(2 * i + j, j)
-
-
-def staircase_alt_entry(i: int, j: int) -> int:
-    """East/north-east paths (2i, 0) -> (2n, j): C(2i, j)."""
-    if i < 0 or j < 0:
-        raise ValueError(f"indices must be >= 0, got ({i}, {j})")
-    return models.binomial(2 * i, j)
-
-
 def staircase_matrix(n: int) -> ExactMatrix:
-    """:func:`staircase_entry` C(2i + j, 2i), row i one walked binomial column."""
+    """:func:`arctic.paper.staircase_entry` C(2i + j, 2i), row i one walked binomial column."""
     return ExactMatrix.from_rows([_binomial_column(2 * i, 2 * i, 2 * i + n) for i in range(n + 1)])
 
 
 def staircase_alt_matrix(n: int) -> ExactMatrix:
-    """:func:`staircase_alt_entry` C(2i, j), row i one walked binomial row."""
+    """:func:`arctic.paper.staircase_alt_entry` C(2i, j), row i one walked binomial row."""
     return ExactMatrix.from_rows([_binomial_row(2 * i, 0, n) for i in range(n + 1)])
 
 
@@ -159,51 +137,20 @@ def _staircase_prefixes(n: int) -> list[int]:
     return [n] * n + list(range(n, -1, -1))
 
 
-def staircase_escape(n: int, p: int, ell: int) -> int:
-    """Single path (ell, n) -> (0, p) whose first step is up."""
-    if p < n:
-        raise ValueError(f"requires p >= n, got p={p}, n={n}")
-    return models.binomial(p - n - 1 + ell, ell)
-
-
-def staircase_alt_escape(n: int, p: int, ell: int) -> int:
-    """Single path (ell, n) -> (2n, p) whose first step is diagonal."""
-    if p < n:
-        raise ValueError(f"requires p >= n, got p={p}, n={n}")
-    return models.binomial(2 * n - ell - 1, p - n - 1)
-
-
 def _staircase_xi(z: float) -> float:
     # Positive root of 2 xi^2 + (z-4) xi + 2 - 2z = 0, in (3/2, 2).
     return (4.0 - z + math.sqrt(z * z + 8.0 * z)) / 4.0
-
-
-def _staircase_action(z: float, xi: float, x: float | None) -> tuple[float, float]:
-    if not 0 <= xi <= 2 or z <= 1:
-        raise ValueError(f"need 0 <= xi <= 2 and z > 1, got xi={xi}, z={z}")
-    s1 = _entropy(min(2 - xi, 0.5)) - math.log(2)
-    return _binom_exponent(z - 1 + xi, xi), s1
-
-
-def _staircase_alt_action(z: float, xi: float, x: float | None) -> tuple[float, float]:
-    if not 0 <= xi <= 2 or z <= 1:
-        raise ValueError(f"need 0 <= xi <= 2 and z > 1, got xi={xi}, z={z}")
-    s1 = -math.inf if xi < 1 else _entropy(min(xi - 1, 0.5)) - math.log(2)
-    return _binom_exponent(2 - xi, z - 1), s1
 
 
 STAIRCASE = Model(
     model=ModelId.STAIRCASE,
     exits=lambda n, k: range(2 * n + 1),
     **_pascal_fields(_staircase_prefixes),
-    escape=staircase_escape,
     log_escape=lambda n, target: _log_path_escape(target - n),
     z_range=(1.0, math.inf),
     saddle=lambda z, x: _staircase_xi(z),
-    action=_staircase_action,
     geometry=lambda xi, z, x: ((xi, 1.0), (0.0, z)),
     limit_curve=lambda x: parabola(),
-    tangency=lambda x: [(0.0, 0.0), (2.0, 0.0)],
     matrix=lambda n, k: staircase_matrix(n),
     b_column=lambda n, k, ell: staircase_b_column(n, ell),
     reference_ell=lambda n, k: 0,
@@ -220,17 +167,14 @@ STAIRCASE_ALT = Model(
     model=ModelId.STAIRCASE_ALT,
     exits=lambda n, k: range(2 * n + 1),
     **_pascal_fields(lambda n: range(-n, n + 1)),  # m = ell - n
-    escape=staircase_alt_escape,
     # C(m, c) is log-concave in m = 2n-1-ell: C(m+1, c) / C(m, c) = (m+1) / (m+1-c) falls.
     log_escape=lambda n, target: lambda ell: _log_comb(2 * n - ell - 1, target - n - 1),
     # H > 0 from ell = n on, and Y > 0 while target - n - 1 <= 2n - 1 - ell.
     live_exits=lambda n, target: range(n, 3 * n - target + 1),
     z_range=(1.0, 2.0),
     saddle=lambda z, x: 2.0 - z / 2.0,
-    action=_staircase_alt_action,
     geometry=lambda xi, z, x: ((xi, 1.0), (2.0, z)),
     limit_curve=lambda x: parabola(),
-    tangency=lambda x: [(0.0, 0.0), (2.0, 0.0)],
     matrix=lambda n, k: staircase_alt_matrix(n),
     b_column=lambda n, k, ell: staircase_alt_b_column(n, ell),
     reference_ell=lambda n, k: 2 * n,

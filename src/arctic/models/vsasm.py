@@ -9,25 +9,23 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import comb, factorial, gcd
+from math import factorial, gcd
 from operator import add, sub
 from typing import Callable, Iterator
 
-# Called as models.binomial, models.n_vsasm, models.n_vsasm_refined, models._bisect:
-# tracers and tests replace those names on the hub.
+# Called as models.n_vsasm, models.n_vsasm_refined, models._bisect: tracers and tests
+# replace those names on the hub.
 from .. import models
 from ..curves import VSASM_ARC, vsasm_curve
 from ..logspace import _log_comb, _log_comb_run
-from . import Model, ModelId, _binom_exponent, _exact_int, _log_path_escape
+from . import Model, ModelId, _exact_int, _log_path_escape
 
 __all__ = [
     "n_asm",
-    "n_asm_refined",
     "n_vsasm",
     "n_vsasm_refined",
     "n_vsasm_refined_counts",
     "raz_strog_check",
-    "vsasm_escape",
     "r_asm",
     "VSASM",
 ]
@@ -74,14 +72,6 @@ def n_asm(n: int) -> int:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return _factorial_ratio([3 * k + 1 for k in range(n)], [n + k for k in range(n)])
-
-
-def n_asm_refined(n: int, ell: int) -> int:
-    """ASMs of size n whose unique first-row 1 sits in column ell."""
-    if not 1 <= ell <= n:
-        raise ValueError(f"ell={ell} outside [1, {n}]")
-    num = comb(n + ell - 2, n - 1) * comb(2 * n - 1 - ell, n - 1) * n_asm(n)
-    return _exact_int(num, comb(3 * n - 2, n - 1))
 
 
 # Largest size at which the brute-force oracle enumerates VSASMs, and ``verify`` with it.
@@ -187,18 +177,6 @@ def raz_strog_check(size: int, t: Fraction | int, counts: list[int]) -> bool:
     return (p + q) * asm[0] * cleared(counts[: 2 * n]) == p * models.n_vsasm(2 * n - 1) * cleared(asm)
 
 
-def vsasm_escape(size: int, k: int, ell: int) -> int:
-    """Single six-vertex path continuations, summed over north-east corners."""
-    if not 1 <= ell <= size:
-        raise ValueError(f"ell={ell} outside [1, {size}]")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return sum(
-        models.binomial(k - 1, p) * models.binomial(size - ell, p)
-        for p in range(min(k - 1, size - ell) + 1)
-    )
-
-
 def _vsasm_log_profile(size: int, k: int | None) -> tuple[float, ...]:
     """log of the refined ASM ratio over ell = 1..size.
 
@@ -235,31 +213,17 @@ def _vsasm_saddle(z: float, x: float | None) -> float:
     return r_asm(t)
 
 
-def _vsasm_action(z: float, xi: float, x: float | None) -> tuple[float, float]:
-    if not 0 <= xi <= 1 or z <= 0:
-        raise ValueError(f"need 0 <= xi <= 1 and z > 0, got xi={xi}, z={z}")
-    s1 = (
-        _binom_exponent(1 + xi, 1.0)
-        + _binom_exponent(2 - xi, 1.0)
-        - _binom_exponent(3.0, 1.0)
-    )
-    return _binom_exponent(z + 1 - xi, 1 - xi), s1
-
-
 VSASM = Model(
     model=ModelId.VSASM,
     exits=lambda n, k: range(1, n + 1),
     one_point=lambda n, k, ell: Fraction(models.n_vsasm_refined(n, ell), models.n_vsasm(n)),
     exact_profile=_vsasm_profile,
-    escape=vsasm_escape,
     log_profile=_vsasm_log_profile,
     log_escape=_vsasm_log_escape,
     z_range=(0.0, math.inf),
     saddle=_vsasm_saddle,
-    action=_vsasm_action,
     geometry=lambda xi, z, x: ((1.0, xi), (1 + z, 1.0)),
     limit_curve=lambda x: vsasm_curve(),
-    tangency=lambda x: [(0.5, 0.0), (1.0, 0.5)],
     parametric=VSASM_ARC,
     n_min=3,
     odd_n=True,

@@ -30,6 +30,7 @@ from arctic.oracle import (
     model_exit_point,
     model_path_spec,
 )
+from arctic.paper import TANGENCY
 from arctic.tangent import analytic_saddle, envelope, finite_n_saddle, tangent_family
 from paper_checks import (
     dyck_partition,
@@ -305,7 +306,7 @@ def test_criterion_8_parametric_and_tangency_consistency():
         ModelId.DYCK_HALF_HEX: [(4.0 / 3.0, 8.0 / 3.0)],  # contact point B at x = 1
     }
     for model, points in stated.items():
-        listed = MODEL_OPS[model].tangency(1.0)
+        listed = TANGENCY[model](1.0)
         for point in points:
             ok = ok and any(math.hypot(point[0] - q[0], point[1] - q[1]) < 1e-12 for q in listed)
             ok = ok and residual(MODEL_OPS[model].limit_curve(1.0), point) <= 1e-12

@@ -1,6 +1,7 @@
 """Closed-form limit curves, residual geometry, and tangency data."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,7 @@ from arctic.curves import (
     vsasm_parametric,
 )
 from arctic.models import MODEL_OPS, ModelId
+from arctic.paper import TANGENCY
 
 
 def test_catalog_values_on_known_points():
@@ -57,11 +59,16 @@ def test_curve_validation():
 @example(4.740375954054588e153)  # the largest width whose coefficients are all finite
 @example(4.740375954054589e153)
 @example(5e-324)
+@example(1e-170)  # x * x underflows to 0
+@example(1.4916681462400413e-154)  # the least width whose x * x is a normal double
+@example(1.4916681462400412e-154)
 @example(4.7695693632312024e16)  # where x**2 and x * x differ by one ulp
 @settings(max_examples=200, deadline=None)
 def test_ellipse_is_built_exactly_when_its_coefficients_are_finite(x_model):
+    """The ellipse is built when its coefficients are finite and its v^2 coefficient
+    x * x is a normal double; otherwise ``ValueError``."""
     coefficients = (x_model * x_model, -8.0 * x_model * (1.0 + x_model), 4.0 * (1.0 + x_model))
-    if x_model > 0 and all(math.isfinite(c) for c in coefficients):
+    if x_model > 0 and all(math.isfinite(c) for c in coefficients) and coefficients[0] >= sys.float_info.min:
         curve = ellipse(x_model)
         assert tuple(c for _, c in curve.coefficients) == coefficients
         assert all(math.isfinite(v) for side in curve.window for v in side)
@@ -119,14 +126,14 @@ def test_circle_mirror_symmetry():
 def test_tangency_points_sit_on_curves_and_boundaries():
     for x_model in (0.5, 1.0, 2.0):
         for model, ops in MODEL_OPS.items():
-            for point in ops.tangency(x_model):
+            for point in TANGENCY[model](x_model):
                 assert residual(ops.limit_curve(x_model), point) <= 1e-12, (model, point)
     # Diamond contacts on the scaled boundary |x| + |y - 1| = 1.
-    for x, y in MODEL_OPS[ModelId.AZTEC].tangency(1.0):
+    for x, y in TANGENCY[ModelId.AZTEC](1.0):
         assert abs(abs(x) + abs(y - 1) - 1) < 1e-15
     # Half-hexagon contacts on the slanted edges v = u + 2 and v = 2 + 2x - u.
     for x_model in (0.5, 1.0, 2.0):
-        a, b = MODEL_OPS[ModelId.DYCK_HALF_HEX].tangency(x_model)
+        a, b = TANGENCY[ModelId.DYCK_HALF_HEX](x_model)
         assert abs(a[1] - (a[0] + 2)) < 1e-12
         assert abs(b[1] - (2 + 2 * x_model - b[0])) < 1e-12
 

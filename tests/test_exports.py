@@ -1,8 +1,8 @@
 """Each library module's ``__all__`` names exactly its public definitions, the
 model hub re-exports no family function but the two traced counts, the
 brute-force oracle reads only the lattice off a model record, ``Model`` is the
-only dataclass, and the package is laid out so that no one module's compile
-sets the memory peak."""
+only dataclass, no command loads the paper's test-only references, and the
+package is laid out so that no one module's compile sets the memory peak."""
 
 import ast
 import dataclasses
@@ -19,7 +19,7 @@ import arctic
 from arctic.models import ModelId
 
 FAMILIES = ["aztec", "halfhex", "staircase", "vsasm"]
-MODULES = ["combinat", "curves", "linalg", "models", "oracle", "tangent"] + [
+MODULES = ["combinat", "curves", "linalg", "models", "oracle", "paper", "tangent"] + [
     f"models.{family}" for family in FAMILIES
 ]
 SRC = Path(arctic.__file__).resolve().parent
@@ -95,6 +95,15 @@ def test_model_is_the_only_dataclass():
         if isinstance(obj, type) and obj.__module__ == module.__name__ and dataclasses.is_dataclass(obj)
     }
     assert found == {"arctic.models.Model"}
+
+
+def test_commands_do_not_load_the_paper_references():
+    assert _python("import arctic.cli; print('arctic.paper' in sys.modules)").split() == ["False"]
+
+
+@pytest.mark.parametrize("table", ["ESCAPE", "ACTION", "TANGENCY"])
+def test_each_paper_table_covers_every_model(table):
+    assert list(getattr(importlib.import_module("arctic.paper"), table)) == list(ModelId)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

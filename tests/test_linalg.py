@@ -21,9 +21,10 @@ from arctic.linalg import (
     lu_exact,
 )
 from arctic.models import ModelId, MODEL_OPS
-from arctic.models.aztec import aztec_entry, aztec_matrix
+from arctic.models.aztec import aztec_matrix
 from arctic.models.halfhex import dyck_closed_L_inv, dyck_matrix, red_closed_L_inv
 from arctic.models.staircase import pascal_closed_L_inv, staircase_matrix
+from arctic.paper import aztec_entry
 from paper_checks import (
     dyck_closed_L,
     leading_corner,

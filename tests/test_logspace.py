@@ -1,8 +1,9 @@
 """The cached log profile rows give the doubles of a per-element reference, bit for bit.
 
 Each row is rebuilt here the slow way, one ``_log_comb`` and one ``_logaddexp``
-call per element in the order the closed forms read, and compared as raw
-doubles with the slice-kernel row, inside the lgamma table and past its end.
+call per element in the order the closed forms read, each half-hexagon row
+clamped at log H <= 0, and compared as raw doubles with the slice-kernel row,
+inside the lgamma table and past its end.
 """
 
 import math
@@ -27,7 +28,7 @@ def _ref_red(n, k):
     terms = [_log_comb(k + n - 1 - s, k - 2) + _log_comb(k + n + s, k - 2) for s in range(n + 2)]
     norm = _log_comb(2 * n + 2 * k, 2 * n + 3)
     suffix = list(accumulate(reversed(terms), _logaddexp))
-    return [v + _LN2 - norm for v in reversed(suffix)]
+    return [min(v + _LN2 - norm, 0.0) for v in reversed(suffix)]
 
 
 def _ref_dyck(n, k):
@@ -40,7 +41,7 @@ def _ref_dyck(n, k):
         rhos.append(-(a / rhos[-1] + b) / c)
     log_sums = [log_top + v for v in accumulate(map(math.log, [1.0] + rhos[: k - 1]))]
     tail = zip(range(2 * n + 1, 2 * n + k + 1), reversed(log_sums))
-    return [0.0] * (n + 1) + [v - _log_comb(2 * n + 2 * k, j) for j, v in tail]
+    return [0.0] * (n + 1) + [min(v - _log_comb(2 * n + 2 * k, j), 0.0) for j, v in tail]
 
 
 def _ref_vsasm(size):

@@ -17,19 +17,16 @@ from arctic.combinat import binomial
 from arctic.linalg import ExactMatrix, det_bareiss, last_column_minors, lu_exact
 from arctic.logspace import LOG_FACTORIAL_CAP, _log_comb_stable, _log_factorial, _log_factorials
 from arctic.models import MODEL_OPS, ModelId
-from arctic.models.aztec import _SEED_STRIDE, _delannoy_seed, aztec_entry, aztec_escape, aztec_matrix
+from arctic.models.aztec import _SEED_STRIDE, _delannoy_seed, aztec_matrix
 from arctic.models.halfhex import (
     _dyck_profile,
     _dyck_recurrence,
     _red_profile,
     dyck_b_column,
     dyck_closed_L_inv,
-    dyck_entry,
-    dyck_escape,
     dyck_matrix,
     dyck_one_point,
     dyck_u_diagonal,
-    red_entry,
     red_matrix,
     red_one_point,
     red_u_diagonal,
@@ -38,24 +35,32 @@ from arctic.models.staircase import (
     _pascal_row,
     _staircase_prefixes,
     pascal_closed_L_inv,
-    staircase_alt_entry,
-    staircase_alt_escape,
     staircase_alt_matrix,
-    staircase_entry,
-    staircase_escape,
     staircase_matrix,
 )
 from arctic.models.vsasm import (
     _factorial_ratio,
     n_asm,
-    n_asm_refined,
     n_vsasm,
     n_vsasm_refined,
     n_vsasm_refined_counts,
     raz_strog_check,
-    vsasm_escape,
 )
 from arctic.oracle import enumerate_asm, enumerate_vsasm
+from arctic.paper import (
+    ESCAPE,
+    aztec_entry,
+    aztec_escape,
+    dyck_entry,
+    dyck_escape,
+    n_asm_refined,
+    red_entry,
+    staircase_alt_entry,
+    staircase_alt_escape,
+    staircase_entry,
+    staircase_escape,
+    vsasm_escape,
+)
 from arctic.tangent import finite_n_saddle
 from paper_checks import (
     aztec_closed_U,
@@ -454,11 +459,19 @@ def test_log_profiles_match_exact_values(model, n, k, offsets):
     # Small targets and targets beyond n; each model rejects those outside its range.
     for target in sorted(set(offsets) | {n + d for d in offsets}):
         try:
-            exact = [ops.escape(n, target, ell) for ell in ops.exits(n, k)]
+            exact = [ESCAPE[model](n, target, ell) for ell in ops.exits(n, k)]
         except ValueError:
             continue
         log_y = md.log_escape_profile(model, n, target, k)
         _assert_log_close([log_y(i) for i in range(len(exact))], exact, (model, n, k, target))
+
+
+@pytest.mark.parametrize("n,k", [(512, 512), (4096, 256), (4096, 4096)])
+def test_no_log_profile_exceeds_zero(n, k):
+    """H is a probability, so no float log profile reads above 0, at the scan's sizes."""
+    for model, ops in md.MODEL_OPS.items():
+        profile = md.log_one_point_profile(model, n | 1 if ops.odd_n else n, k if ops.needs_k else None)
+        assert max(profile) <= 0.0, model
 
 
 def test_profile_crossover_guard():

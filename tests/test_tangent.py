@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from arctic import cli, models, tangent
+from arctic import cli, models, paper, tangent
 from arctic.curves import residual
 from arctic.models import MODEL_OPS, ModelId
 from arctic.models.vsasm import r_asm
@@ -119,7 +119,7 @@ def test_action_is_maximized_at_analytic_saddle(model, z, x):
     lo, hi = ACTION_DOMAINS[model]
     step = (hi - lo) / 400
     grid = [lo + step * i for i in range(401)]
-    totals = [sum(MODEL_OPS[model].action(z, xi, x)) for xi in grid]
+    totals = [sum(paper.ACTION[model](z, xi, x)) for xi in grid]
     best = grid[totals.index(max(totals))]
     assert abs(best - analytic_saddle(model, z, x)) <= 2 * step
 
@@ -138,7 +138,7 @@ def test_action_is_maximized_at_analytic_saddle(model, z, x):
 def test_action_total_matches_finite_n_mass(model, z, x):
     n = 2048
     result = finite_n_saddle(model, n, z, x)
-    action = sum(MODEL_OPS[model].action(z, analytic_saddle(model, z, x), x))
+    action = sum(paper.ACTION[model](z, analytic_saddle(model, z, x), x))
     assert abs(result.log_mass / result.n_used - action) <= 0.02
 
 
@@ -283,6 +283,14 @@ def test_warm_start_keeps_a_noise_flat_total_degenerate():
     assert _bisected_scan(ModelId.DYCK_HALF_HEX, 1000, z, 1.0) == (0.0, 1002, True)
 
 
+def test_exactly_flat_dyck_total_is_degenerate():
+    """At target 1 every escape is 1, so the total is the dyck log profile, exactly 0
+    at the 9,001 exits ell <= n.  Before its tail was clamped at 0, rounding lifted
+    tail rows by up to 1.2e-10 and the scan reported xi_hat 1.514, plateau 1."""
+    got = finite_n_saddle(ModelId.DYCK_HALF_HEX, 9000, 0.00011111111111111112, 1.0)
+    assert (got.xi_hat, got.plateau, got.degenerate) == (0.0, 9040, True)
+
+
 @pytest.mark.parametrize("model,zs", [
     (ModelId.AZTEC, (1.5, 3.0)),
     (ModelId.DYCK_HALF_HEX, (0.5, 2.0)),
@@ -409,11 +417,11 @@ def test_inlined_saddles_match_helper_bisection_bit_for_bit(model, x):
 @pytest.mark.parametrize("model,x", [(ModelId.DYCK_HALF_HEX, 1.0), (ModelId.RED_HALF_HEX, 0.5)])
 def test_inner_ternary_search_matches_fixed_200_updates(model, x, monkeypatch):
     log = []
-    real = models._ternary_max
-    monkeypatch.setattr(models, "_ternary_max", _checked_against(_ternary_max_200, real, log))
+    real = paper._ternary_max
+    monkeypatch.setattr(paper, "_ternary_max", _checked_against(_ternary_max_200, real, log))
     for z in (0.01, 0.7, 5.0):
         for xi in (0.1, analytic_saddle(model, z, x), 0.9):
-            MODEL_OPS[model].action(z, xi, x)
+            paper.ACTION[model](z, xi, x)
     assert len(log) == 9
     assert max(log) < 2 * 200 + 1  # each search stops before its 200th update
 
