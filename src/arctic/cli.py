@@ -15,6 +15,7 @@ import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Iterator, NoReturn, Sequence
@@ -102,7 +103,58 @@ class Report:
             "artifacts": self.artifacts,
         }
         with _all_digits():
-            return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            return _json_text(payload) + "\n"
+
+
+def _json_key(key: Any) -> str:
+    """A dict key that is not a str, as json converts it: the JSON text of a scalar."""
+    if key is None or isinstance(key, (int, float)):
+        return _json_text(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _json_text(value: Any, newline: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    An indented dump never reaches json's C encoder, and its pure-Python one
+    sets up an encoder and a chain of generators per call; this writer builds
+    each container in one join.  Types are tried in json's order and anything
+    else raises ``TypeError``; dict items are sorted as json sorts them, then
+    each key is converted as json converts it.  ``newline`` is the line break
+    and indent of the enclosing container.  Ints above 4,300 digits need
+    :func:`_all_digits`.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [f"{encode_basestring_ascii(k if isinstance(k, str) else _json_key(k))}: {_json_text(v, inner)}"
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def _write(path: Path, content: str) -> None:

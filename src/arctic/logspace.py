@@ -2,7 +2,8 @@
 
 One ``array`` table of log(m!) = lgamma(m + 1) doubles, grown only by the
 runs that the profile rows read and capped at ``LOG_FACTORIAL_CAP`` entries;
-past the table every read is the same ``math.lgamma`` double, so a value never
+a constant run (step 0, one argument read count times) never grows it.  Past
+the table every read is the same ``math.lgamma`` double, so a value never
 depends on how far the table has grown.  A whole profile row is built without
 a Python call per element: :func:`_log_comb_run` reads log C(a_i, b_i) for
 indices in arithmetic progression from three slices of the table, and
@@ -71,15 +72,18 @@ def _logaddexp(x: float, y: float) -> float:
 def _log_factorial_run(m: int, step: int, count: int) -> Iterable[float]:
     """log(m!), log((m + step)!), ... (count >= 1 terms, all arguments >= 0).
 
-    First grows the table through the largest argument (escapes never grow it: a far
-    target would ask for a table linear in z).  A slice of the table when every argument
-    is in it; otherwise the whole run is lgamma, the same doubles, never cut short.
+    A constant run (step 0) reads its one value through :func:`_log_factorial` and
+    leaves the table as it is: growing it there would compute every entry below m
+    for one read.  Any other run first grows the table through its largest argument
+    (escapes never grow it: a far target would ask for a table linear in z).  A slice
+    of the table when every argument is in it; otherwise the whole run is lgamma,
+    the same doubles, never cut short.
     """
+    if step == 0:
+        return repeat(_log_factorial(m), count)
     last = m + (count - 1) * step
     top = min(max(m, last) + 1, LOG_FACTORIAL_CAP)
     _log_factorials.extend(map(lgamma, range(len(_log_factorials) + 1, top + 1)))
-    if step == 0:
-        return repeat(_log_factorial(m), count)
     if max(m, last) >= len(_log_factorials):
         return map(lgamma, range(m + 1, last + 1 + step, step))
     stop = last + step

@@ -20,10 +20,10 @@ Each path model provides:
 
 Every model, the osculating one included, also has the log one-point profile
 and log escape weight (continuations to the target; profile rows read the
-lgamma table through ``_log_comb_run``, which grows it) and its large-n
-limits: analytic saddle, tangent geometry and limit curve.  The references
-that only tests evaluate (single-path weights, exact escapes, actions and
-tangency points) live in :mod:`arctic.paper`, which no command imports.
+lgamma table through ``_log_comb_run``, whose non-constant runs grow it) and
+its large-n limits: analytic saddle, tangent geometry and limit curve.  The
+references that only tests evaluate (single-path weights, exact escapes,
+actions and tangency points) live in :mod:`arctic.paper`, which no command imports.
 :data:`MODEL_OPS` holds the rest, one :class:`Model`
 record per model; the scan, envelope and command-line layers look a model up
 there and never branch on which model it is.  A path model's record also

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import factorial, gcd
+from math import factorial, gcd, sqrt
 from operator import add, sub
 from typing import Callable, Iterator
 
@@ -209,7 +209,9 @@ def r_asm(t: float) -> float:
 
 def _vsasm_saddle(z: float, x: float | None) -> float:
     # xi = r(t) with t = (1 - xi)/(1 - xi + z); strictly increasing in t.
-    t = models._bisect(lambda tt: r_asm(tt) - 1.0 + tt * z / (1.0 - tt), 1e-15, 1 - 1e-15)
+    # r_asm(tt) inline: tt lies inside [0, 1], where its range check always passes.
+    t = models._bisect(lambda tt: tt / (1.0 + sqrt(tt * tt - tt + 1.0)) - 1.0 + tt * z / (1.0 - tt),
+                       1e-15, 1 - 1e-15)
     return r_asm(t)
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -12,6 +13,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import arctic
 from arctic import cli, linalg, models, oracle
@@ -818,3 +821,98 @@ def test_report_independent_of_git_work_tree(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
         reports.append((workdir / "report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+# ---------------------------------------------------------------------------
+# The report writer: the bytes of json.dumps(value, indent=2, sort_keys=True)
+# ---------------------------------------------------------------------------
+
+
+class _Int(int):
+    def __repr__(self):  # json writes int.__repr__ of an int subclass, never its own repr
+        return "not an int"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not a float"
+
+
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e16, 1e-7, 1e22, 0.1,
+                     math.nan, math.inf, -math.inf]),
+    st.floats(),
+    st.builds(_Float, st.floats()),
+)
+_STRINGS = st.one_of(
+    st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f", "\n\t\r\b\f", "é ∞ 𝔸", "\ud800", "</script>"]),
+    st.text(),
+)
+_INTS = st.one_of(
+    st.integers(min_value=-(10**5000 - 1), max_value=10**5000 - 1),  # up to 5,000 digits
+    st.integers(-(2**70), 2**70),
+    st.builds(_Int, st.integers(-(2**70), 2**70)),
+)
+_KEYS = st.one_of(_STRINGS, st.integers(), st.floats(), st.booleans(), st.none())
+_UNSUPPORTED = st.sampled_from([b"bytes", 1j, frozenset(), Fraction(1, 3), object()])
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), _INTS, _FLOATS, _STRINGS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_STRINGS, inner, max_size=4),
+        st.dictionaries(st.integers(), inner, max_size=4),
+        st.dictionaries(st.floats(), inner, max_size=4),
+        st.dictionaries(_KEYS, inner, max_size=3),  # mixed key types: sorting them may raise
+        st.dictionaries(st.sampled_from([(1,), frozenset()]), inner, min_size=1, max_size=1),
+        st.lists(_UNSUPPORTED, min_size=1, max_size=1),
+    ),
+    max_leaves=24,
+)
+
+
+def _dumped(encode, value):
+    """What ``encode`` writes for value, or ``TypeError``; any digit count is allowed."""
+    with cli._all_digits():
+        try:
+            return encode(value)
+        except TypeError:
+            return TypeError
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_JSON_VALUES)
+@example({})
+@example([])
+@example({"a": [], "b": {}, "c": [{}], 2: None})
+@example({1: "x", 2.5: "y", True: "z", None: "w"})
+@example({math.nan: 1, math.inf: 2, -math.inf: 3, -0.0: 4})
+@example([10**4999 + 7, -(10**4999)])
+@example(object())
+def test_report_writer_gives_the_bytes_of_json_dumps(value):
+    want = _dumped(lambda v: json.dumps(v, indent=2, sort_keys=True), value)
+    assert _dumped(cli._json_text, value) == want
+
+
+def test_every_bench_report_keeps_the_json_dumps_layout(bench_workloads, tmp_path, monkeypatch, capsys):
+    """Each report of the three benchmark workloads at seeds 1 and 2 (each distinct op
+    once) is printed as json.dumps(payload, indent=2, sort_keys=True) would print it."""
+    ops = {op.key: op.argv for w in bench_workloads.WORKLOADS for seed in (1, 2)
+           for op in bench_workloads.build(w, seed)}
+    assert len(ops) > 200
+    payloads = []
+    writer = cli._json_text
+
+    def kept(value, newline="\n"):
+        if newline == "\n":
+            payloads.append(value)
+        return writer(value, newline)
+
+    monkeypatch.setattr(cli, "_json_text", kept)
+    monkeypatch.chdir(tmp_path)
+    for key, argv in ops.items():
+        assert main(list(argv)) == 0, key
+        out = capsys.readouterr().out
+        assert len(payloads) == 1, key
+        with cli._all_digits():
+            assert out == json.dumps(payloads.pop(), indent=2, sort_keys=True) + "\n", key

@@ -6,6 +6,7 @@ clamped at log H <= 0, and compared as raw doubles with the slice-kernel row,
 inside the lgamma table and past its end.
 """
 
+import hashlib
 import math
 from array import array
 from itertools import accumulate
@@ -84,10 +85,17 @@ def test_rows_match_per_element_reference():
 
 
 def test_grown_table_holds_lgamma_doubles():
-    _dyck_log_profile(4096, 4096)
-    table = ls._log_factorials
-    assert len(table) >= 4 * 4096 + 1
-    assert _bits(table) == _bits(math.lgamma(m + 1.0) for m in range(len(table)))
+    """From an empty table the dyck row grows it through 2n + k, its largest moving argument;
+    the constant run at 2n + 2k reads past the end."""
+    saved = ls._log_factorials[:]
+    try:
+        del ls._log_factorials[1:]
+        _dyck_log_profile(4096, 4096)
+        table = ls._log_factorials
+        assert len(table) == 3 * 4096 + 1
+        assert _bits(table) == _bits(math.lgamma(m + 1.0) for m in range(len(table)))
+    finally:
+        ls._log_factorials[:] = saved
 
 
 @pytest.mark.parametrize("cap", [1, 20, 50])
@@ -106,11 +114,12 @@ def test_rows_past_the_table_end_read_lgamma(cap, monkeypatch):
 @pytest.mark.parametrize("cap", [40, 2**20])
 @pytest.mark.parametrize(
     "run, largest",
-    [((30, 2, 0, 1, 10), 48), ((60, 0, 5, 0, 3), 60), ((45, -1, 20, -1, 6), 45)],
+    [((30, 2, 0, 1, 10), 48), ((60, 0, 5, 0, 3), 0), ((45, -1, 20, -1, 6), 45), ((60, 0, 5, 1, 3), 55)],
 )
 def test_log_comb_run_grows_the_table_to_its_largest_argument(run, largest, cap, monkeypatch):
-    """A run on its own grows the table through its largest argument, capped at
-    ``LOG_FACTORIAL_CAP`` entries, and reads the doubles of ``_log_comb``."""
+    """A run on its own grows the table through the largest argument of its moving
+    factorial runs (0 when all three are constant), capped at ``LOG_FACTORIAL_CAP``
+    entries, and reads the doubles of ``_log_comb``."""
     saved = ls._log_factorials[:]
     monkeypatch.setattr(ls, "LOG_FACTORIAL_CAP", cap)
     try:
@@ -120,6 +129,57 @@ def test_log_comb_run_grows_the_table_to_its_largest_argument(run, largest, cap,
         assert len(ls._log_factorials) == min(largest + 1, cap)
         assert _bits(ls._log_factorials) == _bits(math.lgamma(m + 1.0) for m in range(len(ls._log_factorials)))
         assert _bits(got) == _bits(_log_comb(a + i * da, b + i * db) for i in range(count))
+    finally:
+        ls._log_factorials[:] = saved
+
+
+@pytest.mark.parametrize(
+    "read, args",
+    [
+        (ls._log_factorial_run, (5000, 0, 4)),
+        (ls._log_comb_run, (5000, 0, 3000, 0, 4)),  # a, b and a - b past the table
+        (ls._log_comb_run, (200, 0, 120, 0, 1)),  # a - b = 80 inside it
+    ],
+)
+def test_constant_runs_leave_the_table_length(read, args):
+    """A step-0 run reads its one value, from the table or past it, without growing the table."""
+    saved = ls._log_factorials[:]
+    try:
+        del ls._log_factorials[100:]
+        got = list(read(*args))
+        assert len(ls._log_factorials) == 100
+        assert len(set(got)) == 1
+    finally:
+        ls._log_factorials[:] = saved
+
+
+def test_constant_runs_read_the_lgamma_double():
+    assert _bits(ls._log_factorial_run(5000, 0, 3)) == _bits([math.lgamma(5001.0)] * 3)
+    assert _bits(ls._log_comb_run(5000, 0, 3000, 0, 2)) == _bits([_log_comb(5000, 3000)] * 2)
+
+
+# sha256 of each log profile's doubles at n = k = 4096 (VSASM size 4097), as the rows were
+# before constant runs stopped growing the lgamma table.
+PROFILE_PINS = {
+    "dyck": "c31fa961da33181465fb0941e3de13204a2520f2df5992aff1da5c49fb07cbf5",
+    "red": "9d6ed8b4f979a3bab0d71872d710933a49ea55985248a34935d52d68596227c5",
+    "vsasm": "a302a4faac22fe61728ed84a9d53b309cc8eddf08e88099fe1fb35ded7894b50",
+}
+
+
+@pytest.mark.parametrize("table_len", [1, 2**14 + 1])
+def test_log_profiles_at_4096_keep_their_doubles(table_len):
+    """The rows are the same doubles whether the table starts empty or already holds 2n + 2k."""
+    saved = ls._log_factorials[:]
+    try:
+        del ls._log_factorials[1:]
+        ls._log_factorials.extend(math.lgamma(m + 1.0) for m in range(1, table_len))
+        rows = {
+            "dyck": _dyck_log_profile(4096, 4096),
+            "red": _red_log_profile(4096, 4096),
+            "vsasm": _vsasm_log_profile(4097, None),
+        }
+        assert {name: hashlib.sha256(_bits(row)).hexdigest() for name, row in rows.items()} == PROFILE_PINS
     finally:
         ls._log_factorials[:] = saved
 

@@ -1,10 +1,7 @@
 """Saddle scans, analytic saddles, tangent families, envelopes."""
 
 import dataclasses
-import importlib.util
 import math
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -192,24 +189,14 @@ def test_finite_n_saddle_validation():
         finite_n_saddle(ModelId.STAIRCASE_ALT, 64, 2.0 + 1e-13)
 
 
-def _bench_saddle_lattice(monkeypatch):
-    """(model, z) for every z that any seed of the benchmark's saddle workload can draw."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass annotations
-    spec.loader.exec_module(workloads)
-    return [(ModelId(m), z) for m in workloads.MODELS
-            for slot in workloads.saddle_z_lattice(m) for z in slot]
-
-
-def test_search_matches_full_argmax_on_the_bench_lattice(monkeypatch):
+def test_search_matches_full_argmax_on_the_bench_lattice(bench_workloads):
     """The concave search gives what a full argmax over the same pointwise totals gives.
 
-    Every z of the lattice at n = 512 (726 inputs), staircase-alt at z = 2 included,
-    where only exit n has finite mass.
+    Every z that any seed of the benchmark's saddle workload can draw, at n = 512
+    (726 inputs), staircase-alt at z = 2 included, where only exit n has finite mass.
     """
-    lattice = _bench_saddle_lattice(monkeypatch)
+    lattice = [(ModelId(m), z) for m in bench_workloads.MODELS
+               for slot in bench_workloads.saddle_z_lattice(m) for z in slot]
     assert len(lattice) == 726
     n = 512
     for model, z in lattice:
@@ -401,16 +388,26 @@ _HELPER_SADDLES = {
     ModelId.DYCK_HALF_HEX: lambda z, x: models._bisect(
         lambda xi: _dyck_cubic(x, z, xi), (2 + 3 * x) / (2 + x), 1 + x - 1e-15),
     ModelId.RED_HALF_HEX: lambda z, x: models._bisect(lambda xi: _red_y(x, xi) - z, 1e-15, 1 - 1e-15),
+    ModelId.VSASM: lambda z, x: r_asm(
+        models._bisect(lambda tt: r_asm(tt) - 1.0 + tt * z / (1.0 - tt), 1e-15, 1 - 1e-15)),
+}
+
+# The envelope grids, each grid's two ends and then 50 points: half-hexagon z from 0.02 to 50
+# (log spaced), at x = 0.5 and 2 (dyck), 1 (red); VSASM z from 0.02 to 0.96 (linear).
+_LOG_GRID = [0.02, 50.0] + [0.02 * 2500 ** (i / 49) for i in range(50)]
+_HELPER_GRIDS = {
+    ModelId.DYCK_HALF_HEX: _LOG_GRID,
+    ModelId.RED_HALF_HEX: _LOG_GRID,
+    ModelId.VSASM: [0.02, 0.96] + [0.02 + 0.94 * i / 49 for i in range(50)],
 }
 
 
-# The half-hexagon envelope grids: z from 0.02 to 50 (log spaced), at x = 0.5 and 2 (dyck), 1 (red).
 @pytest.mark.parametrize(
-    "model,x", [(ModelId.DYCK_HALF_HEX, 0.5), (ModelId.DYCK_HALF_HEX, 2.0), (ModelId.RED_HALF_HEX, 1.0)]
+    "model,x",
+    [(ModelId.DYCK_HALF_HEX, 0.5), (ModelId.DYCK_HALF_HEX, 2.0), (ModelId.RED_HALF_HEX, 1.0), (ModelId.VSASM, None)],
 )
 def test_inlined_saddles_match_helper_bisection_bit_for_bit(model, x):
-    zs = [0.02, 50.0] + [0.02 * 2500 ** (i / 49) for i in range(50)]
-    for z in zs:
+    for z in _HELPER_GRIDS[model]:
         assert analytic_saddle(model, z, x).hex() == _HELPER_SADDLES[model](z, x).hex(), z
 
 
