@@ -25,8 +25,7 @@ from .curves import ImplicitCurve, residual
 from .linalg import ExactMatrix, det_bareiss, det_ratio_last_column, last_column_minors, last_column_work, lu_exact
 from .models import EXACT_PROFILE_MAX, MODEL_OPS, ModelId, one_point_profile
 from .models.vsasm import VSASM_ENUM_MAX, n_vsasm, n_vsasm_refined_counts, raz_strog_check
-# analytic_saddle is read from the scan's result; the name stays bound here for callers of arctic.cli.
-from .tangent import TangentLine, analytic_saddle, envelope, finite_n_saddle, tangent_family
+from .tangent import TangentLine, envelope, finite_n_saddle, tangent_family
 
 # Most tangent lines (--count) or curve samples (--samples) one command builds;
 # an unbounded value would be built as one list and could exhaust memory.

@@ -33,8 +33,8 @@ brute-force reference :mod:`arctic.oracle` reads and no closed form uses.
 Each family is one module that ends with its records: :mod:`.aztec` (the
 diamond), :mod:`.halfhex` (Dyck and red half-hexagon), :mod:`.staircase` (both
 staircases, with the Pascal-row helpers the diamond shares) and :mod:`.vsasm`
-(the ASM and VSASM counts and the osculating model); a family's functions
-are imported from its own module.  Adding a model means naming it in
+(the VSASM counts and the osculating model); a family's functions are
+imported from its own module.  Adding a model means naming it in
 :class:`ModelId`, writing its functions and record in a family module,
 listing the record in :data:`MODEL_OPS` and adding its rows to the tables of
 :mod:`arctic.paper`.
@@ -106,33 +106,33 @@ class Model:
     """Everything the pipeline knows about one model.
 
     ``n`` is the primary size (the matrix size for the osculating model) and
-    ``k`` the secondary size of the half-hexagon models (``needs_k``), whose
-    scaled width ``x = k/n`` their large-n limits take; other models ignore
-    ``k`` and ``x``.  ``target`` is the distant endpoint (the corner abscissa
-    for the diamond, the sliding offset p for the half-hexagon and staircase
-    models, the extension width for the osculating model), ``z`` its scaled
-    value and ``xi`` a scaled exit.
+    ``k`` the secondary size, at least ``k_min``, of the half-hexagon models
+    (``needs_k``), whose scaled width ``x = k/n`` their large-n limits take;
+    other models ignore ``k`` and ``x``.  ``target`` is the
+    distant endpoint (the corner abscissa for the diamond, the sliding offset p
+    for the half-hexagon and staircase models, the extension width for the
+    osculating model), ``z`` its scaled value and ``xi`` a scaled exit.
 
-    ``exits(n, k)`` is the range of exit positions ell.  The exact values
-    ``one_point(n, k, ell)`` and :data:`arctic.paper.ESCAPE` have log-space
-    forms: ``log_profile(n, k)``, a tuple over all exits, and
-    ``log_escape(n, target)`` (no escape reads k), a function of the exit's
-    index in ``exits(n, k)``.  Both logs are concave in ell wherever they are finite
-    (each model's log functions say why), and ``live_exits(n, target)`` is the
-    range of exits where both are finite (None: every exit).
-    ``exact_profile(n, k)`` gives the ``one_point`` values of all exits in one
-    sweep; verification keeps to the closed form ``one_point``.  A finite-n
-    scan of size n uses the size n (n | 1 for ``odd_n``), k = round(x n) and
-    the target round(z size), which must exceed ``z_range[0]`` times the size.
-    The large-n limits are ``saddle(z, x)`` for z in ``z_range``,
-    ``geometry(xi, z, x) -> (exit point, target point)``, ``limit_curve(x)``
-    and ``parametric``; each model's action and tangency points are rows of
-    the :mod:`arctic.paper` tables.
-    The Gessel-Viennot fields (``matrix`` to ``reference_ell``) and the path
-    ``lattice`` are None for the osculating model.  ``u_diagonal(n, k)`` is the
-    closed U diagonal of the matrix's LU decomposition: its product is the
-    partition function, and its prefix products are the leading minors, whose
-    sizes give the CLI the work of ``verify`` before any elimination.
+    ``exits(n, k)`` is the range of exit positions ell.  The exact one-point
+    values ``exact_profile(n, k)``, one sweep over all exits, and
+    :data:`arctic.paper.ESCAPE` have log-space forms: ``log_profile(n, k)``, a
+    tuple over all exits, and ``log_escape(n, target)`` (no escape reads k), a
+    function of the exit's index in ``exits(n, k)``.  Both logs are concave in
+    ell wherever they are finite (each model's log functions say why), and
+    ``live_exits(n, target)`` is the range of exits where both are finite
+    (None: every exit).  A finite-n scan of size n uses the size n (n | 1 for
+    ``odd_n``), k = round(x n) and the target round(z size), which must exceed
+    ``z_range[0]`` times the size.  The large-n limits are ``saddle(z, x)`` for
+    z in ``z_range``, ``geometry(xi, z, x) -> (exit point, target point)``,
+    ``limit_curve(x)`` and ``parametric``; each model's action and tangency
+    points are rows of the :mod:`arctic.paper` tables.
+
+    The Gessel-Viennot fields (``one_point``, the closed form at one exit that
+    verification checks, to ``reference_ell``) and the path ``lattice`` are None
+    for the osculating model.  ``u_diagonal(n, k)`` is the closed U diagonal of
+    the matrix's LU decomposition: its product is the partition function, and
+    its prefix products are the leading minors, whose sizes give the CLI the
+    work of ``verify`` before any elimination.
 
     The one dataclass of the package: tracers rebuild registry entries with
     ``dataclasses.replace``.  Records are compared by identity.
@@ -140,7 +140,6 @@ class Model:
 
     model: ModelId
     exits: Callable[[int, int | None], range]
-    one_point: Callable[[int, int | None, int], Fraction]
     exact_profile: Callable[[int, int | None], tuple[Fraction, ...]]
     log_profile: Callable[[int, int | None], tuple[float, ...]]
     log_escape: Callable[[int, int], Callable[[int], float]]
@@ -149,7 +148,7 @@ class Model:
     geometry: Callable[[float, float, float | None], tuple[Point, Point]]
     limit_curve: Callable[[float], ImplicitCurve]
     parametric: ParametricCurve | None = None
-    needs_k: bool = False
+    one_point: Callable[[int, int | None, int], Fraction] | None = None
     matrix: Callable[[int, int | None], ExactMatrix] | None = None
     closed_l_inv: Callable[[int, int | None], ExactMatrix] | None = None
     b_column: Callable[[int, int | None, int], list[int]] | None = None
@@ -158,8 +157,13 @@ class Model:
     lattice: Lattice | None = None
     live_exits: Callable[[int, int], range] | None = None
     n_min: int = 0
-    k_min: int = 1
+    k_min: int | None = None
     odd_n: bool = False
+
+    @property
+    def needs_k(self) -> bool:
+        """Whether the model reads the width k: it has a least width ``k_min``."""
+        return self.k_min is not None
 
     @property
     def has_paths(self) -> bool:
@@ -239,8 +243,8 @@ def _log_path_escape(p: int) -> Callable[[int], float]:
 from .aztec import AZTEC
 from .halfhex import DYCK_HALF_HEX, RED_HALF_HEX
 from .staircase import STAIRCASE, STAIRCASE_ALT
-# Tracers replace n_vsasm and n_vsasm_refined on this module, where the VSASM record calls them.
-from .vsasm import VSASM, n_vsasm, n_vsasm_refined
+# Tracers replace n_vsasm on this module, where the VSASM record calls it.
+from .vsasm import VSASM, n_vsasm
 
 MODEL_OPS: dict[ModelId, Model] = {
     ops.model: ops for ops in (AZTEC, DYCK_HALF_HEX, RED_HALF_HEX, STAIRCASE, STAIRCASE_ALT, VSASM)

@@ -263,7 +263,6 @@ DYCK_HALF_HEX = Model(
         (2 + 3 * x) / (2 + x), 1 + x - 1e-15),
     geometry=lambda xi, z, x: ((2 * x + 1 - xi, 1 + xi), (2 * x + 1 + z, 1 + z)),
     limit_curve=ellipse,
-    needs_k=True,
     matrix=dyck_matrix,
     closed_l_inv=dyck_closed_L_inv,
     b_column=dyck_b_column,
@@ -276,6 +275,7 @@ DYCK_HALF_HEX = Model(
         exit_point=lambda n, k, ell: (2 * k + n - ell, n + ell),
         constraint="upper-half",
     ),
+    k_min=1,
 )
 
 
@@ -291,7 +291,6 @@ RED_HALF_HEX = Model(
                                        1e-15, 1 - 1e-15),
     geometry=lambda xi, z, x: ((2 * x, 2 * xi), (2 * x + z, -z)),
     limit_curve=ellipse,
-    needs_k=True,
     matrix=red_matrix,
     closed_l_inv=red_closed_L_inv,
     b_column=red_b_column,

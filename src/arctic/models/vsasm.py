@@ -1,6 +1,6 @@
-"""Alternating sign matrix counts and the osculating-path model counted by
-vertically symmetric ASMs (VSASMs), whose arctic curve is found through the
-refined ASM ratio.
+"""Counts of vertically symmetric alternating sign matrices (VSASMs), their check
+against refined ASM counts, and the osculating-path model they count, whose
+arctic curve is found through the refined ASM ratio.
 """
 
 from __future__ import annotations
@@ -13,17 +13,14 @@ from math import factorial, gcd, sqrt
 from operator import add, sub
 from typing import Callable, Iterator
 
-# Called as models.n_vsasm, models.n_vsasm_refined, models._bisect: tracers and tests
-# replace those names on the hub.
+# Called as models.n_vsasm, models._bisect: tracers and tests replace those names on the hub.
 from .. import models
 from ..curves import VSASM_ARC, vsasm_curve
 from ..logspace import _log_comb, _log_comb_run
 from . import Model, ModelId, _exact_int, _log_path_escape
 
 __all__ = [
-    "n_asm",
     "n_vsasm",
-    "n_vsasm_refined",
     "n_vsasm_refined_counts",
     "raz_strog_check",
     "r_asm",
@@ -66,14 +63,6 @@ def _factorial_ratio(tops: list[int], bottoms: list[int]) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def n_asm(n: int) -> int:
-    """Number of alternating sign matrices of size n: prod_{k<n} (3k+1)! / (n+k)!."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return _factorial_ratio([3 * k + 1 for k in range(n)], [n + k for k in range(n)])
-
-
 # Largest size at which the brute-force oracle enumerates VSASMs, and ``verify`` with it.
 VSASM_ENUM_MAX = 7
 
@@ -92,52 +81,30 @@ def n_vsasm(size: int) -> int:
     return _factorial_ratio(tops, [4 * m - 1 for m in ms] + [4 * m - 2 for m in ms] + [2] * len(ms))
 
 
-def n_vsasm_refined(size: int, ell: int) -> int:
-    """VSASMs of size 2n+1 with the unique first-column 1 in row ell.
+def _refined_asm_walk(n: int) -> Iterator[int]:
+    """(4n-2)! times the refined ASM ratios N_ASM(2n, i) / N_ASM(2n, 1), i = 1..2n.
 
-    Alternating sum; usable only at exact small sizes, which is precisely why
-    the tangent scan works with the positive ASM ratio instead.
-    """
-    if size < 3 or size % 2 == 0:
-        raise ValueError(f"size must be odd and >= 3, got {size}")
-    if not 1 <= ell <= size:
-        raise ValueError(f"ell={ell} outside [1, {size}]")
-    n = (size - 1) // 2
-    acc = sum((-1) ** (ell + i - 1) * _vsasm_term(n, i) for i in range(1, ell))
-    return _exact_int(models.n_vsasm(2 * n - 1) * acc, factorial(4 * n - 2))
-
-
-def _vsasm_term(n: int, i: int) -> int:
-    """(2n+i-2)!/(i-1)! times (4n-i-1)!/(2n-i)!, the integer i-th term of the refined sum."""
-    num = factorial(2 * n + i - 2) * factorial(4 * n - i - 1)
-    return num // (factorial(i - 1) * factorial(2 * n - i))
-
-
-def _refined_asm_walk(n: int, first: int) -> Iterator[int]:
-    """``first`` times the refined ASM ratios N_ASM(2n, i) / N_ASM(2n, 1), i = 1..2n.
-
-    Each step multiplies by (2n+i-1)(2n-i) / (i (4n-1-i)), an exact quotient
-    whenever ``first`` is N_ASM(2n-1) = N_ASM(2n, 1) or (4n-2)!.
+    Each step multiplies by (2n+i-1)(2n-i) / (i (4n-1-i)).  The i-th value is
+    (2n+i-2)! (4n-i-1)! / ((i-1)! (2n-i)!), an integer, so every quotient is exact.
     """
     return accumulate(range(1, 2 * n), lambda t, i: _exact_int(
-        t * (2 * n + i - 1) * (2 * n - i), i * (4 * n - 1 - i)), initial=first)
+        t * (2 * n + i - 1) * (2 * n - i), i * (4 * n - 1 - i)), initial=factorial(4 * n - 2))
 
 
 def n_vsasm_refined_counts(size: int) -> list[int]:
-    """``n_vsasm_refined(size, ell)`` for every exit ell = 1..size, in one pass.
+    """:func:`arctic.paper.n_vsasm_refined` for every exit ell = 1..size, in one pass.
 
     The count of exit ell is scale / den times sum_{i < ell} (-1)^(ell-1-i) t_i,
-    t_i = ``_vsasm_term(n, i)``, so each alternating sum is t_{ell-1} minus the
-    one before it.  The terms walk from t_1 = (4n-2)! by the refined ASM ratio
-    (``_refined_asm_walk``).  Each count is an integer, so once scale and
-    denominator are reduced to coprime numbers the reduced denominator divides
-    the alternating sum itself.
+    scale = N_VSASM(2n-1), den = (4n-2)!, where the t_i walk from t_1 = den
+    (``_refined_asm_walk``), so each alternating sum is t_{ell-1} minus the one
+    before it.  Each count is an integer, so once scale and denominator are
+    reduced to coprime numbers the reduced denominator divides the sum itself.
     """
     if size < 3 or size % 2 == 0:
         raise ValueError(f"size must be odd and >= 3, got {size}")
     n = (size - 1) // 2
     scale, den = models.n_vsasm(2 * n - 1), factorial(4 * n - 2)  # the walk starts from t_1 = den
-    terms = _refined_asm_walk(n, den)
+    terms = _refined_asm_walk(n)
     g = gcd(scale, den)
     scale, den = scale // g, den // g
     return [scale * _exact_int(acc, den)
@@ -145,7 +112,7 @@ def n_vsasm_refined_counts(size: int) -> list[int]:
 
 
 def _vsasm_profile(size: int, k: int | None) -> tuple[Fraction, ...]:
-    """``n_vsasm_refined(size, ell) / n_vsasm(size)`` over every exit ell = 1..size."""
+    """``n_vsasm_refined_counts(size)`` / ``n_vsasm(size)`` over every exit ell = 1..size."""
     total = models.n_vsasm(size)
     return tuple(Fraction(count, total) for count in n_vsasm_refined_counts(size))
 
@@ -157,10 +124,9 @@ def raz_strog_check(size: int, t: Fraction | int, counts: list[int]) -> bool:
     rhs: t/(t+1) * sum_ell N_ASM(2n, ell) t^(ell-1) / N_ASM(2n-1)
 
     ``counts`` are the refined counts under test (``n_vsasm_refined_counts(size)``
-    for the true ones).
-    N_ASM(2n, 1) = N_ASM(2n-1), and the refined counts walk from it
-    (``_refined_asm_walk``).  With t = p/q,
-    both sides times q^(2n-1) (p+q) N_VSASM(2n-1) N_ASM(2n-1) are integers.
+    for the true ones).  N_ASM(2n, 1) = N_ASM(2n-1), so the rhs reads only the
+    ratios that ``_refined_asm_walk`` walks from (4n-2)!.  With t = p/q,
+    both sides times q^(2n-1) (p+q) N_VSASM(2n-1) (4n-2)! are integers.
     """
     if size < 3 or size % 2 == 0:
         raise ValueError(f"size must be odd and >= 3, got {size}")
@@ -168,7 +134,7 @@ def raz_strog_check(size: int, t: Fraction | int, counts: list[int]) -> bool:
     if t == -1:
         raise ValueError("t = -1 is outside the identity's domain")
     n = (size - 1) // 2
-    asm = list(_refined_asm_walk(n, n_asm(2 * n - 1)))
+    asm = list(_refined_asm_walk(n))
     p, q = t.numerator, t.denominator
 
     def cleared(coeffs: list[int]) -> int:  # q^(2n-1) sum_e coeffs[e] t^e
@@ -218,7 +184,6 @@ def _vsasm_saddle(z: float, x: float | None) -> float:
 VSASM = Model(
     model=ModelId.VSASM,
     exits=lambda n, k: range(1, n + 1),
-    one_point=lambda n, k, ell: Fraction(models.n_vsasm_refined(n, ell), models.n_vsasm(n)),
     exact_profile=_vsasm_profile,
     log_profile=_vsasm_log_profile,
     log_escape=_vsasm_log_escape,

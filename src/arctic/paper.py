@@ -3,8 +3,10 @@
 Per model: the single-path weight ``*_entry`` of its counting matrix (the record
 walks the matrix by ratios), the exact escape weight (the record carries its
 log), the large-n action and the points where the limit curve touches the
-domain's boundary; and the refined ASM count :func:`n_asm_refined`, whose ratio
-is the osculating model's log profile.
+domain's boundary.  For the osculating model: the ASM count :func:`n_asm` and
+the refined ASM count :func:`n_asm_refined`, whose ratio is its log profile, and
+the alternating sum :func:`n_vsasm_refined` of one exit's refined VSASM count,
+which the record's one-pass walk evaluates at every exit.
 
 The tables hold one entry per :class:`~arctic.models.ModelId`:
 ``ESCAPE[m](n, target, ell)`` (no escape reads k), ``ACTION[m](z, xi, x) ->
@@ -17,12 +19,13 @@ row to each.
 from __future__ import annotations
 
 import math
-from math import comb
+from functools import lru_cache
+from math import comb, factorial
 from typing import Callable
 
 from .combinat import binomial, catalan
 from .models import ModelId, Point, _exact_int
-from .models.vsasm import n_asm
+from .models.vsasm import _factorial_ratio, n_vsasm
 
 __all__ = [
     "trinomial",
@@ -36,7 +39,9 @@ __all__ = [
     "staircase_escape",
     "staircase_alt_escape",
     "vsasm_escape",
+    "n_asm",
     "n_asm_refined",
+    "n_vsasm_refined",
     "ESCAPE",
     "ACTION",
     "TANGENCY",
@@ -125,12 +130,41 @@ def vsasm_escape(size: int, k: int, ell: int) -> int:
     return sum(binomial(k - 1, p) * binomial(size - ell, p) for p in range(min(k - 1, size - ell) + 1))
 
 
+@lru_cache(maxsize=None)
+def n_asm(n: int) -> int:
+    """Number of alternating sign matrices of size n: prod_{k<n} (3k+1)! / (n+k)!."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return _factorial_ratio([3 * k + 1 for k in range(n)], [n + k for k in range(n)])
+
+
 def n_asm_refined(n: int, ell: int) -> int:
     """ASMs of size n whose unique first-row 1 sits in column ell."""
     if not 1 <= ell <= n:
         raise ValueError(f"ell={ell} outside [1, {n}]")
     num = comb(n + ell - 2, n - 1) * comb(2 * n - 1 - ell, n - 1) * n_asm(n)
     return _exact_int(num, comb(3 * n - 2, n - 1))
+
+
+def n_vsasm_refined(size: int, ell: int) -> int:
+    """VSASMs of size 2n+1 with the unique first-column 1 in row ell.
+
+    Alternating sum; usable only at exact small sizes, which is precisely why
+    the tangent scan works with the positive ASM ratio instead.
+    """
+    if size < 3 or size % 2 == 0:
+        raise ValueError(f"size must be odd and >= 3, got {size}")
+    if not 1 <= ell <= size:
+        raise ValueError(f"ell={ell} outside [1, {size}]")
+    n = (size - 1) // 2
+    acc = sum((-1) ** (ell + i - 1) * _vsasm_term(n, i) for i in range(1, ell))
+    return _exact_int(n_vsasm(2 * n - 1) * acc, factorial(4 * n - 2))
+
+
+def _vsasm_term(n: int, i: int) -> int:
+    """(2n+i-2)!/(i-1)! times (4n-i-1)!/(2n-i)!, the integer i-th term of the refined sum."""
+    num = factorial(2 * n + i - 2) * factorial(4 * n - i - 1)
+    return num // (factorial(i - 1) * factorial(2 * n - i))
 
 
 # Large-n actions

@@ -22,7 +22,7 @@ from arctic.models import MODEL_OPS, ModelId
 from arctic.models.aztec import aztec_matrix
 from arctic.models.halfhex import dyck_matrix, red_matrix
 from arctic.models.staircase import staircase_alt_matrix, staircase_matrix
-from arctic.models.vsasm import n_asm, n_vsasm, n_vsasm_refined, n_vsasm_refined_counts, raz_strog_check
+from arctic.models.vsasm import n_vsasm, n_vsasm_refined_counts, raz_strog_check
 from arctic.oracle import (
     count_nilp,
     enumerate_asm,
@@ -30,7 +30,7 @@ from arctic.oracle import (
     model_exit_point,
     model_path_spec,
 )
-from arctic.paper import TANGENCY
+from arctic.paper import TANGENCY, n_asm, n_vsasm_refined
 from arctic.tangent import analytic_saddle, envelope, finite_n_saddle, tangent_family
 from paper_checks import (
     dyck_partition,

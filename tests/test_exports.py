@@ -1,5 +1,5 @@
 """Each library module's ``__all__`` names exactly its public definitions, the
-model hub re-exports no family function but the two traced counts, the
+model hub re-exports no family function but the traced VSASM count, the
 brute-force oracle reads only the lattice off a model record, ``Model`` is the
 only dataclass, no command loads the paper's test-only references, and the
 package is laid out so that no one module's compile sets the memory peak."""
@@ -63,9 +63,9 @@ def _top_level_names(module) -> set[str]:
 def test_hub_reexports_only_the_records_and_the_traced_counts():
     """Each name has one import path: a family's functions are read from their
     own module.  The hub keeps the six records it lists in ``MODEL_OPS``, and
-    ``n_vsasm`` and ``n_vsasm_refined``, which the VSASM record calls through
-    the hub so that a tracer can replace them there; of the log layer it binds
-    only the ``_log_comb`` its own escape helper calls."""
+    ``n_vsasm``, which the VSASM profile calls through the hub so that a tracer
+    can replace it there; of the log layer it binds only the ``_log_comb`` its
+    own escape helper calls."""
     hub = importlib.import_module("arctic.models")
     assert hub.__all__ == ["ModelId", "Lattice", "Model", "MODEL_OPS", "EXACT_PROFILE_MAX",
                            "one_point_profile", "log_one_point_profile", "log_escape_profile"]
@@ -76,7 +76,7 @@ def test_hub_reexports_only_the_records_and_the_traced_counts():
         if hasattr(hub, name)
     }
     records = {"AZTEC", "DYCK_HALF_HEX", "RED_HALF_HEX", "STAIRCASE", "STAIRCASE_ALT", "VSASM"}
-    assert readable == records | {"n_vsasm", "n_vsasm_refined"}
+    assert readable == records | {"n_vsasm"}
     log_layer = _top_level_names(importlib.import_module("arctic.logspace"))
     assert {name for name in log_layer if hasattr(hub, name)} == {"_log_comb"}
 

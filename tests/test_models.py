@@ -38,14 +38,7 @@ from arctic.models.staircase import (
     staircase_alt_matrix,
     staircase_matrix,
 )
-from arctic.models.vsasm import (
-    _factorial_ratio,
-    n_asm,
-    n_vsasm,
-    n_vsasm_refined,
-    n_vsasm_refined_counts,
-    raz_strog_check,
-)
+from arctic.models.vsasm import _factorial_ratio, n_vsasm, n_vsasm_refined_counts, raz_strog_check
 from arctic.oracle import enumerate_asm, enumerate_vsasm
 from arctic.paper import (
     ESCAPE,
@@ -53,7 +46,9 @@ from arctic.paper import (
     aztec_escape,
     dyck_entry,
     dyck_escape,
+    n_asm,
     n_asm_refined,
+    n_vsasm_refined,
     red_entry,
     staircase_alt_entry,
     staircase_alt_escape,
@@ -584,19 +579,69 @@ def test_aztec_seeded_escape_matches_exact_logs_at_the_edges(n):
     assert _delannoy_seed(n, 0)[:2] == (1.0 if n else 0.0, 1.0)
 
 
-def test_aztec_scan_argmax_matches_exact_totals():
+def _path_escapes(p, count):
+    """C(p + j - 1, j) for j = 0..count-1, walked by C(p + j, j + 1) = C(p + j - 1, j) (p + j) / (j + 1)."""
+    return list(accumulate(range(count - 1), lambda c, j: c * (p + j) // (j + 1), initial=1))
+
+
+def _exact_escapes(model, size, target, count):
+    """The exact :data:`arctic.paper.ESCAPE` of each of the ``count`` exits as an int, walked
+    by its term ratio."""
+    if model is ModelId.AZTEC:
+        return _exact_aztec_escapes(size, target)
+    if model is ModelId.STAIRCASE:
+        return _path_escapes(target - size, count)
+    if model is ModelId.STAIRCASE_ALT:  # C(a, c) for a = 2n - 1 - ell, 0 below a = c
+        c = target - size - 1
+        column = accumulate(range(c, 2 * size - 1), lambda v, a: v * (a + 1) // (a + 1 - c), initial=1)
+        return [*[0] * (c + 1), *column][::-1]
+    if model is ModelId.VSASM:  # sum_p C(target-1, p) C(size-ell, p) = C(target + j - 1, j) by Vandermonde
+        return _path_escapes(target, count)[::-1]
+    return _path_escapes(target, count)  # dyck, red
+
+
+def _lin(lo, hi, count=24):
+    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+
+
+SCAN_GRIDS = {
+    ModelId.AZTEC: (_lin(1.05, 6, 64) + [1 + 2 / 512, 1 + 5 / 512], None),
+    ModelId.DYCK_HALF_HEX: ([0.05 * 400 ** (i / 23) for i in range(24)], 1.0),
+    ModelId.RED_HALF_HEX: ([0.05 * 400 ** (i / 23) for i in range(24)], 1.0),
+    ModelId.STAIRCASE: (_lin(1.1, 6), None),
+    ModelId.STAIRCASE_ALT: (_lin(1.05, 2), None),
+    ModelId.VSASM: (_lin(0.1, 4), None),
+}
+
+
+@pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
+def test_scan_argmax_matches_exact_totals(model):
     """At n = 512 the float scan's exit is the argmax of the exact totals, ties to smaller ell.
 
-    The totals are Pascal prefix sums times the exact Delannoy escapes.  Over these z
-    the argmax row m = n - ell runs from 233 to 470, across the seeds at 256 and 384.
+    The totals are the exact profile times the exact escapes, over each model's
+    criterion-6 z range (x = 1 for the half-hexagons).  For aztec the argmax row
+    m = n - ell runs from 233 to 470, across the seeds at 256 and 384.  VSASM is
+    the known exception of ROADMAP item 2: its scan reads the refined ASM ratio,
+    so its totals take that proxy in place of the VSASM profile.
     """
-    n = 512
-    prefix = list(accumulate(comb(n, i) for i in range(n + 1)))
-    for z in [1.05 + (6 - 1.05) * i / 63 for i in range(64)] + [1 + 2 / n, 1 + 5 / n]:
-        escapes = _exact_aztec_escapes(n, round(z * n))
-        totals = [h * y for h, y in zip(prefix, escapes)]
+    ops, (grid, x) = md.MODEL_OPS[model], SCAN_GRIDS[model]
+    size, k = 512 | 1 if ops.odd_n else 512, 512 if ops.needs_k else None
+    exits = ops.exits(size, k)
+    if model is ModelId.VSASM:
+        fractions = [Fraction(n_asm_refined(size, ell), n_asm(size)) for ell in exits]
+    else:
+        fractions = ops.exact_profile(size, k)
+    den = math.lcm(*(v.denominator for v in fractions))
+    profile = [v.numerator * (den // v.denominator) for v in fractions]
+    for i, z in enumerate(grid):
+        target = round(z * size)
+        escapes = _exact_escapes(model, size, target, len(exits))
+        if i == 0:
+            for j in (0, 1, len(exits) // 2, len(exits) - 1):
+                assert escapes[j] == ESCAPE[model](size, target, exits[j]), (target, exits[j])
+        totals = [h * y for h, y in zip(profile, escapes)]
         best = totals.index(max(totals))
-        assert round(finite_n_saddle(ModelId.AZTEC, n, z).xi_hat * n) == best, z
+        assert round(finite_n_saddle(model, 512, z, x).xi_hat * size) - exits.start == best, z
 
 
 def _dyck_term(n, k, ell, s):
@@ -660,6 +705,15 @@ def test_sampled_log_concavity_holds_exactly():
             assert _log_concave(_exact_aztec_escapes(n, target)), ("aztec", n, target)
 
 
+def _per_exit_closed_form(model, n, k):
+    """Each exit's closed form: the record's ``one_point``, or, for the osculating model,
+    which has none, the paper's alternating sum over the VSASM total."""
+    ops = md.MODEL_OPS[model]
+    if not ops.has_paths:
+        return tuple(Fraction(n_vsasm_refined(n, ell), n_vsasm(n)) for ell in ops.exits(n, k))
+    return tuple(ops.one_point(n, k, ell) for ell in ops.exits(n, k))
+
+
 @settings(max_examples=300, deadline=None)
 @given(model=st.sampled_from(list(md.MODEL_OPS)), n=st.integers(0, 24), k=st.integers(1, 30))
 def test_exact_profile_sweep_matches_per_exit_closed_form(model, n, k):
@@ -670,7 +724,7 @@ def test_exact_profile_sweep_matches_per_exit_closed_form(model, n, k):
     except ValueError:
         assume(False)
     k = k if ops.needs_k else None
-    assert ops.exact_profile(n, k) == tuple(ops.one_point(n, k, ell) for ell in ops.exits(n, k))
+    assert ops.exact_profile(n, k) == _per_exit_closed_form(model, n, k)
 
 
 @pytest.mark.parametrize(
@@ -682,8 +736,7 @@ def test_exact_profile_sweep_matches_per_exit_closed_form(model, n, k):
 )
 def test_exact_profile_edge_rows_match_per_exit_closed_form(model, n, k):
     """The smallest sizes, where a walk has one or two steps (dyck k = 1 keeps one top row)."""
-    ops = md.MODEL_OPS[model]
-    assert ops.exact_profile(n, k) == tuple(ops.one_point(n, k, ell) for ell in ops.exits(n, k))
+    assert md.MODEL_OPS[model].exact_profile(n, k) == _per_exit_closed_form(model, n, k)
 
 
 def test_binomial_row_matches_comb():
@@ -835,13 +888,18 @@ def test_one_pass_vsasm_counts_equal_per_exit_formula():
 
 
 def test_refined_generating_identity():
-    for size in (3, 5, 7, 9, 21):
-        for t in (Fraction(1, 3), Fraction(1, 2), Fraction(-2, 5), 0, 1, 2, 3):
-            assert raz_strog_check(size, t, n_vsasm_refined_counts(size))
-    counts = n_vsasm_refined_counts(21)
-    assert raz_strog_check(21, Fraction(1, 2), counts)
-    counts[4] += 1
-    assert not raz_strog_check(21, Fraction(1, 2), counts)
+    """The true counts pass at every odd size up to 41; at t = 1/2, 3/7, 2 and -2/3, raising
+    any one of the 2n counts the identity reads by 1 fails it."""
+    perturbed = (Fraction(1, 2), Fraction(3, 7), 2, Fraction(-2, 3))
+    for size in range(3, 42, 2):
+        counts = n_vsasm_refined_counts(size)
+        for t in (*perturbed, Fraction(1, 3), Fraction(-2, 5), 0, 1, 3):
+            assert raz_strog_check(size, t, counts), (size, t)
+        for t in perturbed:
+            for e in range(size - 1):
+                counts[e] += 1
+                assert not raz_strog_check(size, t, counts), (size, t, e)
+                counts[e] -= 1
     with pytest.raises(ValueError):
         raz_strog_check(5, -1, n_vsasm_refined_counts(5))
     with pytest.raises(ValueError, match="size must be odd"):

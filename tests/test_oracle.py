@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from arctic.linalg import det_bareiss, last_column_minors
 from arctic.models import MODEL_OPS, ModelId
-from arctic.models.vsasm import n_asm, n_vsasm, n_vsasm_refined
+from arctic.models.vsasm import n_vsasm
 from arctic.oracle import (
     AsmMatrix,
     BudgetExceededError,
@@ -20,6 +20,7 @@ from arctic.oracle import (
     model_exit_point,
     model_path_spec,
 )
+from arctic.paper import n_asm, n_vsasm_refined
 from paper_checks import osculating_config_check
 
 

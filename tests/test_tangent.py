@@ -431,7 +431,6 @@ def test_envelope_solves_each_saddle_once(tmp_path, monkeypatch, capsys):
         return analytic_saddle(model, z, x)
 
     monkeypatch.setattr(tangent, "analytic_saddle", counted)
-    monkeypatch.setattr(cli, "analytic_saddle", counted)
     prefix = tmp_path / "env"
     argv = ["envelope", "--model", "dyck", "--z-min", "0.05", "--z-max", "20", "--count", "40",
             "--spacing", "log", "--x-model", "0.5", "--out-prefix", str(prefix)]
